@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SeparatrixError
+from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
 from .frame import BALANCED, FIXED, NAYFEH, balanced_frame, fixed_frame, nayfeh_frame
 from .oracle import measure_period
 from .period import (
@@ -60,7 +62,26 @@ class UsageError(Exception):
     pass
 
 
+# Error class -> (error_kind, exit status) for the errors reported as records;
+# the first match wins, so a subclass comes before its base.
+_ERROR_KINDS = {
+    SeparatrixError: ("separatrix", 2),
+    DomainError: ("domain", 2),
+    ConvergenceError: ("numerical", 3),
+}
+
+
+def _error_kind(exc: PeriodLabError) -> tuple[str, int]:
+    return next(entry for cls, entry in _ERROR_KINDS.items() if isinstance(exc, cls))
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse only takes "-1" and "-.5" style strings for negative numbers
+        # and reads "-1e-1" as an option; accept the exponent form too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # argparse default exits with status 2
         raise UsageError(message)
 
@@ -69,48 +90,40 @@ class _Parser(argparse.ArgumentParser):
 # Serialization (17 significant digits everywhere)
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+def _text(v, digits: int = 17) -> str:
+    """One scalar as text: floats with ``digits`` significant digits, bools as
+    ``true``/``false``, integers and strings as they are."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.{digits}g}"
+    return str(v)
 
 
 def _json_value(v) -> str:
-    if v is None:
+    if v is None or (isinstance(v, (float, np.floating)) and not math.isfinite(v)):
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return format_float(x)
     if isinstance(v, str):
-        import json
-
         return json.dumps(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(e) for e in v) + "]"
+    if isinstance(v, (int, float, np.integer, np.floating)):
+        return _text(v)
     raise TypeError(f"cannot serialize {type(v)}")
 
 
 def _json_record(record: dict, fields) -> str:
-    import json
-
     parts = [f"{json.dumps(k)}: {_json_value(record.get(k))}" for k in fields]
     return "{" + ", ".join(parts) + "}"
 
 
-def _csv_cell(v) -> str:
+def _cell(v, digits: int) -> str:
+    """A csv (17 digits) or table (12 digits) cell; lists are joined by ``;``."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
     if isinstance(v, (list, tuple)):
-        return ";".join(_csv_cell(e) for e in v)
-    return str(v)
+        return ";".join(_cell(e, digits) for e in v)
+    return _text(v, digits)
 
 
 def emit(records: list[dict], fields, fmt: str, out) -> None:
@@ -124,27 +137,14 @@ def emit(records: list[dict], fields, fmt: str, out) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fields)
         for r in records:
-            writer.writerow([_csv_cell(r.get(k)) for k in fields])
+            writer.writerow([_cell(r.get(k), 17) for k in fields])
     else:
         _emit_table(records, fields, out)
 
 
 def _emit_table(records: list[dict], fields, out) -> None:
     shown = [k for k in fields if any(r.get(k) is not None for r in records)]
-    rows = []
-    for r in records:
-        row = []
-        for k in shown:
-            v = r.get(k)
-            if v is None:
-                row.append("")
-            elif isinstance(v, (float, np.floating)):
-                row.append(f"{float(v):.12g}")
-            elif isinstance(v, (list, tuple)):
-                row.append(";".join(f"{float(e):.12g}" for e in v))
-            else:
-                row.append(str(v))
-        rows.append(row)
+    rows = [[_cell(r.get(k), 12) for k in shown] for r in records]
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
               for i, h in enumerate(shown)]
     out.write("  ".join(h.ljust(w) for h, w in zip(shown, widths)).rstrip() + "\n")
@@ -213,6 +213,19 @@ def _make_frame(strategy, omega_fixed, shell):
     return fixed_frame(shell, omega_fixed)
 
 
+def _problem(args):
+    """The potential, energy, shell and frame that ``args`` describe."""
+    U = _build_potential(args)
+    energy = _resolve_energy(args, U)
+    shell = turning_points(U, energy)
+    strategy, omega_fixed = _parse_frame(args.frame)
+    return U, energy, shell, _make_frame(strategy, omega_fixed, shell)
+
+
+def _optional_float(v):
+    return None if v is None else float(v)
+
+
 def _blank_record(command: str) -> dict:
     record = dict.fromkeys(RECORD_FIELDS)
     record["command"] = command
@@ -229,26 +242,22 @@ def _base_record(command: str, args, U, energy, shell, frame) -> dict:
         energy=float(energy),
         frame=args.frame,
     )
-    record["lambda"] = None if args.lam is None else float(args.lam)
-    if shell is not None:
-        record.update(
-            x_minus=float(shell.x_minus),
-            x_plus=float(shell.x_plus),
-            amplitude=None if shell.amplitude is None else float(shell.amplitude),
-            rho=None if shell.rho is None else float(shell.rho),
-        )
-    if frame is not None:
-        record.update(
-            omega_ref=float(frame.omega),
-            xi=None if frame.xi is None else float(frame.xi),
-        )
+    record["lambda"] = _optional_float(args.lam)
+    record.update(
+        x_minus=float(shell.x_minus),
+        x_plus=float(shell.x_plus),
+        amplitude=_optional_float(shell.amplitude),
+        rho=_optional_float(shell.rho),
+        omega_ref=float(frame.omega),
+        xi=_optional_float(frame.xi),
+    )
     return record
 
 
 def _elliptic_result(U, shell):
-    if shell.rho is not None:
+    if shell.family == "quartic":
         return duffing_elliptic(shell.rho, U.omega0)
-    if shell.residual.size == 2:
+    if shell.family == "cubic":
         return cubic_elliptic(shell, U.omega0)
     raise UsageError("elliptic closed form requires the duffing or cubic preset")
 
@@ -287,14 +296,12 @@ def _apply_method(record: dict, method: str, U, energy, shell, frame, args, tol)
     return record
 
 
-def _methods_for(method: str, U, shell) -> list[str]:
+def _methods_for(method: str, shell) -> list[str]:
     if method != "all":
         return [method]
-    methods = ["quadrature", "series"]
-    if shell.rho is not None or shell.residual.size == 2:
-        methods.append("elliptic")
-    methods.append("oracle")
-    return methods
+    if shell.family == "generic":
+        return ["quadrature", "series", "oracle"]
+    return ["quadrature", "series", "elliptic", "oracle"]
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +309,9 @@ def _methods_for(method: str, U, shell) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_period(args, tol, out) -> int:
-    U = _build_potential(args)
-    energy = _resolve_energy(args, U)
-    shell = turning_points(U, energy)
-    strategy, omega_fixed = _parse_frame(args.frame)
-    frame = _make_frame(strategy, omega_fixed, shell)
+    U, energy, shell, frame = _problem(args)
     records = []
-    for method in _methods_for(args.method, U, shell):
+    for method in _methods_for(args.method, shell):
         record = _base_record("period", args, U, energy, shell, frame)
         records.append(_apply_method(record, method, U, energy, shell, frame, args, tol))
     emit(records, RECORD_FIELDS, args.format, out)
@@ -346,29 +349,25 @@ def cmd_sweep(args, tol, out) -> int:
             frame = _make_frame(strategy, omega_fixed, shell)
             record = _base_record("sweep", args, U, energy, shell, frame)
             record = _apply_method(record, args.method, U, energy, shell, frame, args, tol)
-            if args.preset == "duffing" and record["rho"] is not None and record["rho"] > 0:
+            # The duffing preset always gives a canonical quartic shell, so rho is set.
+            if args.preset == "duffing" and shell.rho > 0:
                 record["sqrt_rho_T"] = math.sqrt(record["rho"]) * record["T"]
-        except (SeparatrixError, DomainError) as exc:
+        except tuple(_ERROR_KINDS) as exc:
             record = _blank_record("sweep")
             record.update(
                 preset=args.preset, mass=args.mass, omega0=args.omega0,
                 frame=args.frame, method=args.method,
-                error=str(exc),
-                error_kind="separatrix" if isinstance(exc, SeparatrixError) else "domain",
+                error=str(exc), error_kind=_error_kind(exc)[0],
             )
             record["energy" if args.param == "energy" else "rho"] = float(value)
-            record["lambda"] = None if args.lam is None else float(args.lam)
+            record["lambda"] = _optional_float(args.lam)
         records.append(record)
     emit(records, RECORD_FIELDS, args.format, out)
     return 0
 
 
 def cmd_converge(args, tol, out) -> int:
-    U = _build_potential(args)
-    energy = _resolve_energy(args, U)
-    shell = turning_points(U, energy)
-    strategy, omega_fixed = _parse_frame(args.frame)
-    frame = _make_frame(strategy, omega_fixed, shell)
+    U, energy, shell, frame = _problem(args)
     series = best_series(shell, frame, args.Nmax)
     t_quad = period_quadrature(frame, U.omega0, tol).T
     scale = _SQRT2 / U.omega0
@@ -380,35 +379,28 @@ def cmd_converge(args, tol, out) -> int:
             command="converge", preset=args.preset,
             energy=float(energy), frame=args.frame,
             omega_ref=float(frame.omega),
-            xi=None if series.xi is None else float(series.xi),
+            xi=_optional_float(series.xi),
             regime=series.regime,
             N=n, I_N=float(i_n), T_N=scale * i_n,
             abs_dev_quadrature=abs(scale * i_n - t_quad),
+            amplitude=_optional_float(shell.amplitude),
+            rho=_optional_float(shell.rho),
         )
-        row["lambda"] = None if args.lam is None else float(args.lam)
-        if shell.amplitude is not None:
-            row["amplitude"] = float(shell.amplitude)
-        if shell.rho is not None:
-            row["rho"] = float(shell.rho)
+        row["lambda"] = _optional_float(args.lam)
         rows.append(row)
     if args.format == "table":
         out.write(f"# regime: {series.regime}"
-                  + (f"  xi = {format_float(series.xi)}" if series.xi is not None else "")
-                  + f"  T_quadrature = {format_float(t_quad)}\n")
+                  + (f"  xi = {_text(series.xi)}" if series.xi is not None else "")
+                  + f"  T_quadrature = {_text(t_quad)}\n")
     emit(rows, CONVERGE_FIELDS, args.format, out)
     return 0
 
 
 def cmd_verify(args, tol, out) -> int:
-    U = _build_potential(args)
-    energy = _resolve_energy(args, U)
-    shell = turning_points(U, energy)
-    strategy, omega_fixed = _parse_frame(args.frame)
-    frame = _make_frame(strategy, omega_fixed, shell)
-
+    U, energy, shell, frame = _problem(args)
     args.N = max(args.N, 30)
     records = []
-    for method in _methods_for("all", U, shell):
+    for method in _methods_for("all", shell):
         record = _base_record("verify", args, U, energy, shell, frame)
         records.append(_apply_method(record, method, U, energy, shell, frame, args, tol))
 
@@ -513,23 +505,14 @@ def main(argv=None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SeparatrixError as exc:
-        _print_error(out, exc, "separatrix")
-        return 2
-    except DomainError as exc:
-        _print_error(out, exc, "domain")
-        return 2
-    except ConvergenceError as exc:
-        _print_error(out, exc, "numerical")
-        return 3
-
-
-def _print_error(out, exc, kind: str) -> None:
-    record = _blank_record("error")
-    record["error"] = str(exc)
-    record["error_kind"] = kind
-    out.write(_json_record(record, ["command", "error", "error_kind"]) + "\n")
-    print(f"{kind} error: {exc}", file=sys.stderr)
+    except tuple(_ERROR_KINDS) as exc:
+        kind, code = _error_kind(exc)
+        record = _blank_record("error")
+        record["error"] = str(exc)
+        record["error_kind"] = kind
+        out.write(_json_record(record, ["command", "error", "error_kind"]) + "\n")
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

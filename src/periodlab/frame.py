@@ -75,9 +75,9 @@ def extrema_of_R(shell: EnergyShell) -> tuple[float, float, float, float]:
 
 
 def _closed_form_xi(shell: EnergyShell) -> float | None:
-    if shell.rho is not None:
+    if shell.family == "quartic":
         return shell.rho / (4.0 + 3.0 * shell.rho)
-    if shell.residual.size == 2:
+    if shell.family == "cubic":
         xp, xm = shell.x_plus, shell.x_minus
         return (xp ** 2 - xm ** 2) / (xp ** 2 + 4.0 * xp * xm + xm ** 2)
     return None
@@ -115,7 +115,7 @@ def nayfeh_frame(shell: EnergyShell) -> BalancedFrame:
     The induced deviation is ``-xi sin^2 theta`` scaled into the standard
     compact integrand; its series diverges for rho in (-1, -2/3).
     """
-    if shell.rho is None:
+    if shell.family != "quartic":
         raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
     rho = shell.rho
     omega = math.sqrt(1.0 + rho)

@@ -89,13 +89,9 @@ def integrate(U: PolynomialPotential, state0: TrajectoryState, dtau: float,
         raise DomainError(f"dtau must be positive, got {dtau}")
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
-    force = _force_closure(U)
-    x, v = state0.x, state0.v
-    out = [state0]
-    for k in range(1, n + 1):
-        x, v = _rk4_step(force, x, v, dtau)
-        out.append(TrajectoryState(tau=state0.tau + k * dtau, x=x, v=v))
-    return out
+    _, xs, vs, _, _ = _run(U, state0.x, state0.v, dtau, n, crossings_wanted=math.inf)
+    return [state0] + [TrajectoryState(tau=state0.tau + k * dtau, x=xs[k], v=vs[k])
+                       for k in range(1, n + 1)]
 
 
 def _hermite_crossing(v0: float, a0: float, v1: float, a1: float, h: float) -> float:
@@ -122,22 +118,23 @@ def _hermite_crossing(v0: float, a0: float, v1: float, a1: float, h: float) -> f
     return 0.5 * (lo + hi) * h
 
 
-def _run_measurement(U: PolynomialPotential, x_start: float,
-                     h: float, tau_cap: float):
-    """Step from rest at ``x_start`` until three velocity zero crossings are seen.
+def _run(U: PolynomialPotential, x: float, v: float, h: float, max_steps: int,
+         tau_cap: float = math.inf, crossings_wanted: float = 3):
+    """The RK4 loop: step from ``(x, v)`` until ``crossings_wanted`` velocity zero
+    crossings are seen, or stop after ``max_steps`` steps or past ``tau_cap``.
 
-    Returns (crossing_times, xs, vs, steps, capped).
+    Returns (crossing_times, xs, vs, steps, capped) with the visited states in
+    the lists ``xs`` and ``vs``.
     """
     force = _force_closure(U)
-    x, v = x_start, 0.0
     tau = 0.0
     xs = [x]
     vs = [v]
     crossings: list[float] = []
     steps = 0
     capped = False
-    while len(crossings) < 3:
-        if tau > tau_cap or steps >= _MAX_STEPS:
+    while len(crossings) < crossings_wanted:
+        if tau > tau_cap or steps >= max_steps:
             capped = True
             break
         x_new, v_new = _rk4_step(force, x, v, h)
@@ -149,7 +146,7 @@ def _run_measurement(U: PolynomialPotential, x_start: float,
         xs.append(x)
         vs.append(v)
         steps += 1
-    return crossings, np.array(xs), np.array(vs), steps, capped
+    return crossings, xs, vs, steps, capped
 
 
 def measure_period(U: PolynomialPotential, energy: float, *,
@@ -176,7 +173,8 @@ def measure_period(U: PolynomialPotential, energy: float, *,
     attempts = _MAX_HALVINGS if dtau is None else 1
     drift = math.inf
     for _ in range(attempts):
-        crossings, xs, vs, steps, capped = _run_measurement(U, shell.x_plus, h, tau_cap)
+        crossings, xs, vs, steps, capped = _run(U, shell.x_plus, 0.0, h, _MAX_STEPS, tau_cap)
+        xs, vs = np.array(xs), np.array(vs)
         energies = 0.5 * vs * vs + npoly.polyval(xs, u_coeffs)
         drift = float(np.max(np.abs(energies - energy)) / energy)
         if capped:

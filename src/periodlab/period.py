@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SeparatrixError
 from .frame import BALANCED, NAYFEH, BalancedFrame, delta_at
-from .potential import EnergyShell, cubic_factorization
+from .potential import EnergyShell, _canonical_cubic, cubic_factorization
 
 DEFAULT_QUAD_TOL = 1e-13
 _QUAD_N0 = 32
@@ -197,9 +197,32 @@ def _truncation_estimate(terms, governing_ratio: float) -> float:
     return nz[-1]
 
 
-def _series_result(terms, xi, regime, governing_ratio: float) -> SeriesResult:
+def _summed_series(N: int, coeffs, step, xi, ratio: float, power=1.0,
+                   moment=float) -> SeriesResult:
+    """The partial-sum loop behind every series.
+
+    Term j is ``coeffs(N)[j] * moment(power_j)`` with ``power_0 = power`` and
+    ``power_(j+1) = power_j * step``; ``ratio`` is the governing ratio that
+    sets the regime.  While it is below 1 the sum stops early once two
+    successive terms fall below ``_EARLY_STOP_RTOL`` of the running total; a
+    divergent series keeps all N + 1 terms so that its growth stays visible.
+    """
+    if N < 0:
+        raise DomainError(f"series cap N must be >= 0, got {N}")
+    c = coeffs(N)
+    terms = []
+    total = 0.0
+    for j in range(N + 1):
+        term = c[j] * moment(power)
+        terms.append(term)
+        total += term
+        if (ratio < 1.0 and j > 0
+                and max(abs(term), abs(terms[-2])) < _EARLY_STOP_RTOL * abs(total)):
+            break
+        power = power * step
     sums = np.cumsum(terms)
-    trunc = _truncation_estimate(terms, governing_ratio)
+    regime = _regime_from_ratio(ratio)
+    trunc = _truncation_estimate(terms, ratio)
     converged = regime == CONVERGENT and trunc <= _CONVERGED_RTOL * abs(sums[-1])
     return SeriesResult(
         terms=tuple(float(t) for t in terms),
@@ -211,12 +234,6 @@ def _series_result(terms, xi, regime, governing_ratio: float) -> SeriesResult:
     )
 
 
-def _stop_early(terms, total) -> bool:
-    if len(terms) < 2:
-        return False
-    return max(abs(terms[-1]), abs(terms[-2])) < _EARLY_STOP_RTOL * abs(total)
-
-
 def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     """The binomial series for any polynomial shell, by exact angle moments.
 
@@ -224,8 +241,6 @@ def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     the Gauss-Chebyshev rule with enough nodes integrates it exactly.
     Divergent regimes (sup |Delta| >= 1) still produce terms, flagged.
     """
-    if N < 0:
-        raise DomainError(f"series cap N must be >= 0, got {N}")
     shell = frame.shell
     deg = max(shell.residual.size - 1, 1)
     n_nodes = max(16, (N * deg) // 2 + 2)
@@ -235,22 +250,10 @@ def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     w2 = frame.omega * frame.omega
     delta_u = (2.0 * np.polynomial.polynomial.polyval(x, shell.residual) - w2) / w2
     weight = math.pi / n_nodes
-
-    b = binom_minus_half(N)
     pref = _SQRT2 / frame.omega
-    powers = np.ones_like(delta_u)
-    terms = []
-    total = 0.0
-    for j in range(N + 1):
-        moment = weight * float(powers.sum())
-        term = pref * b[j] * moment
-        terms.append(term)
-        total += term
-        if _stop_early(terms, total):
-            break
-        powers = powers * delta_u
-    sup = frame.sup_abs_delta
-    return _series_result(terms, frame.xi, _regime_from_ratio(sup), sup)
+    return _summed_series(N, lambda n: pref * binom_minus_half(n), delta_u, frame.xi,
+                          frame.sup_abs_delta, power=np.ones_like(delta_u),
+                          moment=lambda powers: weight * float(powers.sum()))
 
 
 def _alternating_pair_coeffs(N: int) -> np.ndarray:
@@ -261,19 +264,8 @@ def _alternating_pair_coeffs(N: int) -> np.ndarray:
 
 
 def _closed_form_series(pref: float, xi2: float, xi_report, N: int) -> SeriesResult:
-    coeffs = _alternating_pair_coeffs(N)
-    terms = []
-    total = 0.0
-    power = 1.0
-    for j in range(N + 1):
-        term = pref * coeffs[j] * power
-        terms.append(term)
-        total += term
-        if _stop_early(terms, total):
-            break
-        power *= xi2
-    ratio = math.sqrt(abs(xi2))
-    return _series_result(terms, xi_report, _regime_from_ratio(ratio), ratio)
+    return _summed_series(N, lambda n: pref * _alternating_pair_coeffs(n), xi2, xi_report,
+                          math.sqrt(abs(xi2)))
 
 
 def _require_oscillatory_rho(rho: float) -> None:
@@ -288,8 +280,6 @@ def duffing_series_balanced(rho: float, N: int) -> SeriesResult:
 
     Converges for every rho > -1, i.e. for every energy with periodic motion.
     """
-    if N < 0:
-        raise DomainError(f"series cap N must be >= 0, got {N}")
     _require_oscillatory_rho(rho)
     xi = rho / (4.0 + 3.0 * rho)
     pref = 2.0 * _SQRT2 * math.pi / math.sqrt(4.0 + 3.0 * rho)
@@ -302,24 +292,15 @@ def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
     Terms are returned for every rho > -1 so divergence is observable; the
     regime flag carries the verdict.
     """
-    if N < 0:
-        raise DomainError(f"series cap N must be >= 0, got {N}")
     _require_oscillatory_rho(rho)
     xi = rho / (2.0 * rho + 2.0)
     pref = _SQRT2 * math.pi / math.sqrt(1.0 + rho)
-    b = binom_minus_half(N)
-    terms = []
-    total = 0.0
-    power = 1.0
-    converging = abs(xi) < 1.0
-    for j in range(N + 1):
-        term = pref * b[j] * b[j] * power
-        terms.append(term)
-        total += term
-        if converging and _stop_early(terms, total):
-            break
-        power *= xi
-    return _series_result(terms, xi, _regime_from_ratio(abs(xi)), abs(xi))
+
+    def coeffs(n):
+        b = binom_minus_half(n)
+        return pref * b * b
+
+    return _summed_series(N, coeffs, xi, xi, abs(xi))
 
 
 def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
@@ -328,10 +309,7 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     Converges for every sub-barrier energy; at the barrier ``|xi| = 1`` and the
     shell is rejected.
     """
-    if N < 0:
-        raise DomainError(f"series cap N must be >= 0, got {N}")
-    cubic_factorization(shell)  # validates the shell family
-    s = shell if shell.residual[1] > 0.0 else shell.reflect()
+    s = _canonical_cubic(shell)
     xp, xm = s.x_plus, s.x_minus
     sum_sq = xp ** 2 + xp * xm + xm ** 2
     cross = xp ** 2 + 4.0 * xp * xm + xm ** 2
@@ -382,8 +360,8 @@ def duffing_elliptic(rho: float, omega0: float = 1.0) -> PeriodResult:
 def cubic_elliptic_form(shell: EnergyShell, omega0: float = 1.0) -> EllipticForm:
     """The quadratic-cubic period as ``prefactor * K(k^2)``,
     ``k^2 = (x_plus - x_minus)/(x_plus - x3)``."""
-    _, b1, x3 = cubic_factorization(shell)
-    s = shell if shell.residual[1] > 0.0 else shell.reflect()
+    s = _canonical_cubic(shell)
+    _, b1, x3 = cubic_factorization(s)
     lam = 3.0 * b1
     k2 = (s.x_plus - s.x_minus) / (s.x_plus - x3)
     if k2 >= 1.0 - _BOUNDARY_TOL:
@@ -405,12 +383,12 @@ def cubic_elliptic(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
 
 def best_series(shell: EnergyShell, frame: BalancedFrame, N: int) -> SeriesResult:
     """The closed-form series when the frame admits one, else the generic series."""
-    if frame.strategy == BALANCED and shell.rho is not None:
-        return duffing_series_balanced(shell.rho, N)
     if frame.strategy == NAYFEH:
-        if shell.rho is None:
+        if shell.family != "quartic":
             raise DomainError("nayfeh series requires a canonical quartic shell")
         return duffing_series_nayfeh(shell.rho, N)
-    if frame.strategy == BALANCED and shell.residual.size == 2:
+    if frame.strategy == BALANCED and shell.family == "quartic":
+        return duffing_series_balanced(shell.rho, N)
+    if frame.strategy == BALANCED and shell.family == "cubic":
         return cubic_series_balanced(shell, N)
     return period_series_generic(frame, N)

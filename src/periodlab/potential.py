@@ -104,17 +104,6 @@ class PolynomialPotential:
             return None
         return 4.0 * float(c[4])
 
-    @property
-    def cubic_lambda(self) -> float | None:
-        """Anharmonicity of the canonical cubic ``x^2/2 + lam x^3/3``; None otherwise."""
-        c = self.coeffs
-        if self.degree != 3 or abs(self.minimum_x) > 1e-14:
-            return None
-        tol = _PATTERN_RTOL * max(1.0, float(np.max(np.abs(c))))
-        if abs(c[0]) > tol or abs(c[1]) > tol or abs(c[2] - 0.5) > tol:
-            return None
-        return 3.0 * float(c[3])
-
     def reflect(self) -> "PolynomialPotential":
         """The parity image U(-x), with the reference minimum mapped along."""
         c = self.coeffs.copy()
@@ -146,6 +135,20 @@ class EnergyShell:
         object.__setattr__(self, "extra_roots", tuple(float(r) for r in self.extra_roots))
         if not self.x_minus < self.x_plus:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
+
+    @property
+    def family(self) -> str:
+        """The well family, which decides the closed forms that apply.
+
+        ``"quartic"`` for the canonical quartic ``x^2/2 + lam x^4/4`` (``rho``
+        set), ``"cubic"`` for a quadratic-cubic shell (linear residual), and
+        ``"generic"`` otherwise.
+        """
+        if self.rho is not None:
+            return "quartic"
+        if self.residual.size == 2:
+            return "cubic"
+        return "generic"
 
     def residual_at(self, x):
         return npoly.polyval(x, self.residual)
@@ -335,20 +338,28 @@ def _check_residual_positive(shell: EnergyShell) -> None:
         )
 
 
+def _canonical_cubic(shell: EnergyShell) -> EnergyShell:
+    """A quadratic-cubic shell in the canonical orientation ``R = b0 + b1 x``, ``b1 > 0``.
+
+    Shells from a lam < 0 well are reflected; the parity map leaves the period
+    unchanged.
+    """
+    if shell.family != "cubic":
+        raise DomainError(
+            "cubic factorization requires a quadratic-cubic shell with a linear residual"
+        )
+    return shell if shell.residual[1] > 0.0 else shell.reflect()
+
+
 def cubic_factorization(shell: EnergyShell) -> tuple[float, float, float]:
     """Linear-residual parameters ``(b0, b1, x3)`` of a quadratic-cubic shell.
 
     ``R(x) = b0 + b1 x`` with ``b1 = lam/3 > 0`` after canonicalization, and
     ``x3 = -x_plus x_minus / (x_plus + x_minus)`` is the third real zero of Q,
-    below ``x_minus``.  Shells from a lam < 0 well are reflected internally
-    (the parity map leaves the period unchanged); the returned values refer to
-    the canonical orientation.
+    below ``x_minus``.  The returned values refer to the canonical orientation
+    (see :func:`_canonical_cubic`).
     """
-    if shell.residual.size != 2:
-        raise DomainError(
-            "cubic factorization requires a quadratic-cubic shell with a linear residual"
-        )
-    s = shell if shell.residual[1] > 0.0 else shell.reflect()
+    s = _canonical_cubic(shell)
     b0, b1 = float(s.residual[0]), float(s.residual[1])
     x3 = -s.x_plus * s.x_minus / (s.x_plus + s.x_minus)
     return b0, b1, float(x3)

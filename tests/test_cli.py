@@ -335,3 +335,36 @@ def test_no_subcommand_prints_help():
     code, out = run_cli()
     assert code == 1
     assert "period" in out and "sweep" in out
+
+
+# ---------------------------------------------------------------------------
+# negative numbers in exponent notation, numerical sweep points
+# ---------------------------------------------------------------------------
+
+def test_negative_lambda_in_exponent_notation():
+    tail = ["--energy", "0.1", "--format", "json"]
+    code, out = run_cli("period", "--preset", "duffing", "--lambda", "-1e-1", *tail)
+    assert code == 0
+    assert (code, out) == run_cli("period", "--preset", "duffing", "--lambda", "-0.1", *tail)
+
+
+def test_negative_coefficient_in_exponent_notation():
+    tail = ["0.25", "--energy", "0.1", "--format", "json"]
+    code, out = run_cli("period", "--preset", "poly", "--coeffs", "0", "0", "0.5", "-6.9e-05",
+                        *tail)
+    assert code == 0
+    assert (code, out) == run_cli("period", "--preset", "poly", "--coeffs", "0", "0", "0.5",
+                                  "-0.000069", *tail)
+
+
+def test_sweep_numerical_point_becomes_error_record():
+    # The last grid point sits 1e-11 below the barrier, where quadrature
+    # exhausts its node cap.
+    code, out = run_cli(
+        "sweep", "--preset", "cubic", "--lambda", "1", "--param", "energy",
+        "--from", "0.1", "--to", repr(1.0 / 6.0 - 1e-11), "--steps", "3",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len([r for r in rows if r["error"] == "" and r["T"] != ""]) == 2
+    assert [r["error_kind"] for r in rows if r["error"] != ""] == ["numerical"]
