@@ -62,6 +62,7 @@ from .potential import (
     duffing_potential,
     from_physical,
     harmonic_potential,
+    shells,
     turning_points,
 )
 
@@ -116,6 +117,7 @@ __all__ = [
     "period_from_series",
     "period_quadrature",
     "period_series_generic",
+    "shells",
     "turning_points",
     "x_of_theta",
 ]

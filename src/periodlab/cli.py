@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from .potential import (
     cubic_potential,
     duffing_potential,
     from_physical,
+    shells,
     turning_points,
 )
 
@@ -335,17 +337,27 @@ def cmd_sweep(args, tol, out) -> int:
         grid = np.linspace(args.start, args.stop, args.steps)
 
     strategy, omega_fixed = _parse_frame(args.frame)
+    if args.param == "energy":
+        # One well for the whole grid; a well that cannot be built fails every point.
+        try:
+            U = _build_potential(args)
+            found = shells(U, grid)
+        except tuple(_ERROR_KINDS) as exc:
+            found = [exc] * len(grid)
     records = []
-    for value in grid:
+    for i, value in enumerate(grid):
         try:
             if args.param == "rho":
                 # Any (lam, A) with lam A^2 = rho gives the same period; use A = 1.
                 U = duffing_potential(float(value), args.mass, args.omega0)
                 energy = float(U(1.0))
+                shell = turning_points(U, energy)
             else:
-                U = _build_potential(args)
                 energy = float(value)
-            shell = turning_points(U, energy)
+                shell = found[i]
+                if isinstance(shell, PeriodLabError):
+                    records.append(_sweep_error_record(args, value, shell))
+                    continue
             frame = _make_frame(strategy, omega_fixed, shell)
             record = _base_record("sweep", args, U, energy, shell, frame)
             record = _apply_method(record, args.method, U, energy, shell, frame, args, tol)
@@ -353,17 +365,22 @@ def cmd_sweep(args, tol, out) -> int:
             if args.preset == "duffing" and shell.rho > 0:
                 record["sqrt_rho_T"] = math.sqrt(record["rho"]) * record["T"]
         except tuple(_ERROR_KINDS) as exc:
-            record = _blank_record("sweep")
-            record.update(
-                preset=args.preset, mass=args.mass, omega0=args.omega0,
-                frame=args.frame, method=args.method,
-                error=str(exc), error_kind=_error_kind(exc)[0],
-            )
-            record["energy" if args.param == "energy" else "rho"] = float(value)
-            record["lambda"] = _optional_float(args.lam)
+            record = _sweep_error_record(args, value, exc)
         records.append(record)
     emit(records, RECORD_FIELDS, args.format, out)
     return 0
+
+
+def _sweep_error_record(args, value, exc: PeriodLabError) -> dict:
+    record = _blank_record("sweep")
+    record.update(
+        preset=args.preset, mass=args.mass, omega0=args.omega0,
+        frame=args.frame, method=args.method,
+        error=str(exc), error_kind=_error_kind(exc)[0],
+    )
+    record["energy" if args.param == "energy" else "rho"] = float(value)
+    record["lambda"] = _optional_float(args.lam)
+    return record
 
 
 def cmd_converge(args, tol, out) -> int:
@@ -441,7 +458,9 @@ def _add_problem_flags(p: _Parser) -> None:
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="periodlab",
                      description="Periods of one-dimensional polynomial anharmonic wells")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from ._poly import real_roots
+# Not called here any more: bench/spans.py traces the poly.real_roots layer by
+# rebinding this name, so it stays importable.
+from ._poly import real_roots  # noqa: F401
 from .errors import DomainError
 from .potential import EnergyShell
 
@@ -61,13 +63,10 @@ def extrema_of_R(shell: EnergyShell) -> tuple[float, float, float, float]:
     """Global extrema of the residual on the closed turning-point interval.
 
     Returns ``(R_min, R_max, argmin, argmax)``.  Candidates are the interval
-    endpoints plus every real critical point of R inside.
+    endpoints plus every real critical point of R inside, which the shell
+    carries (``residual_critical_points``).
     """
-    xs = [shell.x_minus, shell.x_plus]
-    if shell.residual.size > 1:
-        for c in real_roots(npoly.polyder(shell.residual)):
-            if shell.x_minus < c < shell.x_plus:
-                xs.append(float(c))
+    xs = [shell.x_minus, shell.x_plus, *shell.residual_critical_points]
     values = [float(shell.residual_at(x)) for x in xs]
     i_min = int(np.argmin(values))
     i_max = int(np.argmax(values))

@@ -56,8 +56,7 @@ class OracleReport:
 
 def _force_closure(U: PolynomialPotential):
     # Horner on a plain tuple: called four times per step, so keep it cheap.
-    dU = npoly.polyder(U.coeffs)
-    rev = tuple(float(c) for c in dU[::-1])
+    rev = tuple(float(c) for c in U.slope_coeffs[::-1])
 
     def force(x: float) -> float:
         acc = 0.0

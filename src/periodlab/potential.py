@@ -5,18 +5,27 @@ A well is described by a dimensionless potential ``U(x) = sum_k c_k x**k``
 given energy this module locates the turning points, peels the two simple
 zeros off ``Q(x) = E - U(x)`` to expose the positive residual ``R(x)``, and
 reports barrier/limit metadata for wells that are only locally confining.
+Everything that does not depend on the energy is computed once per well and
+cached on it; :func:`shells` finds the shells of a whole energy grid at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from ._poly import as_coeffs, deflate, real_roots
-from .errors import ConvergenceError, DomainError, NoMinimumError, SeparatrixError
+from ._poly import as_coeffs, deflate, derivative, real_roots, real_roots_rows
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    NoMinimumError,
+    PeriodLabError,
+    SeparatrixError,
+)
 
 # Energies this close (relative) to a barrier are treated as the separatrix.
 SEPARATRIX_RTOL = 1e-12
@@ -33,6 +42,10 @@ class PolynomialPotential:
     quartic stores ``[0, 0, 1/2, 0, lam/4]``.  ``mass`` and ``omega0`` record
     the physical scaling used to build the dimensionless form; they do not
     enter any evaluation except the final conversion of periods to time.
+
+    The derivative coefficients, critical points, barrier, symmetry and
+    canonical-quartic tag are computed on first use and cached on the
+    instance; ``coeffs`` is read-only, so they cannot go stale.
     """
 
     coeffs: np.ndarray
@@ -68,17 +81,51 @@ class PolynomialPotential:
 
     def slope(self, x):
         """First derivative U'(x)."""
-        return npoly.polyval(x, npoly.polyder(self.coeffs))
+        return npoly.polyval(x, self.slope_coeffs)
 
     def curvature(self, x):
         """Second derivative U''(x)."""
-        return npoly.polyval(x, npoly.polyder(self.coeffs, 2))
+        return npoly.polyval(x, self.curvature_coeffs)
+
+    @cached_property
+    def slope_coeffs(self) -> np.ndarray:
+        """Coefficients of U'."""
+        return as_coeffs(derivative(self.coeffs))
+
+    @cached_property
+    def curvature_coeffs(self) -> np.ndarray:
+        """Coefficients of U''."""
+        return as_coeffs(derivative(self.slope_coeffs))
+
+    @cached_property
+    def critical_points(self) -> np.ndarray:
+        """The real zeros of U', ascending."""
+        crits = real_roots(self.slope_coeffs)
+        crits.flags.writeable = False
+        return crits
+
+    @cached_property
+    def barrier(self) -> "BarrierInfo":
+        """The finite barriers bounding the reference well, if any."""
+        below = [c for c in self.critical_points if c < self.minimum_x - 1e-14]
+        above = [c for c in self.critical_points if c > self.minimum_x + 1e-14]
+        candidates = []
+        for side in (max(below) if below else None, min(above) if above else None):
+            if side is None:
+                continue
+            if self.curvature(side) <= 0.0 and self(side) > 0.0:
+                candidates.append((float(self(side)), float(side)))
+        if not candidates:
+            return BarrierInfo(has_barrier=False)
+        energy, x = min(candidates)
+        limit = abs(x) if self.is_symmetric else None
+        return BarrierInfo(True, barrier_energy=energy, barrier_x=x, amplitude_limit=limit)
 
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         """True when U(-x) = U(x) about x = 0 and the minimum sits at 0."""
         if abs(self.minimum_x) > 1e-14:
@@ -86,7 +133,7 @@ class PolynomialPotential:
         tol = _PATTERN_RTOL * max(1.0, float(np.max(np.abs(self.coeffs))))
         return bool(np.all(np.abs(self.coeffs[1::2]) <= tol))
 
-    @property
+    @cached_property
     def duffing_lambda(self) -> float | None:
         """Anharmonicity of the canonical quartic ``x^2/2 + lam x^4/4``; None otherwise.
 
@@ -119,6 +166,8 @@ class EnergyShell:
     on the closed interval between the turning points.  ``extra_roots`` holds
     any remaining real zeros of Q outside that interval.  ``reflected`` marks
     shells produced by the parity map from a lam < 0 cubic.
+    ``residual_critical_points`` holds the zeros of R' strictly between the
+    turning points, ascending; it is computed from ``residual`` when not given.
     """
 
     energy: float
@@ -129,12 +178,18 @@ class EnergyShell:
     amplitude: float | None = None
     rho: float | None = None
     reflected: bool = False
+    residual_critical_points: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "residual", as_coeffs(self.residual))
         object.__setattr__(self, "extra_roots", tuple(float(r) for r in self.extra_roots))
         if not self.x_minus < self.x_plus:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
+        crits = self.residual_critical_points
+        if crits is None:
+            crits = real_roots(derivative(self.residual)) if self.residual.size > 1 else ()
+        object.__setattr__(self, "residual_critical_points",
+                           tuple(float(c) for c in crits if self.x_minus < c < self.x_plus))
 
     @property
     def family(self) -> str:
@@ -204,8 +259,8 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0,
     u = npoly.polytrim(u, tol=0.0)
     if u.size - 1 < 2:
         raise DomainError("potential must have degree >= 2")
-    du = npoly.polyder(u)
-    d2u = npoly.polyder(u, 2)
+    du = derivative(u)
+    d2u = derivative(du)
     crits = real_roots(du)
     minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
     if not minima:
@@ -238,21 +293,23 @@ def cubic_potential(lam: float, mass: float = 1.0, omega0: float = 1.0) -> Polyn
 
 
 def barrier_info(U: PolynomialPotential) -> BarrierInfo:
-    """Locate the finite barriers bounding the reference well, if any."""
-    crits = real_roots(npoly.polyder(U.coeffs))
-    below = [c for c in crits if c < U.minimum_x - 1e-14]
-    above = [c for c in crits if c > U.minimum_x + 1e-14]
-    candidates = []
-    for side in (max(below) if below else None, min(above) if above else None):
-        if side is None:
-            continue
-        if U.curvature(side) <= 0.0 and U(side) > 0.0:
-            candidates.append((float(U(side)), float(side)))
-    if not candidates:
-        return BarrierInfo(has_barrier=False)
-    energy, x = min(candidates)
-    limit = abs(x) if U.is_symmetric else None
-    return BarrierInfo(True, barrier_energy=energy, barrier_x=x, amplitude_limit=limit)
+    """Locate the finite barriers bounding the reference well, if any.
+
+    Computed once per well and cached on it (:attr:`PolynomialPotential.barrier`).
+    """
+    return U.barrier
+
+
+def _check_energy(energy: float, barrier: BarrierInfo) -> None:
+    if not energy > 0.0:
+        raise DomainError(f"energy must be positive, got {energy}")
+    if energy < _MIN_ENERGY:
+        raise DomainError(f"energy {energy} below the supported floor {_MIN_ENERGY}")
+    if barrier.has_barrier and energy >= barrier.barrier_energy * (1.0 - SEPARATRIX_RTOL):
+        raise SeparatrixError(
+            f"energy {energy} at or above the barrier {barrier.barrier_energy}: "
+            "the motion is unbounded/separatrix there"
+        )
 
 
 def turning_points(U: PolynomialPotential, energy: float) -> EnergyShell:
@@ -260,77 +317,105 @@ def turning_points(U: PolynomialPotential, energy: float) -> EnergyShell:
 
     Raises :class:`DomainError` for non-positive energies and
     :class:`SeparatrixError` for energies at or beyond an adjacent barrier
-    (within ``SEPARATRIX_RTOL`` relative).
+    (within ``SEPARATRIX_RTOL`` relative).  This is :func:`shells` on one
+    energy.
     """
-    energy = float(energy)
-    if not energy > 0.0:
-        raise DomainError(f"energy must be positive, got {energy}")
-    if energy < _MIN_ENERGY:
-        raise DomainError(f"energy {energy} below the supported floor {_MIN_ENERGY}")
-    barrier = barrier_info(U)
-    if barrier.has_barrier and energy >= barrier.barrier_energy * (1.0 - SEPARATRIX_RTOL):
-        raise SeparatrixError(
-            f"energy {energy} at or above the barrier {barrier.barrier_energy}: "
-            "the motion is unbounded/separatrix there"
-        )
-
-    q = -U.coeffs.copy()
-    q[0] += energy
-    roots = real_roots(q)
-    left = roots[roots < U.minimum_x]
-    right = roots[roots > U.minimum_x]
-    if left.size == 0 or right.size == 0:
-        raise DomainError(
-            f"no turning points bracket the minimum at energy {energy}; "
-            f"real roots found: {list(roots)}"
-        )
-    x_minus = float(left.max())
-    x_plus = float(right.min())
-
-    symmetric = U.is_symmetric
-    if symmetric:
-        # Companion roots of an even polynomial are symmetric to rounding;
-        # averaging pins the parity invariant exactly.
-        half = 0.5 * (x_plus - x_minus)
-        x_minus, x_plus = -half, half
-
-    quot, rem_plus = deflate(q, x_plus)
-    quot, rem_minus = deflate(quot, x_minus)
-    residual = -quot
-    tol = 1e-10 * max(1.0, energy)
-    if abs(rem_plus) > tol or abs(rem_minus) > tol:
-        raise ConvergenceError(
-            f"turning-point deflation left remainders ({rem_plus}, {rem_minus}) above {tol}"
-        )
-
-    shell_extra = tuple(
-        float(r) for r in roots if r < x_minus - 1e-14 or r > x_plus + 1e-14
-    )
-
-    amplitude = x_plus if symmetric else None
-    lam = U.duffing_lambda
-    rho = lam * amplitude ** 2 if (lam is not None and amplitude is not None) else None
-
-    shell = EnergyShell(
-        energy=energy,
-        x_minus=x_minus,
-        x_plus=x_plus,
-        residual=residual,
-        extra_roots=shell_extra,
-        amplitude=amplitude,
-        rho=rho,
-    )
-    _check_residual_positive(shell)
+    shell = shells(U, [energy])[0]
+    if isinstance(shell, PeriodLabError):
+        raise shell
     return shell
 
 
+def shells(U: PolynomialPotential, energies) -> list:
+    """The energy shells of ``U`` at each of ``energies``, solved together.
+
+    Slot ``i`` holds the shell at ``energies[i]``, or the error that
+    :func:`turning_points` raises at that energy.  The turning points of all
+    energies come from one stacked companion-matrix solve of ``E - U``, and
+    the critical points of all residuals from one more; each shell is
+    bit-identical to the one found on its own.
+    """
+    energies = [float(e) for e in energies]
+    found: list = [None] * len(energies)
+    barrier = barrier_info(U)
+    live = []
+    for i, energy in enumerate(energies):
+        try:
+            _check_energy(energy, barrier)
+        except DomainError as exc:
+            found[i] = exc
+        else:
+            live.append(i)
+    if not live:
+        return found
+
+    q = np.tile(-U.coeffs, (len(live), 1))
+    q[:, 0] += [energies[i] for i in live]
+    roots = real_roots_rows(q)
+
+    bracketed = []  # (slot, row of q, x_minus, x_plus)
+    for row, (i, r) in enumerate(zip(live, roots)):
+        left = r[r < U.minimum_x]
+        right = r[r > U.minimum_x]
+        if left.size == 0 or right.size == 0:
+            found[i] = DomainError(
+                f"no turning points bracket the minimum at energy {energies[i]}; "
+                f"real roots found: {list(r)}"
+            )
+            continue
+        x_minus = float(left.max())
+        x_plus = float(right.min())
+        if U.is_symmetric:
+            # Companion roots of an even polynomial are symmetric to rounding;
+            # averaging pins the parity invariant exactly.
+            half = 0.5 * (x_plus - x_minus)
+            x_minus, x_plus = -half, half
+        bracketed.append((i, row, x_minus, x_plus))
+    if not bracketed:
+        return found
+
+    slots, rows, x_minus, x_plus = (list(col) for col in zip(*bracketed))
+    quot, rem_plus = deflate(q[rows], np.array(x_plus))
+    quot, rem_minus = deflate(quot, np.array(x_minus))
+    residual = -quot
+    crits = real_roots_rows(derivative(residual))
+
+    lam = U.duffing_lambda
+    for j, i in enumerate(slots):
+        energy = energies[i]
+        tol = 1e-10 * max(1.0, energy)
+        if abs(rem_plus[j]) > tol or abs(rem_minus[j]) > tol:
+            found[i] = ConvergenceError(
+                f"turning-point deflation left remainders ({float(rem_plus[j])}, "
+                f"{float(rem_minus[j])}) above {tol}"
+            )
+            continue
+        lo, hi = x_minus[j], x_plus[j]
+        amplitude = hi if U.is_symmetric else None
+        try:
+            shell = EnergyShell(
+                energy=energy,
+                x_minus=lo,
+                x_plus=hi,
+                residual=residual[j],
+                extra_roots=tuple(
+                    float(r) for r in roots[rows[j]] if r < lo - 1e-14 or r > hi + 1e-14
+                ),
+                amplitude=amplitude,
+                rho=lam * amplitude ** 2 if (lam is not None and amplitude is not None) else None,
+                residual_critical_points=crits[j],
+            )
+            _check_residual_positive(shell)
+        except DomainError as exc:
+            found[i] = exc
+        else:
+            found[i] = shell
+    return found
+
+
 def _check_residual_positive(shell: EnergyShell) -> None:
-    r = shell.residual
-    values = [shell.residual_at(shell.x_minus), shell.residual_at(shell.x_plus)]
-    if r.size > 1:
-        for c in real_roots(npoly.polyder(r)):
-            if shell.x_minus < c < shell.x_plus:
-                values.append(shell.residual_at(c))
+    values = [shell.residual_at(x)
+              for x in (shell.x_minus, shell.x_plus, *shell.residual_critical_points)]
     if min(values) <= 0.0:
         raise DomainError(
             f"residual R(x) is not positive on the shell (min {min(values)}); "

@@ -368,3 +368,56 @@ def test_sweep_numerical_point_becomes_error_record():
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len([r for r in rows if r["error"] == "" and r["T"] != ""]) == 2
     assert [r["error_kind"] for r in rows if r["error"] != ""] == ["numerical"]
+
+
+# ---------------------------------------------------------------------------
+# one well per energy sweep, one parser per process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset, factory", [("duffing", "duffing_potential"),
+                                             ("cubic", "cubic_potential")])
+def test_energy_sweep_builds_and_solves_the_well_once(monkeypatch, preset, factory):
+    import numpy as np
+
+    import periodlab.cli as cli
+    import periodlab.potential as potential
+
+    wells, solved = [], []
+    build, solve = getattr(cli, factory), potential.real_roots
+
+    def counting_build(*args, **kwargs):
+        wells.append(build(*args, **kwargs))
+        return wells[-1]
+
+    def counting_solve(coeffs, *args, **kwargs):
+        solved.append(np.array(coeffs))
+        return solve(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, factory, counting_build)
+    monkeypatch.setattr(potential, "real_roots", counting_solve)
+    code, out = run_cli("sweep", "--preset", preset, "--lambda", "-0.5", "--param", "energy",
+                        "--from", "0.01", "--to", "0.3", "--steps", "50")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 50 and all(r["error"] == "" for r in rows)
+    assert len(wells) == 1
+    assert sum(np.array_equal(c, wells[0].slope_coeffs) for c in solved) == 1
+
+
+def test_sweep_of_a_well_without_minimum_gives_one_record_per_point():
+    code, out = run_cli("sweep", "--preset", "poly", "--coeffs", "0", "0", "-1",
+                        "--param", "energy", "--from", "0.1", "--to", "1", "--steps", "4")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(r["energy"]) for r in rows] == [0.1, 0.4, 0.7, 1.0]
+    assert [r["error_kind"] for r in rows] == ["domain"] * 4
+    assert len({r["error"] for r in rows}) == 1 and "minimum" in rows[0]["error"]
+
+
+def test_parser_is_reused_without_carrying_state():
+    # verify raises N to 30 on its own arguments; the next parse starts from the defaults.
+    problem = ["--preset", "duffing", "--lambda", "-0.8", "--amplitude", "1"]
+    assert run_cli("verify", *problem)[0] == 0
+    code, out = run_cli("period", *problem, "--method", "series", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["N"] == 16

@@ -60,3 +60,15 @@ def test_readme_example_runs_with_documented_fields(argv):
         shown = header.split()
         # the table drops empty columns but keeps the order of the rest
         assert shown and shown == [f for f in fields if f in shown]
+
+
+def test_names_the_benchmark_trace_rebinds_still_exist():
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bindings = [b for layer in spans.LAYER_BINDINGS.values() for b in layer]
+    for module, attr in bindings + [("periodlab.period", "delta_at")]:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
