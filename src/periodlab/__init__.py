@@ -50,6 +50,7 @@ from .period import (
     elliptic_K,
     period_from_series,
     period_quadrature,
+    period_quadratures,
     period_series_generic,
 )
 from .potential import (
@@ -116,6 +117,7 @@ __all__ = [
     "nayfeh_frame",
     "period_from_series",
     "period_quadrature",
+    "period_quadratures",
     "period_series_generic",
     "shells",
     "turning_points",

@@ -27,7 +27,13 @@ def derivative(coeffs) -> np.ndarray:
 
 
 def _polyval_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row ``i`` of ``coeffs`` evaluated at ``x[i]``, by the Horner steps of ``npoly.polyval``."""
+    """Row ``i`` of ``coeffs`` evaluated at ``x[i]``, by the Horner steps of ``npoly.polyval``.
+
+    ``x[i]`` is one point or a row of points.  Zeros padded above a row's
+    leading coefficient leave its values unchanged.
+    """
+    if x.ndim > 1:
+        coeffs = coeffs[:, :, None]
     acc = coeffs[:, -1] + x * 0
     for k in range(coeffs.shape[1] - 2, -1, -1):
         acc = coeffs[:, k] + acc * x

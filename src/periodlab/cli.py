@@ -31,6 +31,7 @@ from .period import (
     duffing_elliptic,
     period_from_series,
     period_quadrature,
+    period_quadratures,
 )
 from .potential import (
     barrier_info,
@@ -92,6 +93,9 @@ class _Parser(argparse.ArgumentParser):
 # Serialization (17 significant digits everywhere)
 # ---------------------------------------------------------------------------
 
+_FLOAT_SPECS = {17: ".17g", 12: ".12g"}
+
+
 def _text(v, digits: int = 17) -> str:
     """One scalar as text: floats with ``digits`` significant digits, bools as
     ``true``/``false``, integers and strings as they are."""
@@ -103,6 +107,8 @@ def _text(v, digits: int = 17) -> str:
 
 
 def _json_value(v) -> str:
+    if type(v) is float:  # most values; the text the checks below would give
+        return format(v, ".17g") if math.isfinite(v) else "null"
     if v is None or (isinstance(v, (float, np.floating)) and not math.isfinite(v)):
         return "null"
     if isinstance(v, str):
@@ -114,17 +120,27 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
+@functools.cache
+def _json_key(k: str) -> str:
+    return json.dumps(k)
+
+
 def _json_record(record: dict, fields) -> str:
-    parts = [f"{json.dumps(k)}: {_json_value(record.get(k))}" for k in fields]
+    parts = [f"{_json_key(k)}: {_json_value(record.get(k))}" for k in fields]
     return "{" + ", ".join(parts) + "}"
 
 
 def _cell(v, digits: int) -> str:
     """A csv (17 digits) or table (12 digits) cell; lists are joined by ``;``."""
+    kind = type(v)
+    if kind is float:  # most cells; the text _text would give
+        return format(v, _FLOAT_SPECS[digits])
+    if kind is str:
+        return v
     if v is None:
         return ""
     if isinstance(v, (list, tuple)):
-        return ";".join(_cell(e, digits) for e in v)
+        return ";".join([_cell(e, digits) for e in v])
     return _text(v, digits)
 
 
@@ -292,9 +308,11 @@ def _apply_method(record: dict, method: str, U, energy, shell, frame, args, tol)
         return record
     else:
         raise UsageError(f"unknown method {method!r}")
-    record["T"] = res.T
-    record["Omega"] = res.Omega
-    record["err_estimate"] = res.err_estimate
+    return _set_period(record, res)
+
+
+def _set_period(record: dict, res) -> dict:
+    record.update(T=res.T, Omega=res.Omega, err_estimate=res.err_estimate)
     return record
 
 
@@ -345,6 +363,7 @@ def cmd_sweep(args, tol, out) -> int:
         except tuple(_ERROR_KINDS) as exc:
             found = [exc] * len(grid)
     records = []
+    quadrature = []  # (slot, frame) of the records the batched quadrature completes
     for i, value in enumerate(grid):
         try:
             if args.param == "rho":
@@ -356,19 +375,32 @@ def cmd_sweep(args, tol, out) -> int:
                 energy = float(value)
                 shell = found[i]
                 if isinstance(shell, PeriodLabError):
-                    records.append(_sweep_error_record(args, value, shell))
-                    continue
+                    raise shell
             frame = _make_frame(strategy, omega_fixed, shell)
             record = _base_record("sweep", args, U, energy, shell, frame)
-            record = _apply_method(record, args.method, U, energy, shell, frame, args, tol)
-            # The duffing preset always gives a canonical quartic shell, so rho is set.
-            if args.preset == "duffing" and shell.rho > 0:
-                record["sqrt_rho_T"] = math.sqrt(record["rho"]) * record["T"]
+            if args.method == "quadrature":
+                record["method"] = "quadrature"
+                quadrature.append((i, frame))
+            else:
+                _apply_method(record, args.method, U, energy, shell, frame, args, tol)
+                _set_sqrt_rho_T(record)
         except tuple(_ERROR_KINDS) as exc:
             record = _sweep_error_record(args, value, exc)
         records.append(record)
+    results = period_quadratures([frame for _, frame in quadrature], args.omega0, tol)
+    for (i, _), res in zip(quadrature, results):
+        if isinstance(res, PeriodLabError):
+            records[i] = _sweep_error_record(args, grid[i], res)
+        else:
+            _set_sqrt_rho_T(_set_period(records[i], res))
     emit(records, RECORD_FIELDS, args.format, out)
     return 0
+
+
+def _set_sqrt_rho_T(record: dict) -> None:
+    # The duffing preset always gives a canonical quartic shell, so rho is set.
+    if record["preset"] == "duffing" and record["rho"] > 0:
+        record["sqrt_rho_T"] = math.sqrt(record["rho"]) * record["T"]
 
 
 def _sweep_error_record(args, value, exc: PeriodLabError) -> dict:

@@ -63,14 +63,10 @@ def extrema_of_R(shell: EnergyShell) -> tuple[float, float, float, float]:
     """Global extrema of the residual on the closed turning-point interval.
 
     Returns ``(R_min, R_max, argmin, argmax)``.  Candidates are the interval
-    endpoints plus every real critical point of R inside, which the shell
-    carries (``residual_critical_points``).
+    endpoints plus every real critical point of R inside; the shell carries
+    the result (``residual_extrema``).
     """
-    xs = [shell.x_minus, shell.x_plus, *shell.residual_critical_points]
-    values = [float(shell.residual_at(x)) for x in xs]
-    i_min = int(np.argmin(values))
-    i_max = int(np.argmax(values))
-    return values[i_min], values[i_max], xs[i_min], xs[i_max]
+    return shell.residual_extrema
 
 
 def _closed_form_xi(shell: EnergyShell) -> float | None:

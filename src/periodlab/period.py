@@ -16,9 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SeparatrixError
-from .frame import BALANCED, NAYFEH, BalancedFrame, delta_at
+from ._poly import _polyval_rows
+from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
+from .frame import BALANCED, NAYFEH, BalancedFrame
 from .potential import EnergyShell, _canonical_cubic, cubic_factorization
+
+# Not called here any more: bench/spans.py counts quadrature nodes by rebinding
+# this name, so it stays importable.
+from .frame import delta_at  # noqa: F401
 
 DEFAULT_QUAD_TOL = 1e-13
 _QUAD_N0 = 32
@@ -116,21 +121,98 @@ def _gl_rule(n: int):
     return theta, weights
 
 
-def _integrate_theta(f, tol: float) -> tuple[float, float]:
-    """``int_0^pi f(theta) dtheta`` by Gauss-Legendre, doubling nodes until the
-    successive estimates agree to ``tol`` relative."""
-    prev = None
+@lru_cache(maxsize=16)
+def _gl_cos(n: int) -> np.ndarray:
+    """``cos theta`` at the nodes of ``_gl_rule(n)``, where every frame is sampled."""
+    return np.cos(_gl_rule(n)[0])
+
+
+def _integrate_inverse_sqrt(radicand, params, tol: float) -> list:
+    """``int_0^pi dtheta / sqrt(r_i(theta))`` for each row ``i``, by Gauss-Legendre.
+
+    ``radicand(n, *params)`` gives ``r_i`` at the nodes of ``_gl_rule(n)`` in
+    row ``i``; every array in ``params`` has one row per integral.  Each row
+    doubles its nodes until two successive estimates agree to ``tol``
+    relative, and then leaves the live set.  Slot ``i`` holds ``(value,
+    |value - previous|)``, a :class:`SeparatrixError` when ``r_i`` is
+    non-positive at a node, or a :class:`ConvergenceError` after
+    ``_QUAD_NMAX`` nodes.  Each row is reduced with its own ``w @ f``, so its
+    value has the same bits however many rows share the call.
+    """
+    found: list = [None] * len(params[0])
+    prev = found.copy()
+    slots = list(range(len(found)))
     n = _QUAD_N0
-    while n <= _QUAD_NMAX:
-        theta, w = _gl_rule(n)
-        val = float(w @ f(theta))
-        if prev is not None and abs(val - prev) <= tol * max(1e-300, abs(val)):
-            return val, abs(val - prev)
-        prev = val
-        n *= 2
-    raise ConvergenceError(
-        f"theta quadrature did not converge to {tol} within {_QUAD_NMAX} nodes"
-    )
+    # A non-positive radicand makes its row's value inf or NaN; only such rows
+    # are searched for one.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while slots and n <= _QUAD_NMAX:
+            w = _gl_rule(n)[1]
+            r = radicand(n, *params)
+            f = 1.0 / np.sqrt(r)
+            keep = []
+            for j, i in enumerate(slots):
+                val = float(w @ f[j])
+                if not math.isfinite(val) and (r[j] <= 0.0).any():
+                    found[i] = SeparatrixError(
+                        "non-positive radicand in the period integrand: separatrix shell"
+                    )
+                elif prev[i] is not None and abs(val - prev[i]) <= tol * max(1e-300, abs(val)):
+                    found[i] = (val, abs(val - prev[i]))
+                else:
+                    prev[i] = val
+                    keep.append(j)
+            if len(keep) < len(slots):
+                slots = [slots[j] for j in keep]
+                if not slots:
+                    break
+                params = [p[keep] for p in params]
+            n *= 2
+    for i in slots:
+        found[i] = ConvergenceError(
+            f"theta quadrature did not converge to {tol} within {_QUAD_NMAX} nodes"
+        )
+    return found
+
+
+def _period_radicand(n, coeffs, mid, half, w2):
+    """``1 + Delta(theta)`` of one frame per row at the ``n`` nodes:
+    ``x = mid + half cos theta``, then ``1 + (2 R(x) - omega^2)/omega^2``."""
+    r = _polyval_rows(coeffs, mid + half * _gl_cos(n))
+    return 1.0 + (2.0 * r - w2) / w2
+
+
+def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) -> list:
+    """:func:`period_quadrature` of every frame in ``frames``, evaluated together.
+
+    Slot ``i`` holds the :class:`PeriodResult` of ``frames[i]``, or the error
+    that :func:`period_quadrature` raises for it.  Each doubling level
+    evaluates one (frames x nodes) integrand: the residuals are zero-padded at
+    the top to a common degree and go through the Horner steps of
+    ``npoly.polyval``, so every value has the same bits as on its own.
+    """
+    tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
+    frames = list(frames)
+    if not frames:
+        return []
+    coeffs = np.zeros((len(frames), max(f.shell.residual.size for f in frames)))
+    for i, f in enumerate(frames):
+        coeffs[i, :f.shell.residual.size] = f.shell.residual
+    columns = np.array([(0.5 * (f.shell.x_plus + f.shell.x_minus),
+                         0.5 * (f.shell.x_plus - f.shell.x_minus),
+                         f.omega * f.omega) for f in frames])
+    params = [coeffs, columns[:, :1], columns[:, 1:2], columns[:, 2:]]
+    found = _integrate_inverse_sqrt(_period_radicand, params, tol)
+    for i, frame in enumerate(frames):
+        if isinstance(found[i], PeriodLabError):
+            continue
+        val, err = found[i]
+        scale = 2.0 / (omega0 * frame.omega)  # sqrt2/omega0 * sqrt2/omega
+        try:
+            found[i] = _period_result(scale * val, "quadrature", scale * err)
+        except DomainError as exc:
+            found[i] = exc
+    return found
 
 
 def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,
@@ -139,29 +221,23 @@ def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,
 
     The result is independent of the frame strategy: the reference split is an
     identity.  A non-positive radicand at any node means the shell is at or
-    beyond a separatrix.
+    beyond a separatrix.  This is :func:`period_quadratures` on one frame.
     """
-    tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
-
-    def integrand(theta):
-        radicand = 1.0 + delta_at(frame, theta)
-        if np.any(radicand <= 0.0):
-            raise SeparatrixError(
-                "non-positive radicand in the period integrand: separatrix shell"
-            )
-        return 1.0 / np.sqrt(radicand)
-
-    val, err = _integrate_theta(integrand, tol)
-    scale = 2.0 / (omega0 * frame.omega)  # sqrt2/omega0 * sqrt2/omega
-    return _period_result(scale * val, "quadrature", scale * err)
+    result = period_quadratures([frame], omega0, tol)[0]
+    if isinstance(result, PeriodLabError):
+        raise result
+    return result
 
 
 def duffing_large_rho_constant(tol: float | None = None) -> float:
     """The scaled-period limit of the hardening quartic:
     ``4 * int_0^pi dtheta / sqrt(3 + cos 2 theta)`` (about 7.4162987)."""
     tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
-    val, _ = _integrate_theta(lambda t: 1.0 / np.sqrt(3.0 + np.cos(2.0 * t)), tol)
-    return 4.0 * val
+    found = _integrate_inverse_sqrt(lambda n, c: c + np.cos(2.0 * _gl_rule(n)[0]),
+                                    [np.array([[3.0]])], tol)[0]
+    if isinstance(found, PeriodLabError):
+        raise found
+    return 4.0 * found[0]
 
 
 # ---------------------------------------------------------------------------

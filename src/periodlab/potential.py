@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from ._poly import as_coeffs, deflate, derivative, real_roots, real_roots_rows
+from ._poly import _polyval_rows, as_coeffs, deflate, derivative, real_roots, real_roots_rows
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -168,6 +168,9 @@ class EnergyShell:
     shells produced by the parity map from a lam < 0 cubic.
     ``residual_critical_points`` holds the zeros of R' strictly between the
     turning points, ascending; it is computed from ``residual`` when not given.
+    ``residual_extrema`` is ``(R_min, R_max, argmin, argmax)`` over the turning
+    points and those critical points, in that order, first index winning a
+    tie; it too is computed when not given.
     """
 
     energy: float
@@ -179,6 +182,7 @@ class EnergyShell:
     rho: float | None = None
     reflected: bool = False
     residual_critical_points: tuple | None = None
+    residual_extrema: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "residual", as_coeffs(self.residual))
@@ -188,8 +192,12 @@ class EnergyShell:
         crits = self.residual_critical_points
         if crits is None:
             crits = real_roots(derivative(self.residual)) if self.residual.size > 1 else ()
-        object.__setattr__(self, "residual_critical_points",
-                           tuple(float(c) for c in crits if self.x_minus < c < self.x_plus))
+        crits = tuple(float(c) for c in crits if self.x_minus < c < self.x_plus)
+        object.__setattr__(self, "residual_critical_points", crits)
+        if self.residual_extrema is None:
+            candidates = np.array([[self.x_minus, self.x_plus, *crits]])
+            object.__setattr__(self, "residual_extrema",
+                               _residual_extrema(self.residual[None, :], candidates)[0])
 
     @property
     def family(self) -> str:
@@ -378,7 +386,16 @@ def shells(U: PolynomialPotential, energies) -> list:
     quot, rem_plus = deflate(q[rows], np.array(x_plus))
     quot, rem_minus = deflate(quot, np.array(x_minus))
     residual = -quot
-    crits = real_roots_rows(derivative(residual))
+    # R is evaluated once for the whole grid, at the turning points and the
+    # critical points inside each shell; NaN pads the rows to one length.
+    crits = [tuple(float(c) for c in row if lo < c < hi)
+             for row, lo, hi in zip(real_roots_rows(derivative(residual)), x_minus, x_plus)]
+    candidates = np.full((len(slots), 2 + max(map(len, crits))), np.nan)
+    candidates[:, 0] = x_minus
+    candidates[:, 1] = x_plus
+    for j, row in enumerate(crits):
+        candidates[j, 2:2 + len(row)] = row
+    extrema = _residual_extrema(residual, candidates)
 
     lam = U.duffing_lambda
     for j, i in enumerate(slots):
@@ -404,6 +421,7 @@ def shells(U: PolynomialPotential, energies) -> list:
                 amplitude=amplitude,
                 rho=lam * amplitude ** 2 if (lam is not None and amplitude is not None) else None,
                 residual_critical_points=crits[j],
+                residual_extrema=extrema[j],
             )
             _check_residual_positive(shell)
         except DomainError as exc:
@@ -413,12 +431,23 @@ def shells(U: PolynomialPotential, energies) -> list:
     return found
 
 
+def _residual_extrema(residuals: np.ndarray, candidates: np.ndarray) -> list[tuple]:
+    """``(R_min, R_max, argmin, argmax)`` of row ``i`` of ``residuals`` over the
+    points in row ``i`` of ``candidates``, which NaN pads to a common length."""
+    values = _polyval_rows(residuals, candidates)
+    pad = np.isnan(candidates)
+    i_min = np.where(pad, np.inf, values).argmin(axis=1)
+    i_max = np.where(pad, -np.inf, values).argmax(axis=1)
+    rows = np.arange(len(values))
+    return list(zip(values[rows, i_min].tolist(), values[rows, i_max].tolist(),
+                    candidates[rows, i_min].tolist(), candidates[rows, i_max].tolist()))
+
+
 def _check_residual_positive(shell: EnergyShell) -> None:
-    values = [shell.residual_at(x)
-              for x in (shell.x_minus, shell.x_plus, *shell.residual_critical_points)]
-    if min(values) <= 0.0:
+    r_min = shell.residual_extrema[0]
+    if r_min <= 0.0:
         raise DomainError(
-            f"residual R(x) is not positive on the shell (min {min(values)}); "
+            f"residual R(x) is not positive on the shell (min {r_min}); "
             "the energy does not select a simple oscillatory band"
         )
 
