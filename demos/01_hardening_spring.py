@@ -39,7 +39,7 @@ print(f"{'equation of motion':<22}{oracle.period:>22.15f}"
 print()
 
 # The first two truncations are already global: their scaled large-rho limits
-# bracket the exact constant 4 * int dtheta/sqrt(3 + cos 2theta).
+# bracket the exact constant 4 K(1/2) = 4 * int dtheta/sqrt(3 + cos 2theta).
 exact = pl.duffing_large_rho_constant()
 print("scaled period sqrt(rho) T as rho grows:")
 print(f"{'rho':>12}  {'quadrature':>12}  {'series N=1':>12}")

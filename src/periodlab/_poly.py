@@ -9,13 +9,22 @@ each row gets exactly the arithmetic it would get on its own.
 from __future__ import annotations
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
+
+# Companion-matrix roots with a larger imaginary part (relative to their
+# magnitude) are treated as genuinely complex and dropped.
+_IMAG_TOL = 1e-8
+# Newton stops once its step is within this of max(1, |x|), or after
+# _POLISH_MAX_ITER steps.
+_POLISH_RTOL = 1e-15
+_POLISH_MAX_ITER = 50
 
 
 def as_coeffs(c) -> np.ndarray:
-    """Coerce to a trimmed, read-only float coefficient array."""
-    arr = np.atleast_1d(np.asarray(c, dtype=float)).copy()
-    arr = npoly.polytrim(arr, tol=0.0)
+    """Coerce to a read-only float coefficient array, cut after its last nonzero
+    coefficient (one zero is kept when all are zero); NaN counts as nonzero."""
+    arr = np.atleast_1d(np.asarray(c, dtype=float))
+    nonzero = np.flatnonzero(arr)
+    arr = arr[:nonzero[-1] + 1 if nonzero.size else 1].copy()
     arr.flags.writeable = False
     return arr
 
@@ -40,19 +49,19 @@ def _polyval_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def newton_polish(coeffs, dcoeffs, x0, rtol: float = 1e-15, max_iter: int = 50) -> np.ndarray:
+def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
     """Refine simple real root estimates to ~1e-15 relative accuracy.
 
     ``x0[i]`` estimates a root of the polynomial in row ``i`` of ``coeffs``,
     whose derivative is row ``i`` of ``dcoeffs``.  Each element stops on its
     own: at an exact zero of the polynomial or of its derivative (keeping the
-    current point), or once the Newton step is within ``rtol`` of
+    current point), or once the Newton step is within ``_POLISH_RTOL`` of
     ``max(1, |x|)`` (taking that step).
     """
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_POLISH_MAX_ITER):
             if not live.any():
                 break
             f = _polyval_rows(coeffs, x)
@@ -61,11 +70,11 @@ def newton_polish(coeffs, dcoeffs, x0, rtol: float = 1e-15, max_iter: int = 50) 
             x_new = x - step
             moved = live & (f != 0.0) & (df != 0.0)
             x = np.where(moved, x_new, x)
-            live = moved & ~(np.abs(step) <= rtol * np.maximum(1.0, np.abs(x_new)))
+            live = moved & ~(np.abs(step) <= _POLISH_RTOL * np.maximum(1.0, np.abs(x_new)))
     return x
 
 
-def real_roots_rows(coeffs: np.ndarray, imag_tol: float = 1e-8) -> list[np.ndarray]:
+def real_roots_rows(coeffs: np.ndarray) -> list[np.ndarray]:
     """:func:`real_roots` of every row of a 2-D array, all rows of one degree.
 
     Every leading coefficient must be nonzero.  The companion matrices are
@@ -83,7 +92,7 @@ def real_roots_rows(coeffs: np.ndarray, imag_tol: float = 1e-8) -> list[np.ndarr
         mat.reshape(k, -1)[:, n::n + 1] = 1.0
         mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
         rts = np.linalg.eigvals(mat)
-    keep = np.abs(rts.imag) <= imag_tol * np.maximum(1.0, np.abs(rts))
+    keep = np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts))
     rows = np.nonzero(keep)[0]
     polished = newton_polish(coeffs[rows], derivative(coeffs)[rows], rts.real[keep])
     # Sort by row, then by value, and cut the rows apart.
@@ -92,14 +101,13 @@ def real_roots_rows(coeffs: np.ndarray, imag_tol: float = 1e-8) -> list[np.ndarr
     return [polished[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def real_roots(coeffs, imag_tol: float = 1e-8) -> np.ndarray:
+def real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial, isolated by the companion matrix and polished.
 
-    Roots whose companion-matrix imaginary part exceeds ``imag_tol`` (relative
+    Roots whose companion-matrix imaginary part exceeds ``_IMAG_TOL`` (relative
     to their magnitude) are treated as genuinely complex and dropped.
     """
-    c = npoly.polytrim(np.atleast_1d(np.asarray(coeffs, dtype=float)), tol=0.0)
-    return real_roots_rows(c[None, :], imag_tol)[0]
+    return real_roots_rows(as_coeffs(coeffs)[None, :])[0]
 
 
 def deflate(coeffs, root):

@@ -289,8 +289,6 @@ def _apply_method(record: dict, method: str, U, energy, shell, frame, args, tol)
         res = period_from_series(series, U.omega0)
         record["regime"] = series.regime
         record["N"] = len(series.partial_sums) - 1
-        if series.xi is not None:
-            record["xi"] = float(series.xi)
         if getattr(args, "show_terms", False):
             scale = _SQRT2 / U.omega0
             record["partial_sums"] = [scale * s for s in series.partial_sums]
@@ -428,7 +426,7 @@ def cmd_converge(args, tol, out) -> int:
             command="converge", preset=args.preset,
             energy=float(energy), frame=args.frame,
             omega_ref=float(frame.omega),
-            xi=_optional_float(series.xi),
+            xi=_optional_float(frame.xi),
             regime=series.regime,
             N=n, I_N=float(i_n), T_N=scale * i_n,
             abs_dev_quadrature=abs(scale * i_n - t_quad),
@@ -439,7 +437,7 @@ def cmd_converge(args, tol, out) -> int:
         rows.append(row)
     if args.format == "table":
         out.write(f"# regime: {series.regime}"
-                  + (f"  xi = {_text(series.xi)}" if series.xi is not None else "")
+                  + (f"  xi = {_text(frame.xi)}" if frame.xi is not None else "")
                   + f"  T_quadrature = {_text(t_quad)}\n")
     emit(rows, CONVERGE_FIELDS, args.format, out)
     return 0

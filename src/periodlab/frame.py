@@ -20,7 +20,7 @@ import numpy.polynomial.polynomial as npoly
 # rebinding this name, so it stays importable.
 from ._poly import real_roots  # noqa: F401
 from .errors import DomainError
-from .potential import EnergyShell
+from .potential import EnergyShell, _require_positive
 
 BALANCED = "balanced"
 NAYFEH = "nayfeh"
@@ -34,18 +34,38 @@ class BalancedFrame:
     ``xi`` carries the closed-form series parameter when the shell is of the
     canonical quartic (``Delta = xi cos 2 theta``) or cubic
     (``Delta = xi cos theta``) family; it is None for general polynomials.
+    The residual extrema are the shell's; the deviation extrema follow from
+    them and ``omega``.
     """
 
     shell: EnergyShell
     omega: float
     strategy: str
-    R_min: float
-    R_max: float
-    argmin_R: float
-    argmax_R: float
-    delta_min: float
-    delta_max: float
     xi: float | None = None
+
+    @property
+    def R_min(self) -> float:
+        return self.shell.residual_extrema[0]
+
+    @property
+    def R_max(self) -> float:
+        return self.shell.residual_extrema[1]
+
+    @property
+    def argmin_R(self) -> float:
+        return self.shell.residual_extrema[2]
+
+    @property
+    def argmax_R(self) -> float:
+        return self.shell.residual_extrema[3]
+
+    @property
+    def delta_min(self) -> float:
+        return 2.0 * self.R_min / (self.omega * self.omega) - 1.0
+
+    @property
+    def delta_max(self) -> float:
+        return 2.0 * self.R_max / (self.omega * self.omega) - 1.0
 
     @property
     def sup_abs_delta(self) -> float:
@@ -78,29 +98,10 @@ def _closed_form_xi(shell: EnergyShell) -> float | None:
     return None
 
 
-def _build(shell: EnergyShell, omega: float, strategy: str, xi, extrema) -> BalancedFrame:
-    r_min, r_max, arg_min, arg_max = extrema
-    w2 = omega * omega
-    return BalancedFrame(
-        shell=shell,
-        omega=omega,
-        strategy=strategy,
-        R_min=r_min,
-        R_max=r_max,
-        argmin_R=arg_min,
-        argmax_R=arg_max,
-        delta_min=2.0 * r_min / w2 - 1.0,
-        delta_max=2.0 * r_max / w2 - 1.0,
-        xi=xi,
-    )
-
-
 def balanced_frame(shell: EnergyShell) -> BalancedFrame:
     """The frame with ``omega^2 = R_max + R_min``, making ``delta_max = -delta_min``."""
-    extrema = extrema_of_R(shell)
-    r_min, r_max = extrema[0], extrema[1]
-    omega = math.sqrt(r_min + r_max)
-    return _build(shell, omega, BALANCED, _closed_form_xi(shell), extrema)
+    r_min, r_max = extrema_of_R(shell)[:2]
+    return BalancedFrame(shell, math.sqrt(r_min + r_max), BALANCED, _closed_form_xi(shell))
 
 
 def nayfeh_frame(shell: EnergyShell) -> BalancedFrame:
@@ -113,16 +114,13 @@ def nayfeh_frame(shell: EnergyShell) -> BalancedFrame:
     if shell.family != "quartic":
         raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
     rho = shell.rho
-    omega = math.sqrt(1.0 + rho)
-    xi = rho / (2.0 * rho + 2.0)
-    return _build(shell, omega, NAYFEH, xi, extrema_of_R(shell))
+    return BalancedFrame(shell, math.sqrt(1.0 + rho), NAYFEH, rho / (2.0 * rho + 2.0))
 
 
 def fixed_frame(shell: EnergyShell, omega: float) -> BalancedFrame:
     """A user-supplied reference frequency; no closed-form series parameter."""
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    return _build(shell, float(omega), FIXED, None, extrema_of_R(shell))
+    _require_positive("omega", omega)
+    return BalancedFrame(shell, float(omega), FIXED)
 
 
 def delta_at(frame: BalancedFrame, theta):

@@ -127,38 +127,55 @@ def _gl_cos(n: int) -> np.ndarray:
     return np.cos(_gl_rule(n)[0])
 
 
-def _integrate_inverse_sqrt(radicand, params, tol: float) -> list:
-    """``int_0^pi dtheta / sqrt(r_i(theta))`` for each row ``i``, by Gauss-Legendre.
+def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) -> list:
+    """:func:`period_quadrature` of every frame in ``frames``, evaluated together.
 
-    ``radicand(n, *params)`` gives ``r_i`` at the nodes of ``_gl_rule(n)`` in
-    row ``i``; every array in ``params`` has one row per integral.  Each row
-    doubles its nodes until two successive estimates agree to ``tol``
-    relative, and then leaves the live set.  Slot ``i`` holds ``(value,
-    |value - previous|)``, a :class:`SeparatrixError` when ``r_i`` is
-    non-positive at a node, or a :class:`ConvergenceError` after
-    ``_QUAD_NMAX`` nodes.  Each row is reduced with its own ``w @ f``, so its
-    value has the same bits however many rows share the call.
+    Slot ``i`` holds the :class:`PeriodResult` of ``frames[i]``, or the error
+    that :func:`period_quadrature` raises for it.  Each doubling level
+    evaluates one (frames x nodes) integrand ``1/sqrt(1 + Delta)``: the
+    residuals are zero-padded at the top to a common degree and go through the
+    Horner steps of ``npoly.polyval``.  A row leaves the live set once two
+    successive estimates agree to ``tol`` relative, and is reduced with its
+    own ``w @ f``, so every value has the same bits as on its own.
     """
-    found: list = [None] * len(params[0])
+    tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
+    frames = list(frames)
+    found: list = [None] * len(frames)
+    if not frames:
+        return found
+    coeffs = np.zeros((len(frames), max(f.shell.residual.size for f in frames)))
+    for i, f in enumerate(frames):
+        coeffs[i, :f.shell.residual.size] = f.shell.residual
+    # One row per live frame: mid, half and omega^2 of x = mid + half cos theta.
+    columns = np.array([(0.5 * (f.shell.x_plus + f.shell.x_minus),
+                         0.5 * (f.shell.x_plus - f.shell.x_minus),
+                         f.omega * f.omega) for f in frames])
     prev = found.copy()
-    slots = list(range(len(found)))
+    slots = list(range(len(frames)))
     n = _QUAD_N0
     # A non-positive radicand makes its row's value inf or NaN; only such rows
     # are searched for one.
     with np.errstate(divide="ignore", invalid="ignore"):
         while slots and n <= _QUAD_NMAX:
             w = _gl_rule(n)[1]
-            r = radicand(n, *params)
-            f = 1.0 / np.sqrt(r)
+            w2 = columns[:, 2:]
+            r = _polyval_rows(coeffs, columns[:, :1] + columns[:, 1:2] * _gl_cos(n))
+            radicand = 1.0 + (2.0 * r - w2) / w2
+            f = 1.0 / np.sqrt(radicand)
             keep = []
             for j, i in enumerate(slots):
                 val = float(w @ f[j])
-                if not math.isfinite(val) and (r[j] <= 0.0).any():
+                if not math.isfinite(val) and (radicand[j] <= 0.0).any():
                     found[i] = SeparatrixError(
                         "non-positive radicand in the period integrand: separatrix shell"
                     )
                 elif prev[i] is not None and abs(val - prev[i]) <= tol * max(1e-300, abs(val)):
-                    found[i] = (val, abs(val - prev[i]))
+                    scale = 2.0 / (omega0 * frames[i].omega)  # sqrt2/omega0 * sqrt2/omega
+                    try:
+                        found[i] = _period_result(scale * val, "quadrature",
+                                                  scale * abs(val - prev[i]))
+                    except DomainError as exc:
+                        found[i] = exc
                 else:
                     prev[i] = val
                     keep.append(j)
@@ -166,52 +183,12 @@ def _integrate_inverse_sqrt(radicand, params, tol: float) -> list:
                 slots = [slots[j] for j in keep]
                 if not slots:
                     break
-                params = [p[keep] for p in params]
+                coeffs, columns = coeffs[keep], columns[keep]
             n *= 2
     for i in slots:
         found[i] = ConvergenceError(
             f"theta quadrature did not converge to {tol} within {_QUAD_NMAX} nodes"
         )
-    return found
-
-
-def _period_radicand(n, coeffs, mid, half, w2):
-    """``1 + Delta(theta)`` of one frame per row at the ``n`` nodes:
-    ``x = mid + half cos theta``, then ``1 + (2 R(x) - omega^2)/omega^2``."""
-    r = _polyval_rows(coeffs, mid + half * _gl_cos(n))
-    return 1.0 + (2.0 * r - w2) / w2
-
-
-def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) -> list:
-    """:func:`period_quadrature` of every frame in ``frames``, evaluated together.
-
-    Slot ``i`` holds the :class:`PeriodResult` of ``frames[i]``, or the error
-    that :func:`period_quadrature` raises for it.  Each doubling level
-    evaluates one (frames x nodes) integrand: the residuals are zero-padded at
-    the top to a common degree and go through the Horner steps of
-    ``npoly.polyval``, so every value has the same bits as on its own.
-    """
-    tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
-    frames = list(frames)
-    if not frames:
-        return []
-    coeffs = np.zeros((len(frames), max(f.shell.residual.size for f in frames)))
-    for i, f in enumerate(frames):
-        coeffs[i, :f.shell.residual.size] = f.shell.residual
-    columns = np.array([(0.5 * (f.shell.x_plus + f.shell.x_minus),
-                         0.5 * (f.shell.x_plus - f.shell.x_minus),
-                         f.omega * f.omega) for f in frames])
-    params = [coeffs, columns[:, :1], columns[:, 1:2], columns[:, 2:]]
-    found = _integrate_inverse_sqrt(_period_radicand, params, tol)
-    for i, frame in enumerate(frames):
-        if isinstance(found[i], PeriodLabError):
-            continue
-        val, err = found[i]
-        scale = 2.0 / (omega0 * frame.omega)  # sqrt2/omega0 * sqrt2/omega
-        try:
-            found[i] = _period_result(scale * val, "quadrature", scale * err)
-        except DomainError as exc:
-            found[i] = exc
     return found
 
 
@@ -229,15 +206,10 @@ def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,
     return result
 
 
-def duffing_large_rho_constant(tol: float | None = None) -> float:
-    """The scaled-period limit of the hardening quartic:
-    ``4 * int_0^pi dtheta / sqrt(3 + cos 2 theta)`` (about 7.4162987)."""
-    tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
-    found = _integrate_inverse_sqrt(lambda n, c: c + np.cos(2.0 * _gl_rule(n)[0]),
-                                    [np.array([[3.0]])], tol)[0]
-    if isinstance(found, PeriodLabError):
-        raise found
-    return 4.0 * found[0]
+def duffing_large_rho_constant() -> float:
+    """The scaled-period limit of the hardening quartic, ``lim sqrt(rho) T = 4 K(1/2)``
+    (about 7.4162987): the modulus of :func:`duffing_elliptic` tends to 1/2."""
+    return 4.0 * elliptic_K(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +355,8 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     """The balanced series for a quadratic-cubic shell; ``Delta = xi cos theta``.
 
     Converges for every sub-barrier energy; at the barrier ``|xi| = 1`` and the
-    shell is rejected.
+    shell is rejected.  The series is summed in the canonical orientation; the
+    reported ``xi`` is that of ``shell`` itself, as in its balanced frame.
     """
     s = _canonical_cubic(shell)
     xp, xm = s.x_plus, s.x_minus
@@ -394,7 +367,7 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     if abs(xi) >= 1.0 - _BOUNDARY_TOL:
         raise SeparatrixError(f"|xi| = {abs(xi)} at or above 1: separatrix shell")
     pref = _SQRT2 * math.pi / omega_b
-    return _closed_form_series(pref, xi * xi, xi, N)
+    return _closed_form_series(pref, xi * xi, xi if s is shell else -xi, N)
 
 
 def period_from_series(series: SeriesResult, omega0: float = 1.0,

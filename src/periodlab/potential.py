@@ -56,12 +56,9 @@ class PolynomialPotential:
     def __post_init__(self):
         c = as_coeffs(self.coeffs)
         object.__setattr__(self, "coeffs", c)
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        if self.omega0 <= 0.0:
-            raise DomainError(f"omega0 must be positive, got {self.omega0}")
-        if c.size - 1 < 2:
-            raise DomainError("potential must have degree >= 2")
+        _require_positive("mass", self.mass)
+        _require_positive("omega0", self.omega0)
+        _require_potential_coeffs(c)
         scale = max(1.0, float(np.max(np.abs(c))))
         if abs(self(self.minimum_x)) > 1e-8 * scale:
             raise DomainError(
@@ -259,14 +256,10 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0,
     nearest ``reference_x``; the constant coefficient is shifted so that
     ``U(minimum) = 0`` exactly.
     """
-    if mass <= 0.0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    if omega0 <= 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
-    u = np.atleast_1d(np.asarray(v_coeffs, dtype=float)) / (mass * omega0 ** 2)
-    u = npoly.polytrim(u, tol=0.0)
-    if u.size - 1 < 2:
-        raise DomainError("potential must have degree >= 2")
+    _require_positive("mass", mass)
+    _require_positive("omega0", omega0)
+    u = as_coeffs(np.asarray(v_coeffs, dtype=float) / (mass * omega0 ** 2))
+    _require_potential_coeffs(u)
     du = derivative(u)
     d2u = derivative(du)
     crits = real_roots(du)
@@ -279,6 +272,20 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0,
     u = u.copy()
     u[0] -= npoly.polyval(m, u)
     return PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=float(m))
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    if value <= 0.0:
+        raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _require_potential_coeffs(c: np.ndarray) -> None:
+    if not np.isfinite(c).all():
+        raise DomainError(f"potential coefficients must be finite, got {c.tolist()}")
+    if c.size - 1 < 2:
+        raise DomainError("potential must have degree >= 2")
 
 
 def harmonic_potential(mass: float = 1.0, omega0: float = 1.0) -> PolynomialPotential:
@@ -309,6 +316,8 @@ def barrier_info(U: PolynomialPotential) -> BarrierInfo:
 
 
 def _check_energy(energy: float, barrier: BarrierInfo) -> None:
+    if not math.isfinite(energy):
+        raise DomainError(f"energy must be finite, got {energy}")
     if not energy > 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
     if energy < _MIN_ENERGY:

@@ -421,3 +421,41 @@ def test_parser_is_reused_without_carrying_state():
     code, out = run_cli("period", *problem, "--method", "series", "--format", "json")
     assert code == 0
     assert json.loads(out)["N"] == 16
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input and the reported xi
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("problem", [
+    ("--preset", "duffing", "--lambda", "nan", "--energy", "0.5"),
+    ("--preset", "duffing", "--lambda", "inf", "--energy", "0.5"),
+    ("--preset", "cubic", "--lambda", "nan", "--energy", "0.1"),
+    ("--preset", "poly", "--coeffs", "0", "0", "1", "nan", "--energy", "0.5"),
+    ("--preset", "poly", "--coeffs", "0", "0", "1", "inf", "--energy", "0.5"),
+    ("--preset", "duffing", "--lambda", "1", "--mass", "nan", "--energy", "0.5"),
+    ("--preset", "duffing", "--lambda", "1", "--omega0", "inf", "--energy", "0.5"),
+    ("--preset", "duffing", "--lambda", "1", "--energy", "inf"),
+    ("--preset", "duffing", "--lambda", "1", "--energy", "nan"),
+    ("--preset", "duffing", "--lambda", "1", "--amplitude", "inf"),
+    ("--preset", "duffing", "--lambda", "1", "--energy", "0.5", "--frame", "fixed:nan"),
+    ("--preset", "duffing", "--lambda", "1", "--energy", "0.5", "--frame", "fixed:inf"),
+])
+def test_non_finite_input_is_a_domain_error(problem, capsys):
+    code, out = run_cli("period", *problem, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "domain"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_negative_lambda_cubic_reports_the_frame_xi_on_every_record():
+    problem = ("--preset", "cubic", "--lambda", "-1", "--energy", "0.15")
+    code, out = run_cli("period", *problem, "--method", "all", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["method"] for r in records] == ["quadrature", "series", "elliptic", "oracle"]
+    xis = {r["xi"] for r in records}
+    assert len(xis) == 1 and xis.pop() < 0.0
+    code, out = run_cli("converge", *problem, "--Nmax", "4", "--format", "json")
+    assert code == 0
+    assert {r["xi"] for r in json.loads(out)} == {records[0]["xi"]}

@@ -214,3 +214,18 @@ def test_quadrature_invariant_under_frame_choice():
     t_b = period_quadrature(balanced_frame(cub)).T
     t_f = period_quadrature(fixed_frame(cub, 1.0)).T
     assert t_f == pytest.approx(t_b, rel=1e-10)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_fixed_frame_rejects_non_finite_omega(omega):
+    with pytest.raises(DomainError, match="finite"):
+        fixed_frame(_duffing_shell(1.0), omega)
+
+
+def test_frame_extrema_are_the_shells():
+    shell = turning_points(cubic_potential(1.0), 0.1)
+    for fr in (balanced_frame(shell), fixed_frame(shell, 0.9)):
+        assert (fr.R_min, fr.R_max, fr.argmin_R, fr.argmax_R) == shell.residual_extrema
+        w2 = fr.omega * fr.omega
+        assert fr.delta_min == 2.0 * fr.R_min / w2 - 1.0
+        assert fr.delta_max == 2.0 * fr.R_max / w2 - 1.0

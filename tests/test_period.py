@@ -524,3 +524,23 @@ def test_balanced_series_geometric_decay_rho_one():
     errs_f = [abs(p - I_f) for p in s.partial_sums]
     for n in (4, 5):
         assert abs(errs_f[n] / errs_f[n - 1] - xi2) <= 0.2 * xi2
+
+
+def test_large_rho_constant_is_the_elliptic_limit():
+    c = duffing_large_rho_constant()
+    assert c == 4.0 * elliptic_K(0.5)
+    assert c == pytest.approx(float(4 * mp.ellipk(0.5)), rel=2e-16)
+    rho = 1e12
+    assert math.sqrt(rho) * duffing_elliptic(rho).T == pytest.approx(c, rel=1e-11)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1.0])
+def test_cubic_series_xi_has_the_sign_of_the_balanced_frame(lam):
+    shell = turning_points(cubic_potential(lam), 0.15)
+    frame = balanced_frame(shell)
+    series = cubic_series_balanced(shell, 20)
+    assert math.copysign(1.0, series.xi) == math.copysign(1.0, frame.xi) == lam
+    assert series.xi == pytest.approx(frame.xi, rel=1e-15)
+    mirrored = cubic_series_balanced(shell.reflect(), 20)
+    assert mirrored.xi == -series.xi
+    assert mirrored.partial_sums == series.partial_sums

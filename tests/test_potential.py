@@ -293,3 +293,33 @@ def test_cubic_factorization_rejects_symmetric_shell():
         cubic_factorization(shell)
     with pytest.raises(DomainError):
         cubic_factorization(turning_points(harmonic_potential(), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_is_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        duffing_potential(bad)
+    with pytest.raises(DomainError, match="finite"):
+        from_physical([0.0, 0.0, 1.0, bad])
+    with pytest.raises(DomainError, match="finite"):
+        from_physical([0.0, 0.0, 1.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_mass_or_omega0_is_rejected(bad):
+    for kwargs in ({"mass": bad}, {"omega0": bad}):
+        with pytest.raises(DomainError, match="finite"):
+            duffing_potential(1.0, **kwargs)
+        with pytest.raises(DomainError, match="finite"):
+            from_physical([0.0, 0.0, 0.5, 0.0, 0.25], **kwargs)
+
+
+@pytest.mark.parametrize("energy", [math.inf, math.nan])
+def test_non_finite_energy_is_rejected(energy):
+    for U in (duffing_potential(1.0), cubic_potential(1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            turning_points(U, energy)

@@ -18,7 +18,7 @@ from periodlab import (
     shells,
     turning_points,
 )
-from periodlab._poly import deflate, real_roots
+from periodlab._poly import as_coeffs, deflate, real_roots
 
 WELLS = {
     "duffing+": duffing_potential(0.7),
@@ -179,3 +179,16 @@ def test_deflate_rows_match_one_row(coeffs, root):
     for row, r, q, m in zip(rows, (root, -root), quot, rem):
         q1, m1 = deflate(row, r)
         assert q.tobytes() == q1.tobytes() and float(m).hex() == float(m1).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]), min_size=1, max_size=7))
+def test_as_coeffs_trims_as_polytrim(coeffs):
+    trimmed = as_coeffs(coeffs)
+    assert trimmed.tobytes() == npoly.polytrim(np.array(coeffs), tol=0.0).tobytes()
+    assert not trimmed.flags.writeable
+
+
+def test_as_coeffs_keeps_a_non_finite_top_coefficient():
+    assert np.isnan(as_coeffs([0.0, 1.0, np.nan, 0.0])[-1])
+    assert as_coeffs([0.0, 1.0, np.inf]).size == 3
