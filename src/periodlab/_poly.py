@@ -90,7 +90,10 @@ def real_roots_rows(coeffs: np.ndarray) -> list[np.ndarray]:
     else:
         mat = np.zeros((k, n, n))
         mat.reshape(k, -1)[:, n::n + 1] = 1.0
-        mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+        # An overflowing matrix makes eigvals raise LinAlgError; the overflow
+        # itself needs no warning on top.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
         rts = np.linalg.eigvals(mat)
     keep = np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts))
     rows = np.nonzero(keep)[0]

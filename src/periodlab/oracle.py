@@ -149,13 +149,13 @@ def _run(U: PolynomialPotential, x: float, v: float, h: float, max_steps: int,
 
 
 def measure_period(U: PolynomialPotential, energy: float, *,
-                   dtau: float | None = None, drift_tol: float = DRIFT_TOL,
+                   dtau: float | None = None,
                    period_cap: float = PERIOD_CAP) -> OracleReport:
     """Measure the oscillation period dynamically at the given energy.
 
     The trajectory starts at rest on the right turning point.  With
     ``dtau=None`` the step starts at a thousandth of the zeroth-order period
-    estimate and is halved until the energy drift is below ``drift_tol``;
+    estimate and is halved until the energy drift is below ``DRIFT_TOL``;
     passing an explicit ``dtau`` disables the adaptation (useful for
     convergence studies).  Periods beyond ``period_cap`` time units (or runs
     exceeding the internal step bound) mark the report unreliable instead of
@@ -181,13 +181,13 @@ def measure_period(U: PolynomialPotential, energy: float, *,
                 period=math.inf, energy_drift=drift, steps=steps,
                 method_order=4, half_period=math.inf, reliable=False,
             )
-        if drift <= drift_tol or dtau is not None:
+        if drift <= DRIFT_TOL or dtau is not None:
             break
         h *= 0.5
 
     period_tau = crossings[2] - crossings[0]
     half_tau = crossings[0]
-    reliable = drift <= drift_tol
+    reliable = drift <= DRIFT_TOL
     return OracleReport(
         period=period_tau / U.omega0,
         energy_drift=drift,

@@ -1,9 +1,10 @@
 """Period evaluation by four routes: quadrature, series, and elliptic closed forms.
 
-Every route evaluates the same integral
-``I = (sqrt(2)/omega) * int_0^pi dtheta / sqrt(1 + Delta(theta))`` and converts
-it to a period through ``T = (sqrt(2)/omega0) * I``.  The exact route uses
-Gauss-Legendre with node doubling; the series routes expand the integrand
+With ``x(theta) = mid + half*cos(theta)`` between the turning points, every route
+evaluates ``T = (sqrt(2)/omega0) * int_0^pi dtheta / sqrt(R(x(theta)))``.  The exact
+route is the nested trapezoid rule in theta, which converges exponentially on this
+even, periodic, analytic integrand and reuses every value when it doubles.  The
+series routes write ``2R = omega^2 (1 + Delta)`` and expand the integrand
 binomially in the deviation; the canonical quartic and cubic wells also admit
 complete-elliptic-integral closed forms.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .potential import EnergyShell, _canonical_cubic, cubic_factorization
 from .frame import delta_at  # noqa: F401
 
 DEFAULT_QUAD_TOL = 1e-13
-_QUAD_N0 = 32
+_QUAD_N0 = 16
 _QUAD_NMAX = 4096
 
 # Series regimes.
@@ -110,85 +110,78 @@ def elliptic_K(m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre quadrature with node doubling
+# Nested trapezoid rule in theta
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    theta = 0.5 * math.pi * (x + 1.0)
-    weights = 0.5 * math.pi * w
-    return theta, weights
-
-
-@lru_cache(maxsize=16)
-def _gl_cos(n: int) -> np.ndarray:
-    """``cos theta`` at the nodes of ``_gl_rule(n)``, where every frame is sampled."""
-    return np.cos(_gl_rule(n)[0])
+def _midpoint_cos(n: int) -> np.ndarray:
+    """``cos((2i - 1) pi / (2n))`` for i = 1..n: ``cos theta`` at the midpoints of
+    n equal intervals of [0, pi], which are also the Gauss-Chebyshev nodes."""
+    i = np.arange(1, n + 1)
+    return np.cos((2.0 * i - 1.0) * math.pi / (2.0 * n))
 
 
 def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) -> list:
     """:func:`period_quadrature` of every frame in ``frames``, evaluated together.
 
     Slot ``i`` holds the :class:`PeriodResult` of ``frames[i]``, or the error
-    that :func:`period_quadrature` raises for it.  Each doubling level
-    evaluates one (frames x nodes) integrand ``1/sqrt(1 + Delta)``: the
-    residuals are zero-padded at the top to a common degree and go through the
-    Horner steps of ``npoly.polyval``.  A row leaves the live set once two
-    successive estimates agree to ``tol`` relative, and is reduced with its
-    own ``w @ f``, so every value has the same bits as on its own.
+    that :func:`period_quadrature` raises for it.  Each level of the trapezoid
+    rule evaluates ``1/sqrt(R)`` at its new nodes for every live shell in one
+    array: the residuals are zero-padded at the top to a common degree and go
+    through the Horner steps of ``npoly.polyval``.  A row leaves the live set
+    once two successive levels agree to ``tol`` relative, so every value has
+    the same bits as on its own.
     """
     tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
-    frames = list(frames)
-    found: list = [None] * len(frames)
-    if not frames:
-        return found
-    coeffs = np.zeros((len(frames), max(f.shell.residual.size for f in frames)))
-    for i, f in enumerate(frames):
-        coeffs[i, :f.shell.residual.size] = f.shell.residual
-    # One row per live frame: mid, half and omega^2 of x = mid + half cos theta.
-    columns = np.array([(0.5 * (f.shell.x_plus + f.shell.x_minus),
-                         0.5 * (f.shell.x_plus - f.shell.x_minus),
-                         f.omega * f.omega) for f in frames])
-    prev = found.copy()
-    slots = list(range(len(frames)))
+    shells = [f.shell for f in frames]
+    found: list = [None] * len(shells)
+    coeffs = np.zeros((len(shells), max((s.residual.size for s in shells), default=1)))
+    for i, s in enumerate(shells):
+        coeffs[i, :s.residual.size] = s.residual
+    # One (mid, half) row per live shell, for x = mid + half cos theta.
+    mid_half = np.array([(0.5 * (s.x_plus + s.x_minus), 0.5 * (s.x_plus - s.x_minus))
+                         for s in shells]).reshape(-1, 2)
+    slots = list(range(len(shells)))
+    prev = None
     n = _QUAD_N0
-    # A non-positive radicand makes its row's value inf or NaN; only such rows
-    # are searched for one.
+    u = np.cos(np.arange(n + 1) * (math.pi / n))  # the first level includes both ends
+    # A non-positive radicand R makes its row's value inf or NaN; only such
+    # rows are searched for one.
     with np.errstate(divide="ignore", invalid="ignore"):
-        while slots and n <= _QUAD_NMAX:
-            w = _gl_rule(n)[1]
-            w2 = columns[:, 2:]
-            r = _polyval_rows(coeffs, columns[:, :1] + columns[:, 1:2] * _gl_cos(n))
-            radicand = 1.0 + (2.0 * r - w2) / w2
-            f = 1.0 / np.sqrt(radicand)
+        while slots:
+            r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * u)
+            f = 1.0 / np.sqrt(r)
+            if prev is None:  # the ends of [0, pi] weigh 1/2
+                vals = (math.pi / n) * (0.5 * (f[:, 0] + f[:, -1]) + f[:, 1:-1].sum(axis=1))
+            else:  # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
+                vals = 0.5 * (np.array(prev) + (2.0 * math.pi / n) * f.sum(axis=1))
+            vals = vals.tolist()
             keep = []
-            for j, i in enumerate(slots):
-                val = float(w @ f[j])
-                if not math.isfinite(val) and (radicand[j] <= 0.0).any():
+            for j, (i, val) in enumerate(zip(slots, vals)):
+                if not math.isfinite(val) and (r[j] <= 0.0).any():
                     found[i] = SeparatrixError(
                         "non-positive radicand in the period integrand: separatrix shell"
                     )
-                elif prev[i] is not None and abs(val - prev[i]) <= tol * max(1e-300, abs(val)):
-                    scale = 2.0 / (omega0 * frames[i].omega)  # sqrt2/omega0 * sqrt2/omega
+                elif prev is not None and abs(val - prev[j]) <= tol * max(1e-300, abs(val)):
+                    scale = _SQRT2 / omega0
                     try:
                         found[i] = _period_result(scale * val, "quadrature",
-                                                  scale * abs(val - prev[i]))
+                                                  scale * abs(val - prev[j]))
                     except DomainError as exc:
                         found[i] = exc
-                else:
-                    prev[i] = val
+                elif n < _QUAD_NMAX:
                     keep.append(j)
+                else:
+                    found[i] = ConvergenceError(
+                        f"theta quadrature did not converge to {tol} within {_QUAD_NMAX} nodes"
+                    )
             if len(keep) < len(slots):
                 slots = [slots[j] for j in keep]
                 if not slots:
                     break
-                coeffs, columns = coeffs[keep], columns[keep]
+                coeffs, mid_half = coeffs[keep], mid_half[keep]
+            prev = [vals[j] for j in keep]
+            u = _midpoint_cos(n)
             n *= 2
-    for i in slots:
-        found[i] = ConvergenceError(
-            f"theta quadrature did not converge to {tol} within {_QUAD_NMAX} nodes"
-        )
     return found
 
 
@@ -196,8 +189,8 @@ def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,
                       tol: float | None = None) -> PeriodResult:
     """The exact period by quadrature of the angle integral.
 
-    The result is independent of the frame strategy: the reference split is an
-    identity.  A non-positive radicand at any node means the shell is at or
+    Only ``frame.shell`` is read, so every frame of a shell gives the same
+    bits.  A non-positive residual at any node means the shell is at or
     beyond a separatrix.  This is :func:`period_quadratures` on one frame.
     """
     result = period_quadratures([frame], omega0, tol)[0]
@@ -292,8 +285,7 @@ def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     shell = frame.shell
     deg = max(shell.residual.size - 1, 1)
     n_nodes = max(16, (N * deg) // 2 + 2)
-    i = np.arange(1, n_nodes + 1)
-    u = np.cos((2.0 * i - 1.0) * math.pi / (2.0 * n_nodes))
+    u = _midpoint_cos(n_nodes)
     x = 0.5 * (shell.x_plus + shell.x_minus) + 0.5 * (shell.x_plus - shell.x_minus) * u
     w2 = frame.omega * frame.omega
     delta_u = (2.0 * np.polynomial.polynomial.polyval(x, shell.residual) - w2) / w2

@@ -97,7 +97,7 @@ class PolynomialPotential:
     @cached_property
     def critical_points(self) -> np.ndarray:
         """The real zeros of U', ascending."""
-        crits = real_roots(self.slope_coeffs)
+        crits = _solved(real_roots, self.slope_coeffs)
         crits.flags.writeable = False
         return crits
 
@@ -248,12 +248,11 @@ class BarrierInfo:
     amplitude_limit: float | None = None
 
 
-def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0,
-                  reference_x: float = 0.0) -> PolynomialPotential:
+def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> PolynomialPotential:
     """Build the dimensionless well ``U = V/(m omega0^2)`` from physical coefficients.
 
     The reference minimum is the critical point of U with positive curvature
-    nearest ``reference_x``; the constant coefficient is shifted so that
+    nearest the origin; the constant coefficient is shifted so that
     ``U(minimum) = 0`` exactly.
     """
     _require_positive("mass", mass)
@@ -262,16 +261,25 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0,
     _require_potential_coeffs(u)
     du = derivative(u)
     d2u = derivative(du)
-    crits = real_roots(du)
+    crits = _solved(real_roots, du)
     minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
     if not minima:
         raise NoMinimumError(
             f"no local minimum with positive curvature; critical points: {list(crits)}"
         )
-    m = min(minima, key=lambda c: abs(c - reference_x))
+    m = min(minima, key=abs)
     u = u.copy()
     u[0] -= npoly.polyval(m, u)
     return PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=float(m))
+
+
+def _solved(roots, coeffs):
+    """``roots(coeffs)``, with a failed companion-matrix eigensolve, such as one
+    on a matrix that overflows, raised as :class:`ConvergenceError`."""
+    try:
+        return roots(coeffs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"companion-matrix eigensolve failed: {exc}") from exc
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -350,7 +358,8 @@ def shells(U: PolynomialPotential, energies) -> list:
     :func:`turning_points` raises at that energy.  The turning points of all
     energies come from one stacked companion-matrix solve of ``E - U``, and
     the critical points of all residuals from one more; each shell is
-    bit-identical to the one found on its own.
+    bit-identical to the one found on its own.  A failed solve, such as one on
+    companion matrices that overflow, raises :class:`ConvergenceError`.
     """
     energies = [float(e) for e in energies]
     found: list = [None] * len(energies)
@@ -368,7 +377,10 @@ def shells(U: PolynomialPotential, energies) -> list:
 
     q = np.tile(-U.coeffs, (len(live), 1))
     q[:, 0] += [energies[i] for i in live]
-    roots = real_roots_rows(q)
+    roots = _solved(real_roots_rows, q)
+    lam = U.duffing_lambda
+    # The softening quartic has closed-form turning points.
+    amplitudes = _softening_amplitudes(lam, q[:, 0]) if lam is not None and lam < 0.0 else None
 
     bracketed = []  # (slot, row of q, x_minus, x_plus)
     for row, (i, r) in enumerate(zip(live, roots)):
@@ -385,7 +397,7 @@ def shells(U: PolynomialPotential, energies) -> list:
         if U.is_symmetric:
             # Companion roots of an even polynomial are symmetric to rounding;
             # averaging pins the parity invariant exactly.
-            half = 0.5 * (x_plus - x_minus)
+            half = 0.5 * (x_plus - x_minus) if amplitudes is None else float(amplitudes[row])
             x_minus, x_plus = -half, half
         bracketed.append((i, row, x_minus, x_plus))
     if not bracketed:
@@ -406,7 +418,6 @@ def shells(U: PolynomialPotential, energies) -> list:
         candidates[j, 2:2 + len(row)] = row
     extrema = _residual_extrema(residual, candidates)
 
-    lam = U.duffing_lambda
     for j, i in enumerate(slots):
         energy = energies[i]
         tol = 1e-10 * max(1.0, energy)
@@ -438,6 +449,17 @@ def shells(U: PolynomialPotential, energies) -> list:
         else:
             found[i] = shell
     return found
+
+
+def _softening_amplitudes(lam: float, energies: np.ndarray) -> np.ndarray:
+    """The turning point ``A`` of the softening quartic ``x^2/2 + lam x^4/4``
+    (``lam < 0``) at each energy: ``A^2 = 4E / (1 + sqrt(1 + 4 lam E))``.  Near the
+    barrier ``1 + 4 lam E`` cancels, so it is formed exactly in integers and rounded once.
+    """
+    n_lam, d_lam = lam.as_integer_ratio()
+    d = [(d_lam * d_e + 4 * n_lam * n_e) / (d_lam * d_e)
+         for n_e, d_e in map(float.as_integer_ratio, energies.tolist())]
+    return np.sqrt(4.0 * energies / (1.0 + np.sqrt(d)))
 
 
 def _residual_extrema(residuals: np.ndarray, candidates: np.ndarray) -> list[tuple]:

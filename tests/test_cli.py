@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -459,3 +460,36 @@ def test_negative_lambda_cubic_reports_the_frame_xi_on_every_record():
     code, out = run_cli("converge", *problem, "--Nmax", "4", "--format", "json")
     assert code == 0
     assert {r["xi"] for r in json.loads(out)} == {records[0]["xi"]}
+
+
+# ---------------------------------------------------------------------------
+# A companion matrix that overflows is a numerical error
+# ---------------------------------------------------------------------------
+
+# A subnormal leading coefficient: the first well overflows in its shells'
+# eigensolve, the second already in finding the critical points of the well.
+OVERFLOWING_WELLS = [("0", "0", "1e-320"), ("0", "0", "1", "0", "1e-320")]
+
+
+@pytest.mark.parametrize("coeffs", OVERFLOWING_WELLS)
+def test_overflowing_companion_matrix_is_a_numerical_error(coeffs, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", "--preset", "poly", "--coeffs", *coeffs,
+                            "--energy", "0.5", "--format", "json")
+    assert code == 3
+    assert json.loads(out)["error_kind"] == "numerical"
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeffs", OVERFLOWING_WELLS)
+def test_overflowing_well_gives_one_numerical_record_per_sweep_point(coeffs, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("sweep", "--preset", "poly", "--coeffs", *coeffs, "--param",
+                            "energy", "--from", "0.1", "--to", "0.5", "--steps", "5",
+                            "--format", "json")
+    assert code == 0
+    assert [r["error_kind"] for r in json.loads(out)] == ["numerical"] * 5
+    assert capsys.readouterr().err == ""

@@ -35,6 +35,7 @@ from periodlab import (
     duffing_series_nayfeh,
     elliptic_K,
     fixed_frame,
+    from_physical,
     harmonic_potential,
     nayfeh_frame,
     period_from_series,
@@ -544,3 +545,43 @@ def test_cubic_series_xi_has_the_sign_of_the_balanced_frame(lam):
     mirrored = cubic_series_balanced(shell.reflect(), 20)
     assert mirrored.xi == -series.xi
     assert mirrored.partial_sums == series.partial_sums
+
+
+# ---------------------------------------------------------------------------
+# Quadrature against a 40-digit reference on the same shell
+# ---------------------------------------------------------------------------
+
+def _mp_period_on_shell(shell):
+    """``sqrt(2) int_0^pi dtheta / sqrt(R(x(theta)))`` at 40 digits, from the
+    shell's own float turning points and residual."""
+    with mp.workdps(40):
+        c = [mp.mpf(float(v)) for v in shell.residual[::-1]]
+        mid = (mp.mpf(shell.x_plus) + mp.mpf(shell.x_minus)) / 2
+        half = (mp.mpf(shell.x_plus) - mp.mpf(shell.x_minus)) / 2
+        # near a barrier a zero of R approaches x_minus, where theta = pi
+        cuts = [0, mp.pi / 2, mp.pi - mp.mpf("1e-2"), mp.pi - mp.mpf("1e-4"), mp.pi]
+        return mp.sqrt(2) * mp.quad(lambda t: 1 / mp.sqrt(mp.polyval(c, mid + half * mp.cos(t))),
+                                    cuts)
+
+
+def _shell_golden_set():
+    for rho in (-0.9999, -0.9, 0.5, 1.0, 10.0, 1e3, 1e6):
+        yield _duffing_shell(rho)
+    for lam in (1.0, -1.0, 0.3):
+        U = cubic_potential(lam)
+        for gap in (1e-1, 1e-4, 1e-6, 1e-8):
+            yield turning_points(U, (1.0 - gap) / (6.0 * lam * lam))
+    sextic = from_physical([0.0, 0.0, 0.8, -0.6, 0.4, 0.1, 0.02])
+    for energy in (0.1, 0.5, 2.0):
+        yield turning_points(sextic, energy)
+    barrier = from_physical([0.0, 0.0, 0.5, 0.05, 0.1, -0.02, -0.1])
+    top = barrier.barrier.barrier_energy
+    for gap in (0.5, 1e-4, 1e-8):
+        yield turning_points(barrier, top * (1.0 - gap))
+
+
+def test_quadrature_matches_a_40_digit_reference_on_the_same_shell():
+    for shell in _shell_golden_set():
+        T = period_quadrature(balanced_frame(shell)).T
+        ref = _mp_period_on_shell(shell)
+        assert float(abs(mp.mpf(T) - ref) / ref) <= 1e-13, shell

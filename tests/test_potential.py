@@ -323,3 +323,19 @@ def test_non_finite_energy_is_rejected(energy):
     for U in (duffing_potential(1.0), cubic_potential(1.0)):
         with pytest.raises(DomainError, match="finite"):
             turning_points(U, energy)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form turning points of the softening quartic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [-0.9, -0.9999])
+def test_softening_quartic_turning_points_within_two_ulps(lam):
+    U = duffing_potential(lam)
+    energy = float(U(1.0))
+    shell = turning_points(U, energy)
+    with mp.workdps(50):
+        a2 = 4 * mp.mpf(energy) / (1 + mp.sqrt(1 + 4 * mp.mpf(lam) * mp.mpf(energy)))
+        for value, exact in ((shell.x_plus, mp.sqrt(a2)), (-shell.x_minus, mp.sqrt(a2)),
+                             (shell.rho, mp.mpf(lam) * a2)):
+            assert abs(mp.mpf(value) - exact) <= 2 * math.ulp(float(exact))

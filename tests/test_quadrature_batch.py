@@ -19,7 +19,6 @@ from periodlab import (
     balanced_frame,
     barrier_info,
     cubic_potential,
-    delta_at,
     duffing_potential,
     fixed_frame,
     from_physical,
@@ -29,7 +28,8 @@ from periodlab import (
     shells,
 )
 from periodlab.cli import main
-from periodlab.period import _QUAD_N0, _QUAD_NMAX, DEFAULT_QUAD_TOL, _gl_rule
+from periodlab.frame import x_of_theta
+from periodlab.period import _QUAD_N0, _QUAD_NMAX, DEFAULT_QUAD_TOL
 from periodlab.potential import _check_residual_positive
 
 WELLS = {
@@ -49,18 +49,25 @@ def _cap(U):
 
 
 def _scalar_reference(frame, omega0=1.0, tol=None):
-    """One frame by the scalar route: ``delta_at`` at each doubling level."""
+    """One shell by the scalar route: ``npoly.polyval`` at each trapezoid level,
+    ``T_2n = (T_n + (pi/n) * sum of f at the n new midpoints) / 2``."""
     tol = DEFAULT_QUAD_TOL if tol is None else tol
-    prev = None
     n = _QUAD_N0
-    while n <= _QUAD_NMAX:
-        theta, w = _gl_rule(n)
-        radicand = 1.0 + delta_at(frame, theta)
-        if np.any(radicand <= 0.0):
+    r = npoly.polyval(x_of_theta(frame.shell, np.arange(n + 1) * (math.pi / n)),
+                      frame.shell.residual)
+    if np.any(r <= 0.0):
+        return SeparatrixError
+    f = 1.0 / np.sqrt(r)
+    prev = (math.pi / n) * (0.5 * (f[0] + f[-1]) + f[1:-1].sum())
+    while n < _QUAD_NMAX:
+        i = np.arange(1, n + 1)
+        r = npoly.polyval(x_of_theta(frame.shell, (2.0 * i - 1.0) * math.pi / (2.0 * n)),
+                          frame.shell.residual)
+        if np.any(r <= 0.0):
             return SeparatrixError
-        val = float(w @ (1.0 / np.sqrt(radicand)))
-        if prev is not None and abs(val - prev) <= tol * max(1e-300, abs(val)):
-            scale = 2.0 / (omega0 * frame.omega)
+        val = 0.5 * (prev + (math.pi / n) * (1.0 / np.sqrt(r)).sum())
+        if abs(val - prev) <= tol * max(1e-300, abs(val)):
+            scale = math.sqrt(2.0) / omega0
             return (scale * val).hex(), (scale * abs(val - prev)).hex()
         prev = val
         n *= 2
@@ -245,3 +252,17 @@ def test_duffing_sweep_record_equals_period_record_apart_from_sqrt_rho_T():
         assert main(["period", "--preset", "duffing", "--lambda", "0.5", "--energy",
                      cells[fields.index("energy")], "--format", "csv"], out=one) == 0
         assert one.getvalue().splitlines()[1] == ",".join(["period", *cells[1:]])
+
+
+# ---------------------------------------------------------------------------
+# Quadrature reads only the shell
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["duffing+", "duffing-", "cubic+", "sextic"])
+def test_every_frame_of_a_shell_gives_the_same_bits(name):
+    U = WELLS[name]
+    for s in shells(U, np.linspace(0.05, 0.95, 5) * _cap(U)):
+        frames = [balanced_frame(s), fixed_frame(s, 0.7)]
+        if s.family == "quartic":
+            frames.append(nayfeh_frame(s))
+        assert len({_bits(period_quadrature(f)) for f in frames}) == 1
