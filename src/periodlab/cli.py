@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
-from .frame import BALANCED, FIXED, NAYFEH, balanced_frame, fixed_frame, nayfeh_frame
+from .frame import balanced_frame, fixed_frame, nayfeh_frame
 from .oracle import measure_period
 from .period import (
     best_series,
@@ -175,16 +175,17 @@ def _emit_table(records: list[dict], fields, out) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_frame(text: str):
+    """The frame builder that ``text`` names: a function of the shell."""
     if text == "balanced":
-        return BALANCED, None
+        return balanced_frame
     if text == "nayfeh":
-        return NAYFEH, None
+        return nayfeh_frame
     if text.startswith("fixed:"):
         try:
             omega = float(text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"cannot parse frame {text!r}; expected fixed:<omega>")
-        return FIXED, omega
+        return functools.partial(fixed_frame, omega=omega)
     raise UsageError(f"unknown frame {text!r}; expected balanced, nayfeh or fixed:<omega>")
 
 
@@ -223,21 +224,12 @@ def _resolve_energy(args, U) -> float:
     return float(U(a))
 
 
-def _make_frame(strategy, omega_fixed, shell):
-    if strategy == BALANCED:
-        return balanced_frame(shell)
-    if strategy == NAYFEH:
-        return nayfeh_frame(shell)
-    return fixed_frame(shell, omega_fixed)
-
-
 def _problem(args):
     """The potential, energy, shell and frame that ``args`` describe."""
     U = _build_potential(args)
     energy = _resolve_energy(args, U)
     shell = turning_points(U, energy)
-    strategy, omega_fixed = _parse_frame(args.frame)
-    return U, energy, shell, _make_frame(strategy, omega_fixed, shell)
+    return U, energy, shell, _parse_frame(args.frame)(shell)
 
 
 def _optional_float(v):
@@ -280,7 +272,7 @@ def _elliptic_result(U, shell):
     raise UsageError("elliptic closed form requires the duffing or cubic preset")
 
 
-def _apply_method(record: dict, method: str, U, energy, shell, frame, args, tol) -> dict:
+def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict:
     record["method"] = method
     if method == "quadrature":
         res = period_quadrature(frame, U.omega0, tol)
@@ -295,7 +287,7 @@ def _apply_method(record: dict, method: str, U, energy, shell, frame, args, tol)
     elif method == "elliptic":
         res = _elliptic_result(U, shell)
     elif method == "oracle":
-        report = measure_period(U, energy)
+        report = measure_period(U, shell)
         if not report.reliable:
             raise ConvergenceError(
                 "oracle integration unreliable (energy drift or period cap exceeded)"
@@ -326,12 +318,17 @@ def _methods_for(method: str, shell) -> list[str]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_period(args, tol, out) -> int:
+def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[dict]]:
+    """The base record of the point that ``args`` describe, and a copy of it
+    completed by each method that ``method`` selects."""
     U, energy, shell, frame = _problem(args)
-    records = []
-    for method in _methods_for(args.method, shell):
-        record = _base_record("period", args, U, energy, shell, frame)
-        records.append(_apply_method(record, method, U, energy, shell, frame, args, tol))
+    base = _base_record(command, args, U, energy, shell, frame)
+    return base, [_apply_method(dict(base), m, U, shell, frame, args, tol)
+                  for m in _methods_for(method, shell)]
+
+
+def cmd_period(args, tol, out) -> int:
+    _, records = _method_records("period", args.method, args, tol)
     emit(records, RECORD_FIELDS, args.format, out)
     return 0
 
@@ -339,6 +336,8 @@ def cmd_period(args, tol, out) -> int:
 def cmd_sweep(args, tol, out) -> int:
     if args.steps < 2:
         raise UsageError(f"sweep needs at least 2 steps, got {args.steps}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise UsageError(f"sweep bounds must be finite: from {args.start} to {args.stop}")
     if not args.start < args.stop:
         raise UsageError(f"sweep range is degenerate: from {args.start} to {args.stop}")
     if args.method == "all":
@@ -352,7 +351,7 @@ def cmd_sweep(args, tol, out) -> int:
     else:
         grid = np.linspace(args.start, args.stop, args.steps)
 
-    strategy, omega_fixed = _parse_frame(args.frame)
+    frame_of = _parse_frame(args.frame)
     if args.param == "energy":
         # One well for the whole grid; a well that cannot be built fails every point.
         try:
@@ -374,13 +373,13 @@ def cmd_sweep(args, tol, out) -> int:
                 shell = found[i]
                 if isinstance(shell, PeriodLabError):
                     raise shell
-            frame = _make_frame(strategy, omega_fixed, shell)
+            frame = frame_of(shell)
             record = _base_record("sweep", args, U, energy, shell, frame)
             if args.method == "quadrature":
                 record["method"] = "quadrature"
                 quadrature.append((i, frame))
             else:
-                _apply_method(record, args.method, U, energy, shell, frame, args, tol)
+                _apply_method(record, args.method, U, shell, frame, args, tol)
                 _set_sqrt_rho_T(record)
         except tuple(_ERROR_KINDS) as exc:
             record = _sweep_error_record(args, value, exc)
@@ -418,23 +417,10 @@ def cmd_converge(args, tol, out) -> int:
     series = best_series(shell, frame, args.Nmax)
     t_quad = period_quadrature(frame, U.omega0, tol).T
     scale = _SQRT2 / U.omega0
-
-    rows = []
-    for n, i_n in enumerate(series.partial_sums):
-        row = dict.fromkeys(CONVERGE_FIELDS)
-        row.update(
-            command="converge", preset=args.preset,
-            energy=float(energy), frame=args.frame,
-            omega_ref=float(frame.omega),
-            xi=_optional_float(frame.xi),
-            regime=series.regime,
-            N=n, I_N=float(i_n), T_N=scale * i_n,
-            abs_dev_quadrature=abs(scale * i_n - t_quad),
-            amplitude=_optional_float(shell.amplitude),
-            rho=_optional_float(shell.rho),
-        )
-        row["lambda"] = _optional_float(args.lam)
-        rows.append(row)
+    base = _base_record("converge", args, U, energy, shell, frame)
+    rows = [dict(base, regime=series.regime, N=n, I_N=float(i_n), T_N=scale * i_n,
+                 abs_dev_quadrature=abs(scale * i_n - t_quad))
+            for n, i_n in enumerate(series.partial_sums)]
     if args.format == "table":
         out.write(f"# regime: {series.regime}"
                   + (f"  xi = {_text(frame.xi)}" if frame.xi is not None else "")
@@ -444,12 +430,8 @@ def cmd_converge(args, tol, out) -> int:
 
 
 def cmd_verify(args, tol, out) -> int:
-    U, energy, shell, frame = _problem(args)
     args.N = max(args.N, 30)
-    records = []
-    for method in _methods_for("all", shell):
-        record = _base_record("verify", args, U, energy, shell, frame)
-        records.append(_apply_method(record, method, U, energy, shell, frame, args, tol))
+    base, records = _method_records("verify", "all", args, tol)
 
     periods = [r["T"] for r in records]
     deviation = 0.0
@@ -459,10 +441,7 @@ def cmd_verify(args, tol, out) -> int:
                 deviation,
                 abs(periods[i] - periods[j]) / max(abs(periods[i]), abs(periods[j])),
             )
-    summary = _base_record("verify", args, U, energy, shell, frame)
-    summary["method"] = "max-deviation"
-    summary["max_rel_deviation"] = deviation
-    records.append(summary)
+    records.append(dict(base, method="max-deviation", max_rel_deviation=deviation))
     emit(records, RECORD_FIELDS, args.format, out)
     return 0 if deviation <= VERIFY_DEVIATION_LIMIT else 3
 
@@ -556,10 +535,8 @@ def main(argv=None, out=None) -> int:
         return 1
     except tuple(_ERROR_KINDS) as exc:
         kind, code = _error_kind(exc)
-        record = _blank_record("error")
-        record["error"] = str(exc)
-        record["error_kind"] = kind
-        out.write(_json_record(record, ["command", "error", "error_kind"]) + "\n")
+        record = {"command": "error", "error": str(exc), "error_kind": kind}
+        out.write(_json_record(record, record) + "\n")
         print(f"{kind} error: {exc}", file=sys.stderr)
         return code
 

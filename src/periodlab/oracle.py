@@ -18,7 +18,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import DomainError
 from .frame import balanced_frame
-from .potential import PolynomialPotential, turning_points
+from .potential import EnergyShell, PolynomialPotential, turning_points
 
 DRIFT_TOL = 1e-10
 PERIOD_CAP = 1e6
@@ -148,12 +148,14 @@ def _run(U: PolynomialPotential, x: float, v: float, h: float, max_steps: int,
     return crossings, xs, vs, steps, capped
 
 
-def measure_period(U: PolynomialPotential, energy: float, *,
+def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
                    dtau: float | None = None,
                    period_cap: float = PERIOD_CAP) -> OracleReport:
     """Measure the oscillation period dynamically at the given energy.
 
-    The trajectory starts at rest on the right turning point.  With
+    ``energy`` is a number, or the :class:`EnergyShell` of ``U`` at that
+    energy, whose turning points are then used as they are instead of being
+    solved again.  The trajectory starts at rest on the right turning point.  With
     ``dtau=None`` the step starts at a thousandth of the zeroth-order period
     estimate and is halved until the energy drift is below ``DRIFT_TOL``;
     passing an explicit ``dtau`` disables the adaptation (useful for
@@ -161,7 +163,8 @@ def measure_period(U: PolynomialPotential, energy: float, *,
     exceeding the internal step bound) mark the report unreliable instead of
     raising.
     """
-    shell = turning_points(U, energy)
+    shell = energy if isinstance(energy, EnergyShell) else turning_points(U, energy)
+    energy = shell.energy
     t_estimate = 2.0 * math.pi / balanced_frame(shell).omega
     h = (t_estimate / 1000.0) if dtau is None else float(dtau)
     if h <= 0.0:

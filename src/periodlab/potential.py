@@ -67,7 +67,7 @@ class PolynomialPotential:
             )
         if abs(self.slope(self.minimum_x)) > 1e-8 * scale:
             raise DomainError(f"minimum_x={self.minimum_x} is not a critical point")
-        if self.curvature(self.minimum_x) <= 0.0:
+        if not self.curvature(self.minimum_x) > 0.0:
             raise NoMinimumError(
                 f"U''({self.minimum_x}) = {self.curvature(self.minimum_x)} <= 0: "
                 "reference point is not a local minimum"
@@ -164,10 +164,11 @@ class EnergyShell:
     any remaining real zeros of Q outside that interval.  ``reflected`` marks
     shells produced by the parity map from a lam < 0 cubic.
     ``residual_critical_points`` holds the zeros of R' strictly between the
-    turning points, ascending; it is computed from ``residual`` when not given.
-    ``residual_extrema`` is ``(R_min, R_max, argmin, argmax)`` over the turning
-    points and those critical points, in that order, first index winning a
-    tie; it too is computed when not given.
+    turning points, ascending, and ``residual_extrema`` is
+    ``(R_min, R_max, argmin, argmax)`` over the turning points and those
+    critical points, in that order, first index winning a tie.  :func:`shells`
+    passes both; when either is not given, both are computed together from
+    ``residual``, by the routine :func:`shells` uses.
     """
 
     energy: float
@@ -186,15 +187,11 @@ class EnergyShell:
         object.__setattr__(self, "extra_roots", tuple(float(r) for r in self.extra_roots))
         if not self.x_minus < self.x_plus:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
-        crits = self.residual_critical_points
-        if crits is None:
-            crits = real_roots(derivative(self.residual)) if self.residual.size > 1 else ()
-        crits = tuple(float(c) for c in crits if self.x_minus < c < self.x_plus)
-        object.__setattr__(self, "residual_critical_points", crits)
-        if self.residual_extrema is None:
-            candidates = np.array([[self.x_minus, self.x_plus, *crits]])
-            object.__setattr__(self, "residual_extrema",
-                               _residual_extrema(self.residual[None, :], candidates)[0])
+        if self.residual_critical_points is None or self.residual_extrema is None:
+            (crits,), (extrema,) = _residual_geometry(
+                self.residual[None, :], [self.x_minus], [self.x_plus])
+            object.__setattr__(self, "residual_critical_points", crits)
+            object.__setattr__(self, "residual_extrema", extrema)
 
     @property
     def family(self) -> str:
@@ -253,7 +250,8 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
 
     The reference minimum is the critical point of U with positive curvature
     nearest the origin; the constant coefficient is shifted so that
-    ``U(minimum) = 0`` exactly.
+    ``U(minimum) = 0`` exactly.  The shift leaves U' unchanged, so the well
+    keeps the critical points solved here.
     """
     _require_positive("mass", mass)
     _require_positive("omega0", omega0)
@@ -270,7 +268,10 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     m = min(minima, key=abs)
     u = u.copy()
     u[0] -= npoly.polyval(m, u)
-    return PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=float(m))
+    well = PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=float(m))
+    crits.flags.writeable = False
+    well.__dict__["critical_points"] = crits
+    return well
 
 
 def _solved(roots, coeffs):
@@ -294,6 +295,13 @@ def _require_potential_coeffs(c: np.ndarray) -> None:
         raise DomainError(f"potential coefficients must be finite, got {c.tolist()}")
     if c.size - 1 < 2:
         raise DomainError("potential must have degree >= 2")
+    # The U'' coefficients (k - 1)(k c_k), rounded as the well forms them; each
+    # is finite only if the U' coefficient k c_k is.  Python floats overflow to
+    # inf without a warning.
+    if not all(math.isfinite((k - 1) * (k * x)) for k, x in enumerate(c.tolist())):
+        raise DomainError(
+            f"the coefficients of U' and U'' must be finite; {c.tolist()} overflows them"
+        )
 
 
 def harmonic_potential(mass: float = 1.0, omega0: float = 1.0) -> PolynomialPotential:
@@ -407,16 +415,7 @@ def shells(U: PolynomialPotential, energies) -> list:
     quot, rem_plus = deflate(q[rows], np.array(x_plus))
     quot, rem_minus = deflate(quot, np.array(x_minus))
     residual = -quot
-    # R is evaluated once for the whole grid, at the turning points and the
-    # critical points inside each shell; NaN pads the rows to one length.
-    crits = [tuple(float(c) for c in row if lo < c < hi)
-             for row, lo, hi in zip(real_roots_rows(derivative(residual)), x_minus, x_plus)]
-    candidates = np.full((len(slots), 2 + max(map(len, crits))), np.nan)
-    candidates[:, 0] = x_minus
-    candidates[:, 1] = x_plus
-    for j, row in enumerate(crits):
-        candidates[j, 2:2 + len(row)] = row
-    extrema = _residual_extrema(residual, candidates)
+    crits, extrema = _residual_geometry(residual, x_minus, x_plus)
 
     for j, i in enumerate(slots):
         energy = energies[i]
@@ -462,16 +461,30 @@ def _softening_amplitudes(lam: float, energies: np.ndarray) -> np.ndarray:
     return np.sqrt(4.0 * energies / (1.0 + np.sqrt(d)))
 
 
-def _residual_extrema(residuals: np.ndarray, candidates: np.ndarray) -> list[tuple]:
-    """``(R_min, R_max, argmin, argmax)`` of row ``i`` of ``residuals`` over the
-    points in row ``i`` of ``candidates``, which NaN pads to a common length."""
+def _residual_geometry(residuals: np.ndarray, x_minus, x_plus) -> tuple[list, list]:
+    """The critical points and extrema of each residual on its shell.
+
+    Row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.  Returns
+    the zeros of its R' strictly inside, as an ascending tuple, and
+    ``(R_min, R_max, argmin, argmax)`` over the two turning points and those
+    zeros, in that order, the first index winning a tie.  All rows' R' are
+    solved in one call, and R is evaluated once for the whole stack.
+    """
+    crits = [tuple(float(c) for c in row if lo < c < hi)
+             for row, lo, hi in zip(real_roots_rows(derivative(residuals)), x_minus, x_plus)]
+    # NaN pads the candidate rows to one length.
+    candidates = np.full((len(crits), 2 + max(map(len, crits))), np.nan)
+    candidates[:, 0] = x_minus
+    candidates[:, 1] = x_plus
+    for j, row in enumerate(crits):
+        candidates[j, 2:2 + len(row)] = row
     values = _polyval_rows(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
     i_max = np.where(pad, -np.inf, values).argmax(axis=1)
     rows = np.arange(len(values))
-    return list(zip(values[rows, i_min].tolist(), values[rows, i_max].tolist(),
-                    candidates[rows, i_min].tolist(), candidates[rows, i_max].tolist()))
+    return crits, list(zip(values[rows, i_min].tolist(), values[rows, i_max].tolist(),
+                           candidates[rows, i_min].tolist(), candidates[rows, i_max].tolist()))
 
 
 def _check_residual_positive(shell: EnergyShell) -> None:

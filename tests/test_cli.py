@@ -493,3 +493,53 @@ def test_overflowing_well_gives_one_numerical_record_per_sweep_point(coeffs, cap
     assert code == 0
     assert [r["error_kind"] for r in json.loads(out)] == ["numerical"] * 5
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# Non-finite sweep bounds and wells whose derivatives overflow
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    ("--param", "energy", "--from", "0.1", "--to", "inf"),
+    ("--param", "energy", "--from", "nan", "--to", "1"),
+    ("--param", "energy", "--from=-inf", "--to", "1"),
+    ("--param", "rho", "--from", "0.5", "--to", "inf", "--log"),
+])
+def test_non_finite_sweep_bound_is_a_usage_error(grid, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("sweep", "--preset", "duffing", "--lambda", "1", *grid,
+                            "--steps", "3")
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "finite" in err and err.count("\n") == 1
+
+
+# U'' (and for the last, U') has a coefficient beyond the float range.
+OVERFLOWING_DERIVATIVES = [
+    ("--preset", "duffing", "--lambda", "1e308"),
+    ("--preset", "cubic", "--lambda", "1e308"),
+    ("--preset", "poly", "--coeffs", "0", "0", "0.5", "0", "1e308"),
+]
+
+
+@pytest.mark.parametrize("well", OVERFLOWING_DERIVATIVES)
+def test_well_whose_derivatives_overflow_is_a_domain_error(well, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", *well, "--energy", "0.5", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "domain"
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("well", OVERFLOWING_DERIVATIVES)
+def test_well_whose_derivatives_overflow_gives_one_domain_record_per_sweep_point(well, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("sweep", *well, "--param", "energy", "--from", "0.1",
+                            "--to", "0.5", "--steps", "4", "--format", "json")
+    assert code == 0
+    assert [r["error_kind"] for r in json.loads(out)] == ["domain"] * 4
+    assert capsys.readouterr().err == ""

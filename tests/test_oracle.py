@@ -142,3 +142,18 @@ def test_measure_rejects_separatrix_energy():
 
     with pytest.raises(SeparatrixError):
         measure_period(cubic_potential(1.0), 1.0 / 6.0)
+
+
+@pytest.mark.parametrize("U, energy", [(duffing_potential(1.0), 0.75),
+                                       (cubic_potential(-1.0), 0.12)])
+def test_measure_period_reads_the_callers_shell(U, energy, monkeypatch):
+    import periodlab.oracle as oracle
+
+    expected = measure_period(U, energy)
+    shell = turning_points(U, energy)
+
+    def unexpected(*args):
+        raise AssertionError("the shell was solved again")
+
+    monkeypatch.setattr(oracle, "turning_points", unexpected)
+    assert measure_period(U, shell) == expected

@@ -11,6 +11,7 @@ from periodlab import (
     DomainError,
     EnergyShell,
     NoMinimumError,
+    PolynomialPotential,
     SeparatrixError,
     barrier_info,
     cubic_factorization,
@@ -339,3 +340,26 @@ def test_softening_quartic_turning_points_within_two_ulps(lam):
         for value, exact in ((shell.x_plus, mp.sqrt(a2)), (-shell.x_minus, mp.sqrt(a2)),
                              (shell.rho, mp.mpf(lam) * a2)):
             assert abs(mp.mpf(value) - exact) <= 2 * math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.5, 0.0, 2.5e307],   # U'' overflows
+                                    [0.0, 0.0, 0.5, 1e308 / 3.0],     # U'' overflows
+                                    [0.0, 0.0, 0.5, 0.0, 0.0, 1e308]])  # U' overflows
+def test_coefficients_whose_derivatives_overflow_are_rejected(coeffs):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            PolynomialPotential(np.array(coeffs))
+        with pytest.raises(DomainError, match="finite"):
+            from_physical(coeffs)
+
+
+def test_from_physical_hands_the_well_its_critical_points():
+    from periodlab._poly import real_roots
+
+    U = from_physical([0.0, 0.0, 0.5, -0.6, 0.1])
+    assert "critical_points" in vars(U)
+    assert not U.critical_points.flags.writeable
+    assert U.critical_points.tobytes() == real_roots(U.slope_coeffs).tobytes()
