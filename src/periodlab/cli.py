@@ -246,7 +246,7 @@ def _base_record(command: str, args, U, energy, shell, frame) -> dict:
     record = _blank_record(command)
     record.update(
         preset=args.preset,
-        coeffs=[float(c) for c in U.coeffs],
+        coeffs=U.coeffs.tolist(),
         mass=float(U.mass),
         omega0=float(U.omega0),
         energy=float(energy),
@@ -352,27 +352,31 @@ def cmd_sweep(args, tol, out) -> int:
         grid = np.linspace(args.start, args.stop, args.steps)
 
     frame_of = _parse_frame(args.frame)
+    records: list = [None] * len(grid)
+    points = []  # (slot, well, energy) of the points whose well was built
     if args.param == "energy":
         # One well for the whole grid; a well that cannot be built fails every point.
         try:
             U = _build_potential(args)
-            found = shells(U, grid)
         except tuple(_ERROR_KINDS) as exc:
-            found = [exc] * len(grid)
-    records = []
-    quadrature = []  # (slot, frame) of the records the batched quadrature completes
-    for i, value in enumerate(grid):
-        try:
-            if args.param == "rho":
-                # Any (lam, A) with lam A^2 = rho gives the same period; use A = 1.
+            records = [_sweep_error_record(args, value, exc) for value in grid]
+        else:
+            points = [(i, U, float(value)) for i, value in enumerate(grid)]
+    else:
+        for i, value in enumerate(grid):
+            try:
                 U = duffing_potential(float(value), args.mass, args.omega0)
-                energy = float(U(1.0))
-                shell = turning_points(U, energy)
+            except tuple(_ERROR_KINDS) as exc:
+                records[i] = _sweep_error_record(args, value, exc)
             else:
-                energy = float(value)
-                shell = found[i]
-                if isinstance(shell, PeriodLabError):
-                    raise shell
+                # Any (lam, A) with lam A^2 = rho gives the same period; use A = 1.
+                points.append((i, U, float(U(1.0))))
+    found = shells([U for _, U, _ in points], [energy for _, _, energy in points])
+    quadrature = []  # (slot, frame) of the records the batched quadrature completes
+    for (i, U, energy), shell in zip(points, found):
+        try:
+            if isinstance(shell, PeriodLabError):
+                raise shell
             frame = frame_of(shell)
             record = _base_record("sweep", args, U, energy, shell, frame)
             if args.method == "quadrature":
@@ -382,8 +386,8 @@ def cmd_sweep(args, tol, out) -> int:
                 _apply_method(record, args.method, U, shell, frame, args, tol)
                 _set_sqrt_rho_T(record)
         except tuple(_ERROR_KINDS) as exc:
-            record = _sweep_error_record(args, value, exc)
-        records.append(record)
+            record = _sweep_error_record(args, grid[i], exc)
+        records[i] = record
     results = period_quadratures([frame for _, frame in quadrature], args.omega0, tol)
     for (i, _), res in zip(quadrature, results):
         if isinstance(res, PeriodLabError):
@@ -395,8 +399,8 @@ def cmd_sweep(args, tol, out) -> int:
 
 
 def _set_sqrt_rho_T(record: dict) -> None:
-    # The duffing preset always gives a canonical quartic shell, so rho is set.
-    if record["preset"] == "duffing" and record["rho"] > 0:
+    # rho is set on the shells of the canonical quartic, whatever the preset.
+    if record["rho"] is not None and record["rho"] > 0:
         record["sqrt_rho_T"] = math.sqrt(record["rho"]) * record["T"]
 
 

@@ -101,6 +101,11 @@ class PolynomialPotential:
         crits.flags.writeable = False
         return crits
 
+    def _keep_critical_points(self, crits: np.ndarray) -> None:
+        """Cache ``crits``, the zeros of U' solved elsewhere, as :attr:`critical_points`."""
+        crits.flags.writeable = False
+        self.__dict__["critical_points"] = crits
+
     @cached_property
     def barrier(self) -> "BarrierInfo":
         """The finite barriers bounding the reference well, if any."""
@@ -263,14 +268,13 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
     if not minima:
         raise NoMinimumError(
-            f"no local minimum with positive curvature; critical points: {list(crits)}"
+            f"no local minimum with positive curvature; critical points: {crits.tolist()}"
         )
     m = min(minima, key=abs)
     u = u.copy()
     u[0] -= npoly.polyval(m, u)
     well = PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=float(m))
-    crits.flags.writeable = False
-    well.__dict__["critical_points"] = crits
+    well._keep_critical_points(crits)
     return well
 
 
@@ -281,6 +285,21 @@ def _solved(roots, coeffs):
         return roots(coeffs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"companion-matrix eigensolve failed: {exc}") from exc
+
+
+def _solved_rows(coeffs: np.ndarray) -> list:
+    """:func:`real_roots_rows` of ``coeffs``, with the :class:`ConvergenceError`
+    of :func:`_solved` in the slot of each row whose eigensolve fails.
+
+    A failed stacked solve is redone one row at a time, so one overflowing
+    row fails only its own slot.
+    """
+    try:
+        return _solved(real_roots_rows, coeffs)
+    except ConvergenceError as exc:
+        if len(coeffs) == 1:
+            return [exc]
+        return [_solved_rows(row[None, :])[0] for row in coeffs]
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -359,57 +378,105 @@ def turning_points(U: PolynomialPotential, energy: float) -> EnergyShell:
     return shell
 
 
-def shells(U: PolynomialPotential, energies) -> list:
-    """The energy shells of ``U`` at each of ``energies``, solved together.
+def shells(U, energies) -> list:
+    """The energy shells at each of ``energies``, solved together.
 
+    ``U`` is one well for every energy, or a sequence of one well per energy.
     Slot ``i`` holds the shell at ``energies[i]``, or the error that
     :func:`turning_points` raises at that energy.  The turning points of all
-    energies come from one stacked companion-matrix solve of ``E - U``, and
-    the critical points of all residuals from one more; each shell is
-    bit-identical to the one found on its own.  A failed solve, such as one on
-    companion matrices that overflow, raises :class:`ConvergenceError`.
+    rows whose wells share a degree come from one stacked companion-matrix
+    solve of ``E - U``, the critical points of their residuals from one more,
+    and the U' of the distinct wells not yet solved from one per degree; each
+    shell is bit-identical to the one found on its own.
     """
     energies = [float(e) for e in energies]
+    wells = [U] * len(energies) if isinstance(U, PolynomialPotential) else list(U)
+    if len(wells) != len(energies):
+        raise ValueError(f"{len(wells)} wells for {len(energies)} energies")
     found: list = [None] * len(energies)
-    barrier = barrier_info(U)
-    live = []
-    for i, energy in enumerate(energies):
+    barriers = _barriers(wells)
+    by_degree: dict = {}  # degree of the well -> slots of the rows left to solve
+    for i, (well, energy) in enumerate(zip(wells, energies)):
+        barrier = barriers[id(well)]
+        if isinstance(barrier, ConvergenceError):
+            found[i] = barrier
+            continue
         try:
             _check_energy(energy, barrier)
         except DomainError as exc:
             found[i] = exc
         else:
-            live.append(i)
-    if not live:
-        return found
+            by_degree.setdefault(well.degree, []).append(i)
+    for slots in by_degree.values():
+        _solve_shells(wells, energies, slots, found)
+    return found
 
-    q = np.tile(-U.coeffs, (len(live), 1))
-    q[:, 0] += [energies[i] for i in live]
-    roots = _solved(real_roots_rows, q)
-    lam = U.duffing_lambda
+
+def _barriers(wells) -> dict:
+    """``id(well)`` -> its :class:`BarrierInfo`, or the :class:`ConvergenceError`
+    of its U' solve, for each distinct well of ``wells``.
+
+    The U' of the wells that have not solved it yet go to one stacked solve
+    per degree and are cached on each well; a lone well solves its own.
+    """
+    distinct = {id(w): w for w in wells}
+    pending: dict = {}  # degree -> wells whose critical points are not cached
+    for w in distinct.values():
+        if "critical_points" not in w.__dict__:
+            pending.setdefault(w.degree, []).append(w)
+    barriers = {}
+    for group in pending.values():
+        if len(group) == 1:
+            continue
+        for w, crits in zip(group, _solved_rows(np.array([w.slope_coeffs for w in group]))):
+            if isinstance(crits, ConvergenceError):
+                barriers[id(w)] = crits
+            else:
+                w._keep_critical_points(crits)
+    for key, w in distinct.items():
+        if key not in barriers:
+            try:
+                barriers[key] = w.barrier
+            except ConvergenceError as exc:
+                barriers[key] = exc
+    return barriers
+
+
+def _solve_shells(wells, energies, slots, found) -> None:
+    """Fill ``found[i]`` for each of ``slots``, rows whose wells share a degree."""
+    q = -np.array([wells[i].coeffs for i in slots])
+    q[:, 0] += [energies[i] for i in slots]
+    roots = _solved_rows(q)
     # The softening quartic has closed-form turning points.
-    amplitudes = _softening_amplitudes(lam, q[:, 0]) if lam is not None and lam < 0.0 else None
+    lams = [wells[i].duffing_lambda for i in slots]
+    soft = [row for row, lam in enumerate(lams) if lam is not None and lam < 0.0]
+    amplitudes = dict(zip(soft, _softening_amplitudes(
+        [lams[row] for row in soft], q[soft, 0]).tolist()))
 
     bracketed = []  # (slot, row of q, x_minus, x_plus)
-    for row, (i, r) in enumerate(zip(live, roots)):
-        left = r[r < U.minimum_x]
-        right = r[r > U.minimum_x]
+    for row, (i, r) in enumerate(zip(slots, roots)):
+        if isinstance(r, ConvergenceError):
+            found[i] = r
+            continue
+        well = wells[i]
+        left = r[r < well.minimum_x]
+        right = r[r > well.minimum_x]
         if left.size == 0 or right.size == 0:
             found[i] = DomainError(
                 f"no turning points bracket the minimum at energy {energies[i]}; "
-                f"real roots found: {list(r)}"
+                f"real roots found: {r.tolist()}"
             )
             continue
         x_minus = float(left.max())
         x_plus = float(right.min())
-        if U.is_symmetric:
+        if well.is_symmetric:
             # Companion roots of an even polynomial are symmetric to rounding;
             # averaging pins the parity invariant exactly.
-            half = 0.5 * (x_plus - x_minus) if amplitudes is None else float(amplitudes[row])
+            half = amplitudes[row] if row in amplitudes else 0.5 * (x_plus - x_minus)
             x_minus, x_plus = -half, half
         bracketed.append((i, row, x_minus, x_plus))
     if not bracketed:
-        return found
+        return
 
     slots, rows, x_minus, x_plus = (list(col) for col in zip(*bracketed))
     quot, rem_plus = deflate(q[rows], np.array(x_plus))
@@ -426,8 +493,10 @@ def shells(U: PolynomialPotential, energies) -> list:
                 f"{float(rem_minus[j])}) above {tol}"
             )
             continue
+        well = wells[i]
         lo, hi = x_minus[j], x_plus[j]
-        amplitude = hi if U.is_symmetric else None
+        amplitude = hi if well.is_symmetric else None
+        lam = lams[rows[j]]
         try:
             shell = EnergyShell(
                 energy=energy,
@@ -447,17 +516,17 @@ def shells(U: PolynomialPotential, energies) -> list:
             found[i] = exc
         else:
             found[i] = shell
-    return found
 
 
-def _softening_amplitudes(lam: float, energies: np.ndarray) -> np.ndarray:
+def _softening_amplitudes(lams: list, energies: np.ndarray) -> np.ndarray:
     """The turning point ``A`` of the softening quartic ``x^2/2 + lam x^4/4``
-    (``lam < 0``) at each energy: ``A^2 = 4E / (1 + sqrt(1 + 4 lam E))``.  Near the
-    barrier ``1 + 4 lam E`` cancels, so it is formed exactly in integers and rounded once.
+    (``lam < 0``) at each pair of ``lams`` and ``energies``:
+    ``A^2 = 4E / (1 + sqrt(1 + 4 lam E))``.  Near the barrier ``1 + 4 lam E``
+    cancels, so it is formed exactly in integers and rounded once.
     """
-    n_lam, d_lam = lam.as_integer_ratio()
     d = [(d_lam * d_e + 4 * n_lam * n_e) / (d_lam * d_e)
-         for n_e, d_e in map(float.as_integer_ratio, energies.tolist())]
+         for (n_lam, d_lam), (n_e, d_e) in zip(map(float.as_integer_ratio, lams),
+                                               map(float.as_integer_ratio, energies.tolist()))]
     return np.sqrt(4.0 * energies / (1.0 + np.sqrt(d)))
 
 

@@ -543,3 +543,26 @@ def test_well_whose_derivatives_overflow_gives_one_domain_record_per_sweep_point
     assert code == 0
     assert [r["error_kind"] for r in json.loads(out)] == ["domain"] * 4
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# Message text does not depend on numpy's scalar repr; sqrt_rho_T follows rho
+# ---------------------------------------------------------------------------
+
+def test_no_minimum_message_lists_plain_floats(capsys):
+    code, out = run_cli("period", "--preset", "poly", "--coeffs", "0", "0", "-1",
+                        "--energy", "0.5", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"].endswith("critical points: [0.0]")
+    assert capsys.readouterr().err.endswith("critical points: [0.0]\n")
+
+
+def test_poly_canonical_quartic_sweep_reports_sqrt_rho_T():
+    grid = ("--param", "energy", "--from", "0.1", "--to", "0.5", "--steps", "3",
+            "--format", "json")
+    _, poly = run_cli("sweep", "--preset", "poly", "--coeffs", "0", "0", "0.5", "0", "0.25",
+                      *grid)
+    _, duffing = run_cli("sweep", "--preset", "duffing", "--lambda", "1", *grid)
+    poly, duffing = json.loads(poly), json.loads(duffing)
+    assert all(r["sqrt_rho_T"] == math.sqrt(r["rho"]) * r["T"] for r in poly)
+    assert [r["sqrt_rho_T"] for r in poly] == [r["sqrt_rho_T"] for r in duffing]
