@@ -34,6 +34,7 @@ from .period import (
     period_quadratures,
 )
 from .potential import (
+    SEPARATRIX_RTOL,
     barrier_info,
     cubic_potential,
     duffing_potential,
@@ -215,12 +216,9 @@ def _resolve_energy(args, U) -> float:
     a = float(args.amplitude)
     if a <= 0.0:
         raise UsageError(f"amplitude must be positive, got {a}")
-    barrier = barrier_info(U)
-    if barrier.has_barrier and barrier.amplitude_limit is not None:
-        if a >= barrier.amplitude_limit * (1.0 - 1e-12):
-            raise SeparatrixError(
-                f"amplitude {a} at or beyond the limit {barrier.amplitude_limit}"
-            )
+    limit = barrier_info(U).amplitude_limit  # set only beside a barrier
+    if limit is not None and a >= limit * (1.0 - SEPARATRIX_RTOL):
+        raise SeparatrixError(f"amplitude {a} at or beyond the limit {limit}")
     return float(U(a))
 
 
@@ -340,8 +338,6 @@ def cmd_sweep(args, tol, out) -> int:
         raise UsageError(f"sweep bounds must be finite: from {args.start} to {args.stop}")
     if not args.start < args.stop:
         raise UsageError(f"sweep range is degenerate: from {args.start} to {args.stop}")
-    if args.method == "all":
-        raise UsageError("sweep computes one method per run; pick a single method")
     if args.param == "rho" and args.preset != "duffing":
         raise UsageError("--param rho requires the duffing preset")
     if args.log:
@@ -394,6 +390,10 @@ def cmd_sweep(args, tol, out) -> int:
             records[i] = _sweep_error_record(args, grid[i], res)
         else:
             _set_sqrt_rho_T(_set_period(records[i], res))
+    if args.param == "rho":
+        # Each point's well is built at A = 1, so its lam is its rho.
+        for record, value in zip(records, grid.tolist()):
+            record["lambda"] = value
     emit(records, RECORD_FIELDS, args.format, out)
     return 0
 

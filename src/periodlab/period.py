@@ -253,15 +253,19 @@ def _summed_series(N: int, coeffs, step, xi, ratio: float, power=1.0,
     c = coeffs(N)
     terms = []
     total = 0.0
-    for j in range(N + 1):
-        term = c[j] * moment(power)
-        terms.append(term)
-        total += term
-        if (ratio < 1.0 and j > 0
-                and max(abs(term), abs(terms[-2])) < _EARLY_STOP_RTOL * abs(total)):
-            break
-        power = power * step
-    sums = np.cumsum(terms)
+    # An overflowing term needs no warning: the sum is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(N + 1):
+            term = c[j] * moment(power)
+            terms.append(term)
+            total += term
+            if (ratio < 1.0 and j > 0
+                    and max(abs(term), abs(terms[-2])) < _EARLY_STOP_RTOL * abs(total)):
+                break
+            power = power * step
+        sums = np.cumsum(terms)
+    if not math.isfinite(sums[-1]):
+        raise ConvergenceError(f"series partial sum {sums[-1]} is not finite")
     regime = _regime_from_ratio(ratio)
     trunc = _truncation_estimate(terms, ratio)
     converged = regime == CONVERGENT and trunc <= _CONVERGED_RTOL * abs(sums[-1])

@@ -43,9 +43,13 @@ class PolynomialPotential:
     the physical scaling used to build the dimensionless form; they do not
     enter any evaluation except the final conversion of periods to time.
 
-    The derivative coefficients, critical points, barrier, symmetry and
-    canonical-quartic tag are computed on first use and cached on the
-    instance; ``coeffs`` is read-only, so they cannot go stale.
+    Construction derives, once, all the well's shells need that takes no
+    eigensolve: ``slope_coeffs`` and ``curvature_coeffs``, the read-only
+    coefficients of U' and U''; ``is_symmetric``, true when U(-x) = U(x) and
+    the minimum sits at 0; and ``duffing_lambda``, the ``lam`` of the
+    canonical quartic ``x^2/2 + lam x^4/4`` (0 for the harmonic well), None
+    for any other well.  The critical points and the barrier are solved on
+    first use and cached.  ``coeffs`` is read-only, so nothing goes stale.
     """
 
     coeffs: np.ndarray
@@ -55,23 +59,31 @@ class PolynomialPotential:
 
     def __post_init__(self):
         c = as_coeffs(self.coeffs)
-        object.__setattr__(self, "coeffs", c)
         _require_positive("mass", self.mass)
         _require_positive("omega0", self.omega0)
-        _require_potential_coeffs(c)
+        du, d2u = _derivatives(c)
+        for name, value in (("coeffs", c), ("slope_coeffs", du), ("curvature_coeffs", d2u)):
+            object.__setattr__(self, name, value)
+        x0 = self.minimum_x
         scale = max(1.0, float(np.max(np.abs(c))))
-        if abs(self(self.minimum_x)) > 1e-8 * scale:
+        if abs(self(x0)) > 1e-8 * scale:
             raise DomainError(
-                f"U(minimum_x) = {self(self.minimum_x)!r} is not zero; "
+                f"U(minimum_x) = {self(x0)!r} is not zero; "
                 "shift the coefficients so the reference minimum has zero potential"
             )
-        if abs(self.slope(self.minimum_x)) > 1e-8 * scale:
-            raise DomainError(f"minimum_x={self.minimum_x} is not a critical point")
-        if not self.curvature(self.minimum_x) > 0.0:
+        if abs(self.slope(x0)) > 1e-8 * scale:
+            raise DomainError(f"minimum_x={x0} is not a critical point")
+        if not self.curvature(x0) > 0.0:
             raise NoMinimumError(
-                f"U''({self.minimum_x}) = {self.curvature(self.minimum_x)} <= 0: "
-                "reference point is not a local minimum"
+                f"U''({x0}) = {self.curvature(x0)} <= 0: reference point is not a local minimum"
             )
+        tol = _PATTERN_RTOL * scale
+        symmetric = bool(abs(x0) <= 1e-14 and np.all(np.abs(c[1::2]) <= tol))
+        lam = None
+        if symmetric and c.size in (3, 5) and abs(c[0]) <= tol and abs(c[2] - 0.5) <= tol:
+            lam = 4.0 * float(c[4]) if c.size == 5 else 0.0
+        object.__setattr__(self, "is_symmetric", symmetric)
+        object.__setattr__(self, "duffing_lambda", lam)
 
     def __call__(self, x):
         return npoly.polyval(x, self.coeffs)
@@ -83,16 +95,6 @@ class PolynomialPotential:
     def curvature(self, x):
         """Second derivative U''(x)."""
         return npoly.polyval(x, self.curvature_coeffs)
-
-    @cached_property
-    def slope_coeffs(self) -> np.ndarray:
-        """Coefficients of U'."""
-        return as_coeffs(derivative(self.coeffs))
-
-    @cached_property
-    def curvature_coeffs(self) -> np.ndarray:
-        """Coefficients of U''."""
-        return as_coeffs(derivative(self.slope_coeffs))
 
     @cached_property
     def critical_points(self) -> np.ndarray:
@@ -109,14 +111,11 @@ class PolynomialPotential:
     @cached_property
     def barrier(self) -> "BarrierInfo":
         """The finite barriers bounding the reference well, if any."""
-        below = [c for c in self.critical_points if c < self.minimum_x - 1e-14]
-        above = [c for c in self.critical_points if c > self.minimum_x + 1e-14]
-        candidates = []
-        for side in (max(below) if below else None, min(above) if above else None):
-            if side is None:
-                continue
-            if self.curvature(side) <= 0.0 and self(side) > 0.0:
-                candidates.append((float(self(side)), float(side)))
+        crits, x0 = self.critical_points, self.minimum_x
+        # The critical points next to the minimum, one on each side at most.
+        sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
+        candidates = [(float(self(x)), float(x)) for x in sides
+                      if self.curvature(x) <= 0.0 and self(x) > 0.0]
         if not candidates:
             return BarrierInfo(has_barrier=False)
         energy, x = min(candidates)
@@ -126,38 +125,6 @@ class PolynomialPotential:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
-
-    @cached_property
-    def is_symmetric(self) -> bool:
-        """True when U(-x) = U(x) about x = 0 and the minimum sits at 0."""
-        if abs(self.minimum_x) > 1e-14:
-            return False
-        tol = _PATTERN_RTOL * max(1.0, float(np.max(np.abs(self.coeffs))))
-        return bool(np.all(np.abs(self.coeffs[1::2]) <= tol))
-
-    @cached_property
-    def duffing_lambda(self) -> float | None:
-        """Anharmonicity of the canonical quartic ``x^2/2 + lam x^4/4``; None otherwise.
-
-        The harmonic well counts as ``lam = 0``.
-        """
-        c = self.coeffs
-        if self.degree not in (2, 4) or abs(self.minimum_x) > 1e-14:
-            return None
-        tol = _PATTERN_RTOL * max(1.0, float(np.max(np.abs(c))))
-        if abs(c[0]) > tol or abs(c[1]) > tol or abs(c[2] - 0.5) > tol:
-            return None
-        if self.degree == 2:
-            return 0.0
-        if abs(c[3]) > tol:
-            return None
-        return 4.0 * float(c[4])
-
-    def reflect(self) -> "PolynomialPotential":
-        """The parity image U(-x), with the reference minimum mapped along."""
-        c = self.coeffs.copy()
-        c[1::2] *= -1.0
-        return PolynomialPotential(c, self.mass, self.omega0, -self.minimum_x)
 
 
 @dataclass(frozen=True)
@@ -261,9 +228,7 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     _require_positive("mass", mass)
     _require_positive("omega0", omega0)
     u = as_coeffs(np.asarray(v_coeffs, dtype=float) / (mass * omega0 ** 2))
-    _require_potential_coeffs(u)
-    du = derivative(u)
-    d2u = derivative(du)
+    du, d2u = _derivatives(u)
     crits = _solved(real_roots, du)
     minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
     if not minima:
@@ -309,18 +274,22 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive, got {value}")
 
 
-def _require_potential_coeffs(c: np.ndarray) -> None:
+def _derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only coefficients of U' and U'' of the well with coefficients ``c``."""
     if not np.isfinite(c).all():
         raise DomainError(f"potential coefficients must be finite, got {c.tolist()}")
     if c.size - 1 < 2:
         raise DomainError("potential must have degree >= 2")
-    # The U'' coefficients (k - 1)(k c_k), rounded as the well forms them; each
-    # is finite only if the U' coefficient k c_k is.  Python floats overflow to
-    # inf without a warning.
-    if not all(math.isfinite((k - 1) * (k * x)) for k, x in enumerate(c.tolist())):
+    # U'' is finite only if U' is; the overflow itself needs no warning.
+    with np.errstate(over="ignore"):
+        du = derivative(c)
+        d2u = derivative(du)
+    if not np.isfinite(d2u).all():
         raise DomainError(
             f"the coefficients of U' and U'' must be finite; {c.tolist()} overflows them"
         )
+    du.flags.writeable = d2u.flags.writeable = False
+    return du, d2u
 
 
 def harmonic_potential(mass: float = 1.0, omega0: float = 1.0) -> PolynomialPotential:
@@ -330,8 +299,6 @@ def harmonic_potential(mass: float = 1.0, omega0: float = 1.0) -> PolynomialPote
 
 def duffing_potential(lam: float, mass: float = 1.0, omega0: float = 1.0) -> PolynomialPotential:
     """The canonical quartic well U(x) = x^2/2 + lam x^4/4 (lam = 0 is harmonic)."""
-    if lam == 0.0:
-        return harmonic_potential(mass, omega0)
     return PolynomialPotential(np.array([0.0, 0.0, 0.5, 0.0, lam / 4.0]), mass, omega0)
 
 

@@ -209,6 +209,9 @@ def test_sweep_degenerate_range_is_usage_error():
     code, _ = run_cli("sweep", "--preset", "duffing", "--lambda", "1",
                       "--param", "rho", "--from", "0", "--to", "1", "--steps", "1")
     assert code == 1
+    code, _ = run_cli("sweep", "--preset", "duffing", "--lambda", "1",
+                      "--param", "rho", "--from", "0", "--to", "1", "--steps", "3", "--log")
+    assert code == 1
 
 
 def test_sweep_rho_requires_duffing():
@@ -325,11 +328,12 @@ def test_env_tolerance_override(monkeypatch):
 
 
 def test_env_tolerance_invalid_is_usage_error(monkeypatch):
-    code, _ = run_cli(
-        "period", "--preset", "duffing", "--lambda", "1", "--amplitude", "1",
-        env_tol="not-a-number", monkeypatch=monkeypatch,
-    )
-    assert code == 1
+    for raw in ("not-a-number", "2"):
+        code, _ = run_cli(
+            "period", "--preset", "duffing", "--lambda", "1", "--amplitude", "1",
+            env_tol=raw, monkeypatch=monkeypatch,
+        )
+        assert code == 1
 
 
 def test_no_subcommand_prints_help():
@@ -566,3 +570,52 @@ def test_poly_canonical_quartic_sweep_reports_sqrt_rho_T():
     poly, duffing = json.loads(poly), json.loads(duffing)
     assert all(r["sqrt_rho_T"] == math.sqrt(r["rho"]) * r["T"] for r in poly)
     assert [r["sqrt_rho_T"] for r in poly] == [r["sqrt_rho_T"] for r in duffing]
+
+
+# ---------------------------------------------------------------------------
+# Each sweep point's lambda, series that overflow, and the remaining guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid, lambdas, kinds", [
+    (("--param", "rho", "--from", "0.5", "--to", "2", "--steps", "3"),
+     [0.5, 1.25, 2.0], [None, None, None]),
+    # U'' of the second point's well overflows, so that well cannot be built.
+    (("--param", "rho", "--from", "1", "--to", "1e308", "--steps", "2", "--log"),
+     [1.0, 1e308], [None, "domain"]),
+    (("--param", "energy", "--from", "0.5", "--to", "2", "--steps", "3"),
+     [3.0, 3.0, 3.0], [None, None, None]),
+])
+def test_sweep_records_report_the_lambda_of_their_point(grid, lambdas, kinds):
+    code, out = run_cli("sweep", "--preset", "duffing", "--lambda", "3", *grid,
+                        "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["lambda"] for r in records] == lambdas
+    assert [r["error_kind"] for r in records] == kinds
+
+
+def test_overflowing_series_is_a_numerical_error_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("sweep", "--preset", "duffing", "--param", "rho",
+                            "--from", "-1e300", "--to", "1e300", "--steps", "5",
+                            "--frame", "fixed:1.1", "--method", "series", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["error_kind"] for r in records] == ["domain", "domain", None, "numerical",
+                                                  "numerical"]
+    assert all("not finite" in r["error"] for r in records[3:])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("period", "--preset", "duffing", "--lambda", "1", "--energy", "1e-31"), 2,
+     "domain error: energy 1e-31 below the supported floor"),
+    (("sweep", "--preset", "duffing", "--lambda", "1", "--param", "energy",
+      "--from", "0.1", "--to", "1", "--steps", "3", "--method", "all"), 1,
+     "usage error: argument --method: invalid choice: 'all'"),
+])
+def test_rejected_input_exits_with_its_code_and_one_message(argv, code, message, capsys):
+    assert run_cli(*argv)[0] == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1

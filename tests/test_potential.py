@@ -363,3 +363,26 @@ def test_from_physical_hands_the_well_its_critical_points():
     assert "critical_points" in vars(U)
     assert not U.critical_points.flags.writeable
     assert U.critical_points.tobytes() == real_roots(U.slope_coeffs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# What construction derives
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("U, lam, symmetric", [
+    (harmonic_potential(), 0.0, True),
+    (duffing_potential(-0.0), 0.0, True),
+    (duffing_potential(-0.5), -0.5, True),
+    (from_physical([0.0, 0.0, 1.0, 0.0, 0.25], mass=2.0), 0.5, True),
+    (PolynomialPotential(np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0])), None, True),
+    (cubic_potential(1.0), None, False),
+    (from_physical([0.0, 1.0, 0.5]), None, False),  # the minimum sits at x = -1
+])
+def test_construction_derives_the_derivatives_and_family_tags(U, lam, symmetric):
+    assert {"slope_coeffs", "curvature_coeffs", "is_symmetric", "duffing_lambda"} <= vars(U).keys()
+    assert "barrier" not in vars(U)
+    assert U.duffing_lambda == lam and type(U.duffing_lambda) is type(lam)
+    assert U.is_symmetric is symmetric
+    for got, order in ((U.slope_coeffs, 1), (U.curvature_coeffs, 2)):
+        assert not got.flags.writeable
+        assert got.tobytes() == npoly.polyder(U.coeffs, order).tobytes()
