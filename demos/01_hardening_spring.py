@@ -35,7 +35,7 @@ for n in (0, 1, 2, 5, 10):
     s = pl.duffing_series_balanced(shell.rho, n)
     print(f"{f'series N={n}':<22}{math.sqrt(2) * s.partial_sums[-1]:>22.15f}")
 print(f"{'equation of motion':<22}{oracle.period:>22.15f}"
-      f"   (energy drift {oracle.energy_drift:.1e})")
+      f"   (error estimate {oracle.err_estimate:.1e}, energy drift {oracle.energy_drift:.1e})")
 print()
 
 # The first two truncations are already global: their scaled large-rho limits

@@ -37,6 +37,6 @@ print(f"{'generic series':<18} T = {t_series:.14f} "
       f"({len(series.terms)} terms, regime {series.regime})")
 print(f"{'quadrature':<18} T = {t_quad:.14f}")
 print(f"{'motion oracle':<18} T = {report.period:.14f} "
-      f"(drift {report.energy_drift:.1e})")
+      f"(error estimate {report.err_estimate:.1e}, drift {report.energy_drift:.1e})")
 spread = max(t_series, t_quad, report.period) - min(t_series, t_quad, report.period)
 print(f"max spread: {spread:.2e}")

@@ -288,11 +288,11 @@ def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict
         report = measure_period(U, shell)
         if not report.reliable:
             raise ConvergenceError(
-                "oracle integration unreliable (energy drift or period cap exceeded)"
+                "oracle integration unreliable (energy drift, error bound or period cap exceeded)"
             )
         record["T"] = report.period
         record["Omega"] = 2.0 * math.pi / report.period
-        record["err_estimate"] = report.energy_drift * report.period
+        record["err_estimate"] = report.err_estimate
         return record
     else:
         raise UsageError(f"unknown method {method!r}")

@@ -1,11 +1,13 @@
 """Independent ground truth: direct integration of the equation of motion.
 
 The dimensionless dynamics ``x'' = -U'(x)`` (prime = d/dtau, tau = omega0 t)
-is advanced with the classic fourth-order one-step scheme.  The period is
-measured from velocity zero crossings: starting from rest at the right
-turning point, the first two crossings with the same sign pattern bracket a
-full cycle.  Crossing times are refined with a cubic Hermite interpolant of
-the velocity, consistent with the fourth-order accuracy of the stepper.
+is advanced with the classic fourth-order one-step scheme.  The motion starts
+at rest on the right turning point and is time-reversible, so its first
+velocity zero, on the left turning point, falls at exactly half the period;
+each run stops there.  The crossing time is refined with a cubic Hermite
+interpolant of the velocity, consistent with the fourth-order accuracy of the
+stepper.  Two runs, at steps h and h/2, give the period and a Richardson
+estimate of its error (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
 """
 
 from __future__ import annotations
@@ -21,11 +23,17 @@ from .frame import balanced_frame
 from .potential import EnergyShell, PolynomialPotential, turning_points
 
 DRIFT_TOL = 1e-10
+# A measured period is reliable when its error estimate is within this
+# fraction of it.
+ERR_RTOL = 1e-9
 PERIOD_CAP = 1e6
-_MAX_HALVINGS = 14
+# The coarse step of the first pair, as a fraction of the period estimate.
+_FIRST_STEP = 1.0 / 500.0
+_MAX_PAIRS = 10
 # Practical bound alongside the time cap: sub-separatrix periods diverge only
 # logarithmically, so a run needing this many steps is a separatrix case.
 _MAX_STEPS = 2_000_000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -41,12 +49,20 @@ class TrajectoryState:
 class OracleReport:
     """A measured period with its quality metadata.
 
+    ``err_estimate`` is meant to bound ``|period - T|``: twice the Richardson
+    estimate ``|T_h - T_{h/2}| / 15`` of the pair of runs, plus the
+    shell-conditioning term ``eps * E_b / (E_b - E) * period`` (``eps *
+    period`` without a barrier), the error that rounding of the start point
+    causes near a barrier and that no smaller step removes.
     ``energy_drift`` is the maximum relative excursion of the instantaneous
-    energy over the integrated window; a report is only ``reliable`` when the
-    drift met the requested bound and the period cap was not hit.
+    energy over the fine run.  A report is ``reliable`` when the drift is
+    within ``DRIFT_TOL``, ``err_estimate`` within ``ERR_RTOL * period``, and
+    the period cap was not hit.  ``steps`` counts every step taken, over all
+    runs.
     """
 
     period: float
+    err_estimate: float
     energy_drift: float
     steps: int
     method_order: int
@@ -118,7 +134,7 @@ def _hermite_crossing(v0: float, a0: float, v1: float, a1: float, h: float) -> f
 
 
 def _run(U: PolynomialPotential, x: float, v: float, h: float, max_steps: int,
-         tau_cap: float = math.inf, crossings_wanted: float = 3):
+         tau_cap: float = math.inf, crossings_wanted: float = 1):
     """The RK4 loop: step from ``(x, v)`` until ``crossings_wanted`` velocity zero
     crossings are seen, or stop after ``max_steps`` steps or past ``tau_cap``.
 
@@ -148,6 +164,19 @@ def _run(U: PolynomialPotential, x: float, v: float, h: float, max_steps: int,
     return crossings, xs, vs, steps, capped
 
 
+def _half_run(U: PolynomialPotential, shell: EnergyShell, h: float, tau_cap: float):
+    """One run from rest on ``shell.x_plus`` to the first velocity zero.
+
+    Returns (half_tau, drift, steps), with ``half_tau`` None when the run hit
+    the cap.
+    """
+    crossings, xs, vs, steps, capped = _run(U, shell.x_plus, 0.0, h, _MAX_STEPS, tau_cap)
+    xs, vs = np.array(xs), np.array(vs)
+    energies = 0.5 * vs * vs + npoly.polyval(xs, U.coeffs)
+    drift = float(np.max(np.abs(energies - shell.energy)) / shell.energy)
+    return (None if capped else crossings[0]), drift, steps
+
+
 def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
                    dtau: float | None = None,
                    period_cap: float = PERIOD_CAP) -> OracleReport:
@@ -155,47 +184,61 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
 
     ``energy`` is a number, or the :class:`EnergyShell` of ``U`` at that
     energy, whose turning points are then used as they are instead of being
-    solved again.  The trajectory starts at rest on the right turning point.  With
-    ``dtau=None`` the step starts at a thousandth of the zeroth-order period
-    estimate and is halved until the energy drift is below ``DRIFT_TOL``;
-    passing an explicit ``dtau`` disables the adaptation (useful for
+    solved again.  Each run starts at rest on the right turning point and
+    stops at the first velocity zero, half a period later.  With
+    ``dtau=None`` a pair of runs, at ``h`` = 1/500 of the zeroth-order period
+    estimate and at ``h/2``, gives the fine run's period and its error
+    estimate.  While the fine run's energy drift exceeds ``DRIFT_TOL`` or the
+    estimate exceeds ``ERR_RTOL`` of the period, a new pair runs at a step
+    predicted by the fourth-order error law; refinement stops once the
+    Richardson part is below the conditioning term or fails to shrink
+    eightfold.  Passing an explicit ``dtau`` makes one run at that step, with
+    an infinite error estimate and so ``reliable=False`` (useful for
     convergence studies).  Periods beyond ``period_cap`` time units (or runs
     exceeding the internal step bound) mark the report unreliable instead of
     raising.
     """
     shell = energy if isinstance(energy, EnergyShell) else turning_points(U, energy)
     energy = shell.energy
-    t_estimate = 2.0 * math.pi / balanced_frame(shell).omega
-    h = (t_estimate / 1000.0) if dtau is None else float(dtau)
-    if h <= 0.0:
-        raise DomainError(f"dtau must be positive, got {h}")
-    tau_cap = 1.6 * period_cap * U.omega0
+    tau_cap = 0.55 * period_cap * U.omega0
+    if dtau is not None:
+        if not dtau > 0.0:
+            raise DomainError(f"dtau must be positive, got {dtau}")
+        half, drift, steps = _half_run(U, shell, float(dtau), tau_cap)
+        return _report(U, half, math.inf, drift, steps, reliable=False)
 
-    u_coeffs = U.coeffs
-    attempts = _MAX_HALVINGS if dtau is None else 1
-    drift = math.inf
-    for _ in range(attempts):
-        crossings, xs, vs, steps, capped = _run(U, shell.x_plus, 0.0, h, _MAX_STEPS, tau_cap)
-        xs, vs = np.array(xs), np.array(vs)
-        energies = 0.5 * vs * vs + npoly.polyval(xs, u_coeffs)
-        drift = float(np.max(np.abs(energies - energy)) / energy)
-        if capped:
-            return OracleReport(
-                period=math.inf, energy_drift=drift, steps=steps,
-                method_order=4, half_period=math.inf, reliable=False,
-            )
-        if drift <= DRIFT_TOL or dtau is not None:
+    h = 2.0 * math.pi / balanced_frame(shell).omega * _FIRST_STEP
+    conditioning = _EPS / (1.0 - energy / U.barrier.barrier_energy)
+    steps = 0
+    last = math.inf
+    for _ in range(_MAX_PAIRS):
+        coarse, drift, n = _half_run(U, shell, h, tau_cap)
+        steps += n
+        if coarse is None:
+            return _report(U, None, math.inf, drift, steps, reliable=False)
+        # The drift gate applies to the fine run, whose period is reported.
+        fine, drift, n = _half_run(U, shell, 0.5 * h, tau_cap)
+        steps += n
+        if fine is None:
+            return _report(U, None, math.inf, drift, steps, reliable=False)
+        period = 2.0 * fine
+        richardson = 2.0 * abs(2.0 * coarse - period) / 15.0
+        err = richardson + conditioning * period
+        reliable = drift <= DRIFT_TOL and err <= ERR_RTOL * period
+        # Below the conditioning term, or where a refinement stops shrinking
+        # the estimate, a smaller step buys nothing.
+        if reliable or richardson <= conditioning * period or richardson > last / 8.0:
             break
-        h *= 0.5
+        last = richardson
+        # Drift and error both scale as h^4: aim the failing one at half its bound.
+        excess = max(drift / DRIFT_TOL, richardson / (ERR_RTOL * period))
+        h *= min(0.5, max(0.1, (0.5 / excess) ** 0.25))
+    return _report(U, fine, err / U.omega0, drift, steps, reliable)
 
-    period_tau = crossings[2] - crossings[0]
-    half_tau = crossings[0]
-    reliable = drift <= DRIFT_TOL
+
+def _report(U, half_tau, err, drift, steps, reliable) -> OracleReport:
+    half = math.inf if half_tau is None else half_tau / U.omega0
     return OracleReport(
-        period=period_tau / U.omega0,
-        energy_drift=drift,
-        steps=steps,
-        method_order=4,
-        half_period=half_tau / U.omega0,
-        reliable=bool(reliable),
+        period=2.0 * half, err_estimate=err, energy_drift=drift, steps=steps,
+        method_order=4, half_period=half, reliable=reliable,
     )

@@ -11,7 +11,9 @@ from periodlab import (
     balanced_frame,
     cubic_elliptic,
     cubic_potential,
+    duffing_elliptic,
     duffing_potential,
+    from_physical,
     harmonic_potential,
     integrate,
     measure_period,
@@ -157,3 +159,58 @@ def test_measure_period_reads_the_callers_shell(U, energy, monkeypatch):
 
     monkeypatch.setattr(oracle, "turning_points", unexpected)
     assert measure_period(U, shell) == expected
+
+
+# ---------------------------------------------------------------------------
+# error estimate
+# ---------------------------------------------------------------------------
+
+def _reference_period(U, shell):
+    """The elliptic route where it applies, quadrature otherwise."""
+    if shell.family == "quartic":
+        return duffing_elliptic(shell.rho, U.omega0).T
+    if shell.family == "cubic":
+        return cubic_elliptic(shell, U.omega0).T
+    return period_quadrature(balanced_frame(shell), U.omega0).T
+
+
+_HONEST_CASES = (
+    [pytest.param(duffing_potential(rho), 0.5 + 0.25 * rho, id=f"duffing rho={rho}")
+     for rho in (-0.9, 0.5, 1.0, 10.0)]
+    + [pytest.param(cubic_potential(lam), energy, id=f"cubic lam={lam} E={energy}")
+       for lam in (1.0, -1.0) for energy in (0.03, 0.09, 0.15)]
+    + [pytest.param(from_physical([0.0, 0.0, 0.5, 0.05, 0.1, -0.02, -0.1]), 0.05,
+                    id="sextic")]
+)
+
+
+@pytest.mark.parametrize("U, energy", _HONEST_CASES)
+def test_measure_error_estimate_is_honest(U, energy):
+    shell = turning_points(U, energy)
+    report = measure_period(U, shell)
+    assert report.reliable
+    assert abs(report.period - _reference_period(U, shell)) <= report.err_estimate
+
+
+@pytest.mark.parametrize("lam, energy", [(-0.9999, 0.5 + 0.25 * -0.9999), (-1.0, 0.249999)])
+def test_measure_near_the_barrier_is_honest_or_unreliable(lam, energy):
+    # Close to the barrier the error stops shrinking with the step; the
+    # conditioning term in err_estimate must cover it, or the flag must drop.
+    U = duffing_potential(lam)
+    shell = turning_points(U, energy)
+    report = measure_period(U, shell)
+    error = abs(report.period - duffing_elliptic(shell.rho).T)
+    assert not report.reliable or error <= report.err_estimate
+
+
+def test_measure_stops_at_the_half_period():
+    # A pair of half-period runs at T/500 and T/1000 takes about 750 steps,
+    # against about 1,500 for 1.5 periods at T/1000.
+    assert measure_period(duffing_potential(1.0), 0.75).steps <= 800
+
+
+def test_measure_with_fixed_step_makes_no_error_estimate():
+    report = measure_period(harmonic_potential(), 0.5, dtau=TWO_PI / 200.0)
+    assert math.isinf(report.err_estimate)
+    assert not report.reliable
+    assert report.period == pytest.approx(TWO_PI, rel=1e-8)
