@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from ._poly import as_coeffs
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
 from .frame import balanced_frame, fixed_frame, nayfeh_frame
 from .oracle import measure_period
@@ -35,10 +36,14 @@ from .period import (
 )
 from .potential import (
     SEPARATRIX_RTOL,
+    _derivatives,
+    _require_positive,
     barrier_info,
     cubic_potential,
     duffing_potential,
     from_physical,
+    quartic_barrier,
+    quartic_shells,
     shells,
     turning_points,
 )
@@ -216,10 +221,14 @@ def _resolve_energy(args, U) -> float:
     a = float(args.amplitude)
     if a <= 0.0:
         raise UsageError(f"amplitude must be positive, got {a}")
-    limit = barrier_info(U).amplitude_limit  # set only beside a barrier
+    _check_amplitude(a, barrier_info(U))
+    return float(U(a))
+
+
+def _check_amplitude(a: float, barrier) -> None:
+    limit = barrier.amplitude_limit  # set only beside a barrier
     if limit is not None and a >= limit * (1.0 - SEPARATRIX_RTOL):
         raise SeparatrixError(f"amplitude {a} at or beyond the limit {limit}")
-    return float(U(a))
 
 
 def _problem(args):
@@ -240,13 +249,13 @@ def _blank_record(command: str) -> dict:
     return record
 
 
-def _base_record(command: str, args, U, energy, shell, frame) -> dict:
+def _base_record(command: str, args, coeffs, energy, shell, frame) -> dict:
     record = _blank_record(command)
     record.update(
         preset=args.preset,
-        coeffs=U.coeffs.tolist(),
-        mass=float(U.mass),
-        omega0=float(U.omega0),
+        coeffs=coeffs.tolist(),
+        mass=float(args.mass),
+        omega0=float(args.omega0),
         energy=float(energy),
         frame=args.frame,
     )
@@ -262,28 +271,29 @@ def _base_record(command: str, args, U, energy, shell, frame) -> dict:
     return record
 
 
-def _elliptic_result(U, shell):
+def _elliptic_result(shell, omega0: float):
     if shell.family == "quartic":
-        return duffing_elliptic(shell.rho, U.omega0)
+        return duffing_elliptic(shell.rho, omega0)
     if shell.family == "cubic":
-        return cubic_elliptic(shell, U.omega0)
+        return cubic_elliptic(shell, omega0)
     raise UsageError("elliptic closed form requires the duffing or cubic preset")
 
 
 def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict:
+    """Complete ``record`` by ``method``; only the oracle reads the well ``U``."""
     record["method"] = method
     if method == "quadrature":
-        res = period_quadrature(frame, U.omega0, tol)
+        res = period_quadrature(frame, args.omega0, tol)
     elif method == "series":
         series = best_series(shell, frame, args.N)
-        res = period_from_series(series, U.omega0)
+        res = period_from_series(series, args.omega0)
         record["regime"] = series.regime
         record["N"] = len(series.partial_sums) - 1
         if getattr(args, "show_terms", False):
-            scale = _SQRT2 / U.omega0
+            scale = _SQRT2 / args.omega0
             record["partial_sums"] = [scale * s for s in series.partial_sums]
     elif method == "elliptic":
-        res = _elliptic_result(U, shell)
+        res = _elliptic_result(shell, args.omega0)
     elif method == "oracle":
         report = measure_period(U, shell)
         if not report.reliable:
@@ -316,19 +326,31 @@ def _methods_for(method: str, shell) -> list[str]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[dict]]:
-    """The base record of the point that ``args`` describe, and a copy of it
-    completed by each method that ``method`` selects."""
+def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[dict], int]:
+    """The base record of the point that ``args`` describe, a copy of it
+    completed by each method that ``method`` selects, and the exit status.
+
+    A method that fails gives its own error record, names itself on stderr
+    and sets the exit status of its error; the other methods keep theirs.
+    """
     U, energy, shell, frame = _problem(args)
-    base = _base_record(command, args, U, energy, shell, frame)
-    return base, [_apply_method(dict(base), m, U, shell, frame, args, tol)
-                  for m in _methods_for(method, shell)]
+    base = _base_record(command, args, U.coeffs, energy, shell, frame)
+    records, status = [], 0
+    for m in _methods_for(method, shell):
+        try:
+            records.append(_apply_method(dict(base), m, U, shell, frame, args, tol))
+        except tuple(_ERROR_KINDS) as exc:
+            kind, code = _error_kind(exc)
+            records.append(dict(base, method=m, error=str(exc), error_kind=kind))
+            print(f"{kind} error: {m}: {exc}", file=sys.stderr)
+            status = max(status, code)
+    return base, records, status
 
 
 def cmd_period(args, tol, out) -> int:
-    _, records = _method_records("period", args.method, args, tol)
+    _, records, status = _method_records("period", args.method, args, tol)
     emit(records, RECORD_FIELDS, args.format, out)
-    return 0
+    return status
 
 
 def cmd_sweep(args, tol, out) -> int:
@@ -349,36 +371,21 @@ def cmd_sweep(args, tol, out) -> int:
 
     frame_of = _parse_frame(args.frame)
     records: list = [None] * len(grid)
-    points = []  # (slot, well, energy) of the points whose well was built
-    if args.param == "energy":
-        # One well for the whole grid; a well that cannot be built fails every point.
-        try:
-            U = _build_potential(args)
-        except tuple(_ERROR_KINDS) as exc:
-            records = [_sweep_error_record(args, value, exc) for value in grid]
-        else:
-            points = [(i, U, float(value)) for i, value in enumerate(grid)]
-    else:
-        for i, value in enumerate(grid):
-            try:
-                U = duffing_potential(float(value), args.mass, args.omega0)
-            except tuple(_ERROR_KINDS) as exc:
-                records[i] = _sweep_error_record(args, value, exc)
-            else:
-                # Any (lam, A) with lam A^2 = rho gives the same period; use A = 1.
-                points.append((i, U, float(U(1.0))))
-    found = shells([U for _, U, _ in points], [energy for _, _, energy in points])
+    points_of = _energy_points if args.param == "energy" else _rho_points
+    points, found = points_of(args, grid.tolist(), records)
     quadrature = []  # (slot, frame) of the records the batched quadrature completes
-    for (i, U, energy), shell in zip(points, found):
+    for (i, U, coeffs, energy), shell in zip(points, found):
         try:
             if isinstance(shell, PeriodLabError):
                 raise shell
             frame = frame_of(shell)
-            record = _base_record("sweep", args, U, energy, shell, frame)
+            record = _base_record("sweep", args, coeffs, energy, shell, frame)
             if args.method == "quadrature":
                 record["method"] = "quadrature"
                 quadrature.append((i, frame))
             else:
+                if U is None and args.method == "oracle":
+                    U = duffing_potential(grid[i], args.mass, args.omega0)
                 _apply_method(record, args.method, U, shell, frame, args, tol)
                 _set_sqrt_rho_T(record)
         except tuple(_ERROR_KINDS) as exc:
@@ -391,11 +398,58 @@ def cmd_sweep(args, tol, out) -> int:
         else:
             _set_sqrt_rho_T(_set_period(records[i], res))
     if args.param == "rho":
-        # Each point's well is built at A = 1, so its lam is its rho.
+        # Each point is the well at A = 1, so its lam is its rho.
         for record, value in zip(records, grid.tolist()):
             record["lambda"] = value
     emit(records, RECORD_FIELDS, args.format, out)
     return 0
+
+
+def _energy_points(args, energies, records) -> tuple[list, list]:
+    """The ``(slot, well, coeffs, energy)`` points of an energy grid and their
+    shells.  One well serves the whole grid; a well that cannot be built fills
+    ``records`` with the error of every point."""
+    try:
+        U = _build_potential(args)
+    except tuple(_ERROR_KINDS) as exc:
+        records[:] = [_sweep_error_record(args, value, exc) for value in energies]
+        return [], []
+    return [(i, U, U.coeffs, energy) for i, energy in enumerate(energies)], shells(U, energies)
+
+
+def _rho_points(args, rhos, records) -> tuple[list, list]:
+    """The ``(slot, None, coeffs, energy)`` points of a rho grid and their shells.
+
+    Any (lam, A) with lam A^2 = rho gives the same period, so a point is the
+    canonical quartic with lam = rho at amplitude 1, E = 1/2 + rho/4.  Its
+    shell has a closed form, so no well is built.  A point whose well cannot
+    be built fills its slot of ``records`` with the error, and so does one
+    whose amplitude 1 lies beyond the barrier, where the shell at E is an
+    inner one, of another rho.
+    """
+    try:
+        _require_positive("mass", args.mass)
+        _require_positive("omega0", args.omega0)
+    except DomainError as exc:
+        records[:] = [_sweep_error_record(args, rho, exc) for rho in rhos]
+        return [], []
+    points = []
+    for i, rho in enumerate(rhos):
+        coeffs = as_coeffs([0.0, 0.0, 0.5, 0.0, rho / 4.0])
+        try:
+            _derivatives(coeffs)  # the well's own check: U'' overflows at huge rho
+        except DomainError as exc:
+            records[i] = _sweep_error_record(args, rho, exc)
+        else:
+            points.append((i, None, coeffs, 0.5 + rho / 4.0))
+    found = quartic_shells([rhos[i] for i, *_ in points], [e for *_, e in points])
+    for k, (i, *_) in enumerate(points):
+        if not isinstance(found[k], PeriodLabError):
+            try:
+                _check_amplitude(1.0, quartic_barrier(rhos[i]))
+            except SeparatrixError as exc:
+                found[k] = exc
+    return points, found
 
 
 def _set_sqrt_rho_T(record: dict) -> None:
@@ -421,7 +475,7 @@ def cmd_converge(args, tol, out) -> int:
     series = best_series(shell, frame, args.Nmax)
     t_quad = period_quadrature(frame, U.omega0, tol).T
     scale = _SQRT2 / U.omega0
-    base = _base_record("converge", args, U, energy, shell, frame)
+    base = _base_record("converge", args, U.coeffs, energy, shell, frame)
     rows = [dict(base, regime=series.regime, N=n, I_N=float(i_n), T_N=scale * i_n,
                  abs_dev_quadrature=abs(scale * i_n - t_quad))
             for n, i_n in enumerate(series.partial_sums)]
@@ -435,9 +489,9 @@ def cmd_converge(args, tol, out) -> int:
 
 def cmd_verify(args, tol, out) -> int:
     args.N = max(args.N, 30)
-    base, records = _method_records("verify", "all", args, tol)
+    base, records, status = _method_records("verify", "all", args, tol)
 
-    periods = [r["T"] for r in records]
+    periods = [r["T"] for r in records if r["error"] is None]
     deviation = 0.0
     for i in range(len(periods)):
         for j in range(i + 1, len(periods)):
@@ -447,7 +501,7 @@ def cmd_verify(args, tol, out) -> int:
             )
     records.append(dict(base, method="max-deviation", max_rel_deviation=deviation))
     emit(records, RECORD_FIELDS, args.format, out)
-    return 0 if deviation <= VERIFY_DEVIATION_LIMIT else 3
+    return max(status, 0 if deviation <= VERIFY_DEVIATION_LIMIT else 3)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ from .frame import delta_at  # noqa: F401
 DEFAULT_QUAD_TOL = 1e-13
 _QUAD_N0 = 16
 _QUAD_NMAX = 4096
+# A shell that knows R at its turning points has an integrand accurate to
+# rounding up to the separatrix margin, so it may refine further: enough to
+# converge on every softening-quartic shell outside SEPARATRIX_RTOL.
+_QUAD_NMAX_KNOWN_ENDS = 32768
+# Values of R one array of a trapezoid level holds at most; a level over many
+# rows is evaluated in row chunks of this size.
+_QUAD_CHUNK = 1 << 18
 
 # Series regimes.
 CONVERGENT = "convergent"
@@ -113,11 +120,43 @@ def elliptic_K(m: float) -> float:
 # Nested trapezoid rule in theta
 # ---------------------------------------------------------------------------
 
-def _midpoint_cos(n: int) -> np.ndarray:
-    """``cos((2i - 1) pi / (2n))`` for i = 1..n: ``cos theta`` at the midpoints of
-    n equal intervals of [0, pi], which are also the Gauss-Chebyshev nodes."""
+def _midpoint_theta(n: int) -> np.ndarray:
+    """``(2i - 1) pi / (2n)`` for i = 1..n: the midpoints of n equal intervals
+    of [0, pi]."""
     i = np.arange(1, n + 1)
-    return np.cos((2.0 * i - 1.0) * math.pi / (2.0 * n))
+    return (2.0 * i - 1.0) * math.pi / (2.0 * n)
+
+
+def _midpoint_cos(n: int) -> np.ndarray:
+    """``cos theta`` at the midpoints of n equal intervals of [0, pi], which are
+    also the Gauss-Chebyshev nodes."""
+    return np.cos(_midpoint_theta(n))
+
+
+def _level_sums(coeffs, mid_half, ends, theta: np.ndarray, first: bool):
+    """For each row: the sum of ``1/sqrt(R)`` at the nodes ``theta``, whose two
+    ends weigh 1/2 on the ``first`` level, and, where that sum is not finite,
+    whether R is non-positive at a node.  Rows go in chunks of at most
+    ``_QUAD_CHUNK`` values; each row's sum has the same bits in any chunk."""
+    step = max(1, _QUAD_CHUNK // theta.size)
+    if len(coeffs) > step:
+        parts = [_level_sums(coeffs[lo:lo + step], mid_half[lo:lo + step],
+                             ends[lo:lo + step], theta, first)
+                 for lo in range(0, len(coeffs), step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    known = ~np.isnan(ends[:, 0])
+    if known.all():
+        r = ends[:, :1] + ends[:, 1:] * np.sin(theta) ** 2
+    else:
+        r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * np.cos(theta))
+        if known.any():
+            r[known] = ends[known, :1] + ends[known, 1:] * np.sin(theta) ** 2
+    f = 1.0 / np.sqrt(r)
+    sums = 0.5 * (f[:, 0] + f[:, -1]) + f[:, 1:-1].sum(axis=1) if first else f.sum(axis=1)
+    nonpositive = ~np.isfinite(sums)
+    if nonpositive.any():
+        nonpositive[nonpositive] = (r[nonpositive] <= 0.0).any(axis=1)
+    return sums, nonpositive
 
 
 def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) -> list:
@@ -126,10 +165,14 @@ def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) ->
     Slot ``i`` holds the :class:`PeriodResult` of ``frames[i]``, or the error
     that :func:`period_quadrature` raises for it.  Each level of the trapezoid
     rule evaluates ``1/sqrt(R)`` at its new nodes for every live shell in one
-    array: the residuals are zero-padded at the top to a common degree and go
-    through the Horner steps of ``npoly.polyval``.  A row leaves the live set
-    once two successive levels agree to ``tol`` relative, so every value has
-    the same bits as on its own.
+    array, or in row chunks on the fine levels: the residuals are zero-padded
+    at the top to a common degree and go through the Horner steps of
+    ``npoly.polyval``.  A shell that carries
+    ``residual_at_turning_points`` instead takes ``R = R_end + (R(0) - R_end)
+    sin^2 theta``, which does not cancel at the turning points, and may
+    refine to ``_QUAD_NMAX_KNOWN_ENDS`` nodes instead of ``_QUAD_NMAX``.  A
+    row leaves the live set once two successive levels agree to ``tol``
+    relative, so every value has the same bits as on its own.
     """
     tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
     shells = [f.shell for f in frames]
@@ -140,24 +183,27 @@ def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) ->
     # One (mid, half) row per live shell, for x = mid + half cos theta.
     mid_half = np.array([(0.5 * (s.x_plus + s.x_minus), 0.5 * (s.x_plus - s.x_minus))
                          for s in shells]).reshape(-1, 2)
+    # One (R_end, R(0) - R_end) row per live shell, NaN where R_end is not known.
+    r_ends = [s.residual_at_turning_points for s in shells]
+    ends = np.array([(math.nan, math.nan) if r is None else (r, s.residual[0] - r)
+                     for s, r in zip(shells, r_ends)]).reshape(-1, 2)
+    caps = [_QUAD_NMAX if r is None else _QUAD_NMAX_KNOWN_ENDS for r in r_ends]
     slots = list(range(len(shells)))
     prev = None
     n = _QUAD_N0
-    u = np.cos(np.arange(n + 1) * (math.pi / n))  # the first level includes both ends
-    # A non-positive radicand R makes its row's value inf or NaN; only such
-    # rows are searched for one.
+    theta = np.arange(n + 1) * (math.pi / n)  # the first level includes both ends
+    # A non-positive radicand R makes its row's value inf or NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
         while slots:
-            r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * u)
-            f = 1.0 / np.sqrt(r)
-            if prev is None:  # the ends of [0, pi] weigh 1/2
-                vals = (math.pi / n) * (0.5 * (f[:, 0] + f[:, -1]) + f[:, 1:-1].sum(axis=1))
+            sums, nonpositive = _level_sums(coeffs, mid_half, ends, theta, prev is None)
+            if prev is None:
+                vals = (math.pi / n) * sums
             else:  # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
-                vals = 0.5 * (np.array(prev) + (2.0 * math.pi / n) * f.sum(axis=1))
+                vals = 0.5 * (np.array(prev) + (2.0 * math.pi / n) * sums)
             vals = vals.tolist()
             keep = []
             for j, (i, val) in enumerate(zip(slots, vals)):
-                if not math.isfinite(val) and (r[j] <= 0.0).any():
+                if not math.isfinite(val) and nonpositive[j]:
                     found[i] = SeparatrixError(
                         "non-positive radicand in the period integrand: separatrix shell"
                     )
@@ -168,19 +214,19 @@ def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) ->
                                                   scale * abs(val - prev[j]))
                     except DomainError as exc:
                         found[i] = exc
-                elif n < _QUAD_NMAX:
+                elif n < caps[i]:
                     keep.append(j)
                 else:
                     found[i] = ConvergenceError(
-                        f"theta quadrature did not converge to {tol} within {_QUAD_NMAX} nodes"
+                        f"theta quadrature did not converge to {tol} within {caps[i]} nodes"
                     )
             if len(keep) < len(slots):
                 slots = [slots[j] for j in keep]
                 if not slots:
                     break
-                coeffs, mid_half = coeffs[keep], mid_half[keep]
+                coeffs, mid_half, ends = coeffs[keep], mid_half[keep], ends[keep]
             prev = [vals[j] for j in keep]
-            u = _midpoint_cos(n)
+            theta = _midpoint_theta(n)
             n *= 2
     return found
 

@@ -5,8 +5,13 @@ A well is described by a dimensionless potential ``U(x) = sum_k c_k x**k``
 given energy this module locates the turning points, peels the two simple
 zeros off ``Q(x) = E - U(x)`` to expose the positive residual ``R(x)``, and
 reports barrier/limit metadata for wells that are only locally confining.
-Everything that does not depend on the energy is computed once per well and
-cached on it; :func:`shells` finds the shells of a whole energy grid at once.
+
+A well whose coefficients are exactly the canonical quartic's,
+``x^2/2 + lam x^4/4`` (the harmonic well at lam = 0), has all of this in
+closed form: :func:`quartic_shells` and its barrier solve no polynomial.
+Every other well finds its turning points by companion-matrix eigensolves,
+solved for a whole grid of energies or wells at once by :func:`shells`, and
+computes what does not depend on the energy once per well.
 """
 
 from __future__ import annotations
@@ -48,8 +53,11 @@ class PolynomialPotential:
     coefficients of U' and U''; ``is_symmetric``, true when U(-x) = U(x) and
     the minimum sits at 0; and ``duffing_lambda``, the ``lam`` of the
     canonical quartic ``x^2/2 + lam x^4/4`` (0 for the harmonic well), None
-    for any other well.  The critical points and the barrier are solved on
-    first use and cached.  ``coeffs`` is read-only, so nothing goes stale.
+    for any other well (the tag tolerates rounding in the coefficients).  The
+    barrier is found on first use and cached: in closed form for a well whose
+    coefficients are exactly the canonical quartic's, from the critical
+    points, the zeros of U' solved on first use and cached too, for any
+    other well.  ``coeffs`` is read-only, so nothing goes stale.
     """
 
     coeffs: np.ndarray
@@ -111,6 +119,9 @@ class PolynomialPotential:
     @cached_property
     def barrier(self) -> "BarrierInfo":
         """The finite barriers bounding the reference well, if any."""
+        lam = _closed_form_lambda(self)
+        if lam is not None:
+            return quartic_barrier(lam)
         crits, x0 = self.critical_points, self.minimum_x
         # The critical points next to the minimum, one on each side at most.
         sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
@@ -140,7 +151,12 @@ class EnergyShell:
     ``(R_min, R_max, argmin, argmax)`` over the turning points and those
     critical points, in that order, first index winning a tie.  :func:`shells`
     passes both; when either is not given, both are computed together from
-    ``residual``, by the routine :func:`shells` uses.
+    ``residual``, by the routines :func:`shells` uses.
+    ``residual_at_turning_points``, when set, is ``R(x_minus) = R(x_plus)``
+    of a symmetric shell with an even quadratic residual, known more closely
+    than evaluating ``residual`` there gives: next to the barrier of the
+    softening quartic that evaluation cancels.  The quadrature then takes
+    ``R`` at ``x = A cos theta`` as ``R_end + (R(0) - R_end) sin^2 theta``.
     """
 
     energy: float
@@ -153,6 +169,7 @@ class EnergyShell:
     reflected: bool = False
     residual_critical_points: tuple | None = None
     residual_extrema: tuple | None = None
+    residual_at_turning_points: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "residual", as_coeffs(self.residual))
@@ -160,9 +177,10 @@ class EnergyShell:
         if not self.x_minus < self.x_plus:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
         if self.residual_critical_points is None or self.residual_extrema is None:
-            (crits,), (extrema,) = _residual_geometry(
-                self.residual[None, :], [self.x_minus], [self.x_plus])
-            object.__setattr__(self, "residual_critical_points", crits)
+            residual = self.residual[None, :]
+            crits = _residual_critical_points(residual, [self.x_minus], [self.x_plus])
+            (extrema,) = _residual_extrema(residual, [self.x_minus], [self.x_plus], crits)
+            object.__setattr__(self, "residual_critical_points", crits[0])
             object.__setattr__(self, "residual_extrema", extrema)
 
     @property
@@ -199,6 +217,7 @@ class EnergyShell:
             amplitude=self.amplitude,
             rho=self.rho,
             reflected=not self.reflected,
+            residual_at_turning_points=self.residual_at_turning_points,
         )
 
 
@@ -317,6 +336,32 @@ def barrier_info(U: PolynomialPotential) -> BarrierInfo:
     return U.barrier
 
 
+_NO_BARRIER = BarrierInfo(has_barrier=False)
+
+
+def quartic_barrier(lam: float) -> BarrierInfo:
+    """The barrier of the canonical quartic ``x^2/2 + lam x^4/4``, in closed form.
+
+    Only the softening well (lam < 0) has one: at ``x = +-1/sqrt(-lam)``, of
+    height ``-1/(4 lam)``; ``barrier_x`` is the one at negative x.
+    """
+    if not lam < 0.0:
+        return _NO_BARRIER
+    limit = 1.0 / math.sqrt(-lam)
+    return BarrierInfo(True, barrier_energy=-0.25 / lam, barrier_x=-limit, amplitude_limit=limit)
+
+
+def _closed_form_lambda(U: PolynomialPotential) -> float | None:
+    """The ``lam`` of a well whose coefficients are exactly ``[0, 0, 1/2, 0,
+    lam/4]`` (``[0, 0, 1/2]`` at lam = 0), whose shells and barrier have
+    closed forms; None for any other well, ``duffing_lambda`` included where
+    it matched the pattern only to within rounding."""
+    c = U.coeffs
+    if U.duffing_lambda is None or c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.5:
+        return None
+    return U.duffing_lambda if c.size == 3 or c[3] == 0.0 else None
+
+
 def _check_energy(energy: float, barrier: BarrierInfo) -> None:
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
@@ -350,30 +395,39 @@ def shells(U, energies) -> list:
 
     ``U`` is one well for every energy, or a sequence of one well per energy.
     Slot ``i`` holds the shell at ``energies[i]``, or the error that
-    :func:`turning_points` raises at that energy.  The turning points of all
-    rows whose wells share a degree come from one stacked companion-matrix
-    solve of ``E - U``, the critical points of their residuals from one more,
-    and the U' of the distinct wells not yet solved from one per degree; each
-    shell is bit-identical to the one found on its own.
+    :func:`turning_points` raises at that energy.  Rows of a well whose
+    coefficients are exactly the canonical quartic's take their shells from
+    :func:`quartic_shells` and solve nothing.
+    For the other rows, the turning points of all rows whose wells share a
+    degree come from one stacked companion-matrix solve of ``E - U``, the
+    critical points of their residuals from one more, and the U' of the
+    distinct wells not yet solved from one per degree; each shell is
+    bit-identical to the one found on its own.
     """
     energies = [float(e) for e in energies]
     wells = [U] * len(energies) if isinstance(U, PolynomialPotential) else list(U)
     if len(wells) != len(energies):
         raise ValueError(f"{len(wells)} wells for {len(energies)} energies")
     found: list = [None] * len(energies)
-    barriers = _barriers(wells)
+    lams = [_closed_form_lambda(well) for well in wells]
+    quartic = [i for i, lam in enumerate(lams) if lam is not None]
+    for i, shell in zip(quartic, quartic_shells([lams[i] for i in quartic],
+                                                [energies[i] for i in quartic])):
+        found[i] = shell
+    rest = [i for i, lam in enumerate(lams) if lam is None]
+    barriers = _barriers([wells[i] for i in rest])
     by_degree: dict = {}  # degree of the well -> slots of the rows left to solve
-    for i, (well, energy) in enumerate(zip(wells, energies)):
-        barrier = barriers[id(well)]
+    for i in rest:
+        barrier = barriers[id(wells[i])]
         if isinstance(barrier, ConvergenceError):
             found[i] = barrier
             continue
         try:
-            _check_energy(energy, barrier)
+            _check_energy(energies[i], barrier)
         except DomainError as exc:
             found[i] = exc
         else:
-            by_degree.setdefault(well.degree, []).append(i)
+            by_degree.setdefault(wells[i].degree, []).append(i)
     for slots in by_degree.values():
         _solve_shells(wells, energies, slots, found)
     return found
@@ -414,11 +468,6 @@ def _solve_shells(wells, energies, slots, found) -> None:
     q = -np.array([wells[i].coeffs for i in slots])
     q[:, 0] += [energies[i] for i in slots]
     roots = _solved_rows(q)
-    # The softening quartic has closed-form turning points.
-    lams = [wells[i].duffing_lambda for i in slots]
-    soft = [row for row, lam in enumerate(lams) if lam is not None and lam < 0.0]
-    amplitudes = dict(zip(soft, _softening_amplitudes(
-        [lams[row] for row in soft], q[soft, 0]).tolist()))
 
     bracketed = []  # (slot, row of q, x_minus, x_plus)
     for row, (i, r) in enumerate(zip(slots, roots)):
@@ -439,7 +488,7 @@ def _solve_shells(wells, energies, slots, found) -> None:
         if well.is_symmetric:
             # Companion roots of an even polynomial are symmetric to rounding;
             # averaging pins the parity invariant exactly.
-            half = amplitudes[row] if row in amplitudes else 0.5 * (x_plus - x_minus)
+            half = 0.5 * (x_plus - x_minus)
             x_minus, x_plus = -half, half
         bracketed.append((i, row, x_minus, x_plus))
     if not bracketed:
@@ -449,7 +498,8 @@ def _solve_shells(wells, energies, slots, found) -> None:
     quot, rem_plus = deflate(q[rows], np.array(x_plus))
     quot, rem_minus = deflate(quot, np.array(x_minus))
     residual = -quot
-    crits, extrema = _residual_geometry(residual, x_minus, x_plus)
+    crits = _residual_critical_points(residual, x_minus, x_plus)
+    extrema = _residual_extrema(residual, x_minus, x_plus, crits)
 
     for j, i in enumerate(slots):
         energy = energies[i]
@@ -460,54 +510,116 @@ def _solve_shells(wells, energies, slots, found) -> None:
                 f"{float(rem_minus[j])}) above {tol}"
             )
             continue
-        well = wells[i]
         lo, hi = x_minus[j], x_plus[j]
-        amplitude = hi if well.is_symmetric else None
-        lam = lams[rows[j]]
+        amplitude = hi if wells[i].is_symmetric else None
+        lam = wells[i].duffing_lambda
+        found[i] = _checked_shell(
+            energy=energy,
+            x_minus=lo,
+            x_plus=hi,
+            residual=residual[j],
+            extra_roots=tuple(
+                float(r) for r in roots[rows[j]] if r < lo - 1e-14 or r > hi + 1e-14
+            ),
+            amplitude=amplitude,
+            rho=lam * amplitude ** 2 if (lam is not None and amplitude is not None) else None,
+            residual_critical_points=crits[j],
+            residual_extrema=extrema[j],
+        )
+
+
+def quartic_shells(lams, energies) -> list:
+    """The shells of the canonical quartic ``x^2/2 + lam x^4/4`` at each pair
+    of ``lams`` and ``energies``, in closed form.
+
+    Slot ``i`` holds the shell, or the error that :func:`turning_points`
+    raises for that well and energy.  With ``s = sqrt(1 + 4 lam E)`` the
+    turning points are ``-A`` and ``A``, ``A^2 = 4E/(1 + s)``, and
+    ``E - U = (A^2 - x^2) R`` with ``R = (1 + s)/4 + (lam/4) x^2``, whose
+    critical point is 0 (none at lam = 0).  For lam < 0 the other zeros of
+    ``E - U`` are ``+-2 sqrt(E/-lam)/A``, and the shell carries
+    ``R(+-A) = s/2``, which evaluating R there cancels next to the barrier.
+    No polynomial is solved.
+    """
+    energies = [float(e) for e in energies]
+    found: list = [None] * len(energies)
+    rows = []  # (slot, lam, s/2) of the pairs with an oscillatory band
+    for i, (lam, energy) in enumerate(zip(lams, energies)):
+        lam = float(lam)
         try:
-            shell = EnergyShell(
-                energy=energy,
-                x_minus=lo,
-                x_plus=hi,
-                residual=residual[j],
-                extra_roots=tuple(
-                    float(r) for r in roots[rows[j]] if r < lo - 1e-14 or r > hi + 1e-14
-                ),
-                amplitude=amplitude,
-                rho=lam * amplitude ** 2 if (lam is not None and amplitude is not None) else None,
-                residual_critical_points=crits[j],
-                residual_extrema=extrema[j],
-            )
-            _check_residual_positive(shell)
+            if not math.isfinite(lam):
+                raise DomainError(f"lam must be finite, got {lam}")
+            _check_energy(energy, quartic_barrier(lam))
         except DomainError as exc:
             found[i] = exc
         else:
-            found[i] = shell
+            rows.append((i, lam, _quartic_half_s(lam, energy)))
+    if not rows:
+        return found
+
+    slots, lam, half_s = (list(col) for col in zip(*rows))
+    energy = [energies[i] for i in slots]
+    # (1 + s)/2, and 2 sqrt((E/2)/((1 + s)/2)) is sqrt(4E/(1 + s)), bit for
+    # bit, with neither 4E nor s overflowing.
+    half_sum = np.add(0.5, half_s)
+    amplitude = 2.0 * np.sqrt(np.divide(np.multiply(0.5, energy), half_sum))
+    residual = np.zeros((len(slots), 3))
+    residual[:, 0] = 0.5 * half_sum
+    residual[:, 2] = np.divide(lam, 4.0)
+    crits = [() if c == 0.0 else (0.0,) for c in residual[:, 2].tolist()]
+    extrema = _residual_extrema(residual, -amplitude, amplitude, crits)
+
+    for j, (i, a) in enumerate(zip(slots, amplitude.tolist())):
+        extra, r_end = (), None
+        if lam[j] < 0.0:
+            b = 2.0 * math.sqrt(energy[j] / -lam[j]) / a
+            extra, r_end = (-b, b), half_s[j]
+        found[i] = _checked_shell(
+            energy=energy[j], x_minus=-a, x_plus=a, residual=residual[j], extra_roots=extra,
+            amplitude=a, rho=lam[j] * a ** 2, residual_at_turning_points=r_end,
+            residual_critical_points=crits[j], residual_extrema=extrema[j],
+        )
+    return found
 
 
-def _softening_amplitudes(lams: list, energies: np.ndarray) -> np.ndarray:
-    """The turning point ``A`` of the softening quartic ``x^2/2 + lam x^4/4``
-    (``lam < 0``) at each pair of ``lams`` and ``energies``:
-    ``A^2 = 4E / (1 + sqrt(1 + 4 lam E))``.  Near the barrier ``1 + 4 lam E``
-    cancels, so it is formed exactly in integers and rounded once.
+def _quartic_half_s(lam: float, energy: float) -> float:
+    """``sqrt(1 + 4 lam E)/2``, with ``1 + 4 lam E`` formed exactly in
+    integers and rounded once.
+
+    Near the softening barrier ``1 + 4 lam E`` cancels.  Where it passes the
+    float range, which its root does not, it is rounded scaled by ``2^-1200``.
     """
-    d = [(d_lam * d_e + 4 * n_lam * n_e) / (d_lam * d_e)
-         for (n_lam, d_lam), (n_e, d_e) in zip(map(float.as_integer_ratio, lams),
-                                               map(float.as_integer_ratio, energies.tolist()))]
-    return np.sqrt(4.0 * energies / (1.0 + np.sqrt(d)))
+    (n_lam, d_lam), (n_e, d_e) = lam.as_integer_ratio(), energy.as_integer_ratio()
+    num, den = d_lam * d_e + 4 * n_lam * n_e, d_lam * d_e
+    try:
+        return math.sqrt(num / (den << 2))
+    except OverflowError:
+        return math.sqrt(num / (den << 1202)) * 2.0 ** 600
 
 
-def _residual_geometry(residuals: np.ndarray, x_minus, x_plus) -> tuple[list, list]:
-    """The critical points and extrema of each residual on its shell.
+def _checked_shell(**fields):
+    """The :class:`EnergyShell` of ``fields``, or the :class:`DomainError` that
+    building it raises or that a residual not positive on it gives."""
+    try:
+        shell = EnergyShell(**fields)
+        _check_residual_positive(shell)
+    except DomainError as exc:
+        return exc
+    return shell
 
-    Row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.  Returns
-    the zeros of its R' strictly inside, as an ascending tuple, and
-    ``(R_min, R_max, argmin, argmax)`` over the two turning points and those
-    zeros, in that order, the first index winning a tie.  All rows' R' are
-    solved in one call, and R is evaluated once for the whole stack.
-    """
-    crits = [tuple(float(c) for c in row if lo < c < hi)
-             for row, lo, hi in zip(real_roots_rows(derivative(residuals)), x_minus, x_plus)]
+
+def _residual_critical_points(residuals: np.ndarray, x_minus, x_plus) -> list:
+    """The zeros of each residual's R' strictly inside its shell, as ascending
+    tuples; row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
+    All rows' R' are solved in one call."""
+    return [tuple(float(c) for c in row if lo < c < hi)
+            for row, lo, hi in zip(real_roots_rows(derivative(residuals)), x_minus, x_plus)]
+
+
+def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits) -> list:
+    """``(R_min, R_max, argmin, argmax)`` of each residual over its two turning
+    points and its critical points ``crits``, in that order, the first index
+    winning a tie.  R is evaluated once for the whole stack."""
     # NaN pads the candidate rows to one length.
     candidates = np.full((len(crits), 2 + max(map(len, crits))), np.nan)
     candidates[:, 0] = x_minus
@@ -519,8 +631,8 @@ def _residual_geometry(residuals: np.ndarray, x_minus, x_plus) -> tuple[list, li
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
     i_max = np.where(pad, -np.inf, values).argmax(axis=1)
     rows = np.arange(len(values))
-    return crits, list(zip(values[rows, i_min].tolist(), values[rows, i_max].tolist(),
-                           candidates[rows, i_min].tolist(), candidates[rows, i_max].tolist()))
+    return list(zip(values[rows, i_min].tolist(), values[rows, i_max].tolist(),
+                    candidates[rows, i_min].tolist(), candidates[rows, i_max].tolist()))
 
 
 def _check_residual_positive(shell: EnergyShell) -> None:

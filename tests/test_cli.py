@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import pytest
 
 from periodlab.cli import CONVERGE_FIELDS, RECORD_FIELDS, main
@@ -379,9 +380,10 @@ def test_sweep_numerical_point_becomes_error_record():
 # one well per energy sweep, one parser per process
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("preset, factory", [("duffing", "duffing_potential"),
-                                             ("cubic", "cubic_potential")])
-def test_energy_sweep_builds_and_solves_the_well_once(monkeypatch, preset, factory):
+# The canonical quartic's barrier has a closed form, so its U' is never solved.
+@pytest.mark.parametrize("preset, factory, solves", [("duffing", "duffing_potential", 0),
+                                                     ("cubic", "cubic_potential", 1)])
+def test_energy_sweep_builds_and_solves_the_well_once(monkeypatch, preset, factory, solves):
     import numpy as np
 
     import periodlab.cli as cli
@@ -406,7 +408,7 @@ def test_energy_sweep_builds_and_solves_the_well_once(monkeypatch, preset, facto
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 50 and all(r["error"] == "" for r in rows)
     assert len(wells) == 1
-    assert sum(np.array_equal(c, wells[0].slope_coeffs) for c in solved) == 1
+    assert sum(np.array_equal(c, wells[0].slope_coeffs) for c in solved) == solves
 
 
 def test_sweep_of_a_well_without_minimum_gives_one_record_per_point():
@@ -619,3 +621,84 @@ def test_rejected_input_exits_with_its_code_and_one_message(argv, code, message,
     assert run_cli(*argv)[0] == code
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Rho points in closed form, and failed methods as their own records
+# ---------------------------------------------------------------------------
+
+def test_rho_sweep_point_whose_amplitude_passes_the_barrier_is_a_separatrix(capsys):
+    # Amplitude 1 lies beyond the barrier at 1/sqrt(-rho) for rho < -1; the
+    # shell at E = U(1) would be an inner one, of rho' = -2 - rho.
+    code, out = run_cli("sweep", "--preset", "duffing", "--param", "rho", "--from", "-2.2",
+                        "--to", "-0.9", "--steps", "7", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["error_kind"] for r in records] == ["domain"] + ["separatrix"] * 5 + [None]
+    assert records[0]["error"] == "energy must be positive, got -0.050000000000000044"
+    for r in records[1:6]:
+        assert r["T"] is None and -2.0 < r["rho"] == r["lambda"] < -1.0
+        argv = ["period", "--preset", "duffing", "--lambda", repr(r["rho"]), "--amplitude", "1"]
+        assert run_cli(*argv)[0] == 2
+        assert capsys.readouterr().err == f"separatrix error: {r['error']}\n"
+    _, period = run_cli("period", "--preset", "duffing", "--lambda", repr(records[6]["lambda"]),
+                        "--amplitude", "1", "--format", "json")
+    assert records[6]["T"] == json.loads(period)["T"]
+
+
+def test_tiny_rho_has_the_harmonic_period():
+    code, out = run_cli("sweep", "--preset", "duffing", "--param", "rho", "--from", "1e-120",
+                        "--to", "1e-24", "--steps", "25", "--log", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == 25
+    assert all(r["T"] == pytest.approx(2.0 * math.pi, rel=1e-15) for r in records)
+    code, out = run_cli("period", "--preset", "duffing", "--lambda", "1e-60", "--amplitude", "1",
+                        "--format", "json")
+    assert code == 0 and json.loads(out)["T"] == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+
+# The oracle is unreliable next to the barrier, where the other methods are not.
+NEAR_BARRIER = ("--preset", "duffing", "--lambda", "-0.9999", "--amplitude", "1",
+                "--format", "json")
+ORACLE_MESSAGE = ("oracle integration unreliable "
+                  "(energy drift, error bound or period cap exceeded)")
+
+
+def test_failed_method_is_its_own_record(capsys):
+    code, out = run_cli("period", *NEAR_BARRIER, "--method", "all")
+    assert code == 3
+    records = json.loads(out)
+    assert [r["method"] for r in records] == ["quadrature", "series", "elliptic", "oracle"]
+    assert [r["error_kind"] for r in records] == [None, None, None, "numerical"]
+    assert records[3]["error"] == ORACLE_MESSAGE and records[3]["T"] is None
+    assert records[0]["T"] == pytest.approx(records[2]["T"], rel=1e-13)
+    assert all(r["rho"] == records[0]["rho"] for r in records)
+    assert capsys.readouterr().err == f"numerical error: oracle: {ORACLE_MESSAGE}\n"
+
+
+def test_verify_deviation_covers_the_methods_that_succeeded():
+    code, out = run_cli("verify", *NEAR_BARRIER)
+    assert code == 3
+    *records, deviation = json.loads(out)
+    assert [r["error_kind"] for r in records] == [None, None, None, "numerical"]
+    periods = [r["T"] for r in records[:3]]
+    assert deviation["method"] == "max-deviation"
+    assert deviation["max_rel_deviation"] == max(
+        abs(a - b) / max(abs(a), abs(b)) for a in periods for b in periods)
+
+
+def test_well_matching_the_quartic_only_within_rounding_is_solved_as_it_is():
+    # 0.6 x^2 + 1e12 x^4 is tagged lam = 4e12 (its 0.1 off c2 is within the
+    # pattern tolerance of coefficients of order 1e12), but it is not the
+    # canonical quartic: its shell comes from its own coefficients.
+    code, out = run_cli("period", "--preset", "poly", "--coeffs", "0", "0", "0.6", "0", "1e12",
+                        "--energy", "1e-15", "--method", "quadrature", "--format", "json")
+    assert code == 0
+    c2, c4, energy = mp.mpf(0.6), mp.mpf(1e12), mp.mpf(1e-15)
+    with mp.workdps(40):
+        a2 = (mp.sqrt(c2 ** 2 + 4 * c4 * energy) - c2) / (2 * c4)
+        # E - U = (A^2 - x^2)(c2 + c4 (A^2 + x^2)); x = A sin(phi)
+        ref = 4 * mp.quad(lambda phi: 1 / mp.sqrt(2 * (c2 + c4 * a2 * (1 + mp.sin(phi) ** 2))),
+                          [0, mp.pi / 2])
+        assert abs(json.loads(out)["T"] - ref) <= 1e-13 * ref

@@ -27,9 +27,10 @@ from periodlab import (
     period_quadratures,
     shells,
 )
+import periodlab.period as period
 from periodlab.cli import main
 from periodlab.frame import x_of_theta
-from periodlab.period import _QUAD_N0, _QUAD_NMAX, DEFAULT_QUAD_TOL
+from periodlab.period import _QUAD_N0, _QUAD_NMAX, _QUAD_NMAX_KNOWN_ENDS, DEFAULT_QUAD_TOL
 from periodlab.potential import _check_residual_positive
 
 WELLS = {
@@ -48,21 +49,29 @@ def _cap(U):
     return b.barrier_energy if b.has_barrier else 4.0
 
 
+def _residual_at(shell, theta):
+    """R at x(theta): from R at the turning points, ``R_end + (R(0) - R_end)
+    sin^2 theta``, when the shell carries it, else ``npoly.polyval``."""
+    r_end = shell.residual_at_turning_points
+    if r_end is None:
+        return npoly.polyval(x_of_theta(shell, theta), shell.residual)
+    return r_end + (shell.residual[0] - r_end) * np.sin(theta) ** 2
+
+
 def _scalar_reference(frame, omega0=1.0, tol=None):
-    """One shell by the scalar route: ``npoly.polyval`` at each trapezoid level,
-    ``T_2n = (T_n + (pi/n) * sum of f at the n new midpoints) / 2``."""
+    """One shell by the scalar route: R by :func:`_residual_at` at each trapezoid
+    level, ``T_2n = (T_n + (pi/n) * sum of f at the n new midpoints) / 2``."""
     tol = DEFAULT_QUAD_TOL if tol is None else tol
+    cap = _QUAD_NMAX if frame.shell.residual_at_turning_points is None else _QUAD_NMAX_KNOWN_ENDS
     n = _QUAD_N0
-    r = npoly.polyval(x_of_theta(frame.shell, np.arange(n + 1) * (math.pi / n)),
-                      frame.shell.residual)
+    r = _residual_at(frame.shell, np.arange(n + 1) * (math.pi / n))
     if np.any(r <= 0.0):
         return SeparatrixError
     f = 1.0 / np.sqrt(r)
     prev = (math.pi / n) * (0.5 * (f[0] + f[-1]) + f[1:-1].sum())
-    while n < _QUAD_NMAX:
+    while n < cap:
         i = np.arange(1, n + 1)
-        r = npoly.polyval(x_of_theta(frame.shell, (2.0 * i - 1.0) * math.pi / (2.0 * n)),
-                          frame.shell.residual)
+        r = _residual_at(frame.shell, (2.0 * i - 1.0) * math.pi / (2.0 * n))
         if np.any(r <= 0.0):
             return SeparatrixError
         val = 0.5 * (prev + (math.pi / n) * (1.0 / np.sqrt(r)).sum())
@@ -266,3 +275,18 @@ def test_every_frame_of_a_shell_gives_the_same_bits(name):
         if s.family == "quartic":
             frames.append(nayfeh_frame(s))
         assert len({_bits(period_quadrature(f)) for f in frames}) == 1
+
+
+def test_chunked_levels_keep_every_bit(monkeypatch):
+    # Fine levels go in row chunks; a chunk of a few rows, or of one row once
+    # a level has more nodes than the chunk holds, must not move a bit.
+    frames = []
+    for rho in (-0.95, -0.5, 0.0, 1.0, 1e4):
+        U = duffing_potential(rho)
+        frames += _frames(U, [float(U(1.0))])
+    for U in WELLS.values():
+        frames += _frames(U, [0.3 * _cap(U), 0.9 * _cap(U)])
+    frames += _frames(duffing_potential(-0.7), [0.25 / 0.7 * (1.0 - 1e-9)])
+    whole = [_bits(r) for r in period_quadratures(frames)]
+    monkeypatch.setattr(period, "_QUAD_CHUNK", 40)
+    assert [_bits(r) for r in period_quadratures(frames)] == whole

@@ -45,7 +45,7 @@ RECIPES = {
     # E - U overflows its companion matrix
     "overflow-shell": lambda: from_physical([0.0, 0.0, 1e-320]),
     # U' overflows its companion matrix, so the well has no barrier
-    "overflow-well": lambda: duffing_potential(1e-320),
+    "overflow-well": lambda: cubic_potential(3e-320),
 }
 
 # (recipe, energy); the duffing- barrier sits at E = 1/(4 * 0.7)

@@ -1,10 +1,11 @@
-"""Each polynomial is solved once per CLI call.
+"""Each polynomial is solved once per CLI call, and the canonical quartic not at all.
 
 A well's U', each energy's E - U and each shell's R' are solved by
 ``_poly.real_roots_rows``, which every root finder goes through.  Wrapping it
 where ``_poly`` and ``potential`` look it up records every coefficient row
 solved; within one CLI call, no row of degree >= 1 may come back in a later
-solve.
+solve.  The canonical quartic's shells and barrier have closed forms, so a
+call on the duffing preset solves nothing.
 """
 
 import io
@@ -15,6 +16,7 @@ import pytest
 
 import periodlab._poly as _poly
 import periodlab.potential as potential
+from periodlab import duffing_large_rho_constant
 from periodlab.cli import main
 
 WELLS = {
@@ -52,7 +54,7 @@ def solved(monkeypatch):
 def test_no_polynomial_is_solved_twice_in_one_call(command, well, solved):
     argv = COMMANDS[command][:1] + WELLS[well] + COMMANDS[command][1:]
     assert main(argv + ["--format", "json"], out=io.StringIO()) == 0
-    assert solved
+    assert (solved == []) if well == "duffing" else solved
     seen, again = set(), 0
     for rows in solved:
         again += len(rows & seen)
@@ -72,10 +74,10 @@ def _rho_sweep(*grid):
 
 
 @pytest.mark.parametrize("grid, calls", [
-    # U', E - U and R' of the quartic wells
-    (["--from", "0.01", "--to", "1e3", "--log"], 3),
-    # the harmonic well at rho = 0 solves its own U', E - U and R'
-    (["--from", "-0.75", "--to", "0.75"], 6),
+    # every rho point is a canonical quartic, whose shell has a closed form
+    (["--from", "0.01", "--to", "1e3", "--log"], 0),
+    # the harmonic well at rho = 0 included
+    (["--from", "-0.75", "--to", "0.75"], 0),
 ])
 def test_rho_sweep_solve_calls_do_not_grow_with_the_grid(grid, calls, solved):
     counts = []
@@ -92,16 +94,16 @@ def test_rho_sweep_solve_calls_do_not_grow_with_the_grid(grid, calls, solved):
     assert again == 0
 
 
-def test_rho_sweep_failing_eigensolve_fails_only_its_own_point():
-    # rho = 1e-320 overflows the eigensolve of U'; the next two wells leave no
-    # turning point bracketing the minimum; rho = 1 has a shell.
-    records = _rho_sweep("--from", "1e-320", "--to", "1", "--steps", "4", "--log")
-    assert [r["error_kind"] for r in records] == ["numerical", "domain", "domain", None]
-    assert [r["rho"] for r in records] == [
-        9.9998886718268301e-321, 4.6415543842422231e-214, 2.1544266950263641e-107, 1.0]
-    assert records[0]["error"] == (
-        "companion-matrix eigensolve failed: Array must not contain infs or NaNs")
-    assert [r["error"] for r in records[1:3]] == [
-        "no turning points bracket the minimum at energy 0.5; real roots found: [0.0, 0.0]"] * 2
-    assert records[3]["coeffs"] == [0.0, 0.0, 0.5, 0.0, 0.25]
-    assert records[3]["T"] == pytest.approx(4.7680220291024602, rel=1e-14)
+def test_rho_sweep_failing_point_fails_only_its_own_slot(capsys):
+    # rho = -1.5 puts amplitude 1 beyond the barrier; U'' of the well at
+    # rho = 1e308 overflows; rho = 5e307 has a shell.
+    records = _rho_sweep("--from", "-1.5", "--to", "1e308", "--steps", "3")
+    assert [r["error_kind"] for r in records] == ["separatrix", None, "domain"]
+    assert [r["rho"] for r in records] == [-1.5, 5e307, 1e308]
+    assert main(["period", "--preset", "duffing", "--lambda", "-1.5", "--amplitude", "1"],
+                out=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"separatrix error: {records[0]['error']}\n"
+    assert records[2]["error"] == ("the coefficients of U' and U'' must be finite; "
+                                   "[0.0, 0.0, 0.5, 0.0, 2.5e+307] overflows them")
+    assert records[1]["coeffs"] == [0.0, 0.0, 0.5, 0.0, 1.25e307]
+    assert records[1]["sqrt_rho_T"] == pytest.approx(duffing_large_rho_constant(), rel=1e-13)
