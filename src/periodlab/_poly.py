@@ -60,7 +60,8 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
     """
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A badly scaled row may overflow; its roots then fail the caller's checks.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_POLISH_MAX_ITER):
             if not live.any():
                 break

@@ -10,7 +10,7 @@ A well whose coefficients are exactly the canonical quartic's,
 ``x^2/2 + lam x^4/4`` (the harmonic well at lam = 0), has all of this in
 closed form: :func:`quartic_shells` and its barrier solve no polynomial.
 Every other well finds its turning points by companion-matrix eigensolves,
-solved for a whole grid of energies or wells at once by :func:`shells`, and
+solved for a whole grid of its energies at once by :func:`shells`, and
 computes what does not depend on the energy once per well.
 """
 
@@ -35,7 +35,6 @@ from .errors import (
 # Energies this close (relative) to a barrier are treated as the separatrix.
 SEPARATRIX_RTOL = 1e-12
 
-_PATTERN_RTOL = 1e-12
 _MIN_ENERGY = 1e-30
 
 
@@ -50,14 +49,14 @@ class PolynomialPotential:
 
     Construction derives, once, all the well's shells need that takes no
     eigensolve: ``slope_coeffs`` and ``curvature_coeffs``, the read-only
-    coefficients of U' and U''; ``is_symmetric``, true when U(-x) = U(x) and
-    the minimum sits at 0; and ``duffing_lambda``, the ``lam`` of the
-    canonical quartic ``x^2/2 + lam x^4/4`` (0 for the harmonic well), None
-    for any other well (the tag tolerates rounding in the coefficients).  The
-    barrier is found on first use and cached: in closed form for a well whose
-    coefficients are exactly the canonical quartic's, from the critical
-    points, the zeros of U' solved on first use and cached too, for any
-    other well.  ``coeffs`` is read-only, so nothing goes stale.
+    coefficients of U' and U''; ``is_symmetric``, true when every odd
+    coefficient is 0 and the minimum sits at 0; and ``duffing_lambda``, the
+    ``lam`` of a well whose coefficients are exactly ``[0, 0, 1/2, 0, lam/4]``
+    (``[0, 0, 1/2]`` at lam = 0), None for any other well, one that misses
+    that pattern by rounding included.  The barrier is found on first use and
+    cached: in closed form for a well with ``duffing_lambda`` set, from the
+    critical points, the zeros of U' solved on first use and cached too, for
+    any other well.  ``coeffs`` is read-only, so nothing goes stale.
     """
 
     coeffs: np.ndarray
@@ -85,10 +84,9 @@ class PolynomialPotential:
             raise NoMinimumError(
                 f"U''({x0}) = {self.curvature(x0)} <= 0: reference point is not a local minimum"
             )
-        tol = _PATTERN_RTOL * scale
-        symmetric = bool(abs(x0) <= 1e-14 and np.all(np.abs(c[1::2]) <= tol))
+        symmetric = bool(abs(x0) <= 1e-14 and not c[1::2].any())
         lam = None
-        if symmetric and c.size in (3, 5) and abs(c[0]) <= tol and abs(c[2] - 0.5) <= tol:
+        if symmetric and c.size in (3, 5) and c[0] == 0.0 and c[2] == 0.5:
             lam = 4.0 * float(c[4]) if c.size == 5 else 0.0
         object.__setattr__(self, "is_symmetric", symmetric)
         object.__setattr__(self, "duffing_lambda", lam)
@@ -119,9 +117,8 @@ class PolynomialPotential:
     @cached_property
     def barrier(self) -> "BarrierInfo":
         """The finite barriers bounding the reference well, if any."""
-        lam = _closed_form_lambda(self)
-        if lam is not None:
-            return quartic_barrier(lam)
+        if self.duffing_lambda is not None:
+            return quartic_barrier(self.duffing_lambda)
         crits, x0 = self.critical_points, self.minimum_x
         # The critical points next to the minimum, one on each side at most.
         sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
@@ -133,10 +130,6 @@ class PolynomialPotential:
         limit = abs(x) if self.is_symmetric else None
         return BarrierInfo(True, barrier_energy=energy, barrier_x=x, amplitude_limit=limit)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
 
 @dataclass(frozen=True)
 class EnergyShell:
@@ -144,8 +137,7 @@ class EnergyShell:
 
     ``Q(x) = energy - U(x) = (x_plus - x)(x - x_minus) R(x)`` with ``R > 0``
     on the closed interval between the turning points.  ``extra_roots`` holds
-    any remaining real zeros of Q outside that interval.  ``reflected`` marks
-    shells produced by the parity map from a lam < 0 cubic.
+    any remaining real zeros of Q outside that interval.
     ``residual_critical_points`` holds the zeros of R' strictly between the
     turning points, ascending, and ``residual_extrema`` is
     ``(R_min, R_max, argmin, argmax)`` over the turning points and those
@@ -166,7 +158,6 @@ class EnergyShell:
     extra_roots: tuple = ()
     amplitude: float | None = None
     rho: float | None = None
-    reflected: bool = False
     residual_critical_points: tuple | None = None
     residual_extrema: tuple | None = None
     residual_at_turning_points: float | None = None
@@ -216,7 +207,6 @@ class EnergyShell:
             extra_roots=tuple(-r for r in self.extra_roots),
             amplitude=self.amplitude,
             rho=self.rho,
-            reflected=not self.reflected,
             residual_at_turning_points=self.residual_at_turning_points,
         )
 
@@ -351,17 +341,6 @@ def quartic_barrier(lam: float) -> BarrierInfo:
     return BarrierInfo(True, barrier_energy=-0.25 / lam, barrier_x=-limit, amplitude_limit=limit)
 
 
-def _closed_form_lambda(U: PolynomialPotential) -> float | None:
-    """The ``lam`` of a well whose coefficients are exactly ``[0, 0, 1/2, 0,
-    lam/4]`` (``[0, 0, 1/2]`` at lam = 0), whose shells and barrier have
-    closed forms; None for any other well, ``duffing_lambda`` included where
-    it matched the pattern only to within rounding."""
-    c = U.coeffs
-    if U.duffing_lambda is None or c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.5:
-        return None
-    return U.duffing_lambda if c.size == 3 or c[3] == 0.0 else None
-
-
 def _check_energy(energy: float, barrier: BarrierInfo) -> None:
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
@@ -390,82 +369,44 @@ def turning_points(U: PolynomialPotential, energy: float) -> EnergyShell:
     return shell
 
 
-def shells(U, energies) -> list:
-    """The energy shells at each of ``energies``, solved together.
+def shells(U: PolynomialPotential, energies) -> list:
+    """The energy shells of the well ``U`` at each of ``energies``, solved together.
 
-    ``U`` is one well for every energy, or a sequence of one well per energy.
     Slot ``i`` holds the shell at ``energies[i]``, or the error that
-    :func:`turning_points` raises at that energy.  Rows of a well whose
-    coefficients are exactly the canonical quartic's take their shells from
-    :func:`quartic_shells` and solve nothing.
-    For the other rows, the turning points of all rows whose wells share a
-    degree come from one stacked companion-matrix solve of ``E - U``, the
-    critical points of their residuals from one more, and the U' of the
-    distinct wells not yet solved from one per degree; each shell is
-    bit-identical to the one found on its own.
+    :func:`turning_points` raises at that energy.  A well whose coefficients
+    are exactly the canonical quartic's takes its shells from
+    :func:`quartic_shells` and solves nothing.  Any other well reads its
+    barrier once; the turning points at all its energies come from one
+    stacked companion-matrix solve of ``E - U`` and the critical points of
+    their residuals from one more, and each shell is bit-identical to the one
+    found on its own.
     """
     energies = [float(e) for e in energies]
-    wells = [U] * len(energies) if isinstance(U, PolynomialPotential) else list(U)
-    if len(wells) != len(energies):
-        raise ValueError(f"{len(wells)} wells for {len(energies)} energies")
+    if U.duffing_lambda is not None:
+        return quartic_shells([U.duffing_lambda] * len(energies), energies)
+    try:
+        barrier = U.barrier
+    except ConvergenceError as exc:
+        return [exc] * len(energies)
     found: list = [None] * len(energies)
-    lams = [_closed_form_lambda(well) for well in wells]
-    quartic = [i for i, lam in enumerate(lams) if lam is not None]
-    for i, shell in zip(quartic, quartic_shells([lams[i] for i in quartic],
-                                                [energies[i] for i in quartic])):
-        found[i] = shell
-    rest = [i for i, lam in enumerate(lams) if lam is None]
-    barriers = _barriers([wells[i] for i in rest])
-    by_degree: dict = {}  # degree of the well -> slots of the rows left to solve
-    for i in rest:
-        barrier = barriers[id(wells[i])]
-        if isinstance(barrier, ConvergenceError):
-            found[i] = barrier
-            continue
+    slots = []  # the energies left to solve
+    for i, energy in enumerate(energies):
         try:
-            _check_energy(energies[i], barrier)
+            _check_energy(energy, barrier)
         except DomainError as exc:
             found[i] = exc
         else:
-            by_degree.setdefault(wells[i].degree, []).append(i)
-    for slots in by_degree.values():
-        _solve_shells(wells, energies, slots, found)
+            slots.append(i)
+    if slots:
+        _solve_shells(U, energies, slots, found)
     return found
 
 
-def _barriers(wells) -> dict:
-    """``id(well)`` -> its :class:`BarrierInfo`, or the :class:`ConvergenceError`
-    of its U' solve, for each distinct well of ``wells``.
-
-    The U' of the wells that have not solved it yet go to one stacked solve
-    per degree and are cached on each well; a lone well solves its own.
-    """
-    distinct = {id(w): w for w in wells}
-    pending: dict = {}  # degree -> wells whose critical points are not cached
-    for w in distinct.values():
-        if "critical_points" not in w.__dict__:
-            pending.setdefault(w.degree, []).append(w)
-    barriers = {}
-    for group in pending.values():
-        if len(group) == 1:
-            continue
-        for w, crits in zip(group, _solved_rows(np.array([w.slope_coeffs for w in group]))):
-            if isinstance(crits, ConvergenceError):
-                barriers[id(w)] = crits
-            else:
-                w._keep_critical_points(crits)
-    for key, w in distinct.items():
-        if key not in barriers:
-            try:
-                barriers[key] = w.barrier
-            except ConvergenceError as exc:
-                barriers[key] = exc
-    return barriers
-
-
-def _solve_shells(wells, energies, slots, found) -> None:
-    """Fill ``found[i]`` for each of ``slots``, rows whose wells share a degree."""
-    q = -np.array([wells[i].coeffs for i in slots])
+def _solve_shells(U: PolynomialPotential, energies, slots, found) -> None:
+    """Fill ``found[i]`` for each of ``slots`` with the shell of ``U`` at
+    ``energies[i]``, or its error.  These energies passed :func:`_check_energy`,
+    so a row whose roots bracket no minimum is a failed solve."""
+    q = np.tile(-U.coeffs, (len(slots), 1))
     q[:, 0] += [energies[i] for i in slots]
     roots = _solved_rows(q)
 
@@ -474,18 +415,17 @@ def _solve_shells(wells, energies, slots, found) -> None:
         if isinstance(r, ConvergenceError):
             found[i] = r
             continue
-        well = wells[i]
-        left = r[r < well.minimum_x]
-        right = r[r > well.minimum_x]
+        left = r[r < U.minimum_x]
+        right = r[r > U.minimum_x]
         if left.size == 0 or right.size == 0:
-            found[i] = DomainError(
+            found[i] = ConvergenceError(
                 f"no turning points bracket the minimum at energy {energies[i]}; "
                 f"real roots found: {r.tolist()}"
             )
             continue
         x_minus = float(left.max())
         x_plus = float(right.min())
-        if well.is_symmetric:
+        if U.is_symmetric:
             # Companion roots of an even polynomial are symmetric to rounding;
             # averaging pins the parity invariant exactly.
             half = 0.5 * (x_plus - x_minus)
@@ -511,8 +451,6 @@ def _solve_shells(wells, energies, slots, found) -> None:
             )
             continue
         lo, hi = x_minus[j], x_plus[j]
-        amplitude = hi if wells[i].is_symmetric else None
-        lam = wells[i].duffing_lambda
         found[i] = _checked_shell(
             energy=energy,
             x_minus=lo,
@@ -521,8 +459,7 @@ def _solve_shells(wells, energies, slots, found) -> None:
             extra_roots=tuple(
                 float(r) for r in roots[rows[j]] if r < lo - 1e-14 or r > hi + 1e-14
             ),
-            amplitude=amplitude,
-            rho=lam * amplitude ** 2 if (lam is not None and amplitude is not None) else None,
+            amplitude=hi if U.is_symmetric else None,
             residual_critical_points=crits[j],
             residual_extrema=extrema[j],
         )

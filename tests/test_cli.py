@@ -4,12 +4,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from periodlab.cli import CONVERGE_FIELDS, RECORD_FIELDS, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*argv, env_tol=None, monkeypatch=None):
@@ -689,9 +695,8 @@ def test_verify_deviation_covers_the_methods_that_succeeded():
 
 
 def test_well_matching_the_quartic_only_within_rounding_is_solved_as_it_is():
-    # 0.6 x^2 + 1e12 x^4 is tagged lam = 4e12 (its 0.1 off c2 is within the
-    # pattern tolerance of coefficients of order 1e12), but it is not the
-    # canonical quartic: its shell comes from its own coefficients.
+    # 0.6 x^2 + 1e12 x^4 is not the canonical quartic, though its 0.1 off c2
+    # is small beside 1e12: its shell comes from its own coefficients.
     code, out = run_cli("period", "--preset", "poly", "--coeffs", "0", "0", "0.6", "0", "1e12",
                         "--energy", "1e-15", "--method", "quadrature", "--format", "json")
     assert code == 0
@@ -702,3 +707,43 @@ def test_well_matching_the_quartic_only_within_rounding_is_solved_as_it_is():
         ref = 4 * mp.quad(lambda phi: 1 / mp.sqrt(2 * (c2 + c4 * a2 * (1 + mp.sin(phi) ** 2))),
                           [0, mp.pi / 2])
         assert abs(json.loads(out)["T"] - ref) <= 1e-13 * ref
+
+
+# Wells close to the canonical quartic relative to their largest coefficient;
+# the second is asymmetric, with an odd coefficient small beside 1e12.
+NEAR_QUARTIC_WELLS = [("0", "0", "0.6", "0", "1e12"), ("0", "0", "0.6", "0.9", "1e12")]
+
+
+@pytest.mark.parametrize("coeffs", NEAR_QUARTIC_WELLS)
+def test_wells_near_the_quartic_are_generic_and_every_route_agrees(coeffs):
+    problem = ("--preset", "poly", "--coeffs", *coeffs, "--energy", "1e-15", "--format", "json")
+    code, out = run_cli("period", *problem, "--method", "all")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["method"] for r in records] == ["quadrature", "series", "oracle"]
+    quadrature = records[0]["T"]
+    assert records[1]["T"] == pytest.approx(quadrature, rel=1e-12)
+    assert abs(records[2]["T"] - quadrature) <= records[2]["err_estimate"] * quadrature
+    assert all(r["rho"] is None and r["xi"] is None for r in records)
+    symmetric = coeffs[3] == "0"
+    assert (records[0]["x_minus"] == -records[0]["x_plus"]) is symmetric
+    assert run_cli("verify", *problem)[0] == 0
+
+
+@pytest.mark.parametrize("coeffs", [("0", "0", "0.5", "0.001", "1e-200"),
+                                    ("0", "0", "0.5", "0", "0", "0", "1e-100")])
+def test_shell_solve_that_misses_the_turning_points_is_a_numerical_error(coeffs):
+    # An energy inside the band has turning points; a solve that does not find
+    # them has failed.  Under -W error a warning would end the run instead.
+    argv = ["period", "--preset", "poly", "--coeffs", *coeffs, "--energy", "0.1",
+            "--format", "json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys; from periodlab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error_kind"] == "numerical"
+    assert proc.stderr.startswith("numerical error: no turning points bracket the minimum")
+    assert proc.stderr.count("\n") == 1

@@ -157,7 +157,6 @@ def test_shell_reflect_is_involution():
     back = shell.reflect().reflect()
     assert back.x_minus == pytest.approx(shell.x_minus, rel=1e-15)
     assert np.allclose(back.residual, shell.residual)
-    assert back.reflected is False
     mirrored = shell.reflect()
     xs = np.linspace(shell.x_minus, shell.x_plus, 17)
     assert np.allclose(mirrored.q_at(-xs), shell.q_at(xs), rtol=1e-13)
@@ -377,6 +376,10 @@ def test_from_physical_hands_the_well_its_critical_points():
     (PolynomialPotential(np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0])), None, True),
     (cubic_potential(1.0), None, False),
     (from_physical([0.0, 1.0, 0.5]), None, False),  # the minimum sits at x = -1
+    # The tags are exact: an odd coefficient small beside the others, or a c2
+    # that misses 1/2 by rounding, leaves a generic well.
+    (PolynomialPotential(np.array([0.0, 0.0, 0.6, 0.9, 1e12])), None, False),
+    (from_physical([0.0, 0.0, 0.845, 0.0, 0.4225], omega0=1.3), None, True),
 ])
 def test_construction_derives_the_derivatives_and_family_tags(U, lam, symmetric):
     assert {"slope_coeffs", "curvature_coeffs", "is_symmetric", "duffing_lambda"} <= vars(U).keys()

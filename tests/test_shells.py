@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from periodlab import (
     ConvergenceError,
     DomainError,
+    EnergyShell,
     NoMinimumError,
+    PolynomialPotential,
     SeparatrixError,
     barrier_info,
     cubic_potential,
@@ -102,8 +104,23 @@ def test_grid_across_the_barrier_gives_each_point_its_own_error(name):
             assert s.energy == energy
 
 
-def test_shells_of_no_energies_is_empty():
-    assert shells(WELLS["sextic"], []) == []
+@pytest.mark.parametrize("name", ["sextic", "duffing-"])
+def test_shells_of_no_energies_is_empty(name):
+    assert shells(WELLS[name], []) == []
+
+
+def test_a_failed_eigensolve_fails_only_its_own_slots():
+    # E - U overflows its companion matrix at E = 1e300 only; the stacked solve
+    # is redone row by row, so the other energies keep their shells.
+    U = PolynomialPotential([0.0, 0.0, 0.5, 0.001, 0.0, 0.0, 1e-10])
+    batch = _assert_same(U, [0.1, 1e300, 2.0])
+    assert [type(s) for s in batch] == [EnergyShell, ConvergenceError, EnergyShell]
+    # U' overflows its companion matrix, so the well has no barrier and every
+    # slot holds that one error.
+    batch = _assert_same(cubic_potential(3e-320), [0.5, -1.0, 0.2])
+    assert [type(s) for s in batch] == [ConvergenceError] * 3
+    assert batch[0] is batch[2]
+    assert str(batch[0]).startswith("companion-matrix eigensolve failed: ")
 
 
 @settings(max_examples=60, deadline=None)
