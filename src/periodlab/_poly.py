@@ -4,6 +4,11 @@ Coefficient arrays are stored low-to-high: ``coeffs[k]`` multiplies ``x**k``.
 The helpers also take one polynomial per row of a 2-D array, so a family of
 polynomials of one degree (``E - U`` over an energy grid) is solved in one go;
 each row gets exactly the arithmetic it would get on its own.
+
+Roots are polished in plain double arithmetic, so a root ends as accurate as
+rounding in the polynomial allows: about 1e-15 relative for a well separated
+root, about ``eps / d`` for two roots ``d`` apart (relative), as the turning
+point and its partner beyond a barrier are.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ import numpy as np
 # Companion-matrix roots with a larger imaginary part (relative to their
 # magnitude) are treated as genuinely complex and dropped.
 _IMAG_TOL = 1e-8
-# Newton stops once its step is within this of max(1, |x|), or after
+# Newton stops once its step is within this of max(1, |x|), or once a step
+# within _POLISH_STALL of max(1, |x|) fails to shrink, or after
 # _POLISH_MAX_ITER steps.
 _POLISH_RTOL = 1e-15
+_POLISH_STALL = float(np.sqrt(np.finfo(float).eps))
 _POLISH_MAX_ITER = 50
 
 
@@ -50,16 +57,24 @@ def _polyval_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
-    """Refine simple real root estimates to ~1e-15 relative accuracy.
+    """Refine simple real root estimates until rounding stops the Newton steps.
 
     ``x0[i]`` estimates a root of the polynomial in row ``i`` of ``coeffs``,
     whose derivative is row ``i`` of ``dcoeffs``.  Each element stops on its
     own: at an exact zero of the polynomial or of its derivative (keeping the
-    current point), or once the Newton step is within ``_POLISH_RTOL`` of
-    ``max(1, |x|)`` (taking that step).
+    current point); once the Newton step is within ``_POLISH_RTOL`` of
+    ``max(1, |x|)`` (taking that step); or once a step within
+    ``_POLISH_STALL`` of it is no smaller than the step before (keeping the
+    current point).  A well separated root ends at about 1e-15 relative.  At
+    a near-double root, next to a barrier, rounding in the polynomial divided
+    by a small derivative leaves steps of about ``eps / d`` relative, ``d``
+    the distance to the other root, that never shrink; the stall stop ends
+    those after a few steps, at that accuracy, which more steps would not
+    improve.
     """
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape, dtype=bool)
+    last = np.full(x.shape, np.inf)
     # A badly scaled row may overflow; its roots then fail the caller's checks.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_POLISH_MAX_ITER):
@@ -69,9 +84,14 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
             df = _polyval_rows(dcoeffs, x)
             step = f / df
             x_new = x - step
-            moved = live & (f != 0.0) & (df != 0.0)
+            size = np.abs(step)
+            scale = np.maximum(1.0, np.abs(x_new))
+            done = size <= _POLISH_RTOL * scale
+            stalled = ~done & (size >= last) & (size <= _POLISH_STALL * scale)
+            moved = live & (f != 0.0) & (df != 0.0) & ~stalled
             x = np.where(moved, x_new, x)
-            live = moved & ~(np.abs(step) <= _POLISH_RTOL * np.maximum(1.0, np.abs(x_new)))
+            live = moved & ~done
+            last = size
     return x
 
 

@@ -70,31 +70,18 @@ class OracleReport:
     reliable: bool
 
 
-def _force_closure(U: PolynomialPotential):
-    # Horner on a plain tuple: called four times per step, so keep it cheap.
-    rev = tuple(float(c) for c in U.slope_coeffs[::-1])
+def _force(U: PolynomialPotential):
+    """``-U'(x)`` as one unrolled Horner expression, compiled once and shared by
+    every run of a measurement.
 
-    def force(x: float) -> float:
-        acc = 0.0
-        for c in rev:
-            acc = acc * x + c
-        return -acc
-
-    return force
-
-
-def _rk4_step(force, x: float, v: float, h: float) -> tuple[float, float]:
-    k1x = v
-    k1v = force(x)
-    k2x = v + 0.5 * h * k1v
-    k2v = force(x + 0.5 * h * k1x)
-    k3x = v + 0.5 * h * k2v
-    k3v = force(x + 0.5 * h * k2x)
-    k4x = v + h * k3v
-    k4v = force(x + h * k3x)
-    x_new = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    v_new = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return x_new, v_new
+    The expression takes the same steps as the loop ``acc = acc * x + c``
+    from ``acc = 0.0`` over the coefficients of U', highest first, so its
+    bits are those of that loop.
+    """
+    expr = "0.0"
+    for c in U.slope_coeffs[::-1].tolist():
+        expr = f"({expr}) * x + {c!r}"
+    return eval(f"lambda x: -({expr})")
 
 
 def integrate(U: PolynomialPotential, state0: TrajectoryState, dtau: float,
@@ -104,7 +91,7 @@ def integrate(U: PolynomialPotential, state0: TrajectoryState, dtau: float,
         raise DomainError(f"dtau must be positive, got {dtau}")
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
-    _, xs, vs, _, _ = _run(U, state0.x, state0.v, dtau, n, crossings_wanted=math.inf)
+    _, xs, vs, _, _ = _run(_force(U), state0.x, state0.v, dtau, n, crossings_wanted=math.inf)
     return [state0] + [TrajectoryState(tau=state0.tau + k * dtau, x=xs[k], v=vs[k])
                        for k in range(1, n + 1)]
 
@@ -133,44 +120,54 @@ def _hermite_crossing(v0: float, a0: float, v1: float, a1: float, h: float) -> f
     return 0.5 * (lo + hi) * h
 
 
-def _run(U: PolynomialPotential, x: float, v: float, h: float, max_steps: int,
+def _run(force, x: float, v: float, h: float, max_steps: int,
          tau_cap: float = math.inf, crossings_wanted: float = 1):
-    """The RK4 loop: step from ``(x, v)`` until ``crossings_wanted`` velocity zero
-    crossings are seen, or stop after ``max_steps`` steps or past ``tau_cap``.
+    """The RK4 loop under ``force``, from :func:`_force`: step from ``(x, v)``
+    until ``crossings_wanted`` velocity zero crossings are seen, or stop after
+    ``max_steps`` steps or past ``tau_cap``.
 
     Returns (crossing_times, xs, vs, steps, capped) with the visited states in
     the lists ``xs`` and ``vs``.
     """
-    force = _force_closure(U)
+    half_h, sixth_h = 0.5 * h, h / 6.0
     tau = 0.0
     xs = [x]
     vs = [v]
     crossings: list[float] = []
     steps = 0
     capped = False
+    # The classic RK4 step; the force at each step's end is the next step's
+    # first stage and the slope of v at a crossing.
+    a = force(x)
     while len(crossings) < crossings_wanted:
         if tau > tau_cap or steps >= max_steps:
             capped = True
             break
-        x_new, v_new = _rk4_step(force, x, v, h)
-        tau_new = tau + h
+        k2x = v + half_h * a
+        k2v = force(x + half_h * v)
+        k3x = v + half_h * k2v
+        k3v = force(x + half_h * k2x)
+        k4x = v + h * k3v
+        k4v = force(x + h * k3x)
+        x_new = x + sixth_h * (v + 2.0 * k2x + 2.0 * k3x + k4x)
+        v_new = v + sixth_h * (a + 2.0 * k2v + 2.0 * k3v + k4v)
+        a_new = force(x_new)
         if v != 0.0 and (v < 0.0) != (v_new < 0.0) and v_new != 0.0:
-            dt = _hermite_crossing(v, force(x), v_new, force(x_new), h)
-            crossings.append(tau + dt)
-        x, v, tau = x_new, v_new, tau_new
+            crossings.append(tau + _hermite_crossing(v, a, v_new, a_new, h))
+        x, v, a, tau = x_new, v_new, a_new, tau + h
         xs.append(x)
         vs.append(v)
         steps += 1
     return crossings, xs, vs, steps, capped
 
 
-def _half_run(U: PolynomialPotential, shell: EnergyShell, h: float, tau_cap: float):
+def _half_run(U: PolynomialPotential, force, shell: EnergyShell, h: float, tau_cap: float):
     """One run from rest on ``shell.x_plus`` to the first velocity zero.
 
     Returns (half_tau, drift, steps), with ``half_tau`` None when the run hit
     the cap.
     """
-    crossings, xs, vs, steps, capped = _run(U, shell.x_plus, 0.0, h, _MAX_STEPS, tau_cap)
+    crossings, xs, vs, steps, capped = _run(force, shell.x_plus, 0.0, h, _MAX_STEPS, tau_cap)
     xs, vs = np.array(xs), np.array(vs)
     energies = 0.5 * vs * vs + npoly.polyval(xs, U.coeffs)
     drift = float(np.max(np.abs(energies - shell.energy)) / shell.energy)
@@ -201,10 +198,11 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
     shell = energy if isinstance(energy, EnergyShell) else turning_points(U, energy)
     energy = shell.energy
     tau_cap = 0.55 * period_cap * U.omega0
+    force = _force(U)
     if dtau is not None:
         if not dtau > 0.0:
             raise DomainError(f"dtau must be positive, got {dtau}")
-        half, drift, steps = _half_run(U, shell, float(dtau), tau_cap)
+        half, drift, steps = _half_run(U, force, shell, float(dtau), tau_cap)
         return _report(U, half, math.inf, drift, steps, reliable=False)
 
     h = 2.0 * math.pi / balanced_frame(shell).omega * _FIRST_STEP
@@ -212,12 +210,12 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
     steps = 0
     last = math.inf
     for _ in range(_MAX_PAIRS):
-        coarse, drift, n = _half_run(U, shell, h, tau_cap)
+        coarse, drift, n = _half_run(U, force, shell, h, tau_cap)
         steps += n
         if coarse is None:
             return _report(U, None, math.inf, drift, steps, reliable=False)
         # The drift gate applies to the fine run, whose period is reported.
-        fine, drift, n = _half_run(U, shell, 0.5 * h, tau_cap)
+        fine, drift, n = _half_run(U, force, shell, 0.5 * h, tau_cap)
         steps += n
         if fine is None:
             return _report(U, None, math.inf, drift, steps, reliable=False)

@@ -196,17 +196,29 @@ class EnergyShell:
         return (self.x_plus - x) * (x - self.x_minus) * self.residual_at(x)
 
     def reflect(self) -> "EnergyShell":
-        """The shell of the parity-image potential: x -> -x."""
+        """The shell of the parity-image potential: x -> -x.
+
+        The critical points of the residual are carried over, negated and
+        reordered, so nothing is solved.  Horner on the mirrored residual at a
+        mirrored point gives exactly the value at the original point, so
+        evaluating the extrema's candidates again only applies the
+        first-index tie rule to their new order.
+        """
         res = self.residual.copy()
         res[1::2] *= -1.0
+        x_minus, x_plus = -self.x_plus, -self.x_minus
+        crits = tuple(-c for c in reversed(self.residual_critical_points))
+        (extrema,) = _residual_extrema(res[None, :], [x_minus], [x_plus], [crits])
         return EnergyShell(
             energy=self.energy,
-            x_minus=-self.x_plus,
-            x_plus=-self.x_minus,
+            x_minus=x_minus,
+            x_plus=x_plus,
             residual=res,
             extra_roots=tuple(-r for r in self.extra_roots),
             amplitude=self.amplitude,
             rho=self.rho,
+            residual_critical_points=crits,
+            residual_extrema=extrema,
             residual_at_turning_points=self.residual_at_turning_points,
         )
 

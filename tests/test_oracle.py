@@ -161,6 +161,19 @@ def test_measure_period_reads_the_callers_shell(U, energy, monkeypatch):
     assert measure_period(U, shell) == expected
 
 
+@pytest.mark.parametrize("U, energy, expected", [
+    (duffing_potential(0.7), 0.5, ("0x1.5306745ba938dp+2", "0x1.fa05765006faap-33", 752)),
+    (cubic_potential(1.0), 0.1, ("0x1.c6c8007ca2135p+2", "0x1.9eed9ee067023p-33", 774)),
+    (from_physical([0.0, 0.0, 0.5, 0.1, -0.05, 0.02, 0.1]), 0.3,
+     ("0x1.9246666ef01b0p+2", "0x1.6ec8eb455559ap-33", 768)),
+])
+def test_measure_period_bits_are_pinned(U, energy, expected):
+    # The stepper's arithmetic is fixed: reordering a stage or a force
+    # evaluation changes these bits.
+    r = measure_period(U, energy)
+    assert (r.period.hex(), r.err_estimate.hex(), r.steps) == expected
+
+
 # ---------------------------------------------------------------------------
 # error estimate
 # ---------------------------------------------------------------------------

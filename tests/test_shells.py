@@ -20,7 +20,8 @@ from periodlab import (
     shells,
     turning_points,
 )
-from periodlab._poly import as_coeffs, deflate, real_roots
+from periodlab import _poly
+from periodlab._poly import as_coeffs, deflate, real_roots, real_roots_rows
 
 WELLS = {
     "duffing+": duffing_potential(0.7),
@@ -140,6 +141,22 @@ def test_shells_match_turning_points_on_random_wells(middle, sextic, lead, fract
     _assert_same(U, [f * cap for f in fractions])
 
 
+@pytest.mark.parametrize("name", ["cubic+", "cubic-", "sextic", "sextic-barrier"])
+def test_reflect_carries_what_a_new_shell_solves(name):
+    # A shell given only the mirrored fields solves R' and its extrema itself.
+    U = WELLS[name]
+    for shell in shells(U, np.linspace(0.05, 0.95, 7) * _cap(U)):
+        mirrored = shell.reflect()
+        scratch = EnergyShell(
+            energy=mirrored.energy, x_minus=mirrored.x_minus, x_plus=mirrored.x_plus,
+            residual=mirrored.residual, extra_roots=mirrored.extra_roots,
+            amplitude=mirrored.amplitude, rho=mirrored.rho,
+        )
+        assert _bits(mirrored) == _bits(scratch)
+        assert ([float(v).hex() for v in mirrored.residual_extrema]
+                == [float(v).hex() for v in scratch.residual_extrema])
+
+
 # ---------------------------------------------------------------------------
 # The array helpers against their one-at-a-time reference
 # ---------------------------------------------------------------------------
@@ -155,6 +172,7 @@ def _reference_real_roots(coeffs, imag_tol=1e-8):
     polished = []
     for x in xs:
         x = float(x)
+        last = np.inf
         for _ in range(50):
             f = npoly.polyval(x, c)
             if f == 0.0:
@@ -164,9 +182,14 @@ def _reference_real_roots(coeffs, imag_tol=1e-8):
                 break
             step = f / df
             x_new = x - step
-            if abs(step) <= 1e-15 * max(1.0, abs(x_new)):
+            scale = max(1.0, abs(x_new))
+            if abs(step) <= 1e-15 * scale:
                 x = x_new
                 break
+            # A step that fails to shrink within sqrt(eps) is rounding noise.
+            if abs(step) >= last and abs(step) <= np.sqrt(np.finfo(float).eps) * scale:
+                break
+            last = abs(step)
             x = x_new
         polished.append(x)
     return np.sort(np.array(polished))
@@ -186,6 +209,29 @@ def _outcome(f, *args):
 @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9))
 def test_real_roots_match_scalar_reference(coeffs):
     assert _outcome(real_roots, coeffs) == _outcome(_reference_real_roots, coeffs)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+def test_polish_stops_at_the_rounding_floor_next_to_the_barrier(gap, monkeypatch):
+    # Next to the barrier x_minus is a near-double root of E - U: rounding in
+    # Q over a small Q' leaves Newton steps that never reach _POLISH_RTOL.
+    U = cubic_potential(1.0)
+    q = -U.coeffs.copy()
+    q[0] += barrier_info(U).barrier_energy * (1.0 - gap)
+    evaluations = []
+    polyval_rows = _poly._polyval_rows
+
+    def counted(coeffs, x):
+        evaluations.append(x.size)
+        return polyval_rows(coeffs, x)
+
+    monkeypatch.setattr(_poly, "_polyval_rows", counted)
+    roots = real_roots_rows(q[None, :])[0]
+    # Two evaluations, Q and Q', per Newton iteration.
+    assert len(evaluations) <= 2 * 8
+    assert roots.size == 3
+    monkeypatch.undo()
+    assert _outcome(real_roots, q) == _outcome(_reference_real_roots, q)
 
 
 @settings(max_examples=100, deadline=None)

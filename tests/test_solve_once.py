@@ -62,6 +62,19 @@ def test_no_polynomial_is_solved_twice_in_one_call(command, well, solved):
     assert again == 0
 
 
+def test_a_reflected_cubic_shell_solves_nothing(solved):
+    # The lam < 0 shell is reflected for the series and elliptic routes.
+    counts = []
+    for lam in ("1", "-1"):
+        solved.clear()
+        argv = ["period", "--preset", "cubic", "--lambda", lam, "--energy", "0.1",
+                "--method", "all"]
+        assert main(argv, out=io.StringIO()) == 0
+        counts.append(len(solved))
+    # U', E - U and the constant R' of the linear residual
+    assert counts == [3, 3]
+
+
 # ---------------------------------------------------------------------------
 # A rho sweep solves its grid of wells in a fixed number of stacked calls
 # ---------------------------------------------------------------------------
