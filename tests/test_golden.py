@@ -12,7 +12,13 @@ rounding, not their own: ``err_estimate`` and ``abs_dev_quadrature`` match
 within ``ULPS`` ulp of the period they are measured against, and
 ``max_rel_deviation`` within ``ULPS`` ulp of 1.
 
-``record_golden.py`` re-records the cases whose argv matches a pattern.
+``data/golden_sweeps.json`` holds sweeps that pin the column-wise sweep
+output: ``table`` energy and rho sweeps, grids with error rows between
+results, and sweeps in every frame.  It is compared the same way; a
+``table`` output, which does not re-parse, is compared as one text.
+
+``record_golden.py`` re-records the cases whose argv matches a pattern, and
+``--add`` records new ones.
 """
 
 import csv
@@ -23,10 +29,11 @@ import re
 
 import pytest
 
-from tests.record_golden import GOLDEN_PATH, record, run_case
+from tests.record_golden import GOLDEN_PATH, SWEEPS_PATH, record, run_case
 
 ULPS = 8
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+SWEEPS = json.loads(SWEEPS_PATH.read_text())
 # field -> the field whose ulp sets its tolerance (None: the ulp of 1)
 DIFFERENCE_OF = {"err_estimate": "T", "abs_dev_quadrature": "T_N", "max_rel_deviation": None}
 _NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.])")
@@ -102,6 +109,25 @@ def test_cli_output_matches_the_golden_set(case):
     assert got["code"] == case["code"]
     assert _same_text(got["stderr"], case["stderr"])
     assert _same_stdout(got["stdout"], case["stdout"], _format(case["argv"]))
+
+
+@pytest.mark.parametrize("case", SWEEPS, ids=[" ".join(c["argv"]) for c in SWEEPS])
+def test_sweep_output_matches_the_golden_sweeps(case):
+    got = run_case(case["argv"])
+    assert got["code"] == case["code"]
+    assert _same_text(got["stderr"], case["stderr"])
+    fmt = _format(case["argv"])
+    if fmt == "table":
+        assert _same_text(got["stdout"], case["stdout"])
+    else:
+        assert _same_stdout(got["stdout"], case["stdout"], fmt)
+
+
+def test_golden_sweeps_cover_every_format_and_error_kind():
+    assert {_format(case["argv"]) for case in SWEEPS} == {"json", "csv", "table"}
+    kinds = {kind for case in SWEEPS for kind in ("separatrix", "domain", "numerical")
+             if kind in case["stdout"]}
+    assert kinds == {"separatrix", "domain", "numerical"}
 
 
 def test_re_recording_an_oracle_free_case_keeps_every_byte(tmp_path):
