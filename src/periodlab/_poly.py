@@ -25,7 +25,6 @@ _POLISH_RTOL = 1e-15
 _POLISH_STALL = float(np.sqrt(np.finfo(float).eps))
 _POLISH_MAX_ITER = 50
 
-
 def as_coeffs(c) -> np.ndarray:
     """Coerce to a read-only float coefficient array, cut after its last nonzero
     coefficient (one zero is kept when all are zero); NaN counts as nonzero."""
@@ -74,11 +73,11 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
     """
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape, dtype=bool)
-    last = np.full(x.shape, np.inf)
+    last = None  # the previous step sizes: no step stalls before there is one
     # A badly scaled row may overflow; its roots then fail the caller's checks.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_POLISH_MAX_ITER):
-            if not live.any():
+            if not np.count_nonzero(live):
                 break
             f = _polyval_rows(coeffs, x)
             df = _polyval_rows(dcoeffs, x)
@@ -87,8 +86,9 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
             size = np.abs(step)
             scale = np.maximum(1.0, np.abs(x_new))
             done = size <= _POLISH_RTOL * scale
-            stalled = ~done & (size >= last) & (size <= _POLISH_STALL * scale)
-            moved = live & (f != 0.0) & (df != 0.0) & ~stalled
+            moved = live & (f != 0.0) & (df != 0.0)
+            if last is not None:
+                moved &= ~((size >= last) & (size <= _POLISH_STALL * scale) & ~done)
             x = np.where(moved, x_new, x)
             live = moved & ~done
             last = size

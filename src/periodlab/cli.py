@@ -4,7 +4,9 @@ Subcommands: ``period``, ``sweep``, ``converge``, ``verify``.  Output formats
 are ``table`` (default, human), ``json`` (one object per record, arrays for
 multi-record output) and ``csv`` (RFC-4180 quoting, fixed column order).
 Every float is serialized with 17 significant digits so records re-parse
-bit-exactly.  Exit codes: 0 success, 1 usage, 2 domain (separatrix/energy),
+bit-exactly.  Output is written a column at a time (:func:`emit`), and a
+quadrature ``sweep`` goes from the shell solve to the output in columns: one
+array per shell, frame and period field, with no object per grid point.  Exit codes: 0 success, 1 usage, 2 domain (separatrix/energy),
 3 numerical non-convergence.  The environment variable ``PERIODLAB_TOL``
 overrides the default 1e-13 quadrature tolerance.
 """
@@ -19,12 +21,22 @@ import math
 import os
 import re
 import sys
+from itertools import repeat
+from operator import is_
 
 import numpy as np
 
-from ._poly import as_coeffs
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
-from .frame import balanced_frame, fixed_frame, nayfeh_frame
+from .frame import (
+    BALANCED,
+    FIXED,
+    NAYFEH,
+    BalancedFrame,
+    balanced_frame,
+    fixed_frame,
+    frame_columns,
+    nayfeh_frame,
+)
 from .oracle import measure_period
 from .period import (
     best_series,
@@ -32,19 +44,18 @@ from .period import (
     duffing_elliptic,
     period_from_series,
     period_quadrature,
-    period_quadratures,
+    quadrature_columns,
 )
 from .potential import (
-    SEPARATRIX_RTOL,
-    _derivatives,
+    ShellColumns,
+    _amplitude_error,
     _require_positive,
     barrier_info,
     cubic_potential,
     duffing_potential,
     from_physical,
-    quartic_barrier,
-    quartic_shells,
-    shells,
+    rho_columns,
+    shell_columns,
     turning_points,
 )
 
@@ -132,8 +143,7 @@ def _json_key(k: str) -> str:
 
 
 def _json_record(record: dict, fields) -> str:
-    parts = [f"{_json_key(k)}: {_json_value(record.get(k))}" for k in fields]
-    return "{" + ", ".join(parts) + "}"
+    return _json_bodies([[record.get(k)] for k in fields], fields)[0]
 
 
 def _cell(v, digits: int) -> str:
@@ -150,9 +160,69 @@ def _cell(v, digits: int) -> str:
     return _text(v, digits)
 
 
-def emit(records: list[dict], fields, fmt: str, out) -> None:
+def _kind(column: list) -> str:
+    """How a column is formatted: ``"one"`` when every cell is one object,
+    ``"float"`` when all cells are floats, ``"lists"`` when all are non-empty
+    lists of one length, which go a position at a time, else ``"cells"``."""
+    first = column[0] if column else None
+    if all(map(is_, column, repeat(first))):
+        return "one"
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return "float"
+    if kinds == {list} and first and len(set(map(len, column))) == 1:
+        return "lists"
+    return "cells"
+
+
+def _cells(column: list, digits: int) -> list[str]:
+    """The csv (17 digits) or table (12 digits) cells of one column."""
+    kind = _kind(column)
+    if kind == "one":
+        return [_cell(column[0], digits)] * len(column)
+    if kind == "float":
+        spec = _FLOAT_SPECS[digits]
+        return [format(v, spec) for v in column]
+    if kind == "lists":
+        return [";".join(row) for row in zip(*(_cells(list(c), digits) for c in zip(*column)))]
+    return [_cell(v, digits) for v in column]
+
+
+def _json_cells(column: list) -> list[str]:
+    kind = _kind(column)
+    if kind == "one":
+        return [_json_value(column[0])] * len(column)
+    if kind == "float":
+        isfinite = math.isfinite
+        return [format(v, ".17g") if isfinite(v) else "null" for v in column]
+    if kind == "lists":
+        return ["[" + ", ".join(row) + "]"
+                for row in zip(*(_json_cells(list(c)) for c in zip(*column)))]
+    return [_json_value(v) for v in column]
+
+
+def _json_bodies(columns: list, fields) -> list[str]:
+    """One JSON object per record of ``columns``, one column per field."""
+    keyed = [[_json_key(k) + ": " + text for text in _json_cells(column)]
+             for k, column in zip(fields, columns)]
+    return ["{" + ", ".join(parts) + "}" for parts in zip(*keyed)]
+
+
+def emit(table, fields, fmt: str, out) -> None:
+    """Write the records of ``table`` to ``out`` in the format ``fmt``.
+
+    ``table`` maps each of ``fields`` to its column, one cell per record, or
+    is a list of record dicts, whose missing fields are None.  Each column is
+    formatted as a whole: a column of one object once, a column of floats by
+    one ``format`` pass.
+    """
+    fields = list(fields)
+    if isinstance(table, dict):
+        columns = [table[k] for k in fields]
+    else:
+        columns = [[r.get(k) for r in table] for k in fields]
     if fmt == "json":
-        bodies = [_json_record(r, fields) for r in records]
+        bodies = _json_bodies(columns, fields)
         if len(bodies) == 1:
             out.write(bodies[0] + "\n")
         else:
@@ -160,39 +230,47 @@ def emit(records: list[dict], fields, fmt: str, out) -> None:
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fields)
-        for r in records:
-            writer.writerow([_cell(r.get(k), 17) for k in fields])
+        writer.writerows(zip(*(_cells(column, 17) for column in columns)))
     else:
-        _emit_table(records, fields, out)
+        _emit_table(columns, fields, out)
 
 
-def _emit_table(records: list[dict], fields, out) -> None:
-    shown = [k for k in fields if any(r.get(k) is not None for r in records)]
-    rows = [[_cell(r.get(k), 12) for k in shown] for r in records]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(shown)]
-    out.write("  ".join(h.ljust(w) for h, w in zip(shown, widths)).rstrip() + "\n")
-    for row in rows:
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+def _emit_table(columns: list, fields, out) -> None:
+    shown = [(h, column) for h, column in zip(fields, columns)
+             if column.count(None) < len(column)]
+    padded = []
+    for h, column in shown:
+        cells = _cells(column, 12)
+        width = max(len(h), *map(len, cells))
+        padded.append([h.ljust(width)] + [c.ljust(width) for c in cells])
+    rows = zip(*padded) if padded else [()]
+    out.write("".join("  ".join(row).rstrip() + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
 # Problem construction
 # ---------------------------------------------------------------------------
 
-def _parse_frame(text: str):
-    """The frame builder that ``text`` names: a function of the shell."""
-    if text == "balanced":
-        return balanced_frame
-    if text == "nayfeh":
-        return nayfeh_frame
+def _parse_frame(text: str) -> tuple[str, float | None]:
+    """The frame strategy that ``text`` names, and the ``fixed`` frame's frequency."""
+    if text in (BALANCED, NAYFEH):
+        return text, None
     if text.startswith("fixed:"):
         try:
-            omega = float(text.split(":", 1)[1])
+            return FIXED, float(text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"cannot parse frame {text!r}; expected fixed:<omega>")
-        return functools.partial(fixed_frame, omega=omega)
     raise UsageError(f"unknown frame {text!r}; expected balanced, nayfeh or fixed:<omega>")
+
+
+def _frame(args, shell):
+    """The frame that ``args`` names on ``shell``."""
+    strategy, omega = _parse_frame(args.frame)
+    if strategy == BALANCED:
+        return balanced_frame(shell)
+    if strategy == NAYFEH:
+        return nayfeh_frame(shell)
+    return fixed_frame(shell, omega)
 
 
 def _build_potential(args):
@@ -221,14 +299,10 @@ def _resolve_energy(args, U) -> float:
     a = float(args.amplitude)
     if a <= 0.0:
         raise UsageError(f"amplitude must be positive, got {a}")
-    _check_amplitude(a, barrier_info(U))
+    error = _amplitude_error(a, barrier_info(U).amplitude_limit)
+    if error is not None:
+        raise error
     return float(U(a))
-
-
-def _check_amplitude(a: float, barrier) -> None:
-    limit = barrier.amplitude_limit  # set only beside a barrier
-    if limit is not None and a >= limit * (1.0 - SEPARATRIX_RTOL):
-        raise SeparatrixError(f"amplitude {a} at or beyond the limit {limit}")
 
 
 def _problem(args):
@@ -236,7 +310,7 @@ def _problem(args):
     U = _build_potential(args)
     energy = _resolve_energy(args, U)
     shell = turning_points(U, energy)
-    return U, energy, shell, _parse_frame(args.frame)(shell)
+    return U, energy, shell, _frame(args, shell)
 
 
 def _optional_float(v):
@@ -368,94 +442,126 @@ def cmd_sweep(args, tol, out) -> int:
         grid = np.geomspace(args.start, args.stop, args.steps)
     else:
         grid = np.linspace(args.start, args.stop, args.steps)
+    strategy, omega = _parse_frame(args.frame)
 
-    frame_of = _parse_frame(args.frame)
-    records: list = [None] * len(grid)
-    points_of = _energy_points if args.param == "energy" else _rho_points
-    points, found = points_of(args, grid.tolist(), records)
-    quadrature = []  # (slot, frame) of the records the batched quadrature completes
-    for (i, U, coeffs, energy), shell in zip(points, found):
-        try:
-            if isinstance(shell, PeriodLabError):
-                raise shell
-            frame = frame_of(shell)
-            record = _base_record("sweep", args, coeffs, energy, shell, frame)
-            if args.method == "quadrature":
-                record["method"] = "quadrature"
-                quadrature.append((i, frame))
-            else:
-                if U is None and args.method == "oracle":
-                    U = duffing_potential(grid[i], args.mass, args.omega0)
-                _apply_method(record, args.method, U, shell, frame, args, tol)
-                _set_sqrt_rho_T(record)
-        except tuple(_ERROR_KINDS) as exc:
-            record = _sweep_error_record(args, grid[i], exc)
-        records[i] = record
-    results = period_quadratures([frame for _, frame in quadrature], args.omega0, tol)
-    for (i, _), res in zip(quadrature, results):
-        if isinstance(res, PeriodLabError):
-            records[i] = _sweep_error_record(args, grid[i], res)
+    values = grid.tolist()
+    U, shells, coeffs = (_energy_shells if args.param == "energy" else _rho_shells)(args, values)
+    error = list(shells.error)
+    rows = shells.slots.tolist()  # the slots with a shell, one row of the columns each
+    try:
+        omega_ref, xi = frame_columns(strategy, shells, omega)
+    except DomainError as exc:
+        for i in rows:
+            error[i] = exc
+        rows, cells = [], {}
+    else:
+        cells = dict(energy=shells.energy, amplitude=shells.amplitude, rho=shells.rho,
+                     omega_ref=omega_ref, xi=xi, x_minus=shells.x_minus, x_plus=shells.x_plus)
+        if args.method == "quadrature":
+            T, Omega, err, failed = quadrature_columns(
+                shells.residual, shells.x_minus, shells.x_plus,
+                shells.residual_at_turning_points, args.omega0, tol)
+            cells.update(T=T, Omega=Omega, err_estimate=err)
         else:
-            _set_sqrt_rho_T(_set_period(records[i], res))
-    if args.param == "rho":
-        # Each point is the well at A = 1, so its lam is its rho.
-        for record, value in zip(records, grid.tolist()):
-            record["lambda"] = value
-    emit(records, RECORD_FIELDS, args.format, out)
+            failed = _method_cells(args, tol, U, values, shells, strategy, cells)
+        for i, exc in zip(rows, failed):
+            if exc is not None:
+                error[i] = exc
+    emit(_sweep_table(args, values, coeffs, error, rows, cells), RECORD_FIELDS, args.format, out)
     return 0
 
 
-def _energy_points(args, energies, records) -> tuple[list, list]:
-    """The ``(slot, well, coeffs, energy)`` points of an energy grid and their
-    shells.  One well serves the whole grid; a well that cannot be built fills
-    ``records`` with the error of every point."""
+def _energy_shells(args, energies) -> tuple:
+    """The well of an energy grid, its shell columns and the coefficients of
+    each slot's well.  A well that cannot be built fails every slot."""
     try:
         U = _build_potential(args)
     except tuple(_ERROR_KINDS) as exc:
-        records[:] = [_sweep_error_record(args, value, exc) for value in energies]
-        return [], []
-    return [(i, U, U.coeffs, energy) for i, energy in enumerate(energies)], shells(U, energies)
+        return None, ShellColumns.failed([exc] * len(energies)), [None] * len(energies)
+    return U, shell_columns(U, energies), [U.coeffs.tolist()] * len(energies)
 
 
-def _rho_points(args, rhos, records) -> tuple[list, list]:
-    """The ``(slot, None, coeffs, energy)`` points of a rho grid and their shells.
-
-    Any (lam, A) with lam A^2 = rho gives the same period, so a point is the
-    canonical quartic with lam = rho at amplitude 1, E = 1/2 + rho/4.  Its
-    shell has a closed form, so no well is built.  A point whose well cannot
-    be built fills its slot of ``records`` with the error, and so does one
-    whose amplitude 1 lies beyond the barrier, where the shell at E is an
-    inner one, of another rho.
-    """
+def _rho_shells(args, rhos) -> tuple:
+    """No well, the shell columns of a rho grid and the coefficients of each
+    slot's well (:func:`rho_columns`); a point builds no well."""
     try:
         _require_positive("mass", args.mass)
         _require_positive("omega0", args.omega0)
     except DomainError as exc:
-        records[:] = [_sweep_error_record(args, rho, exc) for rho in rhos]
-        return [], []
-    points = []
-    for i, rho in enumerate(rhos):
-        coeffs = as_coeffs([0.0, 0.0, 0.5, 0.0, rho / 4.0])
+        return None, ShellColumns.failed([exc] * len(rhos)), [None] * len(rhos)
+    shells, coeffs = rho_columns(rhos)
+    # Cut after the last nonzero coefficient, as a well's coefficients are.
+    # The rows share the objects of the coefficients they have in common, so
+    # that the emitter formats those once.
+    common = coeffs[0, :4].tolist()
+    return None, shells, [[*common, c] if c != 0.0 else common[:3]
+                          for c in coeffs[:, 4].tolist()]
+
+
+def _method_cells(args, tol, U, values, shells, strategy, cells) -> list:
+    """Add to ``cells`` the period fields of each row of ``shells`` by the
+    method of ``args``, from the shell and frame that the row's columns
+    give; returns the error of each row, or None.  Only the oracle reads a
+    well: ``U``, or on a rho grid the point's own."""
+    rows = shells.slots.tolist()
+    found = shells.shells()
+    omega_ref = np.broadcast_to(cells["omega_ref"], len(rows)).tolist()
+    xi = [None] * len(rows) if cells["xi"] is None else cells["xi"].tolist()
+    fields = ("T", "Omega", "err_estimate", "N", "regime")
+    cells.update((k, [None] * len(rows)) for k in fields)
+    failed = [None] * len(rows)
+    for j, i in enumerate(rows):
+        shell, record = found[i], {}
         try:
-            _derivatives(coeffs)  # the well's own check: U'' overflows at huge rho
-        except DomainError as exc:
-            records[i] = _sweep_error_record(args, rho, exc)
+            well = U
+            if well is None and args.method == "oracle":
+                well = duffing_potential(values[i], args.mass, args.omega0)
+            frame = BalancedFrame(shell, omega_ref[j], strategy, xi[j])
+            _apply_method(record, args.method, well, shell, frame, args, tol)
+        except tuple(_ERROR_KINDS) as exc:
+            failed[j] = exc
         else:
-            points.append((i, None, coeffs, 0.5 + rho / 4.0))
-    found = quartic_shells([rhos[i] for i, *_ in points], [e for *_, e in points])
-    for k, (i, *_) in enumerate(points):
-        if not isinstance(found[k], PeriodLabError):
-            try:
-                _check_amplitude(1.0, quartic_barrier(rhos[i]))
-            except SeparatrixError as exc:
-                found[k] = exc
-    return points, found
+            for k in fields:
+                cells[k][j] = record.get(k)
+    return failed
 
 
-def _set_sqrt_rho_T(record: dict) -> None:
-    # rho is set on the shells of the canonical quartic, whatever the preset.
-    if record["rho"] is not None and record["rho"] > 0:
-        record["sqrt_rho_T"] = math.sqrt(record["rho"]) * record["T"]
+def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
+    """The field -> column table of a sweep over the grid ``values``.
+
+    ``cells`` maps fields to their values on ``rows``, the slots with a
+    shell: an array, a list, or one value for all.  A slot whose ``error`` is
+    set holds its error record.
+    """
+    n = len(values)
+    table = {k: [None] * n for k in RECORD_FIELDS}
+    for k, v in (("command", "sweep"), ("preset", args.preset), ("mass", float(args.mass)),
+                 ("omega0", float(args.omega0)), ("frame", args.frame), ("method", args.method),
+                 ("lambda", _optional_float(args.lam))):
+        table[k] = [v] * n
+    table["coeffs"] = list(coeffs)
+    cells = {k: v.tolist() if isinstance(v, np.ndarray)
+             else v if isinstance(v, list) else [v] * len(rows)
+             for k, v in cells.items() if v is not None}
+    if "rho" in cells:
+        # rho is set on the shells of the canonical quartic, whatever the preset.
+        cells["sqrt_rho_T"] = [math.sqrt(r) * t if r > 0.0 and t is not None else None
+                               for r, t in zip(cells["rho"], cells["T"])]
+    if len(rows) == n:
+        table.update(cells)
+    else:
+        for k, column in cells.items():
+            put = table[k]
+            for i, v in zip(rows, column):
+                put[i] = v
+    for i, exc in enumerate(error):
+        if exc is not None:
+            for k, v in _sweep_error_record(args, values[i], exc).items():
+                table[k][i] = v
+    if args.param == "rho":
+        # Each point is the well at A = 1, so its lam is its rho.
+        table["lambda"] = list(values)
+    return table
 
 
 def _sweep_error_record(args, value, exc: PeriodLabError) -> dict:
@@ -594,7 +700,7 @@ def main(argv=None, out=None) -> int:
     except tuple(_ERROR_KINDS) as exc:
         kind, code = _error_kind(exc)
         record = {"command": "error", "error": str(exc), "error_kind": kind}
-        out.write(_json_record(record, record) + "\n")
+        emit([record], record, "json", out)
         print(f"{kind} error: {exc}", file=sys.stderr)
         return code
 

@@ -6,11 +6,14 @@ What remains is the bounded deviation ``Delta = (2R - omega^2)/omega^2`` in
 the angle variable ``x(theta) = mid + half*cos(theta)``.  Choosing
 ``omega^2 = R_max + R_min`` balances the deviation extrema symmetrically
 around zero, which maximizes the convergence domain of the period series.
+
+Each frame's formulas live in :func:`frame_columns`, which takes one shell or
+the :class:`~periodlab.potential.ShellColumns` of a grid; the per-shell
+builders call it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +92,51 @@ def extrema_of_R(shell: EnergyShell) -> tuple[float, float, float, float]:
     return shell.residual_extrema
 
 
-def _closed_form_xi(shell: EnergyShell) -> float | None:
-    if shell.family == "quartic":
-        return shell.rho / (4.0 + 3.0 * shell.rho)
-    if shell.family == "cubic":
-        xp, xm = shell.x_plus, shell.x_minus
-        return (xp ** 2 - xm ** 2) / (xp ** 2 + 4.0 * xp * xm + xm ** 2)
+def _closed_form_xi(shells):
+    if shells.family == "quartic":
+        return shells.rho / (4.0 + 3.0 * shells.rho)
+    if shells.family == "cubic":
+        return _cubic_xi(shells.x_minus, shells.x_plus)
     return None
+
+
+def _cubic_xi(xm, xp):
+    if isinstance(xm, np.ndarray):
+        # ** 2 is C pow, whose rounding numpy's square does not reproduce, so
+        # a column takes the scalar formula row by row.
+        return np.array([_cubic_xi(m, p) for m, p in zip(xm.tolist(), xp.tolist())])
+    return (xp ** 2 - xm ** 2) / (xp ** 2 + 4.0 * xp * xm + xm ** 2)
+
+
+def frame_columns(strategy: str, shells, omega: float | None = None):
+    """``(omega, xi)`` of the frame ``strategy`` on ``shells``.
+
+    ``shells`` is one :class:`EnergyShell`, giving numbers, or the
+    :class:`~periodlab.potential.ShellColumns` of shells of one family, giving
+    one value per shell; ``omega`` is the ``fixed`` frame's frequency, which
+    is the same for every shell.  ``xi`` is None where no closed form
+    applies.  The ``nayfeh`` frame of a shell that is not a canonical
+    quartic, and a ``fixed`` frequency that is not positive, raise
+    :class:`DomainError`.
+    """
+    if strategy == FIXED:
+        _require_positive("omega", omega)
+        return float(omega), None
+    if strategy == NAYFEH and shells.family != "quartic":
+        raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
+    # Like Python floats, columns overflow to inf without a warning.
+    with np.errstate(over="ignore"):
+        if strategy == NAYFEH:
+            rho = shells.rho
+            return np.sqrt(1.0 + rho), rho / (2.0 * rho + 2.0)
+        r_min, r_max = shells.residual_extrema[:2]
+        return np.sqrt(r_min + r_max), _closed_form_xi(shells)
 
 
 def balanced_frame(shell: EnergyShell) -> BalancedFrame:
     """The frame with ``omega^2 = R_max + R_min``, making ``delta_max = -delta_min``."""
-    r_min, r_max = extrema_of_R(shell)[:2]
-    return BalancedFrame(shell, math.sqrt(r_min + r_max), BALANCED, _closed_form_xi(shell))
+    omega, xi = frame_columns(BALANCED, shell)
+    return BalancedFrame(shell, float(omega), BALANCED, xi)
 
 
 def nayfeh_frame(shell: EnergyShell) -> BalancedFrame:
@@ -111,16 +146,14 @@ def nayfeh_frame(shell: EnergyShell) -> BalancedFrame:
     The induced deviation is ``-xi sin^2 theta`` scaled into the standard
     compact integrand; its series diverges for rho in (-1, -2/3).
     """
-    if shell.family != "quartic":
-        raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
-    rho = shell.rho
-    return BalancedFrame(shell, math.sqrt(1.0 + rho), NAYFEH, rho / (2.0 * rho + 2.0))
+    omega, xi = frame_columns(NAYFEH, shell)
+    return BalancedFrame(shell, float(omega), NAYFEH, xi)
 
 
 def fixed_frame(shell: EnergyShell, omega: float) -> BalancedFrame:
     """A user-supplied reference frequency; no closed-form series parameter."""
-    _require_positive("omega", omega)
-    return BalancedFrame(shell, float(omega), FIXED)
+    omega, xi = frame_columns(FIXED, shell, omega)
+    return BalancedFrame(shell, omega, FIXED, xi)
 
 
 def delta_at(frame: BalancedFrame, theta):

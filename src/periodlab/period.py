@@ -163,72 +163,105 @@ def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) ->
     """:func:`period_quadrature` of every frame in ``frames``, evaluated together.
 
     Slot ``i`` holds the :class:`PeriodResult` of ``frames[i]``, or the error
-    that :func:`period_quadrature` raises for it.  Each level of the trapezoid
-    rule evaluates ``1/sqrt(R)`` at its new nodes for every live shell in one
-    array, or in row chunks on the fine levels: the residuals are zero-padded
-    at the top to a common degree and go through the Horner steps of
-    ``npoly.polyval``.  A shell that carries
-    ``residual_at_turning_points`` instead takes ``R = R_end + (R(0) - R_end)
-    sin^2 theta``, which does not cancel at the turning points, and may
-    refine to ``_QUAD_NMAX_KNOWN_ENDS`` nodes instead of ``_QUAD_NMAX``.  A
-    row leaves the live set once two successive levels agree to ``tol``
-    relative, so every value has the same bits as on its own.
+    that :func:`period_quadrature` raises for it.  This is
+    :func:`quadrature_columns` on the frames' shells.
+    """
+    shells = [f.shell for f in frames]
+    residual = np.zeros((len(shells), max((s.residual.size for s in shells), default=1)))
+    for i, s in enumerate(shells):
+        residual[i, :s.residual.size] = s.residual
+    r_end = [s.residual_at_turning_points for s in shells]
+    T, Omega, err, found = quadrature_columns(
+        residual, np.array([s.x_minus for s in shells]), np.array([s.x_plus for s in shells]),
+        np.array([math.nan if r is None else r for r in r_end]), omega0, tol)
+    return [PeriodResult(T=t, Omega=w, method="quadrature", err_estimate=e) if exc is None
+            else exc for t, w, e, exc in zip(T.tolist(), Omega.tolist(), err.tolist(), found)]
+
+
+def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.ndarray,
+                       r_end: np.ndarray, omega0: float = 1.0, tol: float | None = None):
+    """The quadrature periods of a stack of shells, as columns ``(T, Omega,
+    err_estimate, errors)``.
+
+    Row ``i`` is the shell on ``[x_minus[i], x_plus[i]]`` with residual
+    ``residual[i]``, zero-padded at the top to a common degree, and ``R`` at
+    its turning points ``r_end[i]``, NaN where not known.  ``errors[i]`` is
+    the error :func:`period_quadrature` raises for that shell, or None; its
+    row of the other columns is then NaN.
+
+    Each level of the trapezoid rule evaluates ``1/sqrt(R)`` at its new nodes
+    for every live shell in one array, or in row chunks on the fine levels,
+    through the Horner steps of ``npoly.polyval``.  A shell that knows
+    ``R_end`` instead takes ``R = R_end + (R(0) - R_end) sin^2 theta``, which
+    does not cancel at the turning points, and may refine to
+    ``_QUAD_NMAX_KNOWN_ENDS`` nodes instead of ``_QUAD_NMAX``.  A row leaves
+    the live set once two successive levels agree to ``tol`` relative, so
+    every value has the same bits as on its own.
     """
     tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
-    shells = [f.shell for f in frames]
-    found: list = [None] * len(shells)
-    coeffs = np.zeros((len(shells), max((s.residual.size for s in shells), default=1)))
-    for i, s in enumerate(shells):
-        coeffs[i, :s.residual.size] = s.residual
-    # One (mid, half) row per live shell, for x = mid + half cos theta.
-    mid_half = np.array([(0.5 * (s.x_plus + s.x_minus), 0.5 * (s.x_plus - s.x_minus))
-                         for s in shells]).reshape(-1, 2)
-    # One (R_end, R(0) - R_end) row per live shell, NaN where R_end is not known.
-    r_ends = [s.residual_at_turning_points for s in shells]
-    ends = np.array([(math.nan, math.nan) if r is None else (r, s.residual[0] - r)
-                     for s, r in zip(shells, r_ends)]).reshape(-1, 2)
-    caps = [_QUAD_NMAX if r is None else _QUAD_NMAX_KNOWN_ENDS for r in r_ends]
-    slots = list(range(len(shells)))
+    rows = len(x_minus)
+    T, err = np.full(rows, math.nan), np.full(rows, math.nan)
+    found: list = [None] * rows
+    coeffs = residual
+    # One (mid, half) row per live shell, for x = mid + half cos theta, and one
+    # (R_end, R(0) - R_end) row, NaN where R_end is not known.  Like Python
+    # floats, they overflow to inf without a warning.
+    mid_half, ends = np.empty((rows, 2)), np.empty((rows, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid_half[:, 0] = 0.5 * (x_plus + x_minus)
+        mid_half[:, 1] = 0.5 * (x_plus - x_minus)
+        ends[:, 0] = r_end
+        ends[:, 1] = residual[:, 0] - r_end
+    unknown = np.isnan(r_end)
+    caps = np.where(unknown, _QUAD_NMAX, _QUAD_NMAX_KNOWN_ENDS)
+    cap_min = _QUAD_NMAX if unknown.any() else _QUAD_NMAX_KNOWN_ENDS
+    slots = np.arange(rows)
     prev = None
     n = _QUAD_N0
     theta = np.arange(n + 1) * (math.pi / n)  # the first level includes both ends
+    scale = _SQRT2 / omega0
     # A non-positive radicand R makes its row's value inf or NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
-        while slots:
-            sums, nonpositive = _level_sums(coeffs, mid_half, ends, theta, prev is None)
+        while slots.size:
+            # Rows with a non-positive R at a node are separatrix shells.
+            sums, separatrix = _level_sums(coeffs, mid_half, ends, theta, prev is None)
             if prev is None:
                 vals = (math.pi / n) * sums
+                finished = separatrix
             else:  # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
-                vals = 0.5 * (np.array(prev) + (2.0 * math.pi / n) * sums)
-            vals = vals.tolist()
-            keep = []
-            for j, (i, val) in enumerate(zip(slots, vals)):
-                if not math.isfinite(val) and nonpositive[j]:
+                vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
+                change = np.abs(vals - prev)
+                converged = change <= tol * np.maximum(1e-300, np.abs(vals))
+                finished = separatrix | converged
+            if n >= cap_min:
+                finished = finished | (n >= caps[slots])
+            if finished.any():
+                for i in slots[separatrix].tolist():
                     found[i] = SeparatrixError(
-                        "non-positive radicand in the period integrand: separatrix shell"
-                    )
-                elif prev is not None and abs(val - prev[j]) <= tol * max(1e-300, abs(val)):
-                    scale = _SQRT2 / omega0
-                    try:
-                        found[i] = _period_result(scale * val, "quadrature",
-                                                  scale * abs(val - prev[j]))
-                    except DomainError as exc:
-                        found[i] = exc
-                elif n < caps[i]:
-                    keep.append(j)
-                else:
+                        "non-positive radicand in the period integrand: separatrix shell")
+                capped = finished & ~separatrix
+                if prev is not None:
+                    converged &= ~separatrix
+                    capped &= ~converged
+                    T[slots[converged]] = scale * vals[converged]
+                    err[slots[converged]] = scale * change[converged]
+                for i in slots[capped].tolist():
                     found[i] = ConvergenceError(
-                        f"theta quadrature did not converge to {tol} within {caps[i]} nodes"
-                    )
-            if len(keep) < len(slots):
-                slots = [slots[j] for j in keep]
-                if not slots:
+                        f"theta quadrature did not converge to {tol} within {caps[i]} nodes")
+                keep = ~finished
+                slots = slots[keep]
+                if not slots.size:
                     break
-                coeffs, mid_half, ends = coeffs[keep], mid_half[keep], ends[keep]
-            prev = [vals[j] for j in keep]
+                coeffs, mid_half, ends, vals = coeffs[keep], mid_half[keep], ends[keep], vals[keep]
+            prev = vals
             theta = _midpoint_theta(n)
             n *= 2
-    return found
+    for i in np.nonzero(~(T > 0.0))[0].tolist():
+        if found[i] is None:
+            found[i] = DomainError(f"non-positive period {float(T[i])}")
+            T[i] = err[i] = math.nan
+    with np.errstate(over="ignore"):
+        return T, 2.0 * math.pi / T, err, found
 
 
 def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,

@@ -12,6 +12,12 @@ closed form: :func:`quartic_shells` and its barrier solve no polynomial.
 Every other well finds its turning points by companion-matrix eigensolves,
 solved for a whole grid of its energies at once by :func:`shells`, and
 computes what does not depend on the energy once per well.
+
+The shells of a grid are solved and checked as columns: :func:`shell_columns`
+and :func:`rho_columns` return a :class:`ShellColumns`, one array per shell
+field and one error slot per grid point, and every check runs on a whole
+column.  :func:`shells`, :func:`quartic_shells` and :func:`turning_points`
+build their :class:`EnergyShell` objects from those columns.
 """
 
 from __future__ import annotations
@@ -170,9 +176,9 @@ class EnergyShell:
         if self.residual_critical_points is None or self.residual_extrema is None:
             residual = self.residual[None, :]
             crits = _residual_critical_points(residual, [self.x_minus], [self.x_plus])
-            (extrema,) = _residual_extrema(residual, [self.x_minus], [self.x_plus], crits)
+            extrema = _residual_extrema(residual, [self.x_minus], [self.x_plus], crits)
             object.__setattr__(self, "residual_critical_points", crits[0])
-            object.__setattr__(self, "residual_extrema", extrema)
+            object.__setattr__(self, "residual_extrema", tuple(extrema[:, 0].tolist()))
 
     @property
     def family(self) -> str:
@@ -208,7 +214,7 @@ class EnergyShell:
         res[1::2] *= -1.0
         x_minus, x_plus = -self.x_plus, -self.x_minus
         crits = tuple(-c for c in reversed(self.residual_critical_points))
-        (extrema,) = _residual_extrema(res[None, :], [x_minus], [x_plus], [crits])
+        extrema = _residual_extrema(res[None, :], [x_minus], [x_plus], [crits])
         return EnergyShell(
             energy=self.energy,
             x_minus=x_minus,
@@ -218,8 +224,108 @@ class EnergyShell:
             amplitude=self.amplitude,
             rho=self.rho,
             residual_critical_points=crits,
-            residual_extrema=extrema,
+            residual_extrema=tuple(extrema[:, 0].tolist()),
             residual_at_turning_points=self.residual_at_turning_points,
+        )
+
+
+@dataclass(frozen=True)
+class ShellColumns:
+    """The shells of a grid of slots, each slot one energy of a well, as columns.
+
+    ``error[i]`` is the error that :func:`turning_points` raises for slot
+    ``i``, or None when the slot has a shell.  Those slots are ``slots``,
+    ascending, and row ``j`` of every column belongs to slot ``slots[j]``.
+    The columns hold what the slot's :class:`EnergyShell` holds: ``energy``,
+    ``x_minus``, ``x_plus``, the rows of ``residual``, zero-padded to one
+    width, ``extra_roots[j]`` and ``residual_critical_points[j]``, tuples,
+    and ``residual_extrema``, of shape ``(4, rows)``, whose columns are the
+    shells' ``(R_min, R_max, argmin, argmax)``.  ``residual_at_turning_points``
+    is NaN where it is not known, and ``amplitude`` and ``rho`` are None where
+    the shells do not set them.  All shells of the columns are of one family.
+    """
+
+    error: list
+    slots: np.ndarray
+    energy: np.ndarray
+    x_minus: np.ndarray
+    x_plus: np.ndarray
+    residual: np.ndarray
+    extra_roots: list
+    residual_critical_points: list
+    residual_extrema: np.ndarray
+    residual_at_turning_points: np.ndarray
+    amplitude: np.ndarray | None = None
+    rho: np.ndarray | None = None
+
+    @classmethod
+    def failed(cls, error: list, width: int = 1) -> "ShellColumns":
+        """Columns whose every slot holds the error in ``error``."""
+        empty = np.empty(0)
+        return cls(list(error), np.empty(0, dtype=int), empty, empty, empty,
+                   np.empty((0, width)), [], [], np.empty((4, 0)), empty)
+
+    @property
+    def family(self) -> str:
+        """The well family of the shells, as :attr:`EnergyShell.family`."""
+        if self.rho is not None:
+            return "quartic"
+        return "cubic" if self.residual.shape[1] == 2 else "generic"
+
+    def shells(self) -> list:
+        """Slot ``i`` holds the :class:`EnergyShell` of slot ``i``, or its error."""
+        found = list(self.error)
+        rows = len(self.slots)
+        amplitude, rho = ([None] * rows if c is None else c.tolist()
+                          for c in (self.amplitude, self.rho))
+        r_end = [None if math.isnan(r) else r for r in self.residual_at_turning_points.tolist()]
+        for j, (i, energy, lo, hi, extrema) in enumerate(zip(
+                self.slots.tolist(), self.energy.tolist(), self.x_minus.tolist(),
+                self.x_plus.tolist(), zip(*self.residual_extrema.tolist()))):
+            found[i] = EnergyShell(
+                energy=energy, x_minus=lo, x_plus=hi, residual=self.residual[j],
+                extra_roots=self.extra_roots[j], amplitude=amplitude[j], rho=rho[j],
+                residual_critical_points=self.residual_critical_points[j],
+                residual_extrema=extrema, residual_at_turning_points=r_end[j],
+            )
+        return found
+
+    def _failing(self, *checks) -> "ShellColumns":
+        """These columns without the rows that fail one of ``checks``.
+
+        A check is a pair ``(bad, error_of)``: a mask over the rows, and the
+        error of a row ``j`` that it marks.  The slot of a failing row holds
+        the error of the first check the row fails.
+        """
+        bad = checks[0][0]
+        for mask, _ in checks[1:]:
+            bad = bad | mask
+        if not bad.any():
+            return self
+        error = list(self.error)
+        for j in np.flatnonzero(bad).tolist():
+            error[self.slots[j]] = next(error_of(j) for mask, error_of in checks if mask[j])
+        keep = ~bad
+        rows = np.flatnonzero(keep).tolist()
+        return ShellColumns(
+            error, self.slots[keep], self.energy[keep], self.x_minus[keep], self.x_plus[keep],
+            self.residual[keep], [self.extra_roots[j] for j in rows],
+            [self.residual_critical_points[j] for j in rows], self.residual_extrema[:, keep],
+            self.residual_at_turning_points[keep],
+            None if self.amplitude is None else self.amplitude[keep],
+            None if self.rho is None else self.rho[keep],
+        )
+
+    def _checked(self, *checks) -> "ShellColumns":
+        """:meth:`_failing` of ``checks``, then of the checks that an
+        :class:`EnergyShell` and :func:`_check_residual_positive` make: turning
+        points out of order, and a residual that is not positive on the shell."""
+        lo, hi, r_min = self.x_minus, self.x_plus, self.residual_extrema[0]
+        return self._failing(
+            *checks,
+            (~(lo < hi), lambda j: DomainError(
+                f"turning points out of order: {float(lo[j])} >= {float(hi[j])}")),
+            (r_min <= 0.0, lambda j: _residual_not_positive(float(r_min[j]))),
         )
 
 
@@ -297,20 +403,33 @@ def _require_positive(name: str, value: float) -> None:
 
 def _derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only coefficients of U' and U'' of the well with coefficients ``c``."""
-    if not np.isfinite(c).all():
-        raise DomainError(f"potential coefficients must be finite, got {c.tolist()}")
+    du, d2u, (error,) = _derivative_rows(c[None, :])
+    if error is not None:
+        raise error
     if c.size - 1 < 2:
         raise DomainError("potential must have degree >= 2")
+    du, d2u = du[0], d2u[0]
+    du.flags.writeable = d2u.flags.writeable = False
+    return du, d2u
+
+
+def _derivative_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The coefficients of U' and U'' of the well in each row of ``c``, and,
+    per row, the :class:`DomainError` of coefficients that are not finite or
+    that overflow U' or U'', or None."""
     # U'' is finite only if U' is; the overflow itself needs no warning.
     with np.errstate(over="ignore"):
         du = derivative(c)
         d2u = derivative(du)
-    if not np.isfinite(d2u).all():
-        raise DomainError(
-            f"the coefficients of U' and U'' must be finite; {c.tolist()} overflows them"
-        )
-    du.flags.writeable = d2u.flags.writeable = False
-    return du, d2u
+    error = [None] * len(c)
+    if not (np.isfinite(c).all() and np.isfinite(d2u).all()):
+        finite = np.isfinite(c).all(axis=1)
+        for i in np.flatnonzero(~finite | ~np.isfinite(d2u).all(axis=1)).tolist():
+            row = as_coeffs(c[i]).tolist()
+            error[i] = DomainError(
+                f"potential coefficients must be finite, got {row}" if not finite[i] else
+                f"the coefficients of U' and U'' must be finite; {row} overflows them")
+    return du, d2u, error
 
 
 def harmonic_potential(mass: float = 1.0, omega0: float = 1.0) -> PolynomialPotential:
@@ -367,6 +486,27 @@ def _check_energy(energy: float, barrier: BarrierInfo) -> None:
         )
 
 
+def _check_energies(energies: np.ndarray, barrier_energy, check, error: list) -> None:
+    """Set ``error[i]``, where it is None, to the error that ``check(i)``
+    raises, for each energy that the column form of :func:`_check_energy`
+    finds failing.
+
+    ``barrier_energy`` holds the barrier energies, one or one per energy: inf
+    where there is no barrier, -inf to fail a slot whatever its energy.
+    ``check(i)`` makes slot ``i``'s scalar checks, which give the error.
+    """
+    # An energy that is NaN, infinite, too small or at the barrier is suspect.
+    with np.errstate(invalid="ignore"):
+        suspect = (~(energies >= _MIN_ENERGY)
+                   | (energies >= barrier_energy * (1.0 - SEPARATRIX_RTOL)))
+    for i in np.nonzero(suspect)[0].tolist():
+        if error[i] is None:
+            try:
+                check(i)
+            except DomainError as exc:
+                error[i] = exc
+
+
 def turning_points(U: PolynomialPotential, energy: float) -> EnergyShell:
     """The energy shell at ``energy``: adjacent turning points and residual.
 
@@ -385,96 +525,97 @@ def shells(U: PolynomialPotential, energies) -> list:
     """The energy shells of the well ``U`` at each of ``energies``, solved together.
 
     Slot ``i`` holds the shell at ``energies[i]``, or the error that
-    :func:`turning_points` raises at that energy.  A well whose coefficients
-    are exactly the canonical quartic's takes its shells from
-    :func:`quartic_shells` and solves nothing.  Any other well reads its
-    barrier once; the turning points at all its energies come from one
-    stacked companion-matrix solve of ``E - U`` and the critical points of
-    their residuals from one more, and each shell is bit-identical to the one
-    found on its own.
+    :func:`turning_points` raises at that energy.  These are the shells of
+    :func:`shell_columns`, and each is bit-identical to the one found on its
+    own.
     """
-    energies = [float(e) for e in energies]
+    return shell_columns(U, energies).shells()
+
+
+def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
+    """The shells of the well ``U`` at each of ``energies``, as columns.
+
+    A well whose coefficients are exactly the canonical quartic's takes its
+    shells from the closed form of :func:`quartic_shells` and solves nothing.
+    Any other well reads its barrier once; the turning points at all its
+    energies come from one stacked companion-matrix solve of ``E - U`` and
+    the critical points of their residuals from one more.
+    """
+    energies = np.array([float(e) for e in energies])
     if U.duffing_lambda is not None:
-        return quartic_shells([U.duffing_lambda] * len(energies), energies)
+        return _quartic_columns(np.full(energies.size, U.duffing_lambda), energies,
+                                [None] * energies.size)
     try:
         barrier = U.barrier
     except ConvergenceError as exc:
-        return [exc] * len(energies)
-    found: list = [None] * len(energies)
-    slots = []  # the energies left to solve
-    for i, energy in enumerate(energies):
-        try:
-            _check_energy(energy, barrier)
-        except DomainError as exc:
-            found[i] = exc
-        else:
-            slots.append(i)
-    if slots:
-        _solve_shells(U, energies, slots, found)
-    return found
+        return ShellColumns.failed([exc] * energies.size)
+    error: list = [None] * energies.size
+    _check_energies(energies, barrier.barrier_energy,
+                    lambda i: _check_energy(float(energies[i]), barrier), error)
+    return _solve_shells(U, energies, error)
 
 
-def _solve_shells(U: PolynomialPotential, energies, slots, found) -> None:
-    """Fill ``found[i]`` for each of ``slots`` with the shell of ``U`` at
-    ``energies[i]``, or its error.  These energies passed :func:`_check_energy`,
-    so a row whose roots bracket no minimum is a failed solve."""
+def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> ShellColumns:
+    """The shell columns of ``U`` at the ``energies`` whose ``error`` is None.
+
+    Those energies passed :func:`_check_energy`, so a row whose roots bracket
+    no minimum is a failed solve.
+    """
+    error = list(error)
+    slots = [i for i, e in enumerate(error) if e is None]
+    width = max(U.coeffs.size - 2, 1)
+    if not slots:
+        return ShellColumns.failed(error, width)
     q = np.tile(-U.coeffs, (len(slots), 1))
-    q[:, 0] += [energies[i] for i in slots]
+    q[:, 0] += energies[slots]
     roots = _solved_rows(q)
 
-    bracketed = []  # (slot, row of q, x_minus, x_plus)
+    bracketed = []  # (slot, row of q, x_minus, x_plus, extra roots)
+    x0 = U.minimum_x
     for row, (i, r) in enumerate(zip(slots, roots)):
         if isinstance(r, ConvergenceError):
-            found[i] = r
+            error[i] = r
             continue
-        left = r[r < U.minimum_x]
-        right = r[r > U.minimum_x]
-        if left.size == 0 or right.size == 0:
-            found[i] = ConvergenceError(
-                f"no turning points bracket the minimum at energy {energies[i]}; "
-                f"real roots found: {r.tolist()}"
+        r = r.tolist()
+        left = [x for x in r if x < x0]
+        right = [x for x in r if x > x0]
+        if not left or not right:
+            error[i] = ConvergenceError(
+                f"no turning points bracket the minimum at energy {float(energies[i])}; "
+                f"real roots found: {r}"
             )
             continue
-        x_minus = float(left.max())
-        x_plus = float(right.min())
+        x_minus, x_plus = max(left), min(right)
         if U.is_symmetric:
             # Companion roots of an even polynomial are symmetric to rounding;
             # averaging pins the parity invariant exactly.
             half = 0.5 * (x_plus - x_minus)
             x_minus, x_plus = -half, half
-        bracketed.append((i, row, x_minus, x_plus))
+        extra = tuple(x for x in r if x < x_minus - 1e-14 or x > x_plus + 1e-14)
+        bracketed.append((i, row, x_minus, x_plus, extra))
     if not bracketed:
-        return
+        return ShellColumns.failed(error, width)
 
-    slots, rows, x_minus, x_plus = (list(col) for col in zip(*bracketed))
-    quot, rem_plus = deflate(q[rows], np.array(x_plus))
-    quot, rem_minus = deflate(quot, np.array(x_minus))
+    slots, rows, x_minus, x_plus, extra = (list(col) for col in zip(*bracketed))
+    x_minus, x_plus = np.array(x_minus), np.array(x_plus)
+    quot, rem_plus = deflate(q[rows], x_plus)
+    quot, rem_minus = deflate(quot, x_minus)
     residual = -quot
     crits = _residual_critical_points(residual, x_minus, x_plus)
-    extrema = _residual_extrema(residual, x_minus, x_plus, crits)
-
-    for j, i in enumerate(slots):
-        energy = energies[i]
-        tol = 1e-10 * max(1.0, energy)
-        if abs(rem_plus[j]) > tol or abs(rem_minus[j]) > tol:
-            found[i] = ConvergenceError(
-                f"turning-point deflation left remainders ({float(rem_plus[j])}, "
-                f"{float(rem_minus[j])}) above {tol}"
-            )
-            continue
-        lo, hi = x_minus[j], x_plus[j]
-        found[i] = _checked_shell(
-            energy=energy,
-            x_minus=lo,
-            x_plus=hi,
-            residual=residual[j],
-            extra_roots=tuple(
-                float(r) for r in roots[rows[j]] if r < lo - 1e-14 or r > hi + 1e-14
-            ),
-            amplitude=hi if U.is_symmetric else None,
-            residual_critical_points=crits[j],
-            residual_extrema=extrema[j],
-        )
+    energy = energies[slots]
+    columns = ShellColumns(
+        error, np.array(slots), energy, x_minus, x_plus, residual, extra, crits,
+        _residual_extrema(residual, x_minus, x_plus, crits), np.full(len(slots), math.nan),
+        amplitude=x_plus.copy() if U.is_symmetric else None,
+    )
+    tol = 1e-10 * np.maximum(1.0, energy)
+    return columns._checked((
+        (np.abs(rem_plus) > tol) | (np.abs(rem_minus) > tol),
+        lambda j: ConvergenceError(
+            f"turning-point deflation left remainders ({float(rem_plus[j])}, "
+            f"{float(rem_minus[j])}) above {float(tol[j])}"
+        ),
+    ))
 
 
 def quartic_shells(lams, energies) -> list:
@@ -490,45 +631,85 @@ def quartic_shells(lams, energies) -> list:
     ``R(+-A) = s/2``, which evaluating R there cancels next to the barrier.
     No polynomial is solved.
     """
-    energies = [float(e) for e in energies]
-    found: list = [None] * len(energies)
-    rows = []  # (slot, lam, s/2) of the pairs with an oscillatory band
-    for i, (lam, energy) in enumerate(zip(lams, energies)):
-        lam = float(lam)
-        try:
-            if not math.isfinite(lam):
-                raise DomainError(f"lam must be finite, got {lam}")
-            _check_energy(energy, quartic_barrier(lam))
-        except DomainError as exc:
-            found[i] = exc
-        else:
-            rows.append((i, lam, _quartic_half_s(lam, energy)))
-    if not rows:
-        return found
+    lams = np.array([float(lam) for lam in lams])
+    energies = np.array([float(e) for e in energies])
+    return _quartic_columns(lams, energies, [None] * energies.size).shells()
 
-    slots, lam, half_s = (list(col) for col in zip(*rows))
-    energy = [energies[i] for i in slots]
+
+def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> ShellColumns:
+    """The columns of :func:`quartic_shells` at the pairs whose ``error`` is None."""
+    error = list(error)
+
+    def check(i):
+        lam = float(lams[i])
+        if not math.isfinite(lam):
+            raise DomainError(f"lam must be finite, got {lam}")
+        _check_energy(float(energies[i]), quartic_barrier(lam))
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        barrier_energy = np.where(lams < 0.0, -0.25 / lams, math.inf)
+    barrier_energy[~np.isfinite(lams)] = -math.inf
+    _check_energies(energies, barrier_energy, check, error)
+    slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
+    if not slots.size:
+        return ShellColumns.failed(error, 3)
+
+    lam, energy = lams[slots], energies[slots]
+    half_s = np.array([_quartic_half_s(lam_i, e) for lam_i, e in zip(lam.tolist(), energy.tolist())])
     # (1 + s)/2, and 2 sqrt((E/2)/((1 + s)/2)) is sqrt(4E/(1 + s)), bit for
     # bit, with neither 4E nor s overflowing.
-    half_sum = np.add(0.5, half_s)
-    amplitude = 2.0 * np.sqrt(np.divide(np.multiply(0.5, energy), half_sum))
-    residual = np.zeros((len(slots), 3))
+    half_sum = 0.5 + half_s
+    amplitude = 2.0 * np.sqrt((0.5 * energy) / half_sum)
+    residual = np.zeros((slots.size, 3))
     residual[:, 0] = 0.5 * half_sum
-    residual[:, 2] = np.divide(lam, 4.0)
+    residual[:, 2] = lam / 4.0
     crits = [() if c == 0.0 else (0.0,) for c in residual[:, 2].tolist()]
-    extrema = _residual_extrema(residual, -amplitude, amplitude, crits)
+    softening = lam < 0.0
+    b = np.zeros(slots.size)
+    with np.errstate(over="ignore"):  # E/-lam may pass the float range: b is then inf
+        b[softening] = 2.0 * np.sqrt(energy[softening] / -lam[softening]) / amplitude[softening]
+    extra = [(-x, x) if soft else () for soft, x in zip(softening.tolist(), b.tolist())]
+    # a ** 2 is C pow, whose rounding numpy's square does not reproduce.
+    rho = np.array([lam_i * a ** 2 for lam_i, a in zip(lam.tolist(), amplitude.tolist())])
+    return ShellColumns(
+        error, slots, energy, -amplitude, amplitude, residual, extra, crits,
+        _residual_extrema(residual, -amplitude, amplitude, crits),
+        np.where(softening, half_s, math.nan), amplitude=amplitude, rho=rho,
+    )._checked()
 
-    for j, (i, a) in enumerate(zip(slots, amplitude.tolist())):
-        extra, r_end = (), None
-        if lam[j] < 0.0:
-            b = 2.0 * math.sqrt(energy[j] / -lam[j]) / a
-            extra, r_end = (-b, b), half_s[j]
-        found[i] = _checked_shell(
-            energy=energy[j], x_minus=-a, x_plus=a, residual=residual[j], extra_roots=extra,
-            amplitude=a, rho=lam[j] * a ** 2, residual_at_turning_points=r_end,
-            residual_critical_points=crits[j], residual_extrema=extrema[j],
-        )
-    return found
+
+def rho_columns(rhos) -> tuple[ShellColumns, np.ndarray]:
+    """The shell columns of a grid of rho values, and the coefficient rows of their wells.
+
+    Any (lam, A) with lam A^2 = rho gives the same period, so a rho is the
+    canonical quartic with lam = rho at amplitude 1, ``E = 1/2 + rho/4``,
+    whose coefficients are row ``i`` of the returned ``(len(rhos), 5)``
+    array.  A slot fails where that well cannot be built (:func:`_derivatives`),
+    where :func:`quartic_shells` fails, and where amplitude 1 lies beyond the
+    barrier, as ``period --amplitude 1`` does: the shell at E is there an
+    inner one, of another rho.
+    """
+    rhos = np.array([float(rho) for rho in rhos])
+    coeffs = np.zeros((rhos.size, 5))
+    coeffs[:, 2] = 0.5
+    coeffs[:, 4] = rhos / 4.0
+    _, _, error = _derivative_rows(coeffs)
+    columns = _quartic_columns(rhos, 0.5 + rhos / 4.0, error)
+    # The amplitude limit of quartic_barrier, inf where there is no barrier.
+    lam = rhos[columns.slots]
+    softening = lam < 0.0
+    limit = np.full(lam.size, math.inf)
+    limit[softening] = 1.0 / np.sqrt(-lam[softening])
+    return columns._failing((1.0 >= limit * (1.0 - SEPARATRIX_RTOL),
+                             lambda j: _amplitude_error(1.0, float(limit[j])))), coeffs
+
+
+def _amplitude_error(a: float, limit: float | None) -> SeparatrixError | None:
+    """The error of amplitude ``a`` in a well whose amplitudes are below
+    ``limit`` (None: unlimited), or None where ``a`` is below it."""
+    if limit is not None and a >= limit * (1.0 - SEPARATRIX_RTOL):
+        return SeparatrixError(f"amplitude {a} at or beyond the limit {limit}")
+    return None
 
 
 def _quartic_half_s(lam: float, energy: float) -> float:
@@ -546,17 +727,6 @@ def _quartic_half_s(lam: float, energy: float) -> float:
         return math.sqrt(num / (den << 1202)) * 2.0 ** 600
 
 
-def _checked_shell(**fields):
-    """The :class:`EnergyShell` of ``fields``, or the :class:`DomainError` that
-    building it raises or that a residual not positive on it gives."""
-    try:
-        shell = EnergyShell(**fields)
-        _check_residual_positive(shell)
-    except DomainError as exc:
-        return exc
-    return shell
-
-
 def _residual_critical_points(residuals: np.ndarray, x_minus, x_plus) -> list:
     """The zeros of each residual's R' strictly inside its shell, as ascending
     tuples; row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
@@ -565,32 +735,38 @@ def _residual_critical_points(residuals: np.ndarray, x_minus, x_plus) -> list:
             for row, lo, hi in zip(real_roots_rows(derivative(residuals)), x_minus, x_plus)]
 
 
-def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits) -> list:
-    """``(R_min, R_max, argmin, argmax)`` of each residual over its two turning
-    points and its critical points ``crits``, in that order, the first index
-    winning a tie.  R is evaluated once for the whole stack."""
+def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits) -> np.ndarray:
+    """The rows ``(R_min, R_max, argmin, argmax)``, one column per residual, of
+    each residual over its two turning points and its critical points
+    ``crits``, in that order, the first index winning a tie.  R is evaluated
+    once for the whole stack."""
     # NaN pads the candidate rows to one length.
-    candidates = np.full((len(crits), 2 + max(map(len, crits))), np.nan)
+    candidates = np.full((len(crits), 2 + max(map(len, crits), default=0)), np.nan)
     candidates[:, 0] = x_minus
     candidates[:, 1] = x_plus
     for j, row in enumerate(crits):
-        candidates[j, 2:2 + len(row)] = row
+        if row:
+            candidates[j, 2:2 + len(row)] = row
     values = _polyval_rows(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
     i_max = np.where(pad, -np.inf, values).argmax(axis=1)
     rows = np.arange(len(values))
-    return list(zip(values[rows, i_min].tolist(), values[rows, i_max].tolist(),
-                    candidates[rows, i_min].tolist(), candidates[rows, i_max].tolist()))
+    return np.array([values[rows, i_min], values[rows, i_max],
+                     candidates[rows, i_min], candidates[rows, i_max]]).reshape(4, -1)
+
+
+def _residual_not_positive(r_min: float) -> DomainError:
+    return DomainError(
+        f"residual R(x) is not positive on the shell (min {r_min}); "
+        "the energy does not select a simple oscillatory band"
+    )
 
 
 def _check_residual_positive(shell: EnergyShell) -> None:
     r_min = shell.residual_extrema[0]
     if r_min <= 0.0:
-        raise DomainError(
-            f"residual R(x) is not positive on the shell (min {r_min}); "
-            "the energy does not select a simple oscillatory band"
-        )
+        raise _residual_not_positive(r_min)
 
 
 def _canonical_cubic(shell: EnergyShell) -> EnergyShell:

@@ -1,6 +1,9 @@
 """Batched quadrature: the same bits as one frame at a time, and the same errors in their slots."""
 
+import contextlib
+import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -261,6 +264,44 @@ def test_duffing_sweep_record_equals_period_record_apart_from_sqrt_rho_T():
         assert main(["period", "--preset", "duffing", "--lambda", "0.5", "--energy",
                      cells[fields.index("energy")], "--format", "csv"], out=one) == 0
         assert one.getvalue().splitlines()[1] == ",".join(["period", *cells[1:]])
+
+
+def _records_as_text(text: str, fmt: str) -> list[dict]:
+    """The records of ``text``, every value as the text it was written as."""
+    if fmt == "json":
+        parsed = json.loads(text, parse_float=str, parse_int=str)
+        return parsed if isinstance(parsed, list) else [parsed]
+    header, *rows = csv.reader(io.StringIO(text))
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("frame", ["balanced", "nayfeh", "fixed:1.1"])
+@pytest.mark.parametrize("grid", [
+    ["--from", "0.01", "--to", "1e8", "--steps", "9", "--log"],
+    ["--from", "-0.99", "--to", "-0.01", "--steps", "9"],
+    # amplitude 1 beyond the barrier at -1.5, and wells whose U'' overflows
+    ["--from", "-1.5", "--to", "1e308", "--steps", "7"],
+])
+def test_rho_sweep_record_equals_period_record_at_amplitude_one(grid, frame, fmt):
+    out = io.StringIO()
+    assert main(["sweep", "--preset", "duffing", "--param", "rho", *grid, "--frame", frame,
+                 "--format", fmt], out=out) == 0
+    ignored = ("command", "lambda", "sqrt_rho_T")
+    for row in _records_as_text(out.getvalue(), fmt):
+        one = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["period", "--preset", "duffing", "--lambda", row["lambda"], "--amplitude", "1",
+                  "--frame", frame, "--format", fmt], out=one)
+        if row["error"] not in ("", None):
+            # the lone call fails before it has a record: one JSON error record
+            (lone,) = _records_as_text(one.getvalue(), "json")
+            assert (row["error"], row["error_kind"]) == (lone["error"], lone["error_kind"])
+            continue
+        (lone,) = _records_as_text(one.getvalue(), fmt)
+        assert lone["command"] == "period" and lone["lambda"] == row["lambda"]
+        assert {k: v for k, v in row.items() if k not in ignored} == \
+            {k: v for k, v in lone.items() if k not in ignored}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import periodlab._poly as _poly
+import periodlab.frame as frame
 import periodlab.potential as potential
 from periodlab import duffing_large_rho_constant
 from periodlab.cli import main
@@ -120,3 +121,56 @@ def test_rho_sweep_failing_point_fails_only_its_own_slot(capsys):
                                    "[0.0, 0.0, 0.5, 0.0, 2.5e+307] overflows them")
     assert records[1]["coeffs"] == [0.0, 0.0, 0.5, 0.0, 1.25e307]
     assert records[1]["sqrt_rho_T"] == pytest.approx(duffing_large_rho_constant(), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# A quadrature sweep goes from the shell solve to the output in columns
+# ---------------------------------------------------------------------------
+
+SWEEPS = {
+    "duffing-energy": ["--preset", "duffing", "--lambda", "-0.7", "--param", "energy",
+                       "--from", "0.01", "--to", "0.35"],
+    "duffing-rho": ["--preset", "duffing", "--param", "rho", "--from", "-0.99", "--to", "1e8"],
+    "cubic": ["--preset", "cubic", "--lambda", "1", "--param", "energy",
+              "--from", "0.001", "--to", "0.16"],
+    "poly": ["--preset", "poly", "--coeffs", "0", "0", "0.5", "0.05", "0.1", "-0.02", "-0.1",
+             "--param", "energy", "--from", "0.01", "--to", "0.6"],
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the shells and frames built and of the well checks made."""
+    counts = {"shells": 0, "frames": 0, "derivatives": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(potential.EnergyShell, "__init__",
+                        counting("shells", potential.EnergyShell.__init__))
+    monkeypatch.setattr(frame.BalancedFrame, "__init__",
+                        counting("frames", frame.BalancedFrame.__init__))
+    monkeypatch.setattr(potential, "_derivatives", counting("derivatives", potential._derivatives))
+    return counts
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_quadrature_sweep_builds_no_shell_frame_or_well_per_point(sweep, built):
+    out = io.StringIO()
+    assert main(["sweep", *SWEEPS[sweep], "--steps", "50"], out=out) == 0
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == 50 and all(row.endswith(",,") for row in rows)  # no error
+    assert built["shells"] == built["frames"] == 0
+    # the well of an energy sweep is checked once (twice for poly: from the
+    # physical coefficients, then as built); a rho point builds no well
+    assert built["derivatives"] == {"duffing-rho": 0, "poly": 2}.get(sweep, 1)
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_series_sweep_builds_one_shell_and_frame_per_point(sweep, built):
+    out = io.StringIO()
+    assert main(["sweep", *SWEEPS[sweep], "--steps", "50", "--method", "series"], out=out) == 0
+    assert built["shells"] == built["frames"] == 50
