@@ -25,11 +25,12 @@ _POLISH_RTOL = 1e-15
 _POLISH_STALL = float(np.sqrt(np.finfo(float).eps))
 _POLISH_MAX_ITER = 50
 
+
 def as_coeffs(c) -> np.ndarray:
     """Coerce to a read-only float coefficient array, cut after its last nonzero
     coefficient (one zero is kept when all are zero); NaN counts as nonzero."""
     arr = np.atleast_1d(np.asarray(c, dtype=float))
-    nonzero = np.flatnonzero(arr)
+    nonzero = arr.ravel().nonzero()[0]
     arr = arr[:nonzero[-1] + 1 if nonzero.size else 1].copy()
     arr.flags.writeable = False
     return arr
@@ -117,7 +118,7 @@ def real_roots_rows(coeffs: np.ndarray) -> list[np.ndarray]:
             mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
         rts = np.linalg.eigvals(mat)
     keep = np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts))
-    rows = np.nonzero(keep)[0]
+    rows = keep.nonzero()[0]
     polished = newton_polish(coeffs[rows], derivative(coeffs)[rows], rts.real[keep])
     # Sort by row, then by value, and cut the rows apart.
     polished = polished[np.lexsort((polished, rows))]

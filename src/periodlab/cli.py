@@ -4,11 +4,13 @@ Subcommands: ``period``, ``sweep``, ``converge``, ``verify``.  Output formats
 are ``table`` (default, human), ``json`` (one object per record, arrays for
 multi-record output) and ``csv`` (RFC-4180 quoting, fixed column order).
 Every float is serialized with 17 significant digits so records re-parse
-bit-exactly.  Output is written a column at a time (:func:`emit`), and a
-quadrature ``sweep`` goes from the shell solve to the output in columns: one
-array per shell, frame and period field, with no object per grid point.  Exit codes: 0 success, 1 usage, 2 domain (separatrix/energy),
+bit-exactly.  Exit codes: 0 success, 1 usage, 2 domain (separatrix/energy),
 3 numerical non-convergence.  The environment variable ``PERIODLAB_TOL``
 overrides the default 1e-13 quadrature tolerance.
+
+Output is written a column at a time (:func:`emit`).  A quadrature ``sweep``
+goes from the shell solve to the output in columns: one array per shell,
+frame and period field, and no shell, frame or record object per grid point.
 """
 
 from __future__ import annotations

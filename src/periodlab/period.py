@@ -7,6 +7,11 @@ even, periodic, analytic integrand and reuses every value when it doubles.  The
 series routes write ``2R = omega^2 (1 + Delta)`` and expand the integrand
 binomially in the deviation; the canonical quartic and cubic wells also admit
 complete-elliptic-integral closed forms.
+
+The trapezoid rule runs on columns: :func:`quadrature_columns` takes the
+turning points and residuals of a stack of shells as arrays and returns the
+periods as arrays, and :func:`period_quadratures` and
+:func:`period_quadrature` are that routine on frames.
 """
 
 from __future__ import annotations
@@ -145,16 +150,17 @@ def _level_sums(coeffs, mid_half, ends, theta: np.ndarray, first: bool):
                  for lo in range(0, len(coeffs), step)]
         return tuple(np.concatenate(part) for part in zip(*parts))
     known = ~np.isnan(ends[:, 0])
-    if known.all():
+    n_known = np.count_nonzero(known)
+    if n_known == len(known):
         r = ends[:, :1] + ends[:, 1:] * np.sin(theta) ** 2
     else:
         r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * np.cos(theta))
-        if known.any():
+        if n_known:
             r[known] = ends[known, :1] + ends[known, 1:] * np.sin(theta) ** 2
     f = 1.0 / np.sqrt(r)
     sums = 0.5 * (f[:, 0] + f[:, -1]) + f[:, 1:-1].sum(axis=1) if first else f.sum(axis=1)
     nonpositive = ~np.isfinite(sums)
-    if nonpositive.any():
+    if np.count_nonzero(nonpositive):
         nonpositive[nonpositive] = (r[nonpositive] <= 0.0).any(axis=1)
     return sums, nonpositive
 
@@ -214,7 +220,7 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
         ends[:, 1] = residual[:, 0] - r_end
     unknown = np.isnan(r_end)
     caps = np.where(unknown, _QUAD_NMAX, _QUAD_NMAX_KNOWN_ENDS)
-    cap_min = _QUAD_NMAX if unknown.any() else _QUAD_NMAX_KNOWN_ENDS
+    cap_min = _QUAD_NMAX if np.count_nonzero(unknown) else _QUAD_NMAX_KNOWN_ENDS
     slots = np.arange(rows)
     prev = None
     n = _QUAD_N0
@@ -235,7 +241,7 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
                 finished = separatrix | converged
             if n >= cap_min:
                 finished = finished | (n >= caps[slots])
-            if finished.any():
+            if np.count_nonzero(finished):
                 for i in slots[separatrix].tolist():
                     found[i] = SeparatrixError(
                         "non-positive radicand in the period integrand: separatrix shell")
@@ -256,7 +262,7 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
             prev = vals
             theta = _midpoint_theta(n)
             n *= 2
-    for i in np.nonzero(~(T > 0.0))[0].tolist():
+    for i in (~(T > 0.0)).nonzero()[0].tolist():
         if found[i] is None:
             found[i] = DomainError(f"non-positive period {float(T[i])}")
             T[i] = err[i] = math.nan

@@ -300,13 +300,13 @@ class ShellColumns:
         bad = checks[0][0]
         for mask, _ in checks[1:]:
             bad = bad | mask
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return self
         error = list(self.error)
-        for j in np.flatnonzero(bad).tolist():
+        for j in bad.nonzero()[0].tolist():
             error[self.slots[j]] = next(error_of(j) for mask, error_of in checks if mask[j])
         keep = ~bad
-        rows = np.flatnonzero(keep).tolist()
+        rows = keep.nonzero()[0].tolist()
         return ShellColumns(
             error, self.slots[keep], self.energy[keep], self.x_minus[keep], self.x_plus[keep],
             self.residual[keep], [self.extra_roots[j] for j in rows],
@@ -422,9 +422,9 @@ def _derivative_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         du = derivative(c)
         d2u = derivative(du)
     error = [None] * len(c)
-    if not (np.isfinite(c).all() and np.isfinite(d2u).all()):
+    if np.count_nonzero(np.isfinite(c)) < c.size or np.count_nonzero(np.isfinite(d2u)) < d2u.size:
         finite = np.isfinite(c).all(axis=1)
-        for i in np.flatnonzero(~finite | ~np.isfinite(d2u).all(axis=1)).tolist():
+        for i in (~finite | ~np.isfinite(d2u).all(axis=1)).nonzero()[0].tolist():
             row = as_coeffs(c[i]).tolist()
             error[i] = DomainError(
                 f"potential coefficients must be finite, got {row}" if not finite[i] else
@@ -499,7 +499,7 @@ def _check_energies(energies: np.ndarray, barrier_energy, check, error: list) ->
     with np.errstate(invalid="ignore"):
         suspect = (~(energies >= _MIN_ENERGY)
                    | (energies >= barrier_energy * (1.0 - SEPARATRIX_RTOL)))
-    for i in np.nonzero(suspect)[0].tolist():
+    for i in suspect.nonzero()[0].tolist():
         if error[i] is None:
             try:
                 check(i)
@@ -655,22 +655,26 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
         return ShellColumns.failed(error, 3)
 
     lam, energy = lams[slots], energies[slots]
-    half_s = np.array([_quartic_half_s(lam_i, e) for lam_i, e in zip(lam.tolist(), energy.tolist())])
+    lam_list = lam.tolist()
+    half_s = np.array([_quartic_half_s(lam_i, e) for lam_i, e in zip(lam_list, energy.tolist())])
     # (1 + s)/2, and 2 sqrt((E/2)/((1 + s)/2)) is sqrt(4E/(1 + s)), bit for
     # bit, with neither 4E nor s overflowing.
     half_sum = 0.5 + half_s
     amplitude = 2.0 * np.sqrt((0.5 * energy) / half_sum)
+    a_list = amplitude.tolist()
     residual = np.zeros((slots.size, 3))
     residual[:, 0] = 0.5 * half_sum
     residual[:, 2] = lam / 4.0
     crits = [() if c == 0.0 else (0.0,) for c in residual[:, 2].tolist()]
     softening = lam < 0.0
-    b = np.zeros(slots.size)
-    with np.errstate(over="ignore"):  # E/-lam may pass the float range: b is then inf
-        b[softening] = 2.0 * np.sqrt(energy[softening] / -lam[softening]) / amplitude[softening]
-    extra = [(-x, x) if soft else () for soft, x in zip(softening.tolist(), b.tolist())]
+    extra = [()] * slots.size
+    if np.count_nonzero(softening):
+        with np.errstate(over="ignore"):  # E/-lam may pass the float range: b is then inf
+            b = 2.0 * np.sqrt(energy[softening] / -lam[softening]) / amplitude[softening]
+        for j, b_j in zip(softening.nonzero()[0].tolist(), b.tolist()):
+            extra[j] = (-b_j, b_j)
     # a ** 2 is C pow, whose rounding numpy's square does not reproduce.
-    rho = np.array([lam_i * a ** 2 for lam_i, a in zip(lam.tolist(), amplitude.tolist())])
+    rho = np.array([lam_i * a ** 2 for lam_i, a in zip(lam_list, a_list)])
     return ShellColumns(
         error, slots, energy, -amplitude, amplitude, residual, extra, crits,
         _residual_extrema(residual, -amplitude, amplitude, crits),
@@ -741,12 +745,12 @@ def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits) -> np.ndarr
     ``crits``, in that order, the first index winning a tie.  R is evaluated
     once for the whole stack."""
     # NaN pads the candidate rows to one length.
-    candidates = np.full((len(crits), 2 + max(map(len, crits), default=0)), np.nan)
+    width = max(map(len, crits), default=0)
+    candidates = np.empty((len(crits), 2 + width))
     candidates[:, 0] = x_minus
     candidates[:, 1] = x_plus
-    for j, row in enumerate(crits):
-        if row:
-            candidates[j, 2:2 + len(row)] = row
+    if width:
+        candidates[:, 2:] = [row + (math.nan,) * (width - len(row)) for row in crits]
     values = _polyval_rows(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)

@@ -29,7 +29,7 @@ import re
 
 import pytest
 
-from tests.record_golden import GOLDEN_PATH, SWEEPS_PATH, record, run_case
+from tests.record_golden import GOLDEN_PATH, SWEEPS_PATH, add, record, run_case
 
 ULPS = 8
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -139,6 +139,17 @@ def test_re_recording_an_oracle_free_case_keeps_every_byte(tmp_path):
         ["period", "--preset", "duffing", "--lambda", "1", "--energy", "0.5",
          "--frame", "bogus", "--format", "json"]]
     assert copy.read_bytes() == GOLDEN_PATH.read_bytes()
+
+
+def test_adding_a_case_appends_it_and_adding_it_again_keeps_every_byte(tmp_path):
+    path = tmp_path / "golden.json"
+    argv = ["period", "--preset", "duffing", "--lambda", "1", "--energy", "0.5",
+            "--frame", "bogus", "--format", "json"]
+    assert add([argv], path) == [argv]
+    first = path.read_bytes()
+    assert [case["argv"] for case in json.loads(first)] == [argv]
+    add([argv], path)
+    assert path.read_bytes() == first
 
 
 def test_the_comparison_allows_a_few_ulps_and_nothing_else():
