@@ -183,10 +183,9 @@ def _cells(column: list, digits: int) -> list[str]:
     if kind == "one":
         return [_cell(column[0], digits)] * len(column)
     if kind == "float":
-        spec = _FLOAT_SPECS[digits]
-        return [format(v, spec) for v in column]
+        return list(map(format, column, repeat(_FLOAT_SPECS[digits])))
     if kind == "lists":
-        return [";".join(row) for row in zip(*(_cells(list(c), digits) for c in zip(*column)))]
+        return list(map(";".join, zip(*(_cells(list(c), digits) for c in zip(*column)))))
     return [_cell(v, digits) for v in column]
 
 
@@ -195,8 +194,10 @@ def _json_cells(column: list) -> list[str]:
     if kind == "one":
         return [_json_value(column[0])] * len(column)
     if kind == "float":
-        isfinite = math.isfinite
-        return [format(v, ".17g") if isfinite(v) else "null" for v in column]
+        cells = list(map(format, column, repeat(".17g")))
+        if all(map(math.isfinite, column)):
+            return cells
+        return [c if math.isfinite(v) else "null" for c, v in zip(cells, column)]
     if kind == "lists":
         return ["[" + ", ".join(row) + "]"
                 for row in zip(*(_json_cells(list(c)) for c in zip(*column)))]
@@ -205,7 +206,7 @@ def _json_cells(column: list) -> list[str]:
 
 def _json_bodies(columns: list, fields) -> list[str]:
     """One JSON object per record of ``columns``, one column per field."""
-    keyed = [[_json_key(k) + ": " + text for text in _json_cells(column)]
+    keyed = [list(map((_json_key(k) + ": ").__add__, _json_cells(column)))
              for k, column in zip(fields, columns)]
     return ["{" + ", ".join(parts) + "}" for parts in zip(*keyed)]
 
@@ -244,7 +245,7 @@ def _emit_table(columns: list, fields, out) -> None:
     for h, column in shown:
         cells = _cells(column, 12)
         width = max(len(h), *map(len, cells))
-        padded.append([h.ljust(width)] + [c.ljust(width) for c in cells])
+        padded.append([h.ljust(width), *map(str.ljust, cells, repeat(width))])
     rows = zip(*padded) if padded else [()]
     out.write("".join("  ".join(row).rstrip() + "\n" for row in rows))
 

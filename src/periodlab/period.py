@@ -233,27 +233,27 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
             sums, separatrix = _level_sums(coeffs, mid_half, ends, theta, prev is None)
             if prev is None:
                 vals = (math.pi / n) * sums
-                finished = separatrix
+                # Nothing converges on the first level; change is not read.
+                converged, change = np.zeros(slots.size, dtype=bool), vals
             else:  # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
                 vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
                 change = np.abs(vals - prev)
                 converged = change <= tol * np.maximum(1e-300, np.abs(vals))
-                finished = separatrix | converged
+            finished = separatrix | converged
             if n >= cap_min:
                 finished = finished | (n >= caps[slots])
             if np.count_nonzero(finished):
-                for i in slots[separatrix].tolist():
-                    found[i] = SeparatrixError(
-                        "non-positive radicand in the period integrand: separatrix shell")
-                capped = finished & ~separatrix
-                if prev is not None:
+                if np.count_nonzero(separatrix):
+                    for i in slots[separatrix].tolist():
+                        found[i] = SeparatrixError(
+                            "non-positive radicand in the period integrand: separatrix shell")
                     converged &= ~separatrix
-                    capped &= ~converged
-                    T[slots[converged]] = scale * vals[converged]
-                    err[slots[converged]] = scale * change[converged]
-                for i in slots[capped].tolist():
-                    found[i] = ConvergenceError(
-                        f"theta quadrature did not converge to {tol} within {caps[i]} nodes")
+                T[slots[converged]] = scale * vals[converged]
+                err[slots[converged]] = scale * change[converged]
+                if n >= cap_min:
+                    for i in slots[finished & ~separatrix & ~converged].tolist():
+                        found[i] = ConvergenceError(
+                            f"theta quadrature did not converge to {tol} within {caps[i]} nodes")
                 keep = ~finished
                 slots = slots[keep]
                 if not slots.size:
