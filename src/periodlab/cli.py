@@ -145,6 +145,7 @@ def _json_key(k: str) -> str:
 
 
 def _json_record(record: dict, fields) -> str:
+    """``record`` as the JSON object :func:`emit` writes for it."""
     return _json_bodies([[record.get(k)] for k in fields], fields)[0]
 
 

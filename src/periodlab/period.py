@@ -16,6 +16,7 @@ periods as arrays, and :func:`period_quadratures` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,27 +139,41 @@ def _midpoint_cos(n: int) -> np.ndarray:
     return np.cos(_midpoint_theta(n))
 
 
-def _level_sums(coeffs, mid_half, ends, theta: np.ndarray, first: bool):
-    """For each row: the sum of ``1/sqrt(R)`` at the nodes ``theta``, whose two
-    ends weigh 1/2 on the ``first`` level, and, where that sum is not finite,
-    whether R is non-positive at a node.  Rows go in chunks of at most
-    ``_QUAD_CHUNK`` values; each row's sum has the same bits in any chunk."""
-    step = max(1, _QUAD_CHUNK // theta.size)
+@functools.cache
+def _level_nodes(n: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``cos theta`` and ``sin^2 theta`` at the new nodes of a trapezoid
+    level: the n + 1 points ``k pi/n`` on the ``first`` level, else the
+    midpoints of n equal intervals.  Read-only, and shared by every call."""
+    theta = np.arange(n + 1) * (math.pi / n) if first else _midpoint_theta(n)
+    cos, sin2 = np.cos(theta), np.sin(theta) ** 2
+    cos.flags.writeable = sin2.flags.writeable = False
+    return cos, sin2
+
+
+def _level_sums(coeffs, mid_half, ends, nodes, first: bool):
+    """For each row: the sum of ``1/sqrt(R)`` at the ``nodes`` of
+    :func:`_level_nodes`, whose two ends weigh 1/2 on the ``first`` level,
+    and, where that sum is not finite, whether R is non-positive at a node.
+    Rows go in chunks of at most ``_QUAD_CHUNK`` values; each row's sum has
+    the same bits in any chunk."""
+    cos, sin2 = nodes
+    step = max(1, _QUAD_CHUNK // cos.size)
     if len(coeffs) > step:
         parts = [_level_sums(coeffs[lo:lo + step], mid_half[lo:lo + step],
-                             ends[lo:lo + step], theta, first)
+                             ends[lo:lo + step], nodes, first)
                  for lo in range(0, len(coeffs), step)]
         return tuple(np.concatenate(part) for part in zip(*parts))
     known = ~np.isnan(ends[:, 0])
     n_known = np.count_nonzero(known)
     if n_known == len(known):
-        r = ends[:, :1] + ends[:, 1:] * np.sin(theta) ** 2
+        r = ends[:, :1] + ends[:, 1:] * sin2
     else:
-        r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * np.cos(theta))
+        r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * cos)
         if n_known:
-            r[known] = ends[known, :1] + ends[known, 1:] * np.sin(theta) ** 2
+            r[known] = ends[known, :1] + ends[known, 1:] * sin2
     f = 1.0 / np.sqrt(r)
-    sums = 0.5 * (f[:, 0] + f[:, -1]) + f[:, 1:-1].sum(axis=1) if first else f.sum(axis=1)
+    total = np.add.reduce  # ndarray.sum without its Python wrapper
+    sums = 0.5 * (f[:, 0] + f[:, -1]) + total(f[:, 1:-1], axis=1) if first else total(f, axis=1)
     nonpositive = ~np.isfinite(sums)
     if np.count_nonzero(nonpositive):
         nonpositive[nonpositive] = (r[nonpositive] <= 0.0).any(axis=1)
@@ -224,13 +239,15 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     slots = np.arange(rows)
     prev = None
     n = _QUAD_N0
-    theta = np.arange(n + 1) * (math.pi / n)  # the first level includes both ends
     scale = _SQRT2 / omega0
     # A non-positive radicand R makes its row's value inf or NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
         while slots.size:
             # Rows with a non-positive R at a node are separatrix shells.
-            sums, separatrix = _level_sums(coeffs, mid_half, ends, theta, prev is None)
+            # The first level has both ends of [0, pi]; the next has the
+            # midpoints of the intervals before it.
+            nodes = _level_nodes(n, True) if prev is None else _level_nodes(n // 2, False)
+            sums, separatrix = _level_sums(coeffs, mid_half, ends, nodes, prev is None)
             if prev is None:
                 vals = (math.pi / n) * sums
                 # Nothing converges on the first level; change is not read.
@@ -260,7 +277,6 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
                     break
                 coeffs, mid_half, ends, vals = coeffs[keep], mid_half[keep], ends[keep], vals[keep]
             prev = vals
-            theta = _midpoint_theta(n)
             n *= 2
     for i in (~(T > 0.0)).nonzero()[0].tolist():
         if found[i] is None:

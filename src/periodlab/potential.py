@@ -239,8 +239,9 @@ class ShellColumns:
     The columns hold what the slot's :class:`EnergyShell` holds: ``energy``,
     ``x_minus``, ``x_plus``, the rows of ``residual``, zero-padded to one
     width, ``extra_roots[j]`` and ``residual_critical_points[j]``, tuples,
-    and ``residual_extrema``, of shape ``(4, rows)``, whose columns are the
-    shells' ``(R_min, R_max, argmin, argmax)``.  ``residual_at_turning_points``
+    and ``residual_extrema``, of shape ``(4, rows)``: the columns ``R_min``,
+    ``R_max``, ``argmin`` and ``argmax``, so that ``residual_extrema[0]`` is
+    ``R_min`` here as on a shell.  ``residual_at_turning_points``
     is NaN where it is not known, and ``amplitude`` and ``rho`` are None where
     the shells do not set them.  All shells of the columns are of one family.
     """
