@@ -384,10 +384,6 @@ def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict
         return record
     else:
         raise UsageError(f"unknown method {method!r}")
-    return _set_period(record, res)
-
-
-def _set_period(record: dict, res) -> dict:
     record.update(T=res.T, Omega=res.Omega, err_estimate=res.err_estimate)
     return record
 
