@@ -676,9 +676,15 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
             extra[j] = (-b_j, b_j)
     # a ** 2 is C pow, whose rounding numpy's square does not reproduce.
     rho = np.array([lam_i * a ** 2 for lam_i, a in zip(lam_list, a_list)])
+    # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
+    # in closed form: R(+-A) by the Horner steps of _residual_extrema, R(0) =
+    # R0, the first candidate winning a tie.
+    r0 = residual[:, 0]
+    r_a = r0 + (residual[:, 2] * amplitude) * amplitude
+    extrema = np.array([np.minimum(r_a, r0), np.maximum(r_a, r0),
+                        np.where(r_a > r0, 0.0, -amplitude), np.where(r_a < r0, 0.0, -amplitude)])
     return ShellColumns(
-        error, slots, energy, -amplitude, amplitude, residual, extra, crits,
-        _residual_extrema(residual, -amplitude, amplitude, crits),
+        error, slots, energy, -amplitude, amplitude, residual, extra, crits, extrema,
         np.where(softening, half_s, math.nan), amplitude=amplitude, rho=rho,
     )._checked()
 

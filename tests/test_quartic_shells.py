@@ -194,3 +194,16 @@ def test_known_end_shells_refine_past_the_generic_node_cap():
     found = period_quadratures([balanced_frame(s) for s in quartic_shells([lam] * 3, energies)])
     for energy, res in zip(energies, found):
         assert abs(res.T - _elliptic_period(lam, energy)) <= 1e-13 * res.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_pairs(), min_size=1, max_size=20),
+       st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]), max_size=3))
+def test_closed_form_extrema_match_evaluating_the_residual(pairs, tiny_lams):
+    # lam = 0 has no critical point, and lam/4 of a subnormal lam rounds to 0.
+    pairs = pairs + [(lam, 0.5) for lam in tiny_lams]
+    lams, energies = (np.array(col) for col in zip(*pairs))
+    cols = potential._quartic_columns(lams, energies, [None] * len(pairs))
+    evaluated = potential._residual_extrema(cols.residual, cols.x_minus, cols.x_plus,
+                                            cols.residual_critical_points)
+    assert cols.residual_extrema.tobytes() == evaluated.tobytes()
