@@ -124,13 +124,11 @@ def frame_columns(strategy: str, shells, omega: float | None = None):
         return float(omega), None
     if strategy == NAYFEH and shells.family != "quartic":
         raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
-    # Like Python floats, columns overflow to inf without a warning.
-    with np.errstate(over="ignore"):
-        if strategy == NAYFEH:
-            rho = shells.rho
-            return np.sqrt(1.0 + rho), rho / (2.0 * rho + 2.0)
-        r_min, r_max = shells.residual_extrema[:2]
-        return np.sqrt(r_min + r_max), _closed_form_xi(shells)
+    if strategy == NAYFEH:
+        rho = shells.rho
+        return np.sqrt(1.0 + rho), rho / (2.0 * rho + 2.0)
+    r_min, r_max = shells.residual_extrema[:2]
+    return np.sqrt(r_min + r_max), _closed_form_xi(shells)
 
 
 def balanced_frame(shell: EnergyShell) -> BalancedFrame:
