@@ -191,6 +191,7 @@ def _cells(column: list, digits: int) -> list[str]:
 
 
 def _json_cells(column: list) -> list[str]:
+    """The JSON values of one column."""
     kind = _kind(column)
     if kind == "one":
         return [_json_value(column[0])] * len(column)
