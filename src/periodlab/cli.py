@@ -3,14 +3,15 @@
 Subcommands: ``period``, ``sweep``, ``converge``, ``verify``.  Output formats
 are ``table`` (default, human), ``json`` (one object per record, arrays for
 multi-record output) and ``csv`` (RFC-4180 quoting, fixed column order).
-Every float is serialized with 17 significant digits so records re-parse
-bit-exactly.  Exit codes: 0 success, 1 usage, 2 domain (separatrix/energy),
-3 numerical non-convergence.  The environment variable ``PERIODLAB_TOL``
-overrides the default 1e-13 quadrature tolerance.
+csv and json write every float with 17 significant digits so records
+re-parse bit-exactly; table writes 12.  Exit codes: 0 success, 1 usage, 2
+domain (separatrix/energy), 3 numerical non-convergence.  The environment
+variable ``PERIODLAB_TOL`` overrides the default 1e-13 quadrature tolerance.
 
-Output is written a column at a time (:func:`emit`).  A quadrature ``sweep``
-goes from the shell solve to the output in columns: one array per shell,
-frame and period field, and no shell, frame or record object per grid point.
+Output is written a column at a time (:func:`emit`), each value by the one
+formatter of its format.  A quadrature ``sweep`` goes from the shell solve to
+the output in columns: one array per shell, frame and period field, and no
+shell, frame or record object per grid point.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from itertools import repeat
 from operator import is_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,34 +112,66 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Serialization (17 significant digits everywhere)
+# Serialization
 # ---------------------------------------------------------------------------
 
-_FLOAT_SPECS = {17: ".17g", 12: ".12g"}
+class _Format(NamedTuple):
+    """How an output format writes a value: the ``format`` spec of a float,
+    the text of a non-finite float (None: the spec's) and of None, how a
+    string is written and how the texts of a list's elements are joined."""
+
+    float_spec: str
+    non_finite: str | None
+    none: str
+    string: Callable[[str], str]
+    join: Callable
 
 
-def _text(v, digits: int = 17) -> str:
-    """One scalar as text: floats with ``digits`` significant digits, bools as
-    ``true``/``false``, integers and strings as they are."""
+_FORMATS = {
+    "csv": _Format(".17g", None, "", str, ";".join),
+    "table": _Format(".12g", None, "", str, ";".join),
+    "json": _Format(".17g", "null", "null", json.dumps,
+                    lambda texts: "[" + ", ".join(texts) + "]"),
+}
+
+
+def _value(v, fmt: _Format) -> str:
+    """One value as ``fmt`` writes it; bools are ``true``/``false`` and
+    integers are written as they are."""
+    if type(v) is float:  # most values
+        return (format(v, fmt.float_spec) if fmt.non_finite is None or math.isfinite(v)
+                else fmt.non_finite)
+    if v is None:
+        return fmt.none
+    if isinstance(v, str):
+        return fmt.string(v)
+    if isinstance(v, (list, tuple)):
+        return fmt.join([_value(e, fmt) for e in v])
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return f"{float(v):.{digits}g}"
-    return str(v)
-
-
-def _json_value(v) -> str:
-    if type(v) is float:  # most values; the text the checks below would give
-        return format(v, ".17g") if math.isfinite(v) else "null"
-    if v is None or (isinstance(v, (float, np.floating)) and not math.isfinite(v)):
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(e) for e in v) + "]"
-    if isinstance(v, (int, float, np.integer, np.floating)):
-        return _text(v)
+        return _value(float(v), fmt)
+    if isinstance(v, (int, np.integer)):
+        return str(v)
     raise TypeError(f"cannot serialize {type(v)}")
+
+
+def _column(column: list, fmt: _Format) -> list[str]:
+    """The texts of the cells of ``column`` in ``fmt``: a column of one object
+    is formatted once, a column of floats by one ``format`` pass, and
+    non-empty lists of one length a position at a time."""
+    first = column[0] if column else None
+    if all(map(is_, column, repeat(first))):
+        return [_value(first, fmt)] * len(column)
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        texts = list(map(format, column, repeat(fmt.float_spec)))
+        if fmt.non_finite is None or all(map(math.isfinite, column)):
+            return texts
+        return [t if math.isfinite(v) else fmt.non_finite for t, v in zip(texts, column)]
+    if kinds == {list} and first and len(set(map(len, column))) == 1:
+        return list(map(fmt.join, zip(*(_column(list(c), fmt) for c in zip(*column)))))
+    return [_value(v, fmt) for v in column]
 
 
 @functools.cache
@@ -144,90 +179,26 @@ def _json_key(k: str) -> str:
     return json.dumps(k)
 
 
-def _json_record(record: dict, fields) -> str:
-    """``record`` as the JSON object :func:`emit` writes for it."""
-    return _json_bodies([[record.get(k)] for k in fields], fields)[0]
-
-
-def _cell(v, digits: int) -> str:
-    """A csv (17 digits) or table (12 digits) cell; lists are joined by ``;``."""
-    kind = type(v)
-    if kind is float:  # most cells; the text _text would give
-        return format(v, _FLOAT_SPECS[digits])
-    if kind is str:
-        return v
-    if v is None:
-        return ""
-    if isinstance(v, (list, tuple)):
-        return ";".join([_cell(e, digits) for e in v])
-    return _text(v, digits)
-
-
-def _kind(column: list) -> str:
-    """How a column is formatted: ``"one"`` when every cell is one object,
-    ``"float"`` when all cells are floats, ``"lists"`` when all are non-empty
-    lists of one length, which go a position at a time, else ``"cells"``."""
-    first = column[0] if column else None
-    if all(map(is_, column, repeat(first))):
-        return "one"
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return "float"
-    if kinds == {list} and first and len(set(map(len, column))) == 1:
-        return "lists"
-    return "cells"
-
-
-def _cells(column: list, digits: int) -> list[str]:
-    """The csv (17 digits) or table (12 digits) cells of one column."""
-    kind = _kind(column)
-    if kind == "one":
-        return [_cell(column[0], digits)] * len(column)
-    if kind == "float":
-        return list(map(format, column, repeat(_FLOAT_SPECS[digits])))
-    if kind == "lists":
-        return list(map(";".join, zip(*(_cells(list(c), digits) for c in zip(*column)))))
-    return [_cell(v, digits) for v in column]
-
-
-def _json_cells(column: list) -> list[str]:
-    """The JSON values of one column."""
-    kind = _kind(column)
-    if kind == "one":
-        return [_json_value(column[0])] * len(column)
-    if kind == "float":
-        cells = list(map(format, column, repeat(".17g")))
-        if all(map(math.isfinite, column)):
-            return cells
-        return [c if math.isfinite(v) else "null" for c, v in zip(cells, column)]
-    if kind == "lists":
-        return ["[" + ", ".join(row) + "]"
-                for row in zip(*(_json_cells(list(c)) for c in zip(*column)))]
-    return [_json_value(v) for v in column]
-
-
-def _json_bodies(columns: list, fields) -> list[str]:
-    """One JSON object per record of ``columns``, one column per field."""
-    keyed = [list(map((_json_key(k) + ": ").__add__, _json_cells(column)))
-             for k, column in zip(fields, columns)]
-    return ["{" + ", ".join(parts) + "}" for parts in zip(*keyed)]
-
-
 def emit(table, fields, fmt: str, out) -> None:
     """Write the records of ``table`` to ``out`` in the format ``fmt``.
 
     ``table`` maps each of ``fields`` to its column, one cell per record, or
     is a list of record dicts, whose missing fields are None.  Each column is
-    formatted as a whole: a column of one object once, a column of floats by
-    one ``format`` pass.
+    formatted as a whole (:func:`_column`); ``table`` shows only the columns
+    that some record sets.
     """
     fields = list(fields)
     if isinstance(table, dict):
         columns = [table[k] for k in fields]
     else:
         columns = [[r.get(k) for r in table] for k in fields]
+    if fmt == "table":
+        shown = [j for j, column in enumerate(columns) if column.count(None) < len(column)]
+        fields, columns = [fields[j] for j in shown], [columns[j] for j in shown]
+    texts = [_column(column, _FORMATS[fmt]) for column in columns]
     if fmt == "json":
-        bodies = _json_bodies(columns, fields)
+        keyed = [list(map((_json_key(k) + ": ").__add__, t)) for k, t in zip(fields, texts)]
+        bodies = ["{" + ", ".join(parts) + "}" for parts in zip(*keyed)]
         if len(bodies) == 1:
             out.write(bodies[0] + "\n")
         else:
@@ -235,21 +206,14 @@ def emit(table, fields, fmt: str, out) -> None:
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows(zip(*(_cells(column, 17) for column in columns)))
+        writer.writerows(zip(*texts))
     else:
-        _emit_table(columns, fields, out)
-
-
-def _emit_table(columns: list, fields, out) -> None:
-    shown = [(h, column) for h, column in zip(fields, columns)
-             if column.count(None) < len(column)]
-    padded = []
-    for h, column in shown:
-        cells = _cells(column, 12)
-        width = max(len(h), *map(len, cells))
-        padded.append([h.ljust(width), *map(str.ljust, cells, repeat(width))])
-    rows = zip(*padded) if padded else [()]
-    out.write("".join("  ".join(row).rstrip() + "\n" for row in rows))
+        padded = []
+        for k, t in zip(fields, texts):
+            width = max(len(k), *map(len, t))
+            padded.append([k.ljust(width), *map(str.ljust, t, repeat(width))])
+        rows = zip(*padded) if padded else [()]
+        out.write("".join("  ".join(row).rstrip() + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -311,42 +275,29 @@ def _resolve_energy(args, U) -> float:
 
 
 def _problem(args):
-    """The potential, energy, shell and frame that ``args`` describe."""
+    """The potential, shell and frame that ``args`` describe."""
     U = _build_potential(args)
-    energy = _resolve_energy(args, U)
-    shell = turning_points(U, energy)
-    return U, energy, shell, _frame(args, shell)
+    shell = turning_points(U, _resolve_energy(args, U))
+    return U, shell, _frame(args, shell)
 
 
-def _optional_float(v):
-    return None if v is None else float(v)
+def _constants(command: str, args) -> dict:
+    """The fields that every record of a call of ``command`` shares."""
+    return {"command": command, "preset": args.preset, "lambda": args.lam,
+            "mass": args.mass, "omega0": args.omega0, "frame": args.frame}
 
 
-def _blank_record(command: str) -> dict:
+def _shell_fields(shell, omega_ref, xi) -> dict:
+    """The fields of ``shell`` and of its frame's ``omega_ref`` and ``xi``:
+    numbers of an :class:`EnergyShell`, or columns of :class:`ShellColumns`."""
+    return {"energy": shell.energy, "x_minus": shell.x_minus, "x_plus": shell.x_plus,
+            "amplitude": shell.amplitude, "rho": shell.rho, "omega_ref": omega_ref, "xi": xi}
+
+
+def _base_record(command: str, args, U, shell, frame) -> dict:
     record = dict.fromkeys(RECORD_FIELDS)
-    record["command"] = command
-    return record
-
-
-def _base_record(command: str, args, coeffs, energy, shell, frame) -> dict:
-    record = _blank_record(command)
-    record.update(
-        preset=args.preset,
-        coeffs=coeffs.tolist(),
-        mass=float(args.mass),
-        omega0=float(args.omega0),
-        energy=float(energy),
-        frame=args.frame,
-    )
-    record["lambda"] = _optional_float(args.lam)
-    record.update(
-        x_minus=float(shell.x_minus),
-        x_plus=float(shell.x_plus),
-        amplitude=_optional_float(shell.amplitude),
-        rho=_optional_float(shell.rho),
-        omega_ref=float(frame.omega),
-        xi=_optional_float(frame.xi),
-    )
+    record.update(_constants(command, args), coeffs=U.coeffs.tolist(),
+                  **_shell_fields(shell, frame.omega, frame.xi))
     return record
 
 
@@ -408,8 +359,8 @@ def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[di
     A method that fails gives its own error record, names itself on stderr
     and sets the exit status of its error; the other methods keep theirs.
     """
-    U, energy, shell, frame = _problem(args)
-    base = _base_record(command, args, U.coeffs, energy, shell, frame)
+    U, shell, frame = _problem(args)
+    base = _base_record(command, args, U, shell, frame)
     records, status = [], 0
     for m in _methods_for(method, shell):
         try:
@@ -435,6 +386,8 @@ def cmd_sweep(args, tol, out) -> int:
         raise UsageError(f"sweep bounds must be finite: from {args.start} to {args.stop}")
     if not args.start < args.stop:
         raise UsageError(f"sweep range is degenerate: from {args.start} to {args.stop}")
+    if not math.isfinite(args.stop - args.start):
+        raise UsageError(f"sweep range must have a finite width: from {args.start} to {args.stop}")
     if args.param == "rho" and args.preset != "duffing":
         raise UsageError("--param rho requires the duffing preset")
     if args.log:
@@ -456,8 +409,7 @@ def cmd_sweep(args, tol, out) -> int:
             error[i] = exc
         rows, cells = [], {}
     else:
-        cells = dict(energy=shells.energy, amplitude=shells.amplitude, rho=shells.rho,
-                     omega_ref=omega_ref, xi=xi, x_minus=shells.x_minus, x_plus=shells.x_plus)
+        cells = _shell_fields(shells, omega_ref, xi)
         if args.method == "quadrature":
             T, Omega, err, failed = quadrature_columns(
                 shells.residual, shells.x_minus, shells.x_plus,
@@ -532,14 +484,12 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
 
     ``cells`` maps fields to their values on ``rows``, the slots with a
     shell: an array, a list, or one value for all.  A slot whose ``error`` is
-    set holds its error record.
+    set keeps the call's constant fields and its grid value, gets its error
+    and has no other cell.
     """
     n = len(values)
-    table = {k: [None] * n for k in RECORD_FIELDS}
-    for k, v in (("command", "sweep"), ("preset", args.preset), ("mass", float(args.mass)),
-                 ("omega0", float(args.omega0)), ("frame", args.frame), ("method", args.method),
-                 ("lambda", _optional_float(args.lam))):
-        table[k] = [v] * n
+    constants = dict(_constants("sweep", args), method=args.method)
+    table = {k: [constants.get(k)] * n for k in RECORD_FIELDS}
     table["coeffs"] = list(coeffs)
     cells = {k: v.tolist() if isinstance(v, np.ndarray)
              else v if isinstance(v, list) else [v] * len(rows)
@@ -555,41 +505,36 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
             put = table[k]
             for i, v in zip(rows, column):
                 put[i] = v
-    for i, exc in enumerate(error):
-        if exc is not None:
-            for k, v in _sweep_error_record(args, values[i], exc).items():
-                table[k][i] = v
+    failed = [i for i, exc in enumerate(error) if exc is not None]
+    for k, column in table.items():
+        if k not in constants:
+            for i in failed:
+                column[i] = None
+    grid = table["energy" if args.param == "energy" else "rho"]
+    for i in failed:
+        grid[i] = values[i]
+        table["error"][i] = str(error[i])
+        table["error_kind"][i] = _error_kind(error[i])[0]
     if args.param == "rho":
         # Each point is the well at A = 1, so its lam is its rho.
         table["lambda"] = list(values)
     return table
 
 
-def _sweep_error_record(args, value, exc: PeriodLabError) -> dict:
-    record = _blank_record("sweep")
-    record.update(
-        preset=args.preset, mass=args.mass, omega0=args.omega0,
-        frame=args.frame, method=args.method,
-        error=str(exc), error_kind=_error_kind(exc)[0],
-    )
-    record["energy" if args.param == "energy" else "rho"] = float(value)
-    record["lambda"] = _optional_float(args.lam)
-    return record
-
-
 def cmd_converge(args, tol, out) -> int:
-    U, energy, shell, frame = _problem(args)
+    U, shell, frame = _problem(args)
     series = best_series(shell, frame, args.Nmax)
     t_quad = period_quadrature(frame, U.omega0, tol).T
     scale = _SQRT2 / U.omega0
-    base = _base_record("converge", args, U.coeffs, energy, shell, frame)
+    base = _base_record("converge", args, U, shell, frame)
     rows = [dict(base, regime=series.regime, N=n, I_N=float(i_n), T_N=scale * i_n,
                  abs_dev_quadrature=abs(scale * i_n - t_quad))
             for n, i_n in enumerate(series.partial_sums)]
     if args.format == "table":
+        digits17 = _FORMATS["csv"]
         out.write(f"# regime: {series.regime}"
-                  + (f"  xi = {_text(frame.xi)}" if frame.xi is not None else "")
-                  + f"  T_quadrature = {_text(t_quad)}\n")
+                  + (f"  xi = {_value(frame.xi, digits17)}" if frame.xi is not None else "")
+                  + f"  T_quadrature = {_value(t_quad, digits17)}\n")
     emit(rows, CONVERGE_FIELDS, args.format, out)
     return 0
 

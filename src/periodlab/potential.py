@@ -23,6 +23,7 @@ build their :class:`EnergyShell` objects from those columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,8 @@ from .errors import (
 SEPARATRIX_RTOL = 1e-12
 
 _MIN_ENERGY = 1e-30
+
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -351,11 +354,24 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     The reference minimum is the critical point of U with positive curvature
     nearest the origin; the constant coefficient is shifted so that
     ``U(minimum) = 0`` exactly.  The shift leaves U' unchanged, so the well
-    keeps the critical points solved here.
+    keeps the critical points solved here.  A scaling ``1/(m omega0^2)`` that
+    is not a finite positive number, or that overflows a coefficient, raises
+    :class:`DomainError`.
     """
     _require_positive("mass", mass)
     _require_positive("omega0", omega0)
-    u = as_coeffs(np.asarray(v_coeffs, dtype=float) / (mass * omega0 ** 2))
+    v = np.asarray(v_coeffs, dtype=float)
+    try:
+        scale = mass * omega0 ** 2
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = v / scale
+    finite = np.count_nonzero(np.isfinite(v))
+    if not 0.0 < scale < math.inf or np.count_nonzero(np.isfinite(u)) < finite:
+        raise DomainError(f"mass {mass} and omega0 {omega0} give no finite scaling "
+                          f"1/(mass omega0^2) of the coefficients {v.tolist()}")
+    u = as_coeffs(u)
     du, d2u = _derivatives(u)
     crits = _solved(real_roots, du)
     minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
@@ -674,8 +690,10 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
             b = 2.0 * np.sqrt(energy[softening] / -lam[softening]) / amplitude[softening]
         for j, b_j in zip(softening.nonzero()[0].tolist(), b.tolist()):
             extra[j] = (-b_j, b_j)
-    # a ** 2 is C pow, whose rounding numpy's square does not reproduce.
-    rho = np.array([lam_i * a ** 2 for lam_i, a in zip(lam_list, a_list)])
+    # a ** 2 is C pow, whose rounding numpy's square does not reproduce.  Past
+    # sqrt(max float) it overflows, though rho = s - 1 does not.
+    rho = np.array([lam_i * a ** 2 if a <= _SQRT_FLOAT_MAX else lam_i * a * a
+                    for lam_i, a in zip(lam_list, a_list)])
     # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
     # in closed form: R(+-A) by the Horner steps of _residual_extrema, R(0) =
     # R0, the first candidate winning a tie.

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from periodlab.cli import CONVERGE_FIELDS, RECORD_FIELDS, main
+from periodlab.cli import CONVERGE_FIELDS, RECORD_FIELDS, emit, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -134,9 +134,9 @@ def test_json_round_trip_bit_exact():
     assert record["energy"] == 0.123456789012345678
     assert record["lambda"] == 0.7317315982168345
     # re-serialize from the parsed record: every float survives the trip
-    from periodlab.cli import _json_record
-
-    assert _json_record(record, RECORD_FIELDS) == out.strip()
+    again = io.StringIO()
+    emit([record], RECORD_FIELDS, "json", again)
+    assert again.getvalue().strip() == out.strip()
 
 
 def test_show_terms_includes_partial_sums():
@@ -516,6 +516,8 @@ def test_overflowing_well_gives_one_numerical_record_per_sweep_point(coeffs, cap
     ("--param", "energy", "--from", "nan", "--to", "1"),
     ("--param", "energy", "--from=-inf", "--to", "1"),
     ("--param", "rho", "--from", "0.5", "--to", "inf", "--log"),
+    # finite bounds whose difference overflows
+    ("--param", "energy", "--from=-1e308", "--to", "1e308"),
 ])
 def test_non_finite_sweep_bound_is_a_usage_error(grid, capsys):
     with warnings.catch_warnings():
@@ -555,6 +557,43 @@ def test_well_whose_derivatives_overflow_gives_one_domain_record_per_sweep_point
     assert code == 0
     assert [r["error_kind"] for r in json.loads(out)] == ["domain"] * 4
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scaling", [("--omega0", "1e200"), ("--omega0", "1e-300"),
+                                     ("--mass", "1e-320")])
+def test_scaling_out_of_the_float_range_is_a_domain_error(scaling, capsys):
+    well = ("--preset", "poly", "--coeffs", "0", "0", "0.5", *scaling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", *well, "--energy", "1", "--format", "json")
+        assert code == 2
+        record = json.loads(out)
+        assert record["error_kind"] == "domain" and "scaling" in record["error"]
+        assert capsys.readouterr().err == f"domain error: {record['error']}\n"
+        code, out = run_cli("sweep", *well, "--param", "energy", "--from", "0.5", "--to", "1",
+                            "--steps", "3", "--format", "json")
+    assert code == 0
+    assert [(r["error"], r["error_kind"]) for r in json.loads(out)] == \
+        [(record["error"], "domain")] * 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("period", "--preset", "duffing", "--lambda", "0", "--energy", "1e308"),
+    ("period", "--preset", "duffing", "--lambda", "1e-320", "--energy", "1e308"),
+    ("sweep", "--preset", "poly", "--coeffs", "0", "0", "0.5", "--param", "energy",
+     "--from", "1", "--to", "1e308", "--steps", "3"),
+])
+def test_quartic_shell_whose_amplitude_squared_overflows_has_a_period(argv, capsys):
+    # Past A = sqrt(max float) ~ 1.34e154, A^2 overflows but rho = lam A^2 does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(*argv, "--format", "json")
+    assert code == 0 and capsys.readouterr().err == ""
+    records = json.loads(out)
+    for r in records if isinstance(records, list) else [records]:
+        assert r["error"] is None and 0.0 <= r["rho"] < 1e-11
+        assert r["T"] == pytest.approx(2.0 * math.pi, rel=1e-15 if r["rho"] == 0.0 else 1e-11)
 
 
 # ---------------------------------------------------------------------------

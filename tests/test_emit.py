@@ -1,4 +1,4 @@
-"""Record emission: the fast path for plain cells gives the text of the general one."""
+"""Record emission: the fast paths for whole columns give the text of the value formatter."""
 
 import io
 import json
@@ -7,36 +7,54 @@ import math
 import numpy as np
 import pytest
 
-from periodlab.cli import RECORD_FIELDS, _cell, _json_value, _text, emit
+from periodlab.cli import _FORMATS, RECORD_FIELDS, _column, _value, emit
 
 FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
           4.768022029102461, 123456789.123456789, math.inf, -math.inf, math.nan]
+CSV, TABLE, JSON = _FORMATS["csv"], _FORMATS["table"], _FORMATS["json"]
 
 
 @pytest.mark.parametrize("digits", [17, 12])
 def test_float_cells_match_the_general_formatter(digits):
+    fmt = CSV if digits == 17 else TABLE
     for v in FLOATS:
-        assert _cell(v, digits) == _text(v, digits) == f"{v:.{digits}g}"
-        assert _cell(np.float64(v), digits) == _cell(v, digits)
-    assert _cell(FLOATS, digits) == ";".join(_text(v, digits) for v in FLOATS)
+        assert _value(v, fmt) == f"{v:.{digits}g}"
+        assert _value(np.float64(v), fmt) == _value(v, fmt)
+    assert _column(FLOATS, fmt) == [_value(v, fmt) for v in FLOATS]
+    assert _value(FLOATS, fmt) == ";".join(_value(v, fmt) for v in FLOATS)
 
 
 def test_other_cells_keep_their_text():
-    assert _cell(None, 17) == ""
-    assert _cell("balanced", 17) == "balanced"
-    assert _cell(True, 17) == "true" and _cell(False, 12) == "false"
-    assert _cell(7, 17) == "7"
-    assert _cell((1.5, None, "a"), 12) == "1.5;;a"
+    assert _value(None, CSV) == ""
+    assert _value("balanced", CSV) == "balanced"
+    assert _value(True, CSV) == "true" and _value(False, TABLE) == "false"
+    assert _value(7, CSV) == "7"
+    assert _value((1.5, None, "a"), TABLE) == "1.5;;a"
 
 
 def test_json_values_keep_their_text():
     for v in FLOATS:
         expected = "null" if not math.isfinite(v) else f"{v:.17g}"
-        assert _json_value(v) == _json_value(np.float64(v)) == expected
-    assert _json_value(None) == "null"
-    assert _json_value('say "hi"') == json.dumps('say "hi"')
-    assert _json_value([1.0, math.nan, 2]) == "[1, null, 2]"
-    assert _json_value(True) == "true"
+        assert _value(v, JSON) == _value(np.float64(v), JSON) == expected
+    assert _column(FLOATS, JSON) == [_value(v, JSON) for v in FLOATS]
+    assert _value(None, JSON) == "null"
+    assert _value('say "hi"', JSON) == json.dumps('say "hi"')
+    assert _value([1.0, math.nan, 2], JSON) == "[1, null, 2]"
+    assert _value(True, JSON) == "true"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_each_column_pass_gives_the_text_of_each_value(fmt):
+    shared = [0.0, 0.5]
+    columns = [
+        ["sweep"] * 3,  # one object
+        [1.0, math.inf, 2.5],  # floats
+        [[*shared, 0.25], [*shared, math.nan], [*shared, -1.0]],  # lists of one length
+        [[*shared, 0.25], shared, None],  # anything else
+        [],
+    ]
+    for column in columns:
+        assert _column(column, _FORMATS[fmt]) == [_value(v, _FORMATS[fmt]) for v in column]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])

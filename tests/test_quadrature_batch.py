@@ -275,24 +275,30 @@ def _records_as_text(text: str, fmt: str) -> list[dict]:
     return [dict(zip(header, row)) for row in rows]
 
 
+SOFTENING_RHOS = ["--from", "-0.99", "--to", "-0.01", "--steps", "9"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("frame", ["balanced", "nayfeh", "fixed:1.1"])
 @pytest.mark.parametrize("grid", [
     ["--from", "0.01", "--to", "1e8", "--steps", "9", "--log"],
-    ["--from", "-0.99", "--to", "-0.01", "--steps", "9"],
+    SOFTENING_RHOS,
     # amplitude 1 beyond the barrier at -1.5, and wells whose U'' overflows
     ["--from", "-1.5", "--to", "1e308", "--steps", "7"],
+    # each point's shell and frame from the columns; the oracle builds its well
+    *([*SOFTENING_RHOS, "--method", method] for method in ("oracle", "series", "elliptic")),
 ])
 def test_rho_sweep_record_equals_period_record_at_amplitude_one(grid, frame, fmt):
     out = io.StringIO()
     assert main(["sweep", "--preset", "duffing", "--param", "rho", *grid, "--frame", frame,
                  "--format", fmt], out=out) == 0
+    method = grid[grid.index("--method") + 1] if "--method" in grid else "quadrature"
     ignored = ("command", "lambda", "sqrt_rho_T")
     for row in _records_as_text(out.getvalue(), fmt):
         one = io.StringIO()
         with contextlib.redirect_stderr(io.StringIO()):
             main(["period", "--preset", "duffing", "--lambda", row["lambda"], "--amplitude", "1",
-                  "--frame", frame, "--format", fmt], out=one)
+                  "--frame", frame, "--method", method, "--format", fmt], out=one)
         if row["error"] not in ("", None):
             # the lone call fails before it has a record: one JSON error record
             (lone,) = _records_as_text(one.getvalue(), "json")
