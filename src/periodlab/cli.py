@@ -271,7 +271,10 @@ def _resolve_energy(args, U) -> float:
     error = _amplitude_error(a, barrier_info(U).amplitude_limit)
     if error is not None:
         raise error
-    return float(U(a))
+    # An amplitude whose powers overflow gives an infinite energy, which the
+    # shell solve reports as a domain error.
+    with np.errstate(over="ignore"):
+        return float(U(a))
 
 
 def _problem(args):
@@ -410,7 +413,10 @@ def cmd_sweep(args, tol, out) -> int:
         rows, cells = [], {}
     else:
         cells = _shell_fields(shells, omega_ref, xi)
-        if args.method == "quadrature":
+        if not rows:
+            # No shell, as when the well or its scaling failed: no method runs.
+            failed = []
+        elif args.method == "quadrature":
             T, Omega, err, failed = quadrature_columns(
                 shells.residual, shells.x_minus, shells.x_plus,
                 shells.residual_at_turning_points, args.omega0, tol)

@@ -1,39 +1,66 @@
 """Independent ground truth: direct integration of the equation of motion.
 
 The dimensionless dynamics ``x'' = -U'(x)`` (prime = d/dtau, tau = omega0 t)
-is advanced with the classic fourth-order one-step scheme.  The motion starts
-at rest on the right turning point and is time-reversible, so its first
-velocity zero, on the left turning point, falls at exactly half the period;
-each run stops there.  The crossing time is refined with a cubic Hermite
-interpolant of the velocity, consistent with the fourth-order accuracy of the
-stepper.  Two runs, at steps h and h/2, give the period and a Richardson
-estimate of its error (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
+is advanced by Gragg-Bulirsch-Stoer extrapolation of Stormer's rule (Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.14; Bulirsch & Stoer 1966).  A macro
+step of length H runs Stormer's rule in its summed form with n = 2, 4, ...,
+2k substeps and extrapolates the k results to zero substep by Neville's
+scheme in (H/n)^2; the last two diagonal entries of the tableau give the
+step's error estimate and choose the next H.
+
+The motion starts at the well's minimum with all its energy kinetic, so no
+turning point, shell or frame is read.  The motion is time-reversible, so the
+time between its first two velocity zeros, on the two turning points, is
+exactly half the period.  Each zero is found by Newton's method on the length
+of a partial macro step from the last step's start, where v' = -U'(x).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-import numpy.polynomial.polynomial as npoly
-
 from .errors import DomainError
-from .frame import balanced_frame
-from .potential import EnergyShell, PolynomialPotential, turning_points
+from .frame import balanced_frame  # noqa: F401  (a name layer tracers bind)
+from .potential import (  # noqa: F401  (turning_points: a name layer tracers bind)
+    EnergyShell,
+    PolynomialPotential,
+    _check_energy,
+    turning_points,
+)
 
 DRIFT_TOL = 1e-10
 # A measured period is reliable when its error estimate is within this
 # fraction of it.
 ERR_RTOL = 1e-9
 PERIOD_CAP = 1e6
-# The coarse step of the first pair, as a fraction of the period estimate.
-_FIRST_STEP = 1.0 / 500.0
-_MAX_PAIRS = 10
-# Practical bound alongside the time cap: sub-separatrix periods diverge only
-# logarithmically, so a run needing this many steps is a separatrix case.
-_MAX_STEPS = 2_000_000
-_EPS = float(np.finfo(float).eps)
+# Tableau columns: a macro step runs Stormer's rule with 2, 4, ..., 2k substeps.
+_K = 6
+_SUBSTEPS = tuple(2 * j for j in range(1, _K + 1))
+# Neville's weights in h^2: row j, column l extrapolates by (T - T') m^2 /
+# (n^2 - m^2), n and m the substeps of rows j and j - l, kept as integers so
+# that the step runs in any precision its inputs have.
+_NEVILLE = tuple(tuple((m * m, n * n - m * m) for m in reversed(_SUBSTEPS[:j]))
+                 for j, n in enumerate(_SUBSTEPS))
+# Force evaluations of a macro step: one per substep of each column, and one
+# at the extrapolated end.
+_EVALS = _K * (_K + 1) + 1
+# The estimate, that of a step of order 2k - 2, shrinks as H^(2k - 1).
+_ORDER_ROOT = 1.0 / (2 * _K - 1)
+_EPS = 2.0 ** -52
+# Per-step tolerance on the tableau's estimate, relative to the orbit's size,
+# in a well without a barrier.  Next to a barrier it tightens as 1 - E/E_b,
+# down to the rounding floor.
+_TOL = 1e-13
+_TOL_FLOOR = 16.0 * _EPS
+# The first macro step, as a fraction of the small-oscillation period.
+_FIRST_STEP = 1.0 / 16.0
+# Practical bound beside the time cap: sub-separatrix periods diverge only
+# logarithmically, so a run needing this many macro steps is a separatrix case.
+_MAX_STEPS = 50_000
+_NEWTON_MAX = 8
+_NEWTON_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,16 +76,21 @@ class TrajectoryState:
 class OracleReport:
     """A measured period with its quality metadata.
 
-    ``err_estimate`` is meant to bound ``|period - T|``: twice the Richardson
-    estimate ``|T_h - T_{h/2}| / 15`` of the pair of runs, plus the
-    shell-conditioning term ``eps * E_b / (E_b - E) * period`` (``eps *
-    period`` without a barrier), the error that rounding of the start point
-    causes near a barrier and that no smaller step removes.
-    ``energy_drift`` is the maximum relative excursion of the instantaneous
-    energy over the fine run.  A report is ``reliable`` when the drift is
-    within ``DRIFT_TOL``, ``err_estimate`` within ``ERR_RTOL * period``, and
-    the period cap was not hit.  ``steps`` counts every step taken, over all
-    runs.
+    ``err_estimate`` is meant to bound ``|period - T|``.  It is the period
+    times ``kappa = E_b / (E_b - E)`` (1 without a barrier), the factor by
+    which a barrier amplifies an error of the motion into an error of the
+    period, times the sum of two parts: the tableau's error estimates of the
+    steps taken, relative to the orbit's size, and rounding, ``eps`` per force
+    evaluation adding up as a random walk, scaled up when the minimum lies off
+    the origin by a distance large beside the orbit (the positions and forces
+    there round on the scale of ``|x_min|``).  ``energy_drift`` is the maximum
+    relative excursion of the instantaneous energy over the step ends.  A
+    report is ``reliable`` when the drift is within ``DRIFT_TOL``,
+    ``err_estimate`` within ``ERR_RTOL * period``, and the period cap was not
+    hit.  ``steps`` counts every macro step taken: accepted, rejected and the
+    partial steps of the crossing searches, each of at most ``k (k + 1) + 1``
+    force evaluations.  ``method_order`` is the order ``2k`` of the
+    extrapolated step.
     """
 
     period: float
@@ -70,108 +102,114 @@ class OracleReport:
     reliable: bool
 
 
-def _force(U: PolynomialPotential):
-    """``-U'(x)`` as one unrolled Horner expression, compiled once and shared by
-    every run of a measurement.
+@functools.cache
+def _horner_maker(degree: int):
+    """A function of ``c0, ..., c_degree`` that returns their polynomial as
+    one unrolled Horner expression ``lambda x: (c_d * x + c_{d-1}) * x ...``,
+    compiled once per degree."""
+    names = [f"c{i}" for i in range(degree + 1)]
+    expr = names[-1]
+    for name in reversed(names[:-1]):
+        expr = f"({expr}) * x + {name}"
+    namespace: dict = {}
+    exec(f"def make({', '.join(names)}):\n    return lambda x: {expr}\n", namespace)
+    return namespace["make"]
 
-    The expression takes the same steps as the loop ``acc = acc * x + c``
-    from ``acc = 0.0`` over the coefficients of U', highest first, so its
-    bits are those of that loop.
+
+def _polynomial(coeffs):
+    """The polynomial of ``coeffs`` (lowest first) as a Python float function."""
+    return _horner_maker(len(coeffs) - 1)(*coeffs.tolist())
+
+
+def _force(U: PolynomialPotential):
+    """``-U'(x)``; rounding is symmetric, so Horner on the negated
+    coefficients gives the bits of ``-(U'(x))``."""
+    return _polynomial(-U.slope_coeffs)
+
+
+def _step(force, x: float, v: float, a: float, H: float):
+    """One macro step of length ``H`` from ``(x, v)``, where ``a = force(x)``.
+
+    Column j runs Stormer's rule in summed form with ``n = 2j`` substeps of
+    ``h = H/n``: ``d = h (v + h a / 2)``, then ``x += d`` and ``d += h^2 f(x)``
+    for each interior substep, and ``v = d / h + h f(x_n) / 2`` at the end;
+    both results expand in even powers of h.  Returns ``(x, v, dx, dv)``: the
+    extrapolated state and the difference of the last two entries of the
+    tableau's last row, the step's error estimate.
     """
-    expr = "0.0"
-    for c in U.slope_coeffs[::-1].tolist():
-        expr = f"({expr}) * x + {c!r}"
-    return eval(f"lambda x: -({expr})")
+    last_x = last_v = ()
+    for n, weights in zip(_SUBSTEPS, _NEVILLE):
+        h = H / n
+        hh = h * h
+        d = h * (v + 0.5 * h * a)
+        y = x + d
+        for _ in range(n - 1):
+            d += hh * force(y)
+            y += d
+        row_x = [y]
+        row_v = [d / h + 0.5 * h * force(y)]
+        for l, (m2, d2) in enumerate(weights):
+            row_x.append(row_x[l] + (row_x[l] - last_x[l]) * m2 / d2)
+            row_v.append(row_v[l] + (row_v[l] - last_v[l]) * m2 / d2)
+        last_x, last_v = row_x, row_v
+    return last_x[-1], last_v[-1], last_x[-1] - last_x[-2], last_v[-1] - last_v[-2]
 
 
 def integrate(U: PolynomialPotential, state0: TrajectoryState, dtau: float,
               n: int) -> list[TrajectoryState]:
-    """Advance ``n`` fixed steps of size ``dtau``; returns the n+1 states."""
+    """Advance ``n`` macro steps of size ``dtau``; returns the n+1 states."""
     if dtau <= 0.0:
         raise DomainError(f"dtau must be positive, got {dtau}")
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
-    _, xs, vs, _, _ = _run(_force(U), state0.x, state0.v, dtau, n, crossings_wanted=math.inf)
-    return [state0] + [TrajectoryState(tau=state0.tau + k * dtau, x=xs[k], v=vs[k])
-                       for k in range(1, n + 1)]
+    force = _force(U)
+    x, v = state0.x, state0.v
+    states = [state0]
+    for i in range(1, n + 1):
+        x, v, _, _ = _step(force, x, v, force(x), dtau)
+        states.append(TrajectoryState(tau=state0.tau + i * dtau, x=x, v=v))
+    return states
 
 
-def _hermite_crossing(v0: float, a0: float, v1: float, a1: float, h: float) -> float:
-    """Root of the cubic Hermite interpolant of v on a step where v changes sign."""
-    def interp(s: float) -> float:
-        s2 = s * s
-        s3 = s2 * s
-        return ((2.0 * s3 - 3.0 * s2 + 1.0) * v0
-                + (s3 - 2.0 * s2 + s) * h * a0
-                + (-2.0 * s3 + 3.0 * s2) * v1
-                + (s3 - s2) * h * a1)
+def _crossing(force, x: float, v: float, a: float, v1: float, a1: float, H: float):
+    """The length ``s`` of the partial macro step from ``(x, v)`` that ends on
+    ``v = 0``, where the full step of length ``H`` ends at velocity ``v1``
+    with ``a1 = force(x1)``; returns ``(s, macro steps taken)``.
 
-    lo, hi = 0.0, 1.0
-    f_lo = v0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f_mid = interp(mid)
-        if f_mid == 0.0:
-            return mid * h
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * h
-
-
-def _run(force, x: float, v: float, h: float, max_steps: int,
-         tau_cap: float = math.inf, crossings_wanted: float = 1):
-    """The RK4 loop under ``force``, from :func:`_force`: step from ``(x, v)``
-    until ``crossings_wanted`` velocity zero crossings are seen, or stop after
-    ``max_steps`` steps or past ``tau_cap``.
-
-    Returns (crossing_times, xs, vs, steps, capped) with the visited states in
-    the lists ``xs`` and ``vs``.
+    Newton starts at the zero of the velocity's cubic Hermite interpolant
+    over the step.  At a turning point ``v'' = -U''(x) v`` vanishes, so
+    Newton converges cubically there, and a correction below ``1e-6 H``
+    leaves the next one below rounding; it also stops once a correction no
+    longer halves, the rounding floor, or would leave the step.
     """
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    tau = 0.0
-    xs = [x]
-    vs = [v]
-    crossings: list[float] = []
-    steps = 0
-    capped = False
-    # The classic RK4 step; the force at each step's end is the next step's
-    # first stage and the slope of v at a crossing.
-    a = force(x)
-    while len(crossings) < crossings_wanted:
-        if tau > tau_cap or steps >= max_steps:
-            capped = True
+    # The Hermite cubic of v in t = s/H, v + t (c1 + t (c2 + t c3)).
+    c1 = H * a
+    c2 = 3.0 * (v1 - v) - H * (2.0 * a + a1)
+    c3 = 2.0 * (v - v1) + H * (a + a1)
+    s = H * v / (v - v1)
+    for _ in range(3):
+        t = s / H
+        slope = c1 + t * (2.0 * c2 + t * 3.0 * c3)
+        if slope == 0.0:
             break
-        k2x = v + half_h * a
-        k2v = force(x + half_h * v)
-        k3x = v + half_h * k2v
-        k3v = force(x + half_h * k2x)
-        k4x = v + h * k3v
-        k4v = force(x + h * k3x)
-        x_new = x + sixth_h * (v + 2.0 * k2x + 2.0 * k3x + k4x)
-        v_new = v + sixth_h * (a + 2.0 * k2v + 2.0 * k3v + k4v)
-        a_new = force(x_new)
-        if v != 0.0 and (v < 0.0) != (v_new < 0.0) and v_new != 0.0:
-            crossings.append(tau + _hermite_crossing(v, a, v_new, a_new, h))
-        x, v, a, tau = x_new, v_new, a_new, tau + h
-        xs.append(x)
-        vs.append(v)
+        guess = s - H * (v + t * (c1 + t * (c2 + t * c3))) / slope
+        if not 0.0 < guess <= H:
+            break
+        s = guess
+    steps = 0
+    last = math.inf
+    for _ in range(_NEWTON_MAX):
+        xs, vs, _, _ = _step(force, x, v, a, s)
         steps += 1
-    return crossings, xs, vs, steps, capped
-
-
-def _half_run(U: PolynomialPotential, force, shell: EnergyShell, h: float, tau_cap: float):
-    """One run from rest on ``shell.x_plus`` to the first velocity zero.
-
-    Returns (half_tau, drift, steps), with ``half_tau`` None when the run hit
-    the cap.
-    """
-    crossings, xs, vs, steps, capped = _run(force, shell.x_plus, 0.0, h, _MAX_STEPS, tau_cap)
-    xs, vs = np.array(xs), np.array(vs)
-    energies = 0.5 * vs * vs + npoly.polyval(xs, U.coeffs)
-    drift = float(np.max(np.abs(energies - shell.energy)) / shell.energy)
-    return (None if capped else crossings[0]), drift, steps
+        slope = force(xs)
+        if slope == 0.0 or not 0.0 < s - vs / slope <= H:
+            break
+        ds = vs / slope
+        s -= ds
+        if abs(ds) <= _NEWTON_STOP * H or abs(ds) > 0.5 * last:
+            break
+        last = abs(ds)
+    return s, steps
 
 
 def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
@@ -179,64 +217,100 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
                    period_cap: float = PERIOD_CAP) -> OracleReport:
     """Measure the oscillation period dynamically at the given energy.
 
-    ``energy`` is a number, or the :class:`EnergyShell` of ``U`` at that
-    energy, whose turning points are then used as they are instead of being
-    solved again.  Each run starts at rest on the right turning point and
-    stops at the first velocity zero, half a period later.  With
-    ``dtau=None`` a pair of runs, at ``h`` = 1/500 of the zeroth-order period
-    estimate and at ``h/2``, gives the fine run's period and its error
-    estimate.  While the fine run's energy drift exceeds ``DRIFT_TOL`` or the
-    estimate exceeds ``ERR_RTOL`` of the period, a new pair runs at a step
-    predicted by the fourth-order error law; refinement stops once the
-    Richardson part is below the conditioning term or fails to shrink
-    eightfold.  Passing an explicit ``dtau`` makes one run at that step, with
-    an infinite error estimate and so ``reliable=False`` (useful for
-    convergence studies).  Periods beyond ``period_cap`` time units (or runs
-    exceeding the internal step bound) mark the report unreliable instead of
-    raising.
+    ``energy`` is a number, or an :class:`EnergyShell` of ``U``, of which only
+    the energy is read.  The energy is checked against the barrier, and the
+    run starts at ``U.minimum_x`` with ``v = sqrt(2 (E - U(x_min)))``, moving
+    right; half the period is the time between its first two velocity zeros.
+    With ``dtau=None`` the macro step adapts: the first is 1/16 of
+    ``2 pi / sqrt(U''(x_min))``, and each next one is chosen from the
+    tableau's error estimate, held within ``1e-13 / kappa`` of the orbit's
+    size (``kappa = E_b / (E_b - E)``) but not below the rounding floor,
+    ``16 eps`` raised by the rounding of positions and forces near an
+    ``x_min`` off the origin; a step whose estimate stops shrinking with a
+    smaller step is taken at the floor.
+    Passing an explicit ``dtau`` makes every macro step that long, with an
+    infinite error estimate and so ``reliable=False`` (useful for convergence
+    studies).  Periods beyond ``period_cap`` time units (or runs exceeding the
+    internal step bound) mark the report unreliable instead of raising.
     """
-    shell = energy if isinstance(energy, EnergyShell) else turning_points(U, energy)
-    energy = shell.energy
-    tau_cap = 0.55 * period_cap * U.omega0
-    force = _force(U)
-    if dtau is not None:
-        if not dtau > 0.0:
-            raise DomainError(f"dtau must be positive, got {dtau}")
-        half, drift, steps = _half_run(U, force, shell, float(dtau), tau_cap)
-        return _report(U, half, math.inf, drift, steps, reliable=False)
+    if isinstance(energy, EnergyShell):
+        energy = energy.energy
+    energy = float(energy)
+    barrier = U.barrier
+    _check_energy(energy, barrier)
+    if dtau is not None and not dtau > 0.0:
+        raise DomainError(f"dtau must be positive, got {dtau}")
+    force, potential = _force(U), _polynomial(U.coeffs)
+    x = float(U.minimum_x)
+    kinetic = energy - potential(x)
+    if not kinetic > 0.0:
+        raise DomainError(f"energy {energy} is not above U(minimum_x) = {energy - kinetic}")
+    # sqrt(2) sqrt(K) rather than sqrt(2K), which overflows from K = 9e307.
+    v = math.sqrt(2.0) * math.sqrt(kinetic)
+    a = force(x)
+    omega = math.sqrt(float(U.curvature(x)))
+    x_scale, v_scale = v / omega, v
+    # Off the origin, positions and forces near x_min round at eps times
+    # |x_min| and the terms of U' there: ``frame`` eps in units of the orbit.
+    frame = max(abs(x) / x_scale, _polynomial(abs(U.slope_coeffs))(abs(x)) / (omega * v))
+    kappa = 1.0 / (1.0 - energy / barrier.barrier_energy)
+    tol = max(_TOL / kappa, _TOL_FLOOR * (1.0 + frame))
+    tau_cap = period_cap * U.omega0
+    fixed = dtau is not None
+    H = float(dtau) if fixed else 2.0 * math.pi / omega * _FIRST_STEP
 
-    h = 2.0 * math.pi / balanced_frame(shell).omega * _FIRST_STEP
-    conditioning = _EPS / (1.0 - energy / U.barrier.barrier_energy)
+    tau = 0.0
+    crossings: list[float] = []
     steps = 0
-    last = math.inf
-    for _ in range(_MAX_PAIRS):
-        coarse, drift, n = _half_run(U, force, shell, h, tau_cap)
-        steps += n
-        if coarse is None:
-            return _report(U, None, math.inf, drift, steps, reliable=False)
-        # The drift gate applies to the fine run, whose period is reported.
-        fine, drift, n = _half_run(U, force, shell, 0.5 * h, tau_cap)
-        steps += n
-        if fine is None:
-            return _report(U, None, math.inf, drift, steps, reliable=False)
-        period = 2.0 * fine
-        richardson = 2.0 * abs(2.0 * coarse - period) / 15.0
-        err = richardson + conditioning * period
-        reliable = drift <= DRIFT_TOL and err <= ERR_RTOL * period
-        # Below the conditioning term, or where a refinement stops shrinking
-        # the estimate, a smaller step buys nothing.
-        if reliable or richardson <= conditioning * period or richardson > last / 8.0:
+    err_sum = drift = 0.0
+    last_rejected = math.inf
+    capped = False
+    while len(crossings) < 2:
+        # A step too short to advance tau is one the run cannot take.
+        if tau > tau_cap or steps >= _MAX_STEPS or tau + H == tau:
+            capped = True
             break
-        last = richardson
-        # Drift and error both scale as h^4: aim the failing one at half its bound.
-        excess = max(drift / DRIFT_TOL, richardson / (ERR_RTOL * period))
-        h *= min(0.5, max(0.1, (0.5 / excess) ** 0.25))
-    return _report(U, fine, err / U.omega0, drift, steps, reliable)
+        x1, v1, dx, dv = _step(force, x, v, a, H)
+        steps += 1
+        if not fixed:
+            err = max(abs(dx) / x_scale, abs(dv) / v_scale) / tol
+            if not (math.isfinite(err) and math.isfinite(x1) and math.isfinite(v1)):
+                err = math.inf
+            # Aim the next estimate at a quarter of the tolerance.
+            resize = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.94 * (0.25 / err) ** _ORDER_ROOT))
+            if err > 1.0 and (err == math.inf or err < 0.5 * last_rejected):
+                # Truncation dominates (or the step overflowed): a smaller
+                # step shrinks the estimate.
+                if err < math.inf:
+                    last_rejected = err
+                H *= resize
+                continue
+            # Within tolerance, or at the rounding floor: a smaller step no
+            # longer shrank the estimate, so this step is taken as it is,
+            # its estimate counted, and H held.
+            if err > 1.0:
+                resize = 1.0
+            last_rejected = math.inf
+            err_sum += err * tol
+        drift = max(drift, abs(0.5 * v1 * v1 + potential(x1) - energy))
+        a1 = force(x1)
+        if v != 0.0 and (v1 == 0.0 or (v1 < 0.0) != (v < 0.0)):
+            s, n = _crossing(force, x, v, a, v1, a1, H)
+            steps += n
+            crossings.append(tau + s)
+        x, v, a, tau = x1, v1, a1, tau + H
+        if not fixed:
+            H *= resize
 
-
-def _report(U, half_tau, err, drift, steps, reliable) -> OracleReport:
-    half = math.inf if half_tau is None else half_tau / U.omega0
+    drift /= energy
+    period = math.inf if capped else 2.0 * (crossings[1] - crossings[0])
+    if period > period_cap * U.omega0:
+        period = math.inf
+    rounding = _EPS * math.sqrt(_EVALS * steps) * (1.0 + frame)
+    err = math.inf if fixed or math.isinf(period) else kappa * (err_sum + rounding) * period
+    reliable = math.isfinite(err) and drift <= DRIFT_TOL and err <= ERR_RTOL * period
     return OracleReport(
-        period=2.0 * half, err_estimate=err, energy_drift=drift, steps=steps,
-        method_order=4, half_period=half, reliable=reliable,
+        period=period / U.omega0, err_estimate=err / U.omega0, energy_drift=drift,
+        steps=steps, method_order=2 * _K, half_period=0.5 * period / U.omega0,
+        reliable=reliable,
     )

@@ -7,6 +7,7 @@ per criterion.
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -208,17 +209,21 @@ def test_criterion_7_generic_equals_closed_form():
 
 
 def test_criterion_8_oracle_quality_gates():
-    from periodlab import harmonic_potential
+    from periodlab import TrajectoryState, harmonic_potential, integrate
 
     U = harmonic_potential()
     report = measure_period(U, 0.5)
-    harmonic_ok = abs(report.period - 2.0 * math.pi) <= 1e-9
+    harmonic_ok = abs(report.period - 2.0 * math.pi) <= 1e-13
 
-    e_coarse = abs(measure_period(U, 0.5, dtau=2.0 * math.pi / 100.0).period
-                   - 2.0 * math.pi)
-    e_fine = abs(measure_period(U, 0.5, dtau=math.pi / 100.0).period
-                 - 2.0 * math.pi)
-    ratio = e_coarse / e_fine
-    order_ok = 13.0 <= ratio <= 19.0
+    # The stepper's order, 2k = 12, in 40-digit arithmetic, where the error
+    # has room to fall by 2^12 per halving of the step: the 13-19 band
+    # around 2^4 of the fourth-order stepper, scaled to 4096 * [13/16, 19/16].
+    with mp.workdps(40):
+        def error(steps):
+            states = integrate(U, TrajectoryState(mp.mpf(0), mp.mpf(1), mp.mpf(0)),
+                               mp.mpf(2) / steps, steps)
+            return max(abs(s.x - mp.cos(s.tau)) for s in states)
+        ratio = float(error(8) / error(16))
+    order_ok = 3328.0 <= ratio <= 4864.0
     _report("8 oracle quality gates", harmonic_ok and order_ok,
             f"|T - 2pi| = {abs(report.period - 2 * math.pi):.2e}, ratio = {ratio:.2f}")

@@ -578,6 +578,38 @@ def test_scaling_out_of_the_float_range_is_a_domain_error(scaling, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("preset, grid", [
+    ("cubic", ("--lambda", "1", "--param", "energy", "--from", "0.1", "--to", "0.2")),
+    ("duffing", ("--param", "rho", "--from", "0.1", "--to", "0.2")),
+])
+def test_sweep_with_zero_omega0_gives_the_period_error_in_every_slot(preset, grid, capsys):
+    # No slot has a shell, so no method runs, the quadrature's 1/omega0 included.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", "--preset", preset, "--lambda", "1", "--omega0", "0",
+                            "--energy", "0.1", "--format", "json")
+        assert code == 2
+        record = json.loads(out)
+        assert record["error"] == "omega0 must be positive, got 0.0"
+        assert capsys.readouterr().err == f"domain error: {record['error']}\n"
+        code, out = run_cli("sweep", "--preset", preset, "--omega0", "0", *grid, "--steps", "3",
+                            "--format", "json")
+    assert code == 0
+    assert [(r["error"], r["error_kind"], r["T"]) for r in json.loads(out)] == \
+        [(record["error"], "domain", None)] * 3
+    assert capsys.readouterr().err == ""
+
+
+def test_amplitude_whose_energy_overflows_is_one_domain_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", "--preset", "duffing", "--lambda", "0.25",
+                            "--amplitude", "1e100", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "energy must be finite, got inf"
+    assert capsys.readouterr().err == "domain error: energy must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("period", "--preset", "duffing", "--lambda", "0", "--energy", "1e308"),
     ("period", "--preset", "duffing", "--lambda", "1e-320", "--energy", "1e308"),

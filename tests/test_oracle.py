@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
@@ -34,12 +37,19 @@ def test_integrate_harmonic_matches_cosine():
     states = integrate(U, TrajectoryState(0.0, 1.0, 0.0), dtau, 400)
     assert len(states) == 401
     errs = [abs(s.x - math.cos(s.tau)) for s in states]
-    assert max(errs) < 5e-9  # O(dtau^4) global error
+    assert max(errs) < 1e-13  # rounding: the O(dtau^12) error is far below it
 
-    half = integrate(U, TrajectoryState(0.0, 1.0, 0.0), dtau / 2.0, 800)
-    errs_half = [abs(s.x - math.cos(s.tau)) for s in half]
-    ratio = max(errs) / max(errs_half)
-    assert 10.0 < ratio < 22.0
+    # In double precision an order-12 error falls into rounding before its
+    # leading term dominates, so the halving ratio is taken at 40 digits,
+    # over tau = 2 at 8 and 16 macro steps.  The 10-22 band around 2^4 that
+    # the fourth-order stepper met, scaled: 4096 * [10/16, 22/16].
+    with mp.workdps(40):
+        def error(steps):
+            states = integrate(U, TrajectoryState(mp.mpf(0), mp.mpf(1), mp.mpf(0)),
+                               mp.mpf(2) / steps, steps)
+            return max(abs(s.x - mp.cos(s.tau)) for s in states)
+        ratio = float(error(8) / error(16))
+    assert 2560.0 < ratio < 5632.0
 
 
 def test_integrate_energy_constant_along_trajectory():
@@ -85,7 +95,7 @@ def test_measure_harmonic_period():
     assert report.reliable
     assert report.period == pytest.approx(TWO_PI, abs=1e-9)
     assert report.energy_drift < 1e-10
-    assert report.method_order == 4
+    assert report.method_order == 12
 
 
 def test_measure_duffing_against_quadrature():
@@ -112,11 +122,23 @@ def test_measure_softening_duffing():
     assert report.period == pytest.approx(t_quad, rel=1e-8)
 
 
-def test_measure_fourth_order_convergence():
-    U = harmonic_potential()
-    e_coarse = abs(measure_period(U, 0.5, dtau=TWO_PI / 100.0).period - TWO_PI)
-    e_fine = abs(measure_period(U, 0.5, dtau=TWO_PI / 200.0).period - TWO_PI)
-    assert 13.0 <= e_coarse / e_fine <= 19.0
+def test_measure_fixed_step_convergence_order():
+    # The 13-19 band around 2^4 that the fourth-order stepper met, scaled to
+    # the twelfth-order step, 4096 * [13/16, 19/16], on an anharmonic well:
+    # the error at 16 macro steps over tau = 2 against 128, over the same
+    # at 32 steps.
+    U = duffing_potential(1.0)
+    with mp.workdps(40):
+        start = TrajectoryState(mp.mpf(0), mp.mpf(1), mp.mpf(0))
+        ref = integrate(U, start, mp.mpf(2) / 128, 128)
+        fine = integrate(U, start, mp.mpf(2) / 32, 32)
+        coarse = integrate(U, start, mp.mpf(2) / 16, 16)
+        ratio = float(abs(coarse[-1].x - ref[-1].x) / abs(fine[-1].x - ref[-1].x))
+    assert 3328.0 <= ratio <= 4864.0
+    # In double precision a fixed step of a sixteenth of the period already
+    # reaches rounding.
+    report = measure_period(harmonic_potential(), 0.5, dtau=TWO_PI / 16.0)
+    assert report.period == pytest.approx(TWO_PI, abs=1e-13)
 
 
 def test_measure_half_period_symmetry():
@@ -161,15 +183,18 @@ def test_measure_period_reads_the_callers_shell(U, energy, monkeypatch):
     assert measure_period(U, shell) == expected
 
 
+# The 40-digit mpmath periods, against which these bits are off by 3.4e-15
+# (lam 0.7), 5.8e-15 (cubic) and 1.3e-14 (sextic), within err_estimate:
+# 5.2972689527438062232, 7.1059571472275613347 and 6.2855468828681675655.
 @pytest.mark.parametrize("U, energy, expected", [
-    (duffing_potential(0.7), 0.5, ("0x1.5306745ba938dp+2", "0x1.fa05765006faap-33", 752)),
-    (cubic_potential(1.0), 0.1, ("0x1.c6c8007ca2135p+2", "0x1.9eed9ee067023p-33", 774)),
+    (duffing_potential(0.7), 0.5, ("0x1.5306745b89a6cp+2", "0x1.03a337d0ebd30p-40", 12)),
+    (cubic_potential(1.0), 0.1, ("0x1.c6c8007c87abcp+2", "0x1.86e4878a4beb5p-41", 14)),
     (from_physical([0.0, 0.0, 0.5, 0.1, -0.05, 0.02, 0.1]), 0.3,
-     ("0x1.9246666ef01b0p+2", "0x1.6ec8eb455559ap-33", 768)),
+     ("0x1.9246666ed92e9p+2", "0x1.eede98f13403cp-41", 14)),
 ])
 def test_measure_period_bits_are_pinned(U, energy, expected):
-    # The stepper's arithmetic is fixed: reordering a stage or a force
-    # evaluation changes these bits.
+    # The stepper's arithmetic is fixed: reordering a substep, a Neville
+    # update or a force evaluation changes these bits.
     r = measure_period(U, energy)
     assert (r.period.hex(), r.err_estimate.hex(), r.steps) == expected
 
@@ -216,10 +241,101 @@ def test_measure_near_the_barrier_is_honest_or_unreliable(lam, energy):
     assert not report.reliable or error <= report.err_estimate
 
 
+def _mp_deflate(c, r):
+    """Coefficients, highest first, of the quotient of ``c`` by ``x - r``."""
+    out, acc = [], mp.mpf(0)
+    for a in c[:-1]:
+        acc = acc * r + a
+        out.append(acc)
+    return out
+
+
+def _mp_period(U, energy, closed_form=True):
+    """The period of ``U`` at ``energy`` to 40 digits, from the exact float
+    coefficients and energy.
+
+    The canonical cubic and softening quartic take complete elliptic
+    integrals unless ``closed_form`` is false; any other well takes
+    ``sqrt(2) int_0^pi dtheta / sqrt(R(x(theta)))`` over the residual ``R``
+    of ``E - U`` deflated by the turning points that bracket the minimum,
+    split next to both ends, where a barrier's near-double root peaks the
+    integrand.
+    """
+    with mp.workdps(40):
+        c = [mp.mpf(float(a)) for a in U.coeffs]
+        E = mp.mpf(float(energy))
+        q = [-a for a in c[:0:-1]] + [E - c[0]]
+        tiny = mp.mpf(10) ** -20
+        roots = sorted(mp.re(r) for r in mp.polyroots(q, maxsteps=400, extraprec=400)
+                       if abs(mp.im(r)) <= tiny)
+        x0 = mp.mpf(float(U.minimum_x))
+        lo = max(r for r in roots if r < x0)
+        hi = min(r for r in roots if r > x0)
+        if closed_form and len(c) == 4 and c[:3] == [0, 0, mp.mpf(0.5)]:
+            # (E - U) = |c3| (x - x3)(x - lo)(hi - x) in the parity image with c3 > 0
+            if c[3] < 0:
+                roots, lo, hi = sorted(-r for r in roots), -hi, -lo
+            far = roots[0]
+            return (2 * mp.sqrt(2) / mp.sqrt(abs(c[3])) * mp.ellipk((hi - lo) / (hi - far))
+                    / mp.sqrt(hi - far))
+        if closed_form and len(c) == 5 and c[:4] == [0, 0, mp.mpf(0.5), 0] and c[4] < 0:
+            # E - U = |c4| (a^2 - x^2)(b^2 - x^2) with a = hi < b
+            b2 = min(r * r for r in roots if r > hi)
+            return 4 / mp.sqrt(-2 * c[4]) * mp.ellipk(hi * hi / b2) / mp.sqrt(b2)
+        residual = [-a for a in _mp_deflate(_mp_deflate(q, hi), lo)]
+        mid, half = (hi + lo) / 2, (hi - lo) / 2
+        edges = [mp.mpf(10) ** -k for k in range(7, 0, -1)]
+        cuts = [0] + edges + [mp.pi / 2] + [mp.pi - e for e in reversed(edges)] + [mp.pi]
+        return mp.sqrt(2) * mp.quad(
+            lambda t: 1 / mp.sqrt(mp.polyval(residual, mid + half * mp.cos(t))), cuts)
+
+
+_BARRIER_WELLS = {
+    "cubic lam=1": cubic_potential(1.0),
+    "cubic lam=-1": cubic_potential(-1.0),
+    "duffing lam=-1": duffing_potential(-1.0),
+    "sextic": from_physical([0.0, 0.0, 0.5, 0.05, 0.1, -0.02, -0.1]),
+}
+
+
+def test_mp_period_closed_forms_match_the_angle_integral():
+    # The elliptic branches of the reference against its generic branch.
+    for U, energy in [(cubic_potential(1.0), 0.1), (cubic_potential(-1.0), 0.16),
+                      (duffing_potential(-1.0), 0.2)]:
+        with mp.workdps(40):
+            ratio = _mp_period(U, energy) / _mp_period(U, energy, closed_form=False)
+            assert abs(ratio - 1) < 1e-30
+
+
+@settings(max_examples=40, deadline=None)
+@given(well=st.sampled_from(sorted(_BARRIER_WELLS)), log_gap=st.floats(-8.0, -1.0))
+def test_measure_is_honest_or_unreliable_up_to_the_barrier(well, log_gap):
+    # From the band interior to 1e-8 below the barrier, a reliable report's
+    # err_estimate bounds its distance from the 40-digit period.
+    U = _BARRIER_WELLS[well]
+    energy = U.barrier.barrier_energy * (1.0 - 10.0 ** log_gap)
+    report = measure_period(U, energy)
+    error = abs(mp.mpf(report.period) - _mp_period(U, energy))
+    assert not report.reliable or error <= report.err_estimate
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.5, 0.5, -0.1, 0.05], [0.0, -1.0, 0.5, 0.1],
+                                    [0.0, 3.0, 0.5, -0.1, 0.05]])
+@pytest.mark.parametrize("energy", [1e-4, 1e-6])
+def test_measure_off_the_origin_is_honest_or_unreliable(coeffs, energy):
+    # x_min is 0.4 to 1.6 away from the origin, the orbit 1e-3 to 1e-2 wide:
+    # positions and forces round on the scale of |x_min|, not the orbit's.
+    U = from_physical(coeffs)
+    report = measure_period(U, energy)
+    error = abs(mp.mpf(report.period) - _mp_period(U, energy))
+    assert not report.reliable or error <= report.err_estimate
+
+
 def test_measure_stops_at_the_half_period():
-    # A pair of half-period runs at T/500 and T/1000 takes about 750 steps,
-    # against about 1,500 for 1.5 periods at T/1000.
-    assert measure_period(duffing_potential(1.0), 0.75).steps <= 800
+    # From the minimum to the second velocity zero is 3/4 of a period: 14
+    # macro steps, rejected ones and the crossing searches' partial steps
+    # included, against about 30 for the 1.5 periods up to the fourth zero.
+    assert measure_period(duffing_potential(1.0), 0.75).steps <= 15
 
 
 def test_measure_with_fixed_step_makes_no_error_estimate():
