@@ -1,11 +1,13 @@
-"""Asymmetric cubic well: exact elliptic form, balanced series, separatrix.
+"""Asymmetric cubic well: the exact elliptic period, balanced series, separatrix.
 
-U(x) = x^2/2 + lam x^3/3 confines only below the barrier 1/(6 lam^2).  The
-factorization Q = (x_plus - x)(x - x_minus)(b0 + b1 x) exposes the third root
-x3, giving the exact period through the complete elliptic integral with
-k^2 = (x_plus - x_minus)/(x_plus - x3).  The balanced deviation is the pure
-harmonic xi cos(theta), so the series converges for every sub-barrier energy;
-xi -> 1 and k^2 -> 1 only at the barrier itself, where the period diverges.
+U(x) = x^2/2 + lam x^3/3 confines only below the barrier 1/(6 lam^2).  Between
+the turning points E - U = (x_plus - x)(x - x_minus) R(x) with a linear
+residual R, and Carlson's reduction gives the exact period as one
+arithmetic-geometric mean, T = pi sqrt(2) / M(sqrt R(x_minus), sqrt R(x_plus)).
+The balanced deviation is the pure harmonic xi cos(theta), so the series
+converges for every sub-barrier energy; xi -> 1 and
+min(R(x_minus), R(x_plus)) / max(R(x_minus), R(x_plus)) -> 0 only at the
+barrier itself, where the period diverges.
 
 CLI equivalent:
     periodlab sweep --preset cubic --lambda 1 --param energy \
@@ -16,6 +18,7 @@ import math
 
 import periodlab as pl
 
+
 U = pl.cubic_potential(1.0)
 barrier = pl.barrier_info(U)
 print(f"barrier: height {barrier.barrier_energy:.12f} at x = {barrier.barrier_x}")
@@ -23,34 +26,35 @@ print()
 
 energy = 0.15
 shell = pl.turning_points(U, energy)
-b0, b1, x3 = pl.cubic_factorization(shell)
-form = pl.cubic_elliptic_form(shell)
+b0, b1 = shell.residual
+y, z = shell.residual_at(shell.x_minus), shell.residual_at(shell.x_plus)
 print(f"E = {energy}: x- = {shell.x_minus:.10f}, x+ = {shell.x_plus:.10f}, "
-      f"x3 = {x3:.10f}")
-print(f"residual R(x) = {b0:.10f} + {b1:.10f} x,  k^2 = {form.modulus_m:.10f}")
+      f"x3 = {shell.extra_roots[0]:.10f}")
+print(f"residual R(x) = {b0:.10f} + {b1:.10f} x,  R(x-) = {y:.10f}, R(x+) = {z:.10f}")
 print()
 
-t_ell = pl.cubic_elliptic(shell).T
+t_ell = pl.elliptic_period(shell).T
 t_quad = pl.period_quadrature(pl.balanced_frame(shell)).T
 t_oracle = pl.measure_period(U, energy).period
-print(f"elliptic form : {t_ell:.15f}")
-print(f"quadrature    : {t_quad:.15f}")
-print(f"motion oracle : {t_oracle:.15f}")
+print(f"elliptic period : {t_ell:.15f}")
+print(f"quadrature      : {t_quad:.15f}")
+print(f"motion oracle   : {t_oracle:.15f}")
 series = pl.cubic_series_balanced(shell, 20)
 print(f"series, 21 terms: {math.sqrt(2) * series.partial_sums[-1]:.15f} "
       f"(xi = {series.xi:.6f})")
 print()
 
 print("approach to the separatrix (period grows without bound):")
-print(f"{'E':>14}  {'xi':>12}  {'k^2':>12}  {'T':>14}")
+print(f"{'E':>14}  {'xi':>12}  {'R(x-)/R(x+)':>12}  {'T':>14}")
 for n in range(2, 7):
     e = 1.0 / 6.0 - 10.0 ** (-n)
     sh = pl.turning_points(U, e)
     fr = pl.balanced_frame(sh)
-    k2 = pl.cubic_elliptic_form(sh).modulus_m
-    t = pl.period_quadrature(fr).T
-    print(f"{e:>14.8f}  {fr.xi:>12.9f}  {k2:>12.9f}  {t:>14.8f}")
-print("at E = 1/6 every closed-form route rejects (xi = 1, k^2 = 1):")
+    # min(y, z)/max(y, z): R(x-) is the smaller for lam > 0
+    ratio = sh.residual_at(sh.x_minus) / sh.residual_at(sh.x_plus)
+    t = pl.elliptic_period(sh).T
+    print(f"{e:>14.8f}  {fr.xi:>12.9f}  {ratio:>12.9f}  {t:>14.8f}")
+print("at E = 1/6 every closed-form route rejects (xi = 1, R(x-) = 0):")
 try:
     pl.turning_points(U, 1.0 / 6.0)
 except pl.SeparatrixError as exc:

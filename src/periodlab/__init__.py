@@ -4,9 +4,9 @@ The library factors the classical period integral against a harmonic reference
 sharing the turning points, which turns the inverse-square-root singularities
 into a smooth angle integral.  Balancing the reference frequency against the
 extrema of the residual makes the resulting binomial series converge for every
-energy with periodic motion.  Exact quadrature, closed-form elliptic routes
-(canonical quartic and cubic wells) and a direct equation-of-motion oracle
-cross-check every value.
+energy with periodic motion.  Exact quadrature, the elliptic period of every
+well of degree at most 4 (one arithmetic-geometric mean, by Carlson's
+reduction) and a direct equation-of-motion oracle cross-check every value.
 """
 
 from .errors import (
@@ -33,21 +33,19 @@ from .period import (
     BOUNDARY,
     CONVERGENT,
     DIVERGENT,
-    EllipticForm,
     PeriodResult,
     SeriesResult,
     best_series,
     binom_minus_half,
     cubic_elliptic,
-    cubic_elliptic_form,
     cubic_series_balanced,
     duffing_balanced_large_rho_limit,
     duffing_elliptic,
-    duffing_elliptic_form,
     duffing_large_rho_constant,
     duffing_series_balanced,
     duffing_series_nayfeh,
     elliptic_K,
+    elliptic_period,
     period_from_series,
     period_quadrature,
     period_quadratures,
@@ -58,7 +56,6 @@ from .potential import (
     EnergyShell,
     PolynomialPotential,
     barrier_info,
-    cubic_factorization,
     cubic_potential,
     duffing_potential,
     from_physical,
@@ -78,7 +75,6 @@ __all__ = [
     "ConvergenceError",
     "DIVERGENT",
     "DomainError",
-    "EllipticForm",
     "EnergyShell",
     "FIXED",
     "NAYFEH",
@@ -95,19 +91,17 @@ __all__ = [
     "best_series",
     "binom_minus_half",
     "cubic_elliptic",
-    "cubic_elliptic_form",
-    "cubic_factorization",
     "cubic_potential",
     "cubic_series_balanced",
     "delta_at",
     "duffing_balanced_large_rho_limit",
     "duffing_elliptic",
-    "duffing_elliptic_form",
     "duffing_large_rho_constant",
     "duffing_potential",
     "duffing_series_balanced",
     "duffing_series_nayfeh",
     "elliptic_K",
+    "elliptic_period",
     "extrema_of_R",
     "fixed_frame",
     "from_physical",

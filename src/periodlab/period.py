@@ -1,12 +1,13 @@
-"""Period evaluation by four routes: quadrature, series, and elliptic closed forms.
+"""Period evaluation by four routes: quadrature, series, and the elliptic period.
 
 With ``x(theta) = mid + half*cos(theta)`` between the turning points, every route
 evaluates ``T = (sqrt(2)/omega0) * int_0^pi dtheta / sqrt(R(x(theta)))``.  The exact
 route is the nested trapezoid rule in theta, which converges exponentially on this
 even, periodic, analytic integrand and reuses every value when it doubles.  The
 series routes write ``2R = omega^2 (1 + Delta)`` and expand the integrand
-binomially in the deviation; the canonical quartic and cubic wells also admit
-complete-elliptic-integral closed forms.
+binomially in the deviation.  Every well of degree at most 4 also has its period
+in closed form: Carlson's reduction turns the integral into one
+arithmetic-geometric mean (:func:`elliptic_period`).
 
 The trapezoid rule runs on columns: :func:`quadrature_columns` takes the
 turning points and residuals of a stack of shells as arrays and returns the
@@ -16,6 +17,7 @@ periods as arrays, and :func:`period_quadratures` and
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 from ._poly import _polyval_rows
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
 from .frame import BALANCED, NAYFEH, BalancedFrame
-from .potential import EnergyShell, _canonical_cubic, cubic_factorization
+from .potential import EnergyShell
 
 # Not called here any more: bench/spans.py counts quadrature nodes by rebinding
 # this name, so it stays importable.
@@ -84,14 +86,6 @@ class SeriesResult:
         return self.partial_sums[-1]
 
 
-@dataclass(frozen=True)
-class EllipticForm:
-    """T = prefactor * K(modulus_m) with the complete elliptic integral K."""
-
-    modulus_m: float
-    prefactor: float
-
-
 def _period_result(T: float, method: str, err: float) -> PeriodResult:
     if not T > 0.0:
         raise DomainError(f"non-positive period {T}")
@@ -99,27 +93,88 @@ def _period_result(T: float, method: str, err: float) -> PeriodResult:
 
 
 # ---------------------------------------------------------------------------
-# Elliptic integrals
+# The elliptic period
 # ---------------------------------------------------------------------------
 
-def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter m = k^2 in [0, 1).
-
-    Evaluated by the arithmetic-geometric mean; relative error below 1e-15.
-    """
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"elliptic parameter m must lie in [0, 1), got {m}")
-    a = 1.0
-    b = math.sqrt(1.0 - m)
+def _agm(a: float, b: float) -> float:
+    """The arithmetic-geometric mean ``M(a, b)`` of two positive numbers."""
     # quadratic convergence: a handful of sweeps reach one ulp, where the
     # iterates may alternate forever; stop at 2 eps.
     for _ in range(60):
         if abs(a - b) <= 4.4e-16 * a:
-            break
+            return a
         a, b = 0.5 * (a + b), math.sqrt(a * b)
+    raise ConvergenceError(f"AGM did not converge for M({a}, {b})")
+
+
+def elliptic_K(m: float) -> float:
+    """Complete elliptic integral of the first kind, ``K(m) = pi / (2 M(1, sqrt(1 - m)))``
+    for the parameter m = k^2 in [0, 1); relative error below 1e-15."""
+    if not 0.0 <= m < 1.0:
+        raise DomainError(f"elliptic parameter m must lie in [0, 1), got {m}")
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
+
+
+def elliptic_period(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
+    """The exact period of a shell of a well of degree at most 4.
+
+    Carlson's reduction (DLMF 19.29, 19.22): ``int dx / sqrt(Q) = 2 R_F(0, y, z) =
+    pi / M(sqrt y, sqrt z)`` between the turning points, so ``T = pi sqrt(2) / (omega0
+    M)``.  Of the residual R, ``y = z = R`` for degree 2; ``y = R(x_minus)``, ``z =
+    R(x_plus)`` for degree 3; and for degree 4, ``R = c (x - r3)(x - r4)``, ``y = c
+    (x_minus - r3)(x_plus - r4)``, ``z = c (x_plus - r3)(x_minus - r4)``, conjugates
+    for a complex pair r3, r4, whose M is ``M(Re sqrt y, |sqrt y|)``.  As ``y z =
+    R(x_minus) R(x_plus)``, a shell that carries ``residual_at_turning_points``
+    takes the smaller as ``R_end^2`` over the larger, which does not cancel next to
+    the barrier.  Where ``sqrt(min/max)`` is at most ``_BOUNDARY_TOL`` the shell is
+    a separatrix shell.
+    """
+    r, lo, hi = shell.residual.tolist(), shell.x_minus, shell.x_plus
+    if len(r) > 3:
+        raise DomainError(f"the elliptic period takes wells of degree at most 4, not {len(r) + 1}")
+    if len(r) < 3:
+        b0, b1 = (r + [0.0])[:2]
+        y, z = b0 + b1 * lo, b0 + b1 * hi
     else:
-        raise ConvergenceError(f"AGM did not converge for m = {m}")
-    return math.pi / (2.0 * a)
+        # R = (c x - q)(x - r4): the roots q/c and r4 = b0/q, each formed
+        # without cancellation.  The discriminant is formed scaled by a power
+        # of 2, which moves no bit and keeps it in the float range.
+        b0, b1, c = r
+        k = 2.0 ** -math.frexp(max(abs(b0), abs(b1), abs(c)))[1]
+        disc = (b1 * k) * (b1 * k) - 4.0 * (c * k) * (b0 * k)
+        root = (math.sqrt(disc) if disc >= 0.0 else complex(0.0, math.sqrt(-disc))) / k
+        q = -0.5 * (b1 + root if b1 >= 0.0 else b1 - root)
+        r4 = b0 / q if q else 0.0  # q = 0 only for R = c x^2
+        y, z = (c * lo - q) * (hi - r4), (c * hi - q) * (lo - r4)
+    if isinstance(y, complex):
+        s = cmath.sqrt(y)
+        a, b = abs(s), s.real
+    else:
+        small, big = sorted((y, z))
+        r_end = shell.residual_at_turning_points
+        if r_end is not None:
+            small = r_end * r_end / big
+        if not small > 0.0 or math.sqrt(small) <= _BOUNDARY_TOL * math.sqrt(big):
+            raise SeparatrixError(
+                f"R_F arguments {small} and {big} at the separatrix limit: separatrix shell")
+        a, b = math.sqrt(big), math.sqrt(small)
+    T = math.pi * _SQRT2 / (omega0 * _agm(a, b))
+    return _period_result(T, "elliptic", 8.0 * np.finfo(float).eps * T)
+
+
+def duffing_elliptic(rho: float, omega0: float = 1.0) -> PeriodResult:
+    """Exact canonical-quartic period at ``rho = lam A^2``: :func:`elliptic_period`
+    on the shell of amplitude 1, ``R = (2 + rho)/4 + (rho/4) x^2``, which carries
+    ``R(+-1) = (1 + rho)/2``."""
+    _require_oscillatory_rho(rho)
+    return elliptic_period(EnergyShell(
+        energy=0.5 + 0.25 * rho, x_minus=-1.0, x_plus=1.0,
+        residual=[0.5 + 0.25 * rho, 0.0, 0.25 * rho], rho=rho,
+        residual_at_turning_points=0.5 * (1.0 + rho)), omega0)
+
+
+# The quadratic-cubic period, kept under its own name.
+cubic_elliptic = elliptic_period
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +357,7 @@ def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,
 
 def duffing_large_rho_constant() -> float:
     """The scaled-period limit of the hardening quartic, ``lim sqrt(rho) T = 4 K(1/2)``
-    (about 7.4162987): the modulus of :func:`duffing_elliptic` tends to 1/2."""
+    (about 7.4162987)."""
     return 4.0 * elliptic_K(0.5)
 
 
@@ -452,11 +507,15 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     """The balanced series for a quadratic-cubic shell; ``Delta = xi cos theta``.
 
     Converges for every sub-barrier energy; at the barrier ``|xi| = 1`` and the
-    shell is rejected.  The series is summed in the canonical orientation; the
-    reported ``xi`` is that of ``shell`` itself, as in its balanced frame.
+    shell is rejected.  The series is summed in the orientation whose residual
+    rises, which x -> -x gives a falling one: its turning points are negated
+    and swapped.  The reported ``xi`` is that of ``shell`` itself, as in its
+    balanced frame.
     """
-    s = _canonical_cubic(shell)
-    xp, xm = s.x_plus, s.x_minus
+    if shell.family != "cubic":
+        raise DomainError("the balanced cubic series requires a shell with a linear residual")
+    flip = not shell.residual[1] > 0.0
+    xm, xp = (-shell.x_plus, -shell.x_minus) if flip else (shell.x_minus, shell.x_plus)
     sum_sq = xp ** 2 + xp * xm + xm ** 2
     cross = xp ** 2 + 4.0 * xp * xm + xm ** 2
     omega_b = math.sqrt(-cross / (2.0 * sum_sq))
@@ -464,7 +523,7 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     if abs(xi) >= 1.0 - _BOUNDARY_TOL:
         raise SeparatrixError(f"|xi| = {abs(xi)} at or above 1: separatrix shell")
     pref = _SQRT2 * math.pi / omega_b
-    return _closed_form_series(pref, xi * xi, xi if s is shell else -xi, N)
+    return _closed_form_series(pref, xi * xi, -xi if flip else xi, N)
 
 
 def period_from_series(series: SeriesResult, omega0: float = 1.0,
@@ -479,48 +538,6 @@ def duffing_balanced_large_rho_limit(N: int) -> float:
     coeffs = _alternating_pair_coeffs(N)
     powers = (1.0 / 9.0) ** np.arange(N + 1)
     return 4.0 * math.pi / math.sqrt(3.0) * float(coeffs @ powers)
-
-
-# ---------------------------------------------------------------------------
-# Elliptic closed forms
-# ---------------------------------------------------------------------------
-
-def duffing_elliptic_form(rho: float, omega0: float = 1.0) -> EllipticForm:
-    """The canonical quartic period as ``prefactor * K(m)`` with m in [0, 1)."""
-    _require_oscillatory_rho(rho)
-    m = rho / (2.0 * rho + 2.0)
-    pref = 4.0 / (omega0 * math.sqrt(1.0 + rho))
-    if m < 0.0:
-        pref /= math.sqrt(1.0 - m)
-        m = m / (m - 1.0)
-    return EllipticForm(modulus_m=float(m), prefactor=float(pref))
-
-
-def duffing_elliptic(rho: float, omega0: float = 1.0) -> PeriodResult:
-    """Exact canonical-quartic period ``T = 4 K(rho/(2 rho + 2)) / sqrt(1 + rho)``."""
-    form = duffing_elliptic_form(rho, omega0)
-    T = form.prefactor * elliptic_K(form.modulus_m)
-    return _period_result(T, "elliptic-duffing", 8.0 * np.finfo(float).eps * T)
-
-
-def cubic_elliptic_form(shell: EnergyShell, omega0: float = 1.0) -> EllipticForm:
-    """The quadratic-cubic period as ``prefactor * K(k^2)``,
-    ``k^2 = (x_plus - x_minus)/(x_plus - x3)``."""
-    s = _canonical_cubic(shell)
-    _, b1, x3 = cubic_factorization(s)
-    lam = 3.0 * b1
-    k2 = (s.x_plus - s.x_minus) / (s.x_plus - x3)
-    if k2 >= 1.0 - _BOUNDARY_TOL:
-        raise SeparatrixError(f"k^2 = {k2} at or above 1: separatrix shell")
-    pref = math.sqrt(3.0 / (2.0 * lam)) * 4.0 / (omega0 * math.sqrt(s.x_plus - x3))
-    return EllipticForm(modulus_m=float(k2), prefactor=float(pref))
-
-
-def cubic_elliptic(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
-    """Exact quadratic-cubic period through the complete elliptic integral."""
-    form = cubic_elliptic_form(shell, omega0)
-    T = form.prefactor * elliptic_K(form.modulus_m)
-    return _period_result(T, "elliptic-cubic", 8.0 * np.finfo(float).eps * T)
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,10 @@ class PolynomialPotential:
         crits, x0 = self.critical_points, self.minimum_x
         # The critical points next to the minimum, one on each side at most.
         sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
-        candidates = [(float(self(x)), float(x)) for x in sides
-                      if self.curvature(x) <= 0.0 and self(x) > 0.0]
+        # A critical point whose height overflows is not a finite barrier.
+        with np.errstate(over="ignore", invalid="ignore"):
+            heights = [(float(self(x)), float(x)) for x in sides if self.curvature(x) <= 0.0]
+        candidates = [(e, x) for e, x in heights if 0.0 < e < math.inf]
         if not candidates:
             return BarrierInfo(has_barrier=False)
         energy, x = min(candidates)
@@ -185,7 +187,7 @@ class EnergyShell:
 
     @property
     def family(self) -> str:
-        """The well family, which decides the closed forms that apply.
+        """The well family, which decides the closed-form series and frames that apply.
 
         ``"quartic"`` for the canonical quartic ``x^2/2 + lam x^4/4`` (``rho``
         set), ``"cubic"`` for a quadratic-cubic shell (linear residual), and
@@ -203,33 +205,6 @@ class EnergyShell:
     def q_at(self, x):
         """Reconstructed Q(x) = (x_plus - x)(x - x_minus) R(x)."""
         return (self.x_plus - x) * (x - self.x_minus) * self.residual_at(x)
-
-    def reflect(self) -> "EnergyShell":
-        """The shell of the parity-image potential: x -> -x.
-
-        The critical points of the residual are carried over, negated and
-        reordered, so nothing is solved.  Horner on the mirrored residual at a
-        mirrored point gives exactly the value at the original point, so
-        evaluating the extrema's candidates again only applies the
-        first-index tie rule to their new order.
-        """
-        res = self.residual.copy()
-        res[1::2] *= -1.0
-        x_minus, x_plus = -self.x_plus, -self.x_minus
-        crits = tuple(-c for c in reversed(self.residual_critical_points))
-        extrema = _residual_extrema(res[None, :], [x_minus], [x_plus], [crits])
-        return EnergyShell(
-            energy=self.energy,
-            x_minus=x_minus,
-            x_plus=x_plus,
-            residual=res,
-            extra_roots=tuple(-r for r in self.extra_roots),
-            amplitude=self.amplitude,
-            rho=self.rho,
-            residual_critical_points=crits,
-            residual_extrema=tuple(extrema[:, 0].tolist()),
-            residual_at_turning_points=self.residual_at_turning_points,
-        )
 
 
 @dataclass(frozen=True)
@@ -796,30 +771,3 @@ def _check_residual_positive(shell: EnergyShell) -> None:
     r_min = shell.residual_extrema[0]
     if r_min <= 0.0:
         raise _residual_not_positive(r_min)
-
-
-def _canonical_cubic(shell: EnergyShell) -> EnergyShell:
-    """A quadratic-cubic shell in the canonical orientation ``R = b0 + b1 x``, ``b1 > 0``.
-
-    Shells from a lam < 0 well are reflected; the parity map leaves the period
-    unchanged.
-    """
-    if shell.family != "cubic":
-        raise DomainError(
-            "cubic factorization requires a quadratic-cubic shell with a linear residual"
-        )
-    return shell if shell.residual[1] > 0.0 else shell.reflect()
-
-
-def cubic_factorization(shell: EnergyShell) -> tuple[float, float, float]:
-    """Linear-residual parameters ``(b0, b1, x3)`` of a quadratic-cubic shell.
-
-    ``R(x) = b0 + b1 x`` with ``b1 = lam/3 > 0`` after canonicalization, and
-    ``x3 = -x_plus x_minus / (x_plus + x_minus)`` is the third real zero of Q,
-    below ``x_minus``.  The returned values refer to the canonical orientation
-    (see :func:`_canonical_cubic`).
-    """
-    s = _canonical_cubic(shell)
-    b0, b1 = float(s.residual[0]), float(s.residual[1])
-    x3 = -s.x_plus * s.x_minus / (s.x_plus + s.x_minus)
-    return b0, b1, float(x3)

@@ -18,7 +18,6 @@ from periodlab import (
     SeparatrixError,
     balanced_frame,
     cubic_elliptic,
-    cubic_elliptic_form,
     cubic_potential,
     cubic_series_balanced,
     delta_at,
@@ -28,6 +27,7 @@ from periodlab import (
     duffing_potential,
     duffing_series_balanced,
     duffing_series_nayfeh,
+    elliptic_period,
     measure_period,
     period_quadrature,
     period_series_generic,
@@ -155,7 +155,7 @@ def test_criterion_5_separatrix_behavior():
     xi = balanced_frame(limit_shell).xi
     k2 = (limit_shell.x_plus - limit_shell.x_minus) / (limit_shell.x_plus - (-1.0))
     ok &= abs(xi - 1.0) <= 1e-14 and abs(k2 - 1.0) <= 1e-14
-    for route in (lambda: cubic_elliptic_form(limit_shell),
+    for route in (lambda: elliptic_period(limit_shell),
                   lambda: cubic_elliptic(limit_shell),
                   lambda: cubic_series_balanced(limit_shell, 8)):
         try:

@@ -83,9 +83,22 @@ def test_period_amplitude_rejected_for_asymmetric():
 
 
 def test_period_elliptic_unavailable_for_poly():
+    # A sextic well has no elliptic period: a usage error.
     code, _ = run_cli("period", "--preset", "poly", "--coeffs", "0", "0", "0.5",
-                      "0.1", "0.05", "--energy", "0.1", "--method", "elliptic")
+                      "0.1", "-0.05", "0.02", "0.1", "--energy", "0.1", "--method", "elliptic")
     assert code == 1
+
+
+@pytest.mark.parametrize("coeffs", [["0.1", "0.05"], ["-0.399", "0.457"], ["0.2", "-0.3"]])
+def test_period_elliptic_for_degree_four_poly(coeffs):
+    argv = ["period", "--preset", "poly", "--coeffs", "0", "0", "0.5", *coeffs,
+            "--energy", "0.05", "--format", "json"]
+    code, out = run_cli(*argv, "--method", "elliptic")
+    assert code == 0
+    record = json.loads(out)
+    assert record["method"] == "elliptic" and record["error"] is None
+    _, out = run_cli(*argv)
+    assert record["T"] == pytest.approx(json.loads(out)["T"], rel=1e-14)
 
 
 def test_period_separatrix_exit_code():
@@ -311,14 +324,27 @@ def test_verify_separatrix_exit_two():
 
 
 def test_verify_poly_runs_without_elliptic():
+    # A sextic well has no elliptic period; verify checks the other routes.
     code, out = run_cli(
-        "verify", "--preset", "poly", "--coeffs", "0", "0", "0.5", "0.2", "0.1",
-        "--energy", "0.2", "--format", "json",
+        "verify", "--preset", "poly", "--coeffs", "0", "0", "0.5", "0.1", "-0.05", "0.02",
+        "0.1", "--energy", "0.2", "--format", "json",
     )
     assert code == 0
     methods = [r["method"] for r in json.loads(out)]
     assert "elliptic" not in methods
     assert methods[-1] == "max-deviation"
+
+
+def test_verify_degree_four_poly_checks_elliptic():
+    code, out = run_cli(
+        "verify", "--preset", "poly", "--coeffs", "0", "0", "0.5", "0.2", "0.1",
+        "--energy", "0.2", "--format", "json",
+    )
+    assert code == 0
+    records = json.loads(out)
+    assert [r["method"] for r in records] == [
+        "quadrature", "series", "elliptic", "oracle", "max-deviation"]
+    assert records[-1]["max_rel_deviation"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +817,11 @@ def test_wells_near_the_quartic_are_generic_and_every_route_agrees(coeffs):
     code, out = run_cli("period", *problem, "--method", "all")
     assert code == 0
     records = json.loads(out)
-    assert [r["method"] for r in records] == ["quadrature", "series", "oracle"]
+    assert [r["method"] for r in records] == ["quadrature", "series", "elliptic", "oracle"]
     quadrature = records[0]["T"]
     assert records[1]["T"] == pytest.approx(quadrature, rel=1e-12)
-    assert abs(records[2]["T"] - quadrature) <= records[2]["err_estimate"] * quadrature
+    assert records[2]["T"] == pytest.approx(quadrature, rel=1e-14)
+    assert abs(records[3]["T"] - quadrature) <= records[3]["err_estimate"] * quadrature
     assert all(r["rho"] is None and r["xi"] is None for r in records)
     symmetric = coeffs[3] == "0"
     assert (records[0]["x_minus"] == -records[0]["x_plus"]) is symmetric

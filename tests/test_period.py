@@ -1,4 +1,4 @@
-"""Period layer: quadrature, binomial series, elliptic closed forms, regimes.
+"""Period layer: quadrature, binomial series, the elliptic period, regimes.
 
 Reference values marked "oracle" were computed with 40-digit mpmath
 quadrature/root-finding of the defining integrals, independent of every code
@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
     BOUNDARY,
@@ -18,22 +20,22 @@ from periodlab import (
     ConvergenceError,
     DomainError,
     EnergyShell,
+    NoMinimumError,
     SeparatrixError,
     balanced_frame,
     best_series,
     binom_minus_half,
     cubic_elliptic,
-    cubic_elliptic_form,
     cubic_potential,
     cubic_series_balanced,
     duffing_balanced_large_rho_limit,
     duffing_elliptic,
-    duffing_elliptic_form,
     duffing_large_rho_constant,
     duffing_potential,
     duffing_series_balanced,
     duffing_series_nayfeh,
     elliptic_K,
+    elliptic_period,
     fixed_frame,
     from_physical,
     harmonic_potential,
@@ -95,21 +97,43 @@ def test_elliptic_K_domain(m):
         elliptic_K(m)
 
 
-def test_elliptic_forms_match_defining_integral():
-    # EllipticForm contract: K(modulus_m) agrees with the defining integral.
-    form = cubic_elliptic_form(turning_points(cubic_potential(1.0), 0.15))
-    assert 0.0 <= form.modulus_m < 1.0
-    assert elliptic_K(form.modulus_m) == pytest.approx(
-        _K_defining_integral(form.modulus_m), rel=1e-13)
+def test_elliptic_period_matches_defining_integral():
+    # Cubic: T = sqrt(3/(2 lam)) 4 K(k^2) / sqrt(x_plus - x3), k^2 = (x_plus -
+    # x_minus)/(x_plus - x3), with x3 from a root solve of Q and K from its
+    # defining integral.
+    shell = turning_points(cubic_potential(1.0), 0.15)
+    mp.mp.dps = 30
+    x3 = min(float(mp.re(r)) for r in mp.polyroots([-mp.mpf(1) / 3, -mp.mpf(1) / 2, 0,
+                                                      mp.mpf(0.15)]))
+    k2 = (shell.x_plus - shell.x_minus) / (shell.x_plus - x3)
+    legendre = math.sqrt(1.5) * 4.0 / math.sqrt(shell.x_plus - x3) * _K_defining_integral(k2)
+    assert elliptic_period(shell).T == pytest.approx(legendre, rel=1e-13)
 
-    # Softening quartic: the negative parameter is folded into [0, 1).
-    form = duffing_elliptic_form(-0.9)
-    assert 0.0 <= form.modulus_m < 1.0
+    # Softening quartic, rho = -0.9: T = (4/sqrt(1 + rho)) int dphi / sqrt(1 + 4.5 sin^2).
     mp.mp.dps = 30
     direct = float(mp.quad(lambda a: 1 / mp.sqrt(1 + mp.mpf("4.5") * mp.sin(a) ** 2),
                            [0, mp.pi / 2]))
-    assert form.prefactor * elliptic_K(form.modulus_m) == pytest.approx(
-        4.0 / math.sqrt(0.1) * direct, rel=1e-13)
+    assert duffing_elliptic(-0.9).T == pytest.approx(4.0 / math.sqrt(0.1) * direct, rel=1e-13)
+
+
+def test_elliptic_period_near_the_cubic_barrier_against_root_solve():
+    # 1e-6 below the barrier x3 lies just below x_minus; the Legendre form on
+    # a 30-digit root solve of Q agrees with the AGM on the float shell.
+    energy = 1.0 / 6.0 - 1e-6
+    shell = turning_points(cubic_potential(1.0), energy)
+    with mp.workdps(30):
+        x3 = min(mp.re(r) for r in mp.polyroots([-mp.mpf(1) / 3, -mp.mpf(1) / 2, 0,
+                                                   mp.mpf(energy)]))
+        assert -1.002 < x3 < shell.x_minus
+        xp, xm = mp.mpf(shell.x_plus), mp.mpf(shell.x_minus)
+        legendre = mp.sqrt(mp.mpf(1.5)) * 4 / mp.sqrt(xp - x3) * mp.ellipk((xp - xm) / (xp - x3))
+    assert elliptic_period(shell).T == pytest.approx(float(legendre), rel=1e-10)
+
+
+def test_elliptic_period_rejects_degree_above_four():
+    shell = turning_points(from_physical([0.0, 0.0, 0.5, 0.1, -0.05, 0.02, 0.1]), 0.3)
+    with pytest.raises(DomainError, match="degree at most 4, not 6"):
+        elliptic_period(shell)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +322,10 @@ def test_cubic_separatrix_modulus_reaches_one_and_rejects():
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
         residual=np.array([1.0 / 3.0, 1.0 / 3.0]), extra_roots=(-1.0,),
     )
-    # k^2 = (x_plus - x_minus)/(x_plus - x3) = 1 exactly at the barrier
+    # k^2 = (x_plus - x_minus)/(x_plus - x3) = 1 exactly at the barrier, and
+    # so R(x_minus)/R(x_plus) = 1 - k^2 = 0
     with pytest.raises(SeparatrixError):
-        cubic_elliptic_form(shell)
+        elliptic_period(shell)
     with pytest.raises(SeparatrixError):
         cubic_series_balanced(shell, 8)
 
@@ -542,7 +567,11 @@ def test_cubic_series_xi_has_the_sign_of_the_balanced_frame(lam):
     series = cubic_series_balanced(shell, 20)
     assert math.copysign(1.0, series.xi) == math.copysign(1.0, frame.xi) == lam
     assert series.xi == pytest.approx(frame.xi, rel=1e-15)
-    mirrored = cubic_series_balanced(shell.reflect(), 20)
+    # The mirrored well's shell: x -> -x swaps and negates the turning points
+    # and negates the linear residual coefficient.
+    mirrored = cubic_series_balanced(EnergyShell(
+        energy=shell.energy, x_minus=-shell.x_plus, x_plus=-shell.x_minus,
+        residual=shell.residual * [1.0, -1.0]), 20)
     assert mirrored.xi == -series.xi
     assert mirrored.partial_sums == series.partial_sums
 
@@ -585,3 +614,75 @@ def test_quadrature_matches_a_40_digit_reference_on_the_same_shell():
         T = period_quadrature(balanced_frame(shell)).T
         ref = _mp_period_on_shell(shell)
         assert float(abs(mp.mpf(T) - ref) / ref) <= 1e-13, shell
+
+
+# ---------------------------------------------------------------------------
+# The elliptic period against a 40-digit reference on the same shell
+# ---------------------------------------------------------------------------
+
+def _extra_root_layout(shell) -> str:
+    """Where the zeros of a quadratic residual lie: a complex pair, both
+    beyond one turning point, or one beyond each."""
+    roots = np.roots(shell.residual[::-1])
+    if np.iscomplexobj(roots) and np.any(roots.imag != 0.0):
+        return "complex"
+    below = int(np.count_nonzero(roots.real < shell.x_minus))
+    return "both sides" if below == 1 else "one side"
+
+
+def _assert_elliptic_matches_the_shell(shell):
+    res = elliptic_period(shell)
+    ref = _mp_period_on_shell(shell)
+    assert float(abs(mp.mpf(res.T) - ref)) <= res.err_estimate, shell
+
+
+@pytest.mark.parametrize("coeffs, energy, layout", [
+    ([0.0, 0.0, 0.5, 0.3, 0.2], 0.4, "complex"),
+    ([0.0, 0.0, 0.5, -0.6, 0.2], 0.099, "one side"),
+    ([0.0, 0.0, 0.5, 0.2, -0.3], 0.05, "both sides"),
+])
+def test_elliptic_period_in_every_root_layout(coeffs, energy, layout):
+    shell = turning_points(from_physical(coeffs), energy)
+    assert _extra_root_layout(shell) == layout
+    _assert_elliptic_matches_the_shell(shell)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.sampled_from([2, 3, 4]),
+    middle=st.floats(-0.7, 0.7),
+    # A leading coefficient far below c2 has no shell yet (ROADMAP item 6).
+    lead=st.floats(-0.7, 0.7).filter(lambda a: abs(a) > 1e-3),
+    fraction=st.floats(0.01, 0.95),
+)
+def test_elliptic_period_matches_the_same_shell_on_random_wells(degree, middle, lead, fraction):
+    # Degree 2 is the harmonic well, degree 3 a cubic, degree 4 any quartic:
+    # a complex pair of extra roots, both on one side or one on each side.
+    coeffs = [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5, lead], [0.0, 0.0, 0.5, middle, lead]][degree - 2]
+    try:
+        U = from_physical(coeffs)
+    except NoMinimumError:
+        assume(False)
+    barrier = U.barrier
+    shell = turning_points(U, fraction * (barrier.barrier_energy if barrier.has_barrier else 2.0))
+    _assert_elliptic_matches_the_shell(shell)
+
+
+def test_elliptic_period_of_a_residual_with_a_double_zero():
+    # R = x^2 on [1, 2]: both extra zeros at 0, and int dx / (x sqrt((2 - x)(x - 1)))
+    # = pi / sqrt(2), so T = pi.
+    shell = EnergyShell(energy=1.0, x_minus=1.0, x_plus=2.0, residual=[0.0, 0.0, 1.0])
+    assert elliptic_period(shell).T == pytest.approx(math.pi, rel=1e-15)
+
+
+def test_elliptic_period_rejects_separatrix_limits():
+    # The exact cubic limit of test_acceptance.py: R(x_minus) = 0.
+    limit_shell = EnergyShell(
+        energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), extra_roots=(-1.0,),
+    )
+    with pytest.raises(SeparatrixError):
+        elliptic_period(limit_shell)
+    for rho in (-1.0, -1.5, -3.0):
+        with pytest.raises(SeparatrixError):
+            duffing_elliptic(rho)

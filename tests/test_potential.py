@@ -1,4 +1,4 @@
-"""Potential layer: scaling, turning points, deflation, barriers, cubic factorization."""
+"""Potential layer: scaling, turning points, deflation, barriers."""
 
 import math
 
@@ -9,12 +9,10 @@ import pytest
 
 from periodlab import (
     DomainError,
-    EnergyShell,
     NoMinimumError,
     PolynomialPotential,
     SeparatrixError,
     barrier_info,
-    cubic_factorization,
     cubic_potential,
     duffing_potential,
     from_physical,
@@ -152,16 +150,6 @@ def test_turning_points_picks_adjacent_roots_in_double_well():
     assert any(r > b.barrier_x for r in shell.extra_roots)
 
 
-def test_shell_reflect_is_involution():
-    shell = turning_points(cubic_potential(1.0), 0.1)
-    back = shell.reflect().reflect()
-    assert back.x_minus == pytest.approx(shell.x_minus, rel=1e-15)
-    assert np.allclose(back.residual, shell.residual)
-    mirrored = shell.reflect()
-    xs = np.linspace(shell.x_minus, shell.x_plus, 17)
-    assert np.allclose(mirrored.q_at(-xs), shell.q_at(xs), rtol=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # Shell invariants over random wells
 # ---------------------------------------------------------------------------
@@ -232,6 +220,13 @@ def test_barrier_info_confining():
     assert barrier_info(harmonic_potential()).has_barrier is False
 
 
+@pytest.mark.parametrize("lam", [1e-200, -1e-282])
+def test_barrier_info_height_that_overflows_is_no_barrier(lam):
+    # The far critical point of the cubic sits near x = -1/lam, where U
+    # overflows: it is no finite barrier, and nothing warns.
+    assert barrier_info(cubic_potential(lam)).has_barrier is False
+
+
 def test_barrier_info_is_critical_point(rng):
     for U, _, _ in random_wells(rng, 25):
         b = barrier_info(U)
@@ -239,60 +234,6 @@ def test_barrier_info_is_critical_point(rng):
             continue
         assert U(b.barrier_x) == pytest.approx(b.barrier_energy, rel=1e-12)
         assert abs(U.slope(b.barrier_x)) <= 1e-9 * max(1.0, b.barrier_energy)
-
-
-# ---------------------------------------------------------------------------
-# cubic_factorization
-# ---------------------------------------------------------------------------
-
-def test_cubic_factorization_near_barrier_against_root_solve():
-    lam = 1.0
-    energy = 1.0 / 6.0 - 1e-6
-    shell = turning_points(cubic_potential(lam), energy)
-    b0, b1, x3 = cubic_factorization(shell)
-    assert b1 == pytest.approx(lam / 3.0, rel=1e-12)
-    # independent oracle: high-precision polynomial roots of Q
-    mp.mp.dps = 30
-    roots = sorted(
-        float(mp.re(r))
-        for r in mp.polyroots([-mp.mpf(lam) / 3, -mp.mpf(1) / 2, 0, mp.mpf(energy)])
-    )
-    assert x3 == pytest.approx(roots[0], rel=1e-10)
-    assert -1.002 < x3 < -1.0
-    assert x3 < shell.x_minus
-    # the shell's own deflation must have found the same third root
-    assert shell.extra_roots[0] == pytest.approx(x3, rel=1e-10)
-
-
-def test_cubic_factorization_limit_shell_x3_equals_x_minus():
-    # Hand-built shell at the exact barrier factorization Q = (x+1)^2 (1-2x)/6.
-    shell = EnergyShell(
-        energy=1.0 / 6.0,
-        x_minus=-1.0,
-        x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
-        extra_roots=(-1.0,),
-    )
-    b0, b1, x3 = cubic_factorization(shell)
-    assert b0 == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert b1 == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert x3 == pytest.approx(-1.0, rel=1e-15)
-
-
-def test_cubic_factorization_negative_lambda_canonicalized():
-    shell = turning_points(cubic_potential(-1.0), 0.1)
-    b0, b1, x3 = cubic_factorization(shell)
-    ref = cubic_factorization(turning_points(cubic_potential(1.0), 0.1))
-    assert (b0, b1, x3) == pytest.approx(ref, rel=1e-12)
-    assert b1 > 0.0
-
-
-def test_cubic_factorization_rejects_symmetric_shell():
-    shell = turning_points(duffing_potential(1.0), 0.75)
-    with pytest.raises(DomainError):
-        cubic_factorization(shell)
-    with pytest.raises(DomainError):
-        cubic_factorization(turning_points(harmonic_potential(), 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -141,22 +141,6 @@ def test_shells_match_turning_points_on_random_wells(middle, sextic, lead, fract
     _assert_same(U, [f * cap for f in fractions])
 
 
-@pytest.mark.parametrize("name", ["cubic+", "cubic-", "sextic", "sextic-barrier"])
-def test_reflect_carries_what_a_new_shell_solves(name):
-    # A shell given only the mirrored fields solves R' and its extrema itself.
-    U = WELLS[name]
-    for shell in shells(U, np.linspace(0.05, 0.95, 7) * _cap(U)):
-        mirrored = shell.reflect()
-        scratch = EnergyShell(
-            energy=mirrored.energy, x_minus=mirrored.x_minus, x_plus=mirrored.x_plus,
-            residual=mirrored.residual, extra_roots=mirrored.extra_roots,
-            amplitude=mirrored.amplitude, rho=mirrored.rho,
-        )
-        assert _bits(mirrored) == _bits(scratch)
-        assert ([float(v).hex() for v in mirrored.residual_extrema]
-                == [float(v).hex() for v in scratch.residual_extrema])
-
-
 # ---------------------------------------------------------------------------
 # The array helpers against their one-at-a-time reference
 # ---------------------------------------------------------------------------
