@@ -96,17 +96,19 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
     return x
 
 
-def real_roots_rows(coeffs: np.ndarray) -> list[np.ndarray]:
-    """:func:`real_roots` of every row of a 2-D array, all rows of one degree.
+def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real roots of every row of a 2-D array, all rows of one degree ``n``.
 
-    Every leading coefficient must be nonzero.  The companion matrices are
-    built as ``npoly.polyroots`` builds them and go to one stacked
-    ``np.linalg.eigvals`` call; one :func:`newton_polish` refines all the
-    real roots together.
+    Returns ``(roots, counts)``: row ``i``'s :func:`real_roots` are
+    ``roots[i, :counts[i]]``, ascending, and NaN pads each row of the
+    ``(rows, n)`` array after them.  Every leading coefficient must be
+    nonzero.  The companion matrices are built as ``npoly.polyroots`` builds
+    them and go to one stacked ``np.linalg.eigvals`` call; one
+    :func:`newton_polish` refines all the real roots together.
     """
     k, n = coeffs.shape[0], coeffs.shape[1] - 1
     if n < 1:
-        return [np.empty(0) for _ in range(k)]
+        return np.empty((k, 0)), np.zeros(k, dtype=int)
     if n == 1:
         rts = -coeffs[:, :1] / coeffs[:, 1:]
     else:
@@ -119,11 +121,12 @@ def real_roots_rows(coeffs: np.ndarray) -> list[np.ndarray]:
         rts = np.linalg.eigvals(mat)
     keep = np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts))
     rows = keep.nonzero()[0]
-    polished = newton_polish(coeffs[rows], derivative(coeffs)[rows], rts.real[keep])
-    # Sort by row, then by value, and cut the rows apart.
-    polished = polished[np.lexsort((polished, rows))]
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [polished[a:b] for a, b in zip([0] + ends, ends)]
+    roots = np.full((k, n), np.nan)
+    roots[keep] = newton_polish(coeffs[rows], derivative(coeffs)[rows], rts.real[keep])
+    # A stable sort keeps equal roots, such as 0.0 and -0.0, in eigenvalue
+    # order; NaN sorts last.
+    roots.sort(axis=1, kind="stable")
+    return roots, keep.sum(axis=1)
 
 
 def real_roots(coeffs) -> np.ndarray:
@@ -132,7 +135,8 @@ def real_roots(coeffs) -> np.ndarray:
     Roots whose companion-matrix imaginary part exceeds ``_IMAG_TOL`` (relative
     to their magnitude) are treated as genuinely complex and dropped.
     """
-    return real_roots_rows(as_coeffs(coeffs)[None, :])[0]
+    roots, counts = real_roots_rows(as_coeffs(coeffs)[None, :])
+    return roots[0, :counts[0]]
 
 
 def deflate(coeffs, root):

@@ -9,15 +9,20 @@ reports barrier/limit metadata for wells that are only locally confining.
 A well whose coefficients are exactly the canonical quartic's,
 ``x^2/2 + lam x^4/4`` (the harmonic well at lam = 0), has all of this in
 closed form: :func:`quartic_shells` and its barrier solve no polynomial.
-Every other well finds its turning points by companion-matrix eigensolves,
-solved for a whole grid of its energies at once by :func:`shells`, and
-computes what does not depend on the energy once per well.
+Every other well finds the roots of ``E - U`` at a whole grid of its energies
+with one stacked companion-matrix eigensolve and one Newton polish, picks the
+turning points from them by masks, and computes what does not depend on the
+energy once per well.  Where the companion matrix misses a shell's turning
+points, as it does beside a leading coefficient far below ``c2``, Newton
+polishes the harmonic ones instead.  A residual of degree <= 2 has the
+critical point of R in closed form; only a higher one solves R'.
 
 The shells of a grid are solved and checked as columns: :func:`shell_columns`
 and :func:`rho_columns` return a :class:`ShellColumns`, one array per shell
-field and one error slot per grid point, and every check runs on a whole
-column.  :func:`shells`, :func:`quartic_shells` and :func:`turning_points`
-build their :class:`EnergyShell` objects from those columns.
+field and one error slot per grid point, and every pick and check runs on a
+whole column.  :func:`shells`, :func:`quartic_shells` and
+:func:`turning_points` build their :class:`EnergyShell` objects from those
+columns.
 """
 
 from __future__ import annotations
@@ -30,7 +35,15 @@ from functools import cached_property
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from ._poly import _polyval_rows, as_coeffs, deflate, derivative, real_roots, real_roots_rows
+from ._poly import (
+    _polyval_rows,
+    as_coeffs,
+    deflate,
+    derivative,
+    newton_polish,
+    real_roots,
+    real_roots_rows,
+)
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -180,9 +193,11 @@ class EnergyShell:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
         if self.residual_critical_points is None or self.residual_extrema is None:
             residual = self.residual[None, :]
-            crits = _residual_critical_points(residual, [self.x_minus], [self.x_plus])
+            crits, failed = _residual_critical_points(residual, [self.x_minus], [self.x_plus])
+            if failed:
+                raise failed[0]
             extrema = _residual_extrema(residual, [self.x_minus], [self.x_plus], crits)
-            object.__setattr__(self, "residual_critical_points", crits[0])
+            object.__setattr__(self, "residual_critical_points", _unpadded(crits)[0])
             object.__setattr__(self, "residual_extrema", tuple(extrema[:, 0].tolist()))
 
     @property
@@ -214,14 +229,16 @@ class ShellColumns:
     ``error[i]`` is the error that :func:`turning_points` raises for slot
     ``i``, or None when the slot has a shell.  Those slots are ``slots``,
     ascending, and row ``j`` of every column belongs to slot ``slots[j]``.
-    The columns hold what the slot's :class:`EnergyShell` holds: ``energy``,
-    ``x_minus``, ``x_plus``, the rows of ``residual``, zero-padded to one
-    width, ``extra_roots[j]`` and ``residual_critical_points[j]``, tuples,
+    The columns are arrays and hold what the slot's :class:`EnergyShell`
+    holds: ``energy``, ``x_minus``, ``x_plus``; the rows of ``residual``,
+    zero-padded to one width; the rows of ``extra_roots`` and of
+    ``residual_critical_points``, each of one width, ascending, with NaN in
+    place of the roots the row does not hold;
     and ``residual_extrema``, of shape ``(4, rows)``: the columns ``R_min``,
     ``R_max``, ``argmin`` and ``argmax``, so that ``residual_extrema[0]`` is
-    ``R_min`` here as on a shell.  ``residual_at_turning_points``
-    is NaN where it is not known, and ``amplitude`` and ``rho`` are None where
-    the shells do not set them.  All shells of the columns are of one family.
+    ``R_min`` here as on a shell.  ``residual_at_turning_points`` is NaN where
+    it is not known, and ``amplitude`` and ``rho`` are None where the shells
+    do not set them.  All shells of the columns are of one family.
     """
 
     error: list
@@ -230,8 +247,8 @@ class ShellColumns:
     x_minus: np.ndarray
     x_plus: np.ndarray
     residual: np.ndarray
-    extra_roots: list
-    residual_critical_points: list
+    extra_roots: np.ndarray
+    residual_critical_points: np.ndarray
     residual_extrema: np.ndarray
     residual_at_turning_points: np.ndarray
     amplitude: np.ndarray | None = None
@@ -242,7 +259,8 @@ class ShellColumns:
         """Columns whose every slot holds the error in ``error``."""
         empty = np.empty(0)
         return cls(list(error), np.empty(0, dtype=int), empty, empty, empty,
-                   np.empty((0, width)), [], [], np.empty((4, 0)), empty)
+                   np.empty((0, width)), np.empty((0, 0)), np.empty((0, 0)), np.empty((4, 0)),
+                   empty)
 
     @property
     def family(self) -> str:
@@ -258,13 +276,14 @@ class ShellColumns:
         amplitude, rho = ([None] * rows if c is None else c.tolist()
                           for c in (self.amplitude, self.rho))
         r_end = [None if math.isnan(r) else r for r in self.residual_at_turning_points.tolist()]
+        extra, crits = _unpadded(self.extra_roots), _unpadded(self.residual_critical_points)
         for j, (i, energy, lo, hi, extrema) in enumerate(zip(
                 self.slots.tolist(), self.energy.tolist(), self.x_minus.tolist(),
                 self.x_plus.tolist(), zip(*self.residual_extrema.tolist()))):
             found[i] = EnergyShell(
                 energy=energy, x_minus=lo, x_plus=hi, residual=self.residual[j],
-                extra_roots=self.extra_roots[j], amplitude=amplitude[j], rho=rho[j],
-                residual_critical_points=self.residual_critical_points[j],
+                extra_roots=extra[j], amplitude=amplitude[j], rho=rho[j],
+                residual_critical_points=crits[j],
                 residual_extrema=extrema, residual_at_turning_points=r_end[j],
             )
         return found
@@ -285,11 +304,10 @@ class ShellColumns:
         for j in bad.nonzero()[0].tolist():
             error[self.slots[j]] = next(error_of(j) for mask, error_of in checks if mask[j])
         keep = ~bad
-        rows = keep.nonzero()[0].tolist()
         return ShellColumns(
             error, self.slots[keep], self.energy[keep], self.x_minus[keep], self.x_plus[keep],
-            self.residual[keep], [self.extra_roots[j] for j in rows],
-            [self.residual_critical_points[j] for j in rows], self.residual_extrema[:, keep],
+            self.residual[keep], self.extra_roots[keep], self.residual_critical_points[keep],
+            self.residual_extrema[:, keep],
             self.residual_at_turning_points[keep],
             None if self.amplitude is None else self.amplitude[keep],
             None if self.rho is None else self.rho[keep],
@@ -371,19 +389,22 @@ def _solved(roots, coeffs):
         raise ConvergenceError(f"companion-matrix eigensolve failed: {exc}") from exc
 
 
-def _solved_rows(coeffs: np.ndarray) -> list:
-    """:func:`real_roots_rows` of ``coeffs``, with the :class:`ConvergenceError`
-    of :func:`_solved` in the slot of each row whose eigensolve fails.
+def _solved_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """:func:`real_roots_rows` of ``coeffs``, and the :class:`ConvergenceError`
+    of :func:`_solved` of each row whose eigensolve fails, by row.
 
     A failed stacked solve is redone one row at a time, so one overflowing
-    row fails only its own slot.
+    row fails only its own slot; its roots are all NaN padding.
     """
     try:
-        return _solved(real_roots_rows, coeffs)
+        return (*_solved(real_roots_rows, coeffs), {})
     except ConvergenceError as exc:
         if len(coeffs) == 1:
-            return [exc]
-        return [_solved_rows(row[None, :])[0] for row in coeffs]
+            return np.full((1, coeffs.shape[1] - 1), math.nan), np.zeros(1, dtype=int), {0: exc}
+        parts = [_solved_rows(row[None, :]) for row in coeffs]
+        return (np.concatenate([roots for roots, _, _ in parts]),
+                np.concatenate([counts for _, counts, _ in parts]),
+                {j: failed[0] for j, (_, _, failed) in enumerate(parts) if failed})
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -529,9 +550,12 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
 
     A well whose coefficients are exactly the canonical quartic's takes its
     shells from the closed form of :func:`quartic_shells` and solves nothing.
-    Any other well reads its barrier once; the turning points at all its
-    energies come from one stacked companion-matrix solve of ``E - U`` and
-    the critical points of their residuals from one more.
+    Any other well reads its barrier once; the roots of ``E - U`` at all its
+    energies come from one stacked companion-matrix solve, and the turning
+    points and extra roots are picked from them as arrays (see
+    :func:`_solve_shells`).  The critical points of a residual of degree
+    <= 2 come in closed form, those of higher ones from one more stacked
+    solve.  Every column of the result is an array.
     """
     energies = np.array([float(e) for e in energies])
     if U.duffing_lambda is not None:
@@ -547,61 +571,81 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     return _solve_shells(U, energies, error)
 
 
+# The root columns are NaN where a row holds no root, and a comparison with
+# NaN is False with no warning owed.
+@np.errstate(invalid="ignore")
 def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> ShellColumns:
     """The shell columns of ``U`` at the ``energies`` whose ``error`` is None.
 
     Those energies passed :func:`_check_energy`, so a row whose roots bracket
-    no minimum is a failed solve.
+    no minimum is a failed solve.  Such a row, and one whose eigensolve
+    fails, polishes the harmonic turning points ``x0 +- sqrt(2E/U''(x0))``
+    instead: where a leading coefficient far below ``c2`` makes the companion
+    matrix overflow or lose the small roots, Newton still finds them.  The
+    pair is kept only where it brackets ``x0`` and passes every check below;
+    elsewhere the slot holds the error of the companion solve.
     """
     error = list(error)
-    slots = [i for i, e in enumerate(error) if e is None]
-    width = max(U.coeffs.size - 2, 1)
-    if not slots:
-        return ShellColumns.failed(error, width)
-    q = np.tile(-U.coeffs, (len(slots), 1))
+    slots = np.flatnonzero(np.equal(np.array(error, dtype=object), None))
+    if not slots.size:
+        return ShellColumns.failed(error, max(U.coeffs.size - 2, 1))
+    q = np.tile(-U.coeffs, (slots.size, 1))
     q[:, 0] += energies[slots]
-    roots = _solved_rows(q)
+    roots, counts, failed = _solved_rows(q)
 
-    bracketed = []  # (slot, row of q, x_minus, x_plus, extra roots)
-    x0 = U.minimum_x
-    for row, (i, r) in enumerate(zip(slots, roots)):
-        if isinstance(r, ConvergenceError):
-            error[i] = r
-            continue
-        r = r.tolist()
-        left = [x for x in r if x < x0]
-        right = [x for x in r if x > x0]
-        if not left or not right:
-            error[i] = ConvergenceError(
-                f"no turning points bracket the minimum at energy {float(energies[i])}; "
-                f"real roots found: {r}"
-            )
-            continue
-        x_minus, x_plus = max(left), min(right)
-        if U.is_symmetric:
-            # Companion roots of an even polynomial are symmetric to rounding;
-            # averaging pins the parity invariant exactly.
-            half = 0.5 * (x_plus - x_minus)
-            x_minus, x_plus = -half, half
-        extra = tuple(x for x in r if x < x_minus - 1e-14 or x > x_plus + 1e-14)
-        bracketed.append((i, row, x_minus, x_plus, extra))
-    if not bracketed:
-        return ShellColumns.failed(error, width)
-
-    slots, rows, x_minus, x_plus, extra = (list(col) for col in zip(*bracketed))
-    x_minus, x_plus = np.array(x_minus), np.array(x_plus)
-    quot, rem_plus = deflate(q[rows], x_plus)
+    # The roots ascend, NaN padding last: x_minus is the root before the
+    # first one at or above x0 (the last entry where there is none), and
+    # x_plus the first one above x0.  Where either is missing, the entry
+    # picked does not bracket x0.
+    x0, rows = U.minimum_x, np.arange(slots.size)
+    x_minus = roots[rows, (roots >= x0).argmax(axis=1) - 1]
+    x_plus = roots[rows, (roots > x0).argmax(axis=1)]
+    retried = ~((x_minus < x0) & (x0 < x_plus))
+    any_retried = np.count_nonzero(retried)
+    if any_retried:
+        j = retried.nonzero()[0]
+        with np.errstate(over="ignore"):
+            reach = np.sqrt(2.0 * energies[slots[j]] / U.curvature(x0))
+        lo, hi = newton_polish(q[j], derivative(q[j]), np.stack([x0 - reach, x0 + reach], axis=1)).T
+        # A pair that does not bracket x0 becomes NaN, which fails every
+        # check below quietly.
+        found = (lo < x0) & (x0 < hi) & np.isfinite(lo) & np.isfinite(hi)
+        x_minus[j], x_plus[j] = np.where(found, lo, math.nan), np.where(found, hi, math.nan)
+    if U.is_symmetric:
+        # Companion roots of an even polynomial are symmetric to rounding;
+        # averaging pins the parity invariant exactly.
+        half = 0.5 * (x_plus - x_minus)
+        x_minus, x_plus = -half, half
+    outside = (roots < (x_minus - 1e-14)[:, None]) | (roots > (x_plus + 1e-14)[:, None])
+    if any_retried:
+        outside[retried] = False  # a retried row's companion roots missed its shell
+    quot, rem_plus = deflate(q, x_plus)
     quot, rem_minus = deflate(quot, x_minus)
     residual = -quot
-    crits = _residual_critical_points(residual, x_minus, x_plus)
+    crits, crit_failed = _residual_critical_points(residual, x_minus, x_plus)
+    extrema = _residual_extrema(residual, x_minus, x_plus, crits)
     energy = energies[slots]
     columns = ShellColumns(
-        error, np.array(slots), energy, x_minus, x_plus, residual, extra, crits,
-        _residual_extrema(residual, x_minus, x_plus, crits), np.full(len(slots), math.nan),
+        error, slots, energy, x_minus, x_plus, residual, np.where(outside, roots, math.nan),
+        crits, extrema, np.full(slots.size, math.nan),
         amplitude=x_plus.copy() if U.is_symmetric else None,
     )
     tol = 1e-10 * np.maximum(1.0, energy)
-    return columns._checked((
+    unsolved = np.zeros(slots.size, dtype=bool)
+    unsolved[list(crit_failed)] = True
+    checks = []
+    if any_retried:
+        # A retried row keeps its pair, which is in order, only where every
+        # check passes, NaN failing; elsewhere its slot keeps the error of the
+        # companion solve.
+        passed = ((np.abs(rem_plus) <= tol) & (np.abs(rem_minus) <= tol) & (extrema[0] > 0.0)
+                  & ~unsolved)
+        checks.append((retried & ~passed, lambda j: failed.get(j) or ConvergenceError(
+            f"no turning points bracket the minimum at energy {float(energies[slots[j]])}; "
+            f"real roots found: {roots[j, :counts[j]].tolist()}")))
+    if crit_failed:
+        checks.append((unsolved, lambda j: crit_failed[j]))
+    return columns._checked(*checks, (
         (np.abs(rem_plus) > tol) | (np.abs(rem_minus) > tol),
         lambda j: ConvergenceError(
             f"turning-point deflation left remainders ({float(rem_plus[j])}, "
@@ -657,14 +701,13 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     residual = np.zeros((slots.size, 3))
     residual[:, 0] = 0.5 * half_sum
     residual[:, 2] = lam / 4.0
-    crits = [() if c == 0.0 else (0.0,) for c in residual[:, 2].tolist()]
+    crits = np.where(residual[:, 2:] == 0.0, math.nan, 0.0)
     softening = lam < 0.0
-    extra = [()] * slots.size
+    extra = np.full((slots.size, 2), math.nan)
     if np.count_nonzero(softening):
         with np.errstate(over="ignore"):  # E/-lam may pass the float range: b is then inf
             b = 2.0 * np.sqrt(energy[softening] / -lam[softening]) / amplitude[softening]
-        for j, b_j in zip(softening.nonzero()[0].tolist(), b.tolist()):
-            extra[j] = (-b_j, b_j)
+        extra[softening, 0], extra[softening, 1] = -b, b
     # a ** 2 is C pow, whose rounding numpy's square does not reproduce.  Past
     # sqrt(max float) it overflows, though rho = s - 1 does not.
     rho = np.array([lam_i * a ** 2 if a <= _SQRT_FLOAT_MAX else lam_i * a * a
@@ -731,26 +774,37 @@ def _quartic_half_s(lam: float, energy: float) -> float:
         return math.sqrt(num / (den << 1202)) * 2.0 ** 600
 
 
-def _residual_critical_points(residuals: np.ndarray, x_minus, x_plus) -> list:
-    """The zeros of each residual's R' strictly inside its shell, as ascending
-    tuples; row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
-    All rows' R' are solved in one call."""
-    return [tuple(float(c) for c in row if lo < c < hi)
-            for row, lo, hi in zip(real_roots_rows(derivative(residuals)), x_minus, x_plus)]
+@np.errstate(invalid="ignore")  # as _solve_shells: R' may have complex roots, NaN here
+def _residual_critical_points(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarray, dict]:
+    """The zeros of each residual's R' strictly inside its shell, a row each,
+    ascending with NaN in place of the others, and the
+    :class:`ConvergenceError` of each row whose R' has no eigensolve, by row;
+    row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
+
+    A constant R' (a linear residual) has no zero, and a linear one
+    ``r1 + 2 r2 x`` its zero ``-r1/(2 r2)``.  Any other R' has its zeros
+    solved, all rows in one call.
+    """
+    slope = derivative(residuals)
+    if slope.shape[1] < 2:
+        return np.empty((len(slope), 0)), {}
+    if slope.shape[1] == 2:
+        crits, failed = -slope[:, :1] / slope[:, 1:], {}
+    else:
+        crits, _, failed = _solved_rows(slope)
+    inside = (np.asarray(x_minus)[:, None] < crits) & (crits < np.asarray(x_plus)[:, None])
+    return np.where(inside, crits, math.nan), failed
 
 
-def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits) -> np.ndarray:
+def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits: np.ndarray) -> np.ndarray:
     """The rows ``(R_min, R_max, argmin, argmax)``, one column per residual, of
-    each residual over its two turning points and its critical points
-    ``crits``, in that order, the first index winning a tie.  R is evaluated
-    once for the whole stack."""
-    # NaN pads the candidate rows to one length.
-    width = max(map(len, crits), default=0)
-    candidates = np.empty((len(crits), 2 + width))
+    each residual over its two turning points and its critical points, the
+    entries of its row of ``crits`` that are not NaN, in that order, the
+    first index winning a tie.  R is evaluated once for the whole stack."""
+    candidates = np.empty((len(crits), 2 + crits.shape[1]))
     candidates[:, 0] = x_minus
     candidates[:, 1] = x_plus
-    if width:
-        candidates[:, 2:] = [row + (math.nan,) * (width - len(row)) for row in crits]
+    candidates[:, 2:] = crits
     values = _polyval_rows(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
@@ -758,6 +812,11 @@ def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits) -> np.ndarr
     rows = np.arange(len(values))
     return np.array([values[rows, i_min], values[rows, i_max],
                      candidates[rows, i_min], candidates[rows, i_max]]).reshape(4, -1)
+
+
+def _unpadded(rows: np.ndarray) -> list:
+    """The rows of an array as tuples of the entries that are not NaN."""
+    return [tuple(x for x in row if not math.isnan(x)) for row in rows.tolist()]
 
 
 def _residual_not_positive(r_min: float) -> DomainError:

@@ -1,5 +1,7 @@
 """Potential layer: scaling, turning points, deflation, barriers."""
 
+import io
+import json
 import math
 
 import mpmath as mp
@@ -19,6 +21,7 @@ from periodlab import (
     harmonic_potential,
     turning_points,
 )
+from periodlab.cli import main
 from tests.conftest import random_wells
 
 
@@ -223,8 +226,14 @@ def test_barrier_info_confining():
 @pytest.mark.parametrize("lam", [1e-200, -1e-282])
 def test_barrier_info_height_that_overflows_is_no_barrier(lam):
     # The far critical point of the cubic sits near x = -1/lam, where U
-    # overflows: it is no finite barrier, and nothing warns.
+    # overflows: it is no finite barrier, and nothing warns.  The shell at
+    # E = 0.25 is harmonic to double precision: T = 2 pi.
     assert barrier_info(cubic_potential(lam)).has_barrier is False
+    out = io.StringIO()
+    argv = ["period", "--preset", "cubic", "--lambda", repr(lam), "--energy", "0.25",
+            "--format", "json"]
+    assert main(argv, out=out) == 0
+    assert abs(json.loads(out.getvalue())["T"] - 2 * math.pi) <= 1e-15 * 2 * math.pi
 
 
 def test_barrier_info_is_critical_point(rng):

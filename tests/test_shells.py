@@ -1,9 +1,11 @@
 """Batched shells: the same bits as one energy at a time, and the same errors in their slots."""
 
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from periodlab import (
@@ -21,7 +23,8 @@ from periodlab import (
     turning_points,
 )
 from periodlab import _poly
-from periodlab._poly import as_coeffs, deflate, real_roots, real_roots_rows
+from periodlab._poly import as_coeffs, deflate, derivative, real_roots
+from periodlab.potential import shell_columns
 
 WELLS = {
     "duffing+": duffing_potential(0.7),
@@ -141,6 +144,65 @@ def test_shells_match_turning_points_on_random_wells(middle, sextic, lead, fract
     _assert_same(U, [f * cap for f in fractions])
 
 
+def _picked(U, energy):
+    """``(x_minus, x_plus, extra_roots)`` picked one root at a time from
+    :func:`real_roots` of ``E - U``, or None where no pair brackets the minimum."""
+    q = -U.coeffs.copy()
+    q[0] += energy
+    roots = real_roots(q).tolist()
+    left = [x for x in roots if x < U.minimum_x]
+    right = [x for x in roots if x > U.minimum_x]
+    if not left or not right:
+        return None
+    x_minus, x_plus = max(left), min(right)
+    if U.is_symmetric:
+        half = 0.5 * (x_plus - x_minus)
+        x_minus, x_plus = -half, half
+    return x_minus, x_plus, tuple(x for x in roots if x < x_minus - 1e-14 or x > x_plus + 1e-14)
+
+
+def _inside(values, lo, hi):
+    return [float(c) for c in values if lo < c < hi]
+
+
+@settings(max_examples=100, deadline=None)
+# double wells: E - U has two more roots beyond the barrier
+@example(degree=4, middle=[-0.6, 0.0, 0.0], lead=0.1, fractions=[0.2, 0.9, 0.999])
+@example(degree=6, middle=[0.0, -0.5, 0.0], lead=0.07, fractions=[0.3, 0.99])
+@given(
+    degree=st.sampled_from([3, 4, 6]),
+    middle=st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3),
+    lead=st.floats(-0.5, 0.5).filter(lambda a: abs(a) > 1e-3),
+    fractions=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
+)
+def test_shell_columns_pick_the_roots_of_the_one_row_rule(degree, middle, lead, fractions):
+    # Double wells with roots beyond the barrier included: a cubic term up to
+    # 0.8 beside a positive quartic lead has a second minimum.
+    U = PolynomialPotential([0.0, 0.0, 0.5, *middle[:degree - 3], lead])
+    assume(U.duffing_lambda is None)  # the canonical quartic solves nothing
+    energies = [f * _cap(U) for f in fractions]
+    cols = shell_columns(U, energies)
+    # every energy lies inside the band
+    assert cols.slots.tolist() == list(range(len(energies)))
+    for j, slot in enumerate(cols.slots.tolist()):
+        picked = _picked(U, energies[slot])
+        assert picked is not None
+        extra = cols.extra_roots[j]
+        assert (float(cols.x_minus[j]).hex(), float(cols.x_plus[j]).hex(),
+                tuple(extra[~np.isnan(extra)].tolist())) == (
+                    picked[0].hex(), picked[1].hex(), picked[2])
+        residual, lo, hi = cols.residual[j], cols.x_minus[j], cols.x_plus[j]
+        crits = cols.residual_critical_points[j]
+        crits = crits[~np.isnan(crits)].tolist()
+        solved = _inside(real_roots(derivative(residual)), lo, hi)
+        if residual.size <= 3:
+            # R' of degree <= 1: its zero in closed form, within an ulp of the solved one
+            assert len(crits) == len(solved)
+            assert all(abs(a - b) <= math.ulp(b) for a, b in zip(crits, solved))
+        else:
+            assert crits == solved
+
+
 # ---------------------------------------------------------------------------
 # The array helpers against their one-at-a-time reference
 # ---------------------------------------------------------------------------
@@ -210,7 +272,7 @@ def test_polish_stops_at_the_rounding_floor_next_to_the_barrier(gap, monkeypatch
         return polyval_rows(coeffs, x)
 
     monkeypatch.setattr(_poly, "_polyval_rows", counted)
-    roots = real_roots_rows(q[None, :])[0]
+    roots = real_roots(q)
     # Two evaluations, Q and Q', per Newton iteration.
     assert len(evaluations) <= 2 * 8
     assert roots.size == 3

@@ -1,7 +1,8 @@
 """Each polynomial is solved once per CLI call, and the canonical quartic not at all.
 
-A well's U', each energy's E - U and each shell's R' are solved by
-``_poly.real_roots_rows``, which every root finder goes through.  Wrapping it
+A well's U', each energy's E - U and the R' of each residual of degree 3 or
+more are solved by ``_poly.real_roots_rows``, which every root finder goes
+through; an R' of degree 1 or less has its zero in closed form.  Wrapping it
 where ``_poly`` and ``potential`` look it up records every coefficient row
 solved; within one CLI call, no row of degree >= 1 may come back in a later
 solve.  The canonical quartic's shells and barrier have closed forms, so a
@@ -63,8 +64,7 @@ def test_no_polynomial_is_solved_twice_in_one_call(command, well, solved):
     assert again == 0
 
 
-def test_a_reflected_cubic_shell_solves_nothing(solved):
-    # The lam < 0 shell is reflected for the series and elliptic routes.
+def test_a_cubic_call_solves_u_prime_and_e_minus_u_once_each(solved):
     counts = []
     for lam in ("1", "-1"):
         solved.clear()
@@ -72,8 +72,8 @@ def test_a_reflected_cubic_shell_solves_nothing(solved):
                 "--method", "all"]
         assert main(argv, out=io.StringIO()) == 0
         counts.append(len(solved))
-    # U', E - U and the constant R' of the linear residual
-    assert counts == [3, 3]
+    # the constant R' of the linear residual has no zero to solve for
+    assert counts == [2, 2]
 
 
 # ---------------------------------------------------------------------------
