@@ -28,8 +28,9 @@ energy = 0.15
 shell = pl.turning_points(U, energy)
 b0, b1 = shell.residual
 y, z = shell.residual_at(shell.x_minus), shell.residual_at(shell.x_plus)
+# The third zero of E - U is the zero of the linear residual.
 print(f"E = {energy}: x- = {shell.x_minus:.10f}, x+ = {shell.x_plus:.10f}, "
-      f"x3 = {shell.extra_roots[0]:.10f}")
+      f"x3 = {-b0 / b1:.10f}")
 print(f"residual R(x) = {b0:.10f} + {b1:.10f} x,  R(x-) = {y:.10f}, R(x+) = {z:.10f}")
 print()
 

@@ -23,7 +23,6 @@ from .frame import (
     BalancedFrame,
     balanced_frame,
     delta_at,
-    extrema_of_R,
     fixed_frame,
     nayfeh_frame,
     x_of_theta,
@@ -102,7 +101,6 @@ __all__ = [
     "duffing_series_nayfeh",
     "elliptic_K",
     "elliptic_period",
-    "extrema_of_R",
     "fixed_frame",
     "from_physical",
     "harmonic_potential",

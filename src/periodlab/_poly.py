@@ -101,7 +101,8 @@ def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(roots, counts)``: row ``i``'s :func:`real_roots` are
     ``roots[i, :counts[i]]``, ascending, and NaN pads each row of the
-    ``(rows, n)`` array after them.  Every leading coefficient must be
+    ``(rows, n)`` array after them; a root that the polish sends out of the
+    float range is not one of them.  Every leading coefficient must be
     nonzero.  The companion matrices are built as ``npoly.polyroots`` builds
     them and go to one stacked ``np.linalg.eigvals`` call; one
     :func:`newton_polish` refines all the real roots together.
@@ -123,6 +124,9 @@ def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = keep.nonzero()[0]
     roots = np.full((k, n), np.nan)
     roots[keep] = newton_polish(coeffs[rows], derivative(coeffs)[rows], rts.real[keep])
+    # A root that the polish sends to +-inf or NaN is dropped, as a complex one is.
+    keep &= np.isfinite(roots)
+    roots[~keep] = np.nan
     # A stable sort keeps equal roots, such as 0.0 and -0.0, in eigenvalue
     # order; NaN sorts last.
     roots.sort(axis=1, kind="stable")

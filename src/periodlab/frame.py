@@ -82,16 +82,6 @@ def x_of_theta(shell: EnergyShell, theta):
     return mid + half * np.cos(theta)
 
 
-def extrema_of_R(shell: EnergyShell) -> tuple[float, float, float, float]:
-    """Global extrema of the residual on the closed turning-point interval.
-
-    Returns ``(R_min, R_max, argmin, argmax)``.  Candidates are the interval
-    endpoints plus every real critical point of R inside; the shell carries
-    the result (``residual_extrema``).
-    """
-    return shell.residual_extrema
-
-
 def _closed_form_xi(shells):
     if shells.family == "quartic":
         return shells.rho / (4.0 + 3.0 * shells.rho)

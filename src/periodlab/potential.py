@@ -14,8 +14,10 @@ with one stacked companion-matrix eigensolve and one Newton polish, picks the
 turning points from them by masks, and computes what does not depend on the
 energy once per well.  Where the companion matrix misses a shell's turning
 points, as it does beside a leading coefficient far below ``c2``, Newton
-polishes the harmonic ones instead.  A residual of degree <= 2 has the
-critical point of R in closed form; only a higher one solves R'.
+polishes the harmonic ones instead.  A shell keeps only what the routes read:
+the turning points, the residual and R's extrema on the shell, which a
+residual of degree <= 2 finds at the critical point of R in closed form and
+only a higher one by solving R'.
 
 The shells of a grid are solved and checked as columns: :func:`shell_columns`
 and :func:`rho_columns` return a :class:`ShellColumns`, one array per shell
@@ -155,19 +157,26 @@ class PolynomialPotential:
         return BarrierInfo(True, barrier_energy=energy, barrier_x=x, amplitude_limit=limit)
 
 
+def _well_family(rho, residual_width: int) -> str:
+    """The well family of a shell, which decides the closed-form series and
+    frames that apply: ``"quartic"`` for the canonical quartic
+    ``x^2/2 + lam x^4/4`` (``rho`` set), ``"cubic"`` for a quadratic-cubic
+    shell (a residual of two coefficients), and ``"generic"`` otherwise."""
+    if rho is not None:
+        return "quartic"
+    return "cubic" if residual_width == 2 else "generic"
+
+
 @dataclass(frozen=True)
 class EnergyShell:
     """One energy level of a well: turning points and the deflated residual.
 
     ``Q(x) = energy - U(x) = (x_plus - x)(x - x_minus) R(x)`` with ``R > 0``
-    on the closed interval between the turning points.  ``extra_roots`` holds
-    any remaining real zeros of Q outside that interval.
-    ``residual_critical_points`` holds the zeros of R' strictly between the
-    turning points, ascending, and ``residual_extrema`` is
-    ``(R_min, R_max, argmin, argmax)`` over the turning points and those
-    critical points, in that order, first index winning a tie.  :func:`shells`
-    passes both; when either is not given, both are computed together from
-    ``residual``, by the routines :func:`shells` uses.
+    on the closed interval between the turning points.  ``residual_extrema``
+    is ``(R_min, R_max, argmin, argmax)`` over the turning points and the
+    zeros of R' strictly between them, in that order, first index winning a
+    tie.  :func:`shells` passes it; when it is not given, it is computed from
+    ``residual`` by the routine :func:`shells` uses.
     ``residual_at_turning_points``, when set, is ``R(x_minus) = R(x_plus)``
     of a symmetric shell with an even quadratic residual, known more closely
     than evaluating ``residual`` there gives: next to the barrier of the
@@ -179,40 +188,26 @@ class EnergyShell:
     x_minus: float
     x_plus: float
     residual: np.ndarray
-    extra_roots: tuple = ()
     amplitude: float | None = None
     rho: float | None = None
-    residual_critical_points: tuple | None = None
     residual_extrema: tuple | None = None
     residual_at_turning_points: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "residual", as_coeffs(self.residual))
-        object.__setattr__(self, "extra_roots", tuple(float(r) for r in self.extra_roots))
         if not self.x_minus < self.x_plus:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
-        if self.residual_critical_points is None or self.residual_extrema is None:
-            residual = self.residual[None, :]
-            crits, failed = _residual_critical_points(residual, [self.x_minus], [self.x_plus])
+        if self.residual_extrema is None:
+            extrema, failed = _residual_extrema(self.residual[None, :], [self.x_minus],
+                                                [self.x_plus])
             if failed:
                 raise failed[0]
-            extrema = _residual_extrema(residual, [self.x_minus], [self.x_plus], crits)
-            object.__setattr__(self, "residual_critical_points", _unpadded(crits)[0])
             object.__setattr__(self, "residual_extrema", tuple(extrema[:, 0].tolist()))
 
     @property
     def family(self) -> str:
-        """The well family, which decides the closed-form series and frames that apply.
-
-        ``"quartic"`` for the canonical quartic ``x^2/2 + lam x^4/4`` (``rho``
-        set), ``"cubic"`` for a quadratic-cubic shell (linear residual), and
-        ``"generic"`` otherwise.
-        """
-        if self.rho is not None:
-            return "quartic"
-        if self.residual.size == 2:
-            return "cubic"
-        return "generic"
+        """The well family of the shell, as :func:`_well_family` decides it."""
+        return _well_family(self.rho, self.residual.size)
 
     def residual_at(self, x):
         return npoly.polyval(x, self.residual)
@@ -231,12 +226,10 @@ class ShellColumns:
     ascending, and row ``j`` of every column belongs to slot ``slots[j]``.
     The columns are arrays and hold what the slot's :class:`EnergyShell`
     holds: ``energy``, ``x_minus``, ``x_plus``; the rows of ``residual``,
-    zero-padded to one width; the rows of ``extra_roots`` and of
-    ``residual_critical_points``, each of one width, ascending, with NaN in
-    place of the roots the row does not hold;
-    and ``residual_extrema``, of shape ``(4, rows)``: the columns ``R_min``,
-    ``R_max``, ``argmin`` and ``argmax``, so that ``residual_extrema[0]`` is
-    ``R_min`` here as on a shell.  ``residual_at_turning_points`` is NaN where
+    zero-padded to one width; and ``residual_extrema``, of shape
+    ``(4, rows)``: the columns ``R_min``, ``R_max``, ``argmin`` and
+    ``argmax``, so that ``residual_extrema[0]`` is ``R_min`` here as on a
+    shell.  ``residual_at_turning_points`` is NaN where
     it is not known, and ``amplitude`` and ``rho`` are None where the shells
     do not set them.  All shells of the columns are of one family.
     """
@@ -247,8 +240,6 @@ class ShellColumns:
     x_minus: np.ndarray
     x_plus: np.ndarray
     residual: np.ndarray
-    extra_roots: np.ndarray
-    residual_critical_points: np.ndarray
     residual_extrema: np.ndarray
     residual_at_turning_points: np.ndarray
     amplitude: np.ndarray | None = None
@@ -259,15 +250,12 @@ class ShellColumns:
         """Columns whose every slot holds the error in ``error``."""
         empty = np.empty(0)
         return cls(list(error), np.empty(0, dtype=int), empty, empty, empty,
-                   np.empty((0, width)), np.empty((0, 0)), np.empty((0, 0)), np.empty((4, 0)),
-                   empty)
+                   np.empty((0, width)), np.empty((4, 0)), empty)
 
     @property
     def family(self) -> str:
-        """The well family of the shells, as :attr:`EnergyShell.family`."""
-        if self.rho is not None:
-            return "quartic"
-        return "cubic" if self.residual.shape[1] == 2 else "generic"
+        """The well family of the shells, as :func:`_well_family` decides it."""
+        return _well_family(self.rho, self.residual.shape[1])
 
     def shells(self) -> list:
         """Slot ``i`` holds the :class:`EnergyShell` of slot ``i``, or its error."""
@@ -276,14 +264,12 @@ class ShellColumns:
         amplitude, rho = ([None] * rows if c is None else c.tolist()
                           for c in (self.amplitude, self.rho))
         r_end = [None if math.isnan(r) else r for r in self.residual_at_turning_points.tolist()]
-        extra, crits = _unpadded(self.extra_roots), _unpadded(self.residual_critical_points)
         for j, (i, energy, lo, hi, extrema) in enumerate(zip(
                 self.slots.tolist(), self.energy.tolist(), self.x_minus.tolist(),
                 self.x_plus.tolist(), zip(*self.residual_extrema.tolist()))):
             found[i] = EnergyShell(
                 energy=energy, x_minus=lo, x_plus=hi, residual=self.residual[j],
-                extra_roots=extra[j], amplitude=amplitude[j], rho=rho[j],
-                residual_critical_points=crits[j],
+                amplitude=amplitude[j], rho=rho[j],
                 residual_extrema=extrema, residual_at_turning_points=r_end[j],
             )
         return found
@@ -306,17 +292,14 @@ class ShellColumns:
         keep = ~bad
         return ShellColumns(
             error, self.slots[keep], self.energy[keep], self.x_minus[keep], self.x_plus[keep],
-            self.residual[keep], self.extra_roots[keep], self.residual_critical_points[keep],
-            self.residual_extrema[:, keep],
-            self.residual_at_turning_points[keep],
+            self.residual[keep], self.residual_extrema[:, keep], self.residual_at_turning_points[keep],
             None if self.amplitude is None else self.amplitude[keep],
             None if self.rho is None else self.rho[keep],
         )
 
     def _checked(self, *checks) -> "ShellColumns":
-        """:meth:`_failing` of ``checks``, then of the checks that an
-        :class:`EnergyShell` and :func:`_check_residual_positive` make: turning
-        points out of order, and a residual that is not positive on the shell."""
+        """:meth:`_failing` of ``checks``, then of the checks every shell
+        passes: turning points in order, and a residual positive on the shell."""
         lo, hi, r_min = self.x_minus, self.x_plus, self.residual_extrema[0]
         return self._failing(
             *checks,
@@ -552,10 +535,10 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     shells from the closed form of :func:`quartic_shells` and solves nothing.
     Any other well reads its barrier once; the roots of ``E - U`` at all its
     energies come from one stacked companion-matrix solve, and the turning
-    points and extra roots are picked from them as arrays (see
-    :func:`_solve_shells`).  The critical points of a residual of degree
-    <= 2 come in closed form, those of higher ones from one more stacked
-    solve.  Every column of the result is an array.
+    points are picked from them as arrays (see :func:`_solve_shells`).  The
+    critical points of a residual of degree <= 2 come in closed form, those
+    of higher ones from one more stacked solve.  Every column of the result
+    is an array.
     """
     energies = np.array([float(e) for e in energies])
     if U.duffing_lambda is not None:
@@ -616,18 +599,13 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
         # averaging pins the parity invariant exactly.
         half = 0.5 * (x_plus - x_minus)
         x_minus, x_plus = -half, half
-    outside = (roots < (x_minus - 1e-14)[:, None]) | (roots > (x_plus + 1e-14)[:, None])
-    if any_retried:
-        outside[retried] = False  # a retried row's companion roots missed its shell
     quot, rem_plus = deflate(q, x_plus)
     quot, rem_minus = deflate(quot, x_minus)
     residual = -quot
-    crits, crit_failed = _residual_critical_points(residual, x_minus, x_plus)
-    extrema = _residual_extrema(residual, x_minus, x_plus, crits)
+    extrema, crit_failed = _residual_extrema(residual, x_minus, x_plus)
     energy = energies[slots]
     columns = ShellColumns(
-        error, slots, energy, x_minus, x_plus, residual, np.where(outside, roots, math.nan),
-        crits, extrema, np.full(slots.size, math.nan),
+        error, slots, energy, x_minus, x_plus, residual, extrema, np.full(slots.size, math.nan),
         amplitude=x_plus.copy() if U.is_symmetric else None,
     )
     tol = 1e-10 * np.maximum(1.0, energy)
@@ -662,8 +640,7 @@ def quartic_shells(lams, energies) -> list:
     raises for that well and energy.  With ``s = sqrt(1 + 4 lam E)`` the
     turning points are ``-A`` and ``A``, ``A^2 = 4E/(1 + s)``, and
     ``E - U = (A^2 - x^2) R`` with ``R = (1 + s)/4 + (lam/4) x^2``, whose
-    critical point is 0 (none at lam = 0).  For lam < 0 the other zeros of
-    ``E - U`` are ``+-2 sqrt(E/-lam)/A``, and the shell carries
+    critical point is 0 (none at lam = 0).  For lam < 0 the shell carries
     ``R(+-A) = s/2``, which evaluating R there cancels next to the barrier.
     No polynomial is solved.
     """
@@ -701,13 +678,6 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     residual = np.zeros((slots.size, 3))
     residual[:, 0] = 0.5 * half_sum
     residual[:, 2] = lam / 4.0
-    crits = np.where(residual[:, 2:] == 0.0, math.nan, 0.0)
-    softening = lam < 0.0
-    extra = np.full((slots.size, 2), math.nan)
-    if np.count_nonzero(softening):
-        with np.errstate(over="ignore"):  # E/-lam may pass the float range: b is then inf
-            b = 2.0 * np.sqrt(energy[softening] / -lam[softening]) / amplitude[softening]
-        extra[softening, 0], extra[softening, 1] = -b, b
     # a ** 2 is C pow, whose rounding numpy's square does not reproduce.  Past
     # sqrt(max float) it overflows, though rho = s - 1 does not.
     rho = np.array([lam_i * a ** 2 if a <= _SQRT_FLOAT_MAX else lam_i * a * a
@@ -720,8 +690,8 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     extrema = np.array([np.minimum(r_a, r0), np.maximum(r_a, r0),
                         np.where(r_a > r0, 0.0, -amplitude), np.where(r_a < r0, 0.0, -amplitude)])
     return ShellColumns(
-        error, slots, energy, -amplitude, amplitude, residual, extra, crits, extrema,
-        np.where(softening, half_s, math.nan), amplitude=amplitude, rho=rho,
+        error, slots, energy, -amplitude, amplitude, residual, extrema,
+        np.where(lam < 0.0, half_s, math.nan), amplitude=amplitude, rho=rho,
     )._checked()
 
 
@@ -774,49 +744,39 @@ def _quartic_half_s(lam: float, energy: float) -> float:
         return math.sqrt(num / (den << 1202)) * 2.0 ** 600
 
 
-@np.errstate(invalid="ignore")  # as _solve_shells: R' may have complex roots, NaN here
-def _residual_critical_points(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarray, dict]:
-    """The zeros of each residual's R' strictly inside its shell, a row each,
-    ascending with NaN in place of the others, and the
-    :class:`ConvergenceError` of each row whose R' has no eigensolve, by row;
-    row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
+# R' may have complex roots, NaN here, and a comparison with NaN is False.
+@np.errstate(invalid="ignore")
+def _residual_extrema(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarray, dict]:
+    """The rows ``(R_min, R_max, argmin, argmax)``, one column per residual,
+    and the :class:`ConvergenceError` of each row whose R' has no eigensolve,
+    by row; row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
 
-    A constant R' (a linear residual) has no zero, and a linear one
-    ``r1 + 2 r2 x`` its zero ``-r1/(2 r2)``.  Any other R' has its zeros
-    solved, all rows in one call.
+    The candidates are the two turning points and the zeros of R' strictly
+    between them, in that order, the first index winning a tie.  A constant
+    R' (a linear residual) has no zero, and a linear one ``r1 + 2 r2 x`` its
+    zero ``-r1/(2 r2)``.  Any other R' has its zeros solved, all rows in one
+    call.  R is evaluated once for the whole stack.
     """
     slope = derivative(residuals)
     if slope.shape[1] < 2:
-        return np.empty((len(slope), 0)), {}
-    if slope.shape[1] == 2:
+        crits, failed = np.empty((len(slope), 0)), {}
+    elif slope.shape[1] == 2:
         crits, failed = -slope[:, :1] / slope[:, 1:], {}
     else:
         crits, _, failed = _solved_rows(slope)
-    inside = (np.asarray(x_minus)[:, None] < crits) & (crits < np.asarray(x_plus)[:, None])
-    return np.where(inside, crits, math.nan), failed
-
-
-def _residual_extrema(residuals: np.ndarray, x_minus, x_plus, crits: np.ndarray) -> np.ndarray:
-    """The rows ``(R_min, R_max, argmin, argmax)``, one column per residual, of
-    each residual over its two turning points and its critical points, the
-    entries of its row of ``crits`` that are not NaN, in that order, the
-    first index winning a tie.  R is evaluated once for the whole stack."""
     candidates = np.empty((len(crits), 2 + crits.shape[1]))
     candidates[:, 0] = x_minus
     candidates[:, 1] = x_plus
-    candidates[:, 2:] = crits
+    inside = (candidates[:, :1] < crits) & (crits < candidates[:, 1:2])
+    candidates[:, 2:] = np.where(inside, crits, math.nan)
     values = _polyval_rows(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
     i_max = np.where(pad, -np.inf, values).argmax(axis=1)
     rows = np.arange(len(values))
-    return np.array([values[rows, i_min], values[rows, i_max],
-                     candidates[rows, i_min], candidates[rows, i_max]]).reshape(4, -1)
-
-
-def _unpadded(rows: np.ndarray) -> list:
-    """The rows of an array as tuples of the entries that are not NaN."""
-    return [tuple(x for x in row if not math.isnan(x)) for row in rows.tolist()]
+    extrema = np.array([values[rows, i_min], values[rows, i_max],
+                        candidates[rows, i_min], candidates[rows, i_max]]).reshape(4, -1)
+    return extrema, failed
 
 
 def _residual_not_positive(r_min: float) -> DomainError:
@@ -824,9 +784,3 @@ def _residual_not_positive(r_min: float) -> DomainError:
         f"residual R(x) is not positive on the shell (min {r_min}); "
         "the energy does not select a simple oscillatory band"
     )
-
-
-def _check_residual_positive(shell: EnergyShell) -> None:
-    r_min = shell.residual_extrema[0]
-    if r_min <= 0.0:
-        raise _residual_not_positive(r_min)

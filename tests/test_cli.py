@@ -654,6 +654,23 @@ def test_quartic_shell_whose_amplitude_squared_overflows_has_a_period(argv, caps
         assert r["T"] == pytest.approx(2.0 * math.pi, rel=1e-15 if r["rho"] == 0.0 else 1e-11)
 
 
+def test_critical_point_that_the_polish_overflows_is_dropped_without_a_warning():
+    # Newton sends the far critical point of this quartic, whose leading
+    # coefficient is 9e-204, to inf; evaluating U'' there would warn, and
+    # under PYTHONWARNINGS=error end the run.
+    argv = ["period", "--preset", "poly", "--coeffs", "0", "0", "0.2983580513257455",
+            "-0.1151646968818325", "9.046116866145732e-204", "--energy", "0.1",
+            "--format", "json"]
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from periodlab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["T"] == 8.6046278715021263
+
+
 # ---------------------------------------------------------------------------
 # Message text does not depend on numpy's scalar repr; sqrt_rho_T follows rho
 # ---------------------------------------------------------------------------

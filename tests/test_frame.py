@@ -13,7 +13,6 @@ from periodlab import (
     cubic_potential,
     delta_at,
     duffing_potential,
-    extrema_of_R,
     fixed_frame,
     harmonic_potential,
     nayfeh_frame,
@@ -31,13 +30,13 @@ def _duffing_shell(rho: float):
 
 
 # ---------------------------------------------------------------------------
-# extrema_of_R
+# residual_extrema
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("rho", [0.25, 1.0, 4.0])
 def test_extrema_duffing_hardening(rho):
     shell = _duffing_shell(rho)
-    r_min, r_max, arg_min, arg_max = extrema_of_R(shell)
+    r_min, r_max, arg_min, arg_max = shell.residual_extrema
     assert r_min == pytest.approx(0.5 + rho / 4.0, rel=1e-12)   # at x = 0
     assert r_max == pytest.approx(0.5 + rho / 2.0, rel=1e-12)   # at x = +-A
     assert arg_min == pytest.approx(0.0, abs=1e-12)
@@ -46,20 +45,20 @@ def test_extrema_duffing_hardening(rho):
 
 def test_extrema_duffing_softening_swaps():
     shell = _duffing_shell(-0.5)
-    r_min, r_max, _, _ = extrema_of_R(shell)
+    r_min, r_max, _, _ = shell.residual_extrema
     assert r_min == pytest.approx(0.5 - 0.25, rel=1e-12)   # at the amplitude
     assert r_max == pytest.approx(0.5 - 0.125, rel=1e-12)  # at the center
 
 
 def test_extrema_harmonic_constant():
     shell = turning_points(harmonic_potential(), 0.5)
-    r_min, r_max, _, _ = extrema_of_R(shell)
+    r_min, r_max, _, _ = shell.residual_extrema
     assert r_min == r_max == pytest.approx(0.5, rel=1e-14)
 
 
 def test_extrema_cubic_at_turning_points():
     shell = turning_points(cubic_potential(1.0), 0.1)
-    r_min, r_max, arg_min, arg_max = extrema_of_R(shell)
+    r_min, r_max, arg_min, arg_max = shell.residual_extrema
     assert arg_min == shell.x_minus
     assert arg_max == shell.x_plus
     assert r_min == pytest.approx(shell.residual_at(shell.x_minus), rel=1e-14)
@@ -88,7 +87,7 @@ def test_balanced_cubic_separatrix_limit_values():
     # Exact barrier factorization: R = (1+x)/3 on [-1, 1/2].
     shell = EnergyShell(
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), extra_roots=(-1.0,),
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
     )
     fr = balanced_frame(shell)
     assert fr.omega ** 2 == pytest.approx(0.5, rel=1e-14)

@@ -320,7 +320,7 @@ def test_cubic_elliptic_negative_lambda_via_parity():
 def test_cubic_separatrix_modulus_reaches_one_and_rejects():
     shell = EnergyShell(
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), extra_roots=(-1.0,),
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
     )
     # k^2 = (x_plus - x_minus)/(x_plus - x3) = 1 exactly at the barrier, and
     # so R(x_minus)/R(x_plus) = 1 - k^2 = 0
@@ -679,7 +679,7 @@ def test_elliptic_period_rejects_separatrix_limits():
     # The exact cubic limit of test_acceptance.py: R(x_minus) = 0.
     limit_shell = EnergyShell(
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), extra_roots=(-1.0,),
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
     )
     with pytest.raises(SeparatrixError):
         elliptic_period(limit_shell)

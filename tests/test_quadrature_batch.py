@@ -32,10 +32,11 @@ from periodlab import (
     shells,
 )
 import periodlab.period as period
+from periodlab._poly import real_roots
 from periodlab.cli import main
 from periodlab.frame import x_of_theta
 from periodlab.period import _QUAD_N0, _QUAD_NMAX, _QUAD_NMAX_KNOWN_ENDS, DEFAULT_QUAD_TOL
-from periodlab.potential import _check_residual_positive
+from periodlab.potential import ShellColumns
 
 WELLS = {
     "duffing+": duffing_potential(0.5),
@@ -204,6 +205,16 @@ def test_batch_matches_one_at_a_time_on_random_wells(middle, sextic, lead, fract
 # The residual is evaluated once per shell
 # ---------------------------------------------------------------------------
 
+def _zeros_of_slope_inside(shell):
+    """The zeros of R' strictly between the turning points: ``-r1/(2 r2)`` for
+    a linear R', as the shell solve takes it, solved for a higher one.  Adding
+    0.0 writes the zero of the quartic's R' = (lam/2) x, which the formula
+    gives as -0.0 for lam > 0, as the closed form's 0.0."""
+    slope = npoly.polyder(shell.residual)
+    zeros = [-slope[0] / slope[1] + 0.0] if slope.size == 2 else real_roots(slope)
+    return [float(x) for x in zeros if shell.x_minus < x < shell.x_plus]
+
+
 @pytest.mark.parametrize("name", sorted(WELLS))
 def test_carried_extrema_match_evaluating_the_residual(name):
     U = WELLS[name]
@@ -212,7 +223,7 @@ def test_carried_extrema_match_evaluating_the_residual(name):
     mirrored = PolynomialPotential(U.coeffs * (-1.0) ** np.arange(U.coeffs.size),
                                    U.mass, U.omega0)
     for s, m in zip(shells(U, energies), shells(mirrored, energies)):
-        xs = [s.x_minus, s.x_plus, *s.residual_critical_points]
+        xs = [s.x_minus, s.x_plus, *_zeros_of_slope_inside(s)]
         values = [float(npoly.polyval(x, s.residual)) for x in xs]
         i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
         expected = (values[i_min], values[i_max], xs[i_min], xs[i_max])
@@ -223,8 +234,13 @@ def test_carried_extrema_match_evaluating_the_residual(name):
 def test_non_positive_carried_minimum_rejects_the_shell():
     bad = EnergyShell(energy=1.0, x_minus=-1.0, x_plus=1.0, residual=[-0.5, 0.0, 1.0])
     assert bad.residual_extrema == (-0.5, 0.5, 0.0, -1.0)
+    columns = ShellColumns([None], np.array([0]), np.array([bad.energy]),
+                           np.array([bad.x_minus]), np.array([bad.x_plus]),
+                           bad.residual[None, :], np.array(bad.residual_extrema)[:, None],
+                           np.array([math.nan]))
+    (error,) = columns._checked().shells()
     with pytest.raises(DomainError, match=r"min -0\.5\)"):
-        _check_residual_positive(bad)
+        raise error
 
 
 # ---------------------------------------------------------------------------

@@ -118,19 +118,13 @@ def test_shell_fields_are_the_closed_forms(lam):
     shell = quartic_shells([lam], [energy])[0]
     s = math.sqrt(1 + 4 * Fraction(lam) * Fraction(energy))
     assert shell.residual.tolist() == ([(1.0 + s) / 4.0, 0.0, lam / 4.0] if lam else [0.5])
-    assert shell.residual_critical_points == ((0.0,) if lam else ())
     assert shell.amplitude == shell.x_plus and shell.rho == lam * shell.x_plus ** 2
     r_ends = float(shell.residual_at(shell.x_plus))
     r_mid = float(shell.residual_at(0.0))
     if lam < 0.0:
         assert shell.residual_extrema == (r_ends, r_mid, shell.x_minus, 0.0)
-        b = 2.0 * math.sqrt(energy / -lam) / shell.x_plus
-        assert shell.extra_roots == (-b, b)
-        x = np.array(shell.extra_roots)
-        assert np.allclose(energy - duffing_potential(lam)(x), 0.0, atol=1e-15)
     elif lam > 0.0:
         assert shell.residual_extrema == (r_mid, r_ends, 0.0, shell.x_minus)
-        assert shell.extra_roots == ()
     else:  # a tie: the first candidate, x_minus, wins both
         assert shell.residual_extrema == (0.5, 0.5, shell.x_minus, shell.x_minus)
 
@@ -169,8 +163,8 @@ def test_shells_of_quartic_wells_are_the_closed_forms():
     wells = [duffing_potential(lam) for lam in lams]
     for a, b in zip([shells(U, [e])[0] for U, e in zip(wells, energies)],
                     quartic_shells(lams, energies)):
-        assert (a.x_plus, a.residual.tobytes(), a.residual_extrema, a.extra_roots) == (
-            b.x_plus, b.residual.tobytes(), b.residual_extrema, b.extra_roots)
+        assert (a.x_plus, a.residual.tobytes(), a.residual_extrema) == (
+            b.x_plus, b.residual.tobytes(), b.residual_extrema)
 
 
 def test_wells_matching_the_quartic_only_within_rounding_take_the_eigensolve():
@@ -204,6 +198,7 @@ def test_closed_form_extrema_match_evaluating_the_residual(pairs, tiny_lams):
     pairs = pairs + [(lam, 0.5) for lam in tiny_lams]
     lams, energies = (np.array(col) for col in zip(*pairs))
     cols = potential._quartic_columns(lams, energies, [None] * len(pairs))
-    evaluated = potential._residual_extrema(cols.residual, cols.x_minus, cols.x_plus,
-                                            cols.residual_critical_points)
-    assert cols.residual_extrema.tobytes() == evaluated.tobytes()
+    evaluated, failed = potential._residual_extrema(cols.residual, cols.x_minus, cols.x_plus)
+    # + 0.0 writes the critical point -r1/(2 r2) = -0.0 of lam > 0 as the
+    # closed form's 0.0.
+    assert not failed and cols.residual_extrema.tobytes() == (evaluated + 0.0).tobytes()
