@@ -101,8 +101,8 @@ def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(roots, counts)``: row ``i``'s :func:`real_roots` are
     ``roots[i, :counts[i]]``, ascending, and NaN pads each row of the
-    ``(rows, n)`` array after them; a root that the polish sends out of the
-    float range is not one of them.  Every leading coefficient must be
+    ``(rows, n)`` array after them; a root out of the float range, as found
+    or as polished, is not one of them.  Every leading coefficient must be
     nonzero.  The companion matrices are built as ``npoly.polyroots`` builds
     them and go to one stacked ``np.linalg.eigvals`` call; one
     :func:`newton_polish` refines all the real roots together.
@@ -111,7 +111,9 @@ def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         return np.empty((k, 0)), np.zeros(k, dtype=int)
     if n == 1:
-        rts = -coeffs[:, :1] / coeffs[:, 1:]
+        # A root out of the float range is dropped below, as a complex one is.
+        with np.errstate(over="ignore"):
+            rts = -coeffs[:, :1] / coeffs[:, 1:]
     else:
         mat = np.zeros((k, n, n))
         mat.reshape(k, -1)[:, n::n + 1] = 1.0
@@ -120,7 +122,7 @@ def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
         rts = np.linalg.eigvals(mat)
-    keep = np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts))
+    keep = np.isfinite(rts) & (np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts)))
     rows = keep.nonzero()[0]
     roots = np.full((k, n), np.nan)
     roots[keep] = newton_polish(coeffs[rows], derivative(coeffs)[rows], rts.real[keep])

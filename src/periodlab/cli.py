@@ -2,22 +2,24 @@
 
 Subcommands: ``period``, ``sweep``, ``converge``, ``verify``.  Output formats
 are ``table`` (default, human), ``json`` (one object per record, arrays for
-multi-record output) and ``csv`` (RFC-4180 quoting, fixed column order).
+multi-record output) and ``csv`` (fixed column order; a cell holding a comma,
+a double quote, a newline or a carriage return is quoted, its quotes doubled).
 csv and json write every float with 17 significant digits so records
 re-parse bit-exactly; table writes 12.  Exit codes: 0 success, 1 usage, 2
 domain (separatrix/energy), 3 numerical non-convergence.  The environment
 variable ``PERIODLAB_TOL`` overrides the default 1e-13 quadrature tolerance.
 
 Output is written a column at a time (:func:`emit`), each value by the one
-formatter of its format.  A quadrature ``sweep`` goes from the shell solve to
-the output in columns: one array per shell, frame and period field, and no
-shell, frame or record object per grid point.
+formatter of its format; csv rows come from one ``%`` template per call, in
+which the columns that hold one object are literal text.  A quadrature
+``sweep`` goes from the shell solve to the output in columns: one array per
+shell, frame and period field, and no shell, frame or record object per grid
+point.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -176,6 +178,34 @@ def _column(column: list, fmt: _Format) -> list[str]:
     return [_value(v, fmt) for v in column]
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a csv field: in quotes, with its quotes doubled, when it
+    holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_row(columns: list) -> tuple[str, list]:
+    """The ``%`` template of the csv rows of ``columns``, and the columns that
+    fill it.  A column of one object is written into the template, a column
+    of floats is a float conversion filled from the column, and any other
+    column a ``%s`` filled from its csv cells."""
+    csv_format = _FORMATS["csv"]
+    parts, cells = [], []
+    for column in columns:
+        first = column[0] if column else None
+        if all(map(is_, column, repeat(first))):
+            parts.append(_csv_cell(_value(first, csv_format)).replace("%", "%%"))
+        elif set(map(type, column)) == {float}:
+            parts.append("%" + csv_format.float_spec)
+            cells.append(column)
+        else:
+            parts.append("%s")
+            cells.append(list(map(_csv_cell, _column(column, csv_format))))
+    return ",".join(parts) + "\n", cells
+
+
 @functools.cache
 def _json_key(k: str) -> str:
     return json.dumps(k)
@@ -187,13 +217,20 @@ def emit(table, fields, fmt: str, out) -> None:
     ``table`` maps each of ``fields`` to its column, one cell per record, or
     is a list of record dicts, whose missing fields are None.  Each column is
     formatted as a whole (:func:`_column`); ``table`` shows only the columns
-    that some record sets.
+    that some record sets.  csv fills one row template (:func:`_csv_row`) per
+    record, and quotes a cell or field name by :func:`_csv_cell`.
     """
     fields = list(fields)
     if isinstance(table, dict):
         columns = [table[k] for k in fields]
     else:
         columns = [[r.get(k) for r in table] for k in fields]
+    if fmt == "csv":
+        template, cells = _csv_row(columns)
+        n = len(columns[0]) if columns else 0
+        rows = map(template.__mod__, zip(*cells)) if cells else repeat(template % (), n)
+        out.write(",".join(map(_csv_cell, fields)) + "\n" + "".join(rows))
+        return
     if fmt == "table":
         shown = [j for j, column in enumerate(columns) if column.count(None) < len(column)]
         fields, columns = [fields[j] for j in shown], [columns[j] for j in shown]
@@ -205,10 +242,6 @@ def emit(table, fields, fmt: str, out) -> None:
             out.write(bodies[0] + "\n")
         else:
             out.write("[\n  " + ",\n  ".join(bodies) + "\n]\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(zip(*texts))
     else:
         padded = []
         for k, t in zip(fields, texts):

@@ -350,7 +350,9 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     u = as_coeffs(u)
     du, d2u = _derivatives(u)
     crits = _solved(real_roots, du)
-    minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
+    # A curvature that overflows still has its sign.
+    with np.errstate(over="ignore"):
+        minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
     if not minima:
         raise NoMinimumError(
             f"no local minimum with positive curvature; critical points: {crits.tolist()}"

@@ -671,6 +671,25 @@ def test_critical_point_that_the_polish_overflows_is_dropped_without_a_warning()
     assert json.loads(proc.stdout)["T"] == 8.6046278715021263
 
 
+@pytest.mark.parametrize("coeffs, energy, kind, message", [
+    # U' = 1e300 + 2e-12 x has its one root near -5e311, out of the float range.
+    (["0", "1e300", "1e-12"], "1", "domain",
+     "no local minimum with positive curvature; critical points: []"),
+    # U'' overflows at the far critical point, near 7.5e299.
+    (["0", "0", "0.5", "1e300", "-1"], "0.1", "numerical",
+     "no turning points bracket the minimum at energy 0.1; real roots found: [0.0, 0.0, 0.0]"),
+])
+def test_well_at_the_edge_of_the_float_range_gives_its_record_without_a_warning(
+        coeffs, energy, kind, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", "--preset", "poly", "--coeffs", *coeffs,
+                            "--energy", energy, "--format", "json")
+    assert (code, json.loads(out)) == ({"domain": 2, "numerical": 3}[kind], {
+        "command": "error", "error": message, "error_kind": kind})
+    assert capsys.readouterr().err == f"{kind} error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # Message text does not depend on numpy's scalar repr; sqrt_rho_T follows rho
 # ---------------------------------------------------------------------------
