@@ -1,9 +1,11 @@
-"""Small polynomial helpers: derivatives, real-root isolation, Newton polish, deflation.
+"""The polynomial kernel: evaluation, derivatives, real roots, Newton polish, deflation.
 
 Coefficient arrays are stored low-to-high: ``coeffs[k]`` multiplies ``x**k``.
 The helpers also take one polynomial per row of a 2-D array, so a family of
 polynomials of one degree (``E - U`` over an energy grid) is solved in one go;
-each row gets exactly the arithmetic it would get on its own.
+each row gets exactly the arithmetic it would get on its own.  Every
+polynomial of a well is evaluated here, by :func:`polyval` or, in the
+oracle's inner loop, by the compiled :func:`_polynomial`.
 
 Roots are polished in plain double arithmetic, so a root ends as accurate as
 rounding in the polynomial allows: about 1e-15 relative for a well separated
@@ -12,6 +14,8 @@ point and its partner beyond a barrier are.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -42,18 +46,45 @@ def derivative(coeffs) -> np.ndarray:
     return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
-def _polyval_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row ``i`` of ``coeffs`` evaluated at ``x[i]``, by the Horner steps of ``npoly.polyval``.
-
-    ``x[i]`` is one point or a row of points.  Zeros padded above a row's
-    leading coefficient leave its values unchanged.
-    """
-    if x.ndim > 1:
-        coeffs = coeffs[:, :, None]
-    acc = coeffs[:, -1] + x * 0
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = coeffs[:, k] + acc * x
+def polyval(coeffs, x):
+    """``coeffs`` at ``x`` by the Horner steps ``c[k] + acc * x`` of
+    ``npoly.polyval``, bit for bit; an overflow gives inf or NaN without a
+    warning, as Python floats do.  ``x`` is one point, giving a float, or an
+    array.  A 2-D ``coeffs`` holds one polynomial per row, row ``i`` taken at
+    ``x[i]``, one point or a row of points; zeros padded above a row's leading
+    coefficient leave its values unchanged."""
+    if not isinstance(x, (np.ndarray, list, tuple)):
+        c, x = coeffs.tolist(), float(x)
+        acc = c[-1] + x * 0.0
+        for ck in c[-2::-1]:
+            acc = ck + acc * x
+        return acc
+    x = np.asarray(x)
+    c = coeffs.T if coeffs.ndim < 2 or x.ndim < 2 else coeffs.T[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = c[-1] + x * 0
+        for k in range(len(c) - 2, -1, -1):
+            acc = c[k] + acc * x
     return acc
+
+
+@functools.cache
+def _horner_maker(degree: int):
+    """A function of ``c0, ..., c_degree`` that returns their polynomial as
+    one unrolled Horner expression ``lambda x: (c_d * x + c_{d-1}) * x ...``,
+    compiled once per degree."""
+    names = [f"c{i}" for i in range(degree + 1)]
+    expr = names[-1]
+    for name in reversed(names[:-1]):
+        expr = f"({expr}) * x + {name}"
+    namespace: dict = {}
+    exec(f"def make({', '.join(names)}):\n    return lambda x: {expr}\n", namespace)
+    return namespace["make"]
+
+
+def _polynomial(coeffs):
+    """The polynomial of ``coeffs`` (lowest first) as a Python float function."""
+    return _horner_maker(len(coeffs) - 1)(*coeffs.tolist())
 
 
 def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
@@ -80,8 +111,8 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
         for _ in range(_POLISH_MAX_ITER):
             if not np.count_nonzero(live):
                 break
-            f = _polyval_rows(coeffs, x)
-            df = _polyval_rows(dcoeffs, x)
+            f = polyval(coeffs, x)
+            df = polyval(dcoeffs, x)
             step = f / df
             x_new = x - step
             size = np.abs(step)

@@ -178,10 +178,11 @@ def _column(column: list, fmt: _Format) -> list[str]:
     return [_value(v, fmt) for v in column]
 
 
-def _csv_cell(text: str) -> str:
+def _csv_cell(text: str, lone: bool = False) -> str:
     """``text`` as a csv field: in quotes, with its quotes doubled, when it
-    holds a comma, a quote or a line break."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
+    holds a comma, a quote or a line break, or when it is empty and ``lone``
+    in its row, which would otherwise be an empty line."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text or (lone and not text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -191,18 +192,18 @@ def _csv_row(columns: list) -> tuple[str, list]:
     fill it.  A column of one object is written into the template, a column
     of floats is a float conversion filled from the column, and any other
     column a ``%s`` filled from its csv cells."""
-    csv_format = _FORMATS["csv"]
+    csv_format, lone = _FORMATS["csv"], len(columns) == 1
     parts, cells = [], []
     for column in columns:
         first = column[0] if column else None
         if all(map(is_, column, repeat(first))):
-            parts.append(_csv_cell(_value(first, csv_format)).replace("%", "%%"))
+            parts.append(_csv_cell(_value(first, csv_format), lone).replace("%", "%%"))
         elif set(map(type, column)) == {float}:
             parts.append("%" + csv_format.float_spec)
             cells.append(column)
         else:
             parts.append("%s")
-            cells.append(list(map(_csv_cell, _column(column, csv_format))))
+            cells.append(list(map(_csv_cell, _column(column, csv_format), repeat(lone))))
     return ",".join(parts) + "\n", cells
 
 
@@ -229,7 +230,7 @@ def emit(table, fields, fmt: str, out) -> None:
         template, cells = _csv_row(columns)
         n = len(columns[0]) if columns else 0
         rows = map(template.__mod__, zip(*cells)) if cells else repeat(template % (), n)
-        out.write(",".join(map(_csv_cell, fields)) + "\n" + "".join(rows))
+        out.write(",".join(map(_csv_cell, fields, repeat(len(fields) == 1))) + "\n" + "".join(rows))
         return
     if fmt == "table":
         shown = [j for j, column in enumerate(columns) if column.count(None) < len(column)]
@@ -308,8 +309,7 @@ def _resolve_energy(args, U) -> float:
         raise error
     # An amplitude whose powers overflow gives an infinite energy, which the
     # shell solve reports as a domain error.
-    with np.errstate(over="ignore"):
-        return float(U(a))
+    return U(a)
 
 
 def _problem(args):

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
-# Not called here any more: bench/spans.py traces the poly.real_roots layer by
-# rebinding this name, so it stays importable.
-from ._poly import real_roots  # noqa: F401
+# real_roots is not called here any more: bench/spans.py traces the
+# poly.real_roots layer by rebinding this name, so it stays importable.
+from ._poly import polyval, real_roots  # noqa: F401
 from .errors import DomainError
 from .potential import EnergyShell, _require_positive
 
@@ -147,5 +146,5 @@ def fixed_frame(shell: EnergyShell, omega: float) -> BalancedFrame:
 def delta_at(frame: BalancedFrame, theta):
     """The deviation ``(2 R(x(theta)) - omega^2)/omega^2``; accepts arrays."""
     w2 = frame.omega * frame.omega
-    r = npoly.polyval(x_of_theta(frame.shell, theta), frame.shell.residual)
+    r = polyval(frame.shell.residual, x_of_theta(frame.shell, theta))
     return (2.0 * r - w2) / w2

@@ -17,10 +17,10 @@ of a partial macro step from the last step's start, where v' = -U'(x).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
+from ._poly import _polynomial
 from .errors import DomainError
 from .frame import balanced_frame  # noqa: F401  (a name layer tracers bind)
 from .potential import (  # noqa: F401  (turning_points: a name layer tracers bind)
@@ -100,25 +100,6 @@ class OracleReport:
     method_order: int
     half_period: float
     reliable: bool
-
-
-@functools.cache
-def _horner_maker(degree: int):
-    """A function of ``c0, ..., c_degree`` that returns their polynomial as
-    one unrolled Horner expression ``lambda x: (c_d * x + c_{d-1}) * x ...``,
-    compiled once per degree."""
-    names = [f"c{i}" for i in range(degree + 1)]
-    expr = names[-1]
-    for name in reversed(names[:-1]):
-        expr = f"({expr}) * x + {name}"
-    namespace: dict = {}
-    exec(f"def make({', '.join(names)}):\n    return lambda x: {expr}\n", namespace)
-    return namespace["make"]
-
-
-def _polynomial(coeffs):
-    """The polynomial of ``coeffs`` (lowest first) as a Python float function."""
-    return _horner_maker(len(coeffs) - 1)(*coeffs.tolist())
 
 
 def _force(U: PolynomialPotential):

@@ -1,4 +1,4 @@
-"""Period evaluation by four routes: quadrature, series, and the elliptic period.
+"""Period evaluation by three routes: quadrature, series, and the elliptic period.
 
 With ``x(theta) = mid + half*cos(theta)`` between the turning points, every route
 evaluates ``T = (sqrt(2)/omega0) * int_0^pi dtheta / sqrt(R(x(theta)))``.  The exact
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import _polyval_rows
+from ._poly import polyval
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
 from .frame import BALANCED, NAYFEH, BalancedFrame
 from .potential import EnergyShell
@@ -133,8 +133,7 @@ def elliptic_period(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
     if len(r) > 3:
         raise DomainError(f"the elliptic period takes wells of degree at most 4, not {len(r) + 1}")
     if len(r) < 3:
-        b0, b1 = (r + [0.0])[:2]
-        y, z = b0 + b1 * lo, b0 + b1 * hi
+        y, z = polyval(shell.residual, lo), polyval(shell.residual, hi)
     else:
         # R = (c x - q)(x - r4): the roots q/c and r4 = b0/q, each formed
         # without cancellation.  The discriminant is formed scaled by a power
@@ -223,7 +222,7 @@ def _level_sums(coeffs, mid_half, ends, nodes, first: bool):
     if n_known == len(known):
         r = ends[:, :1] + ends[:, 1:] * sin2
     else:
-        r = _polyval_rows(coeffs, mid_half[:, :1] + mid_half[:, 1:] * cos)
+        r = polyval(coeffs, mid_half[:, :1] + mid_half[:, 1:] * cos)
         if n_known:
             r[known] = ends[known, :1] + ends[known, 1:] * sin2
     f = 1.0 / np.sqrt(r)
@@ -267,7 +266,7 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
 
     Each level of the trapezoid rule evaluates ``1/sqrt(R)`` at its new nodes
     for every live shell in one array, or in row chunks on the fine levels,
-    through the Horner steps of ``npoly.polyval``.  A shell that knows
+    by :func:`~periodlab._poly.polyval`.  A shell that knows
     ``R_end`` instead takes ``R = R_end + (R(0) - R_end) sin^2 theta``, which
     does not cancel at the turning points, and may refine to
     ``_QUAD_NMAX_KNOWN_ENDS`` nodes instead of ``_QUAD_NMAX``.  A row leaves
@@ -448,7 +447,7 @@ def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     u = _midpoint_cos(n_nodes)
     x = 0.5 * (shell.x_plus + shell.x_minus) + 0.5 * (shell.x_plus - shell.x_minus) * u
     w2 = frame.omega * frame.omega
-    delta_u = (2.0 * np.polynomial.polynomial.polyval(x, shell.residual) - w2) / w2
+    delta_u = (2.0 * polyval(shell.residual, x) - w2) / w2
     weight = math.pi / n_nodes
     pref = _SQRT2 / frame.omega
     return _summed_series(N, lambda n: pref * binom_minus_half(n), delta_u, frame.xi,
@@ -504,7 +503,7 @@ def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
 
 
 def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
-    """The balanced series for a quadratic-cubic shell; ``Delta = xi cos theta``.
+    """The balanced series for a canonical cubic shell; ``Delta = xi cos theta``.
 
     Converges for every sub-barrier energy; at the barrier ``|xi| = 1`` and the
     shell is rejected.  The series is summed in the orientation whose residual
@@ -513,7 +512,7 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     balanced frame.
     """
     if shell.family != "cubic":
-        raise DomainError("the balanced cubic series requires a shell with a linear residual")
+        raise DomainError("the balanced cubic series requires a canonical cubic shell")
     flip = not shell.residual[1] > 0.0
     xm, xp = (-shell.x_plus, -shell.x_minus) if flip else (shell.x_minus, shell.x_plus)
     sum_sq = xp ** 2 + xp * xm + xm ** 2

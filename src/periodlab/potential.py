@@ -35,14 +35,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from ._poly import (
-    _polyval_rows,
     as_coeffs,
     deflate,
     derivative,
     newton_polish,
+    polyval,
     real_roots,
     real_roots_rows,
 )
@@ -74,13 +73,16 @@ class PolynomialPotential:
     Construction derives, once, all the well's shells need that takes no
     eigensolve: ``slope_coeffs`` and ``curvature_coeffs``, the read-only
     coefficients of U' and U''; ``is_symmetric``, true when every odd
-    coefficient is 0 and the minimum sits at 0; and ``duffing_lambda``, the
+    coefficient is 0 and the minimum sits at 0; ``duffing_lambda``, the
     ``lam`` of a well whose coefficients are exactly ``[0, 0, 1/2, 0, lam/4]``
     (``[0, 0, 1/2]`` at lam = 0), None for any other well, one that misses
-    that pattern by rounding included.  The barrier is found on first use and
-    cached: in closed form for a well with ``duffing_lambda`` set, from the
-    critical points, the zeros of U' solved on first use and cached too, for
-    any other well.  ``coeffs`` is read-only, so nothing goes stale.
+    that pattern by rounding included; and ``family``, which decides the
+    closed forms of its shells: ``"quartic"`` where ``duffing_lambda`` is set,
+    ``"cubic"`` for coefficients exactly ``[0, 0, 1/2, c3]``, else
+    ``"generic"``.  The barrier is found on first use and cached: in closed
+    form for a well with ``duffing_lambda`` set, from the critical points, the
+    zeros of U' solved on first use and cached too, for any other well.
+    ``coeffs`` is read-only, so nothing goes stale.
     """
 
     coeffs: np.ndarray
@@ -112,19 +114,22 @@ class PolynomialPotential:
         lam = None
         if symmetric and c.size in (3, 5) and c[0] == 0.0 and c[2] == 0.5:
             lam = 4.0 * float(c[4]) if c.size == 5 else 0.0
-        object.__setattr__(self, "is_symmetric", symmetric)
-        object.__setattr__(self, "duffing_lambda", lam)
+        cubic = c.size == 4 and not c[:2].any() and c[2] == 0.5
+        family = "quartic" if lam is not None else "cubic" if cubic else "generic"
+        for name, value in (("is_symmetric", symmetric), ("duffing_lambda", lam),
+                            ("family", family)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x):
-        return npoly.polyval(x, self.coeffs)
+        return polyval(self.coeffs, x)
 
     def slope(self, x):
         """First derivative U'(x)."""
-        return npoly.polyval(x, self.slope_coeffs)
+        return polyval(self.slope_coeffs, x)
 
     def curvature(self, x):
         """Second derivative U''(x)."""
-        return npoly.polyval(x, self.curvature_coeffs)
+        return polyval(self.curvature_coeffs, x)
 
     @cached_property
     def critical_points(self) -> np.ndarray:
@@ -147,24 +152,13 @@ class PolynomialPotential:
         # The critical points next to the minimum, one on each side at most.
         sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
         # A critical point whose height overflows is not a finite barrier.
-        with np.errstate(over="ignore", invalid="ignore"):
-            heights = [(float(self(x)), float(x)) for x in sides if self.curvature(x) <= 0.0]
+        heights = [(self(x), float(x)) for x in sides if self.curvature(x) <= 0.0]
         candidates = [(e, x) for e, x in heights if 0.0 < e < math.inf]
         if not candidates:
             return BarrierInfo(has_barrier=False)
         energy, x = min(candidates)
         limit = abs(x) if self.is_symmetric else None
         return BarrierInfo(True, barrier_energy=energy, barrier_x=x, amplitude_limit=limit)
-
-
-def _well_family(rho, residual_width: int) -> str:
-    """The well family of a shell, which decides the closed-form series and
-    frames that apply: ``"quartic"`` for the canonical quartic
-    ``x^2/2 + lam x^4/4`` (``rho`` set), ``"cubic"`` for a quadratic-cubic
-    shell (a residual of two coefficients), and ``"generic"`` otherwise."""
-    if rho is not None:
-        return "quartic"
-    return "cubic" if residual_width == 2 else "generic"
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,9 @@ class EnergyShell:
     is ``(R_min, R_max, argmin, argmax)`` over the turning points and the
     zeros of R' strictly between them, in that order, first index winning a
     tie.  :func:`shells` passes it; when it is not given, it is computed from
-    ``residual`` by the routine :func:`shells` uses.
+    ``residual`` by the routine :func:`shells` uses.  ``family`` is the well's
+    :attr:`PolynomialPotential.family`; a shell given none is ``"quartic"``
+    where ``rho`` is set, ``"cubic"`` where R is linear, else ``"generic"``.
     ``residual_at_turning_points``, when set, is ``R(x_minus) = R(x_plus)``
     of a symmetric shell with an even quadratic residual, known more closely
     than evaluating ``residual`` there gives: next to the barrier of the
@@ -192,9 +188,13 @@ class EnergyShell:
     rho: float | None = None
     residual_extrema: tuple | None = None
     residual_at_turning_points: float | None = None
+    family: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "residual", as_coeffs(self.residual))
+        if self.family is None:
+            object.__setattr__(self, "family", "quartic" if self.rho is not None else
+                               "cubic" if self.residual.size == 2 else "generic")
         if not self.x_minus < self.x_plus:
             raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
         if self.residual_extrema is None:
@@ -204,13 +204,8 @@ class EnergyShell:
                 raise failed[0]
             object.__setattr__(self, "residual_extrema", tuple(extrema[:, 0].tolist()))
 
-    @property
-    def family(self) -> str:
-        """The well family of the shell, as :func:`_well_family` decides it."""
-        return _well_family(self.rho, self.residual.size)
-
     def residual_at(self, x):
-        return npoly.polyval(x, self.residual)
+        return polyval(self.residual, x)
 
     def q_at(self, x):
         """Reconstructed Q(x) = (x_plus - x)(x - x_minus) R(x)."""
@@ -231,7 +226,8 @@ class ShellColumns:
     ``argmax``, so that ``residual_extrema[0]`` is ``R_min`` here as on a
     shell.  ``residual_at_turning_points`` is NaN where
     it is not known, and ``amplitude`` and ``rho`` are None where the shells
-    do not set them.  All shells of the columns are of one family.
+    do not set them.  All shells of the columns are of one ``family``, that
+    of :class:`EnergyShell`; where it is None, each shell decides its own.
     """
 
     error: list
@@ -244,6 +240,7 @@ class ShellColumns:
     residual_at_turning_points: np.ndarray
     amplitude: np.ndarray | None = None
     rho: np.ndarray | None = None
+    family: str | None = None
 
     @classmethod
     def failed(cls, error: list, width: int = 1) -> "ShellColumns":
@@ -251,11 +248,6 @@ class ShellColumns:
         empty = np.empty(0)
         return cls(list(error), np.empty(0, dtype=int), empty, empty, empty,
                    np.empty((0, width)), np.empty((4, 0)), empty)
-
-    @property
-    def family(self) -> str:
-        """The well family of the shells, as :func:`_well_family` decides it."""
-        return _well_family(self.rho, self.residual.shape[1])
 
     def shells(self) -> list:
         """Slot ``i`` holds the :class:`EnergyShell` of slot ``i``, or its error."""
@@ -269,8 +261,8 @@ class ShellColumns:
                 self.x_plus.tolist(), zip(*self.residual_extrema.tolist()))):
             found[i] = EnergyShell(
                 energy=energy, x_minus=lo, x_plus=hi, residual=self.residual[j],
-                amplitude=amplitude[j], rho=rho[j],
-                residual_extrema=extrema, residual_at_turning_points=r_end[j],
+                amplitude=amplitude[j], rho=rho[j], residual_extrema=extrema,
+                residual_at_turning_points=r_end[j], family=self.family,
             )
         return found
 
@@ -294,7 +286,7 @@ class ShellColumns:
             error, self.slots[keep], self.energy[keep], self.x_minus[keep], self.x_plus[keep],
             self.residual[keep], self.residual_extrema[:, keep], self.residual_at_turning_points[keep],
             None if self.amplitude is None else self.amplitude[keep],
-            None if self.rho is None else self.rho[keep],
+            None if self.rho is None else self.rho[keep], self.family,
         )
 
     def _checked(self, *checks) -> "ShellColumns":
@@ -351,16 +343,15 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     du, d2u = _derivatives(u)
     crits = _solved(real_roots, du)
     # A curvature that overflows still has its sign.
-    with np.errstate(over="ignore"):
-        minima = [c for c in crits if npoly.polyval(c, d2u) > 0.0]
+    minima = [c for c in crits.tolist() if polyval(d2u, c) > 0.0]
     if not minima:
         raise NoMinimumError(
             f"no local minimum with positive curvature; critical points: {crits.tolist()}"
         )
     m = min(minima, key=abs)
     u = u.copy()
-    u[0] -= npoly.polyval(m, u)
-    well = PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=float(m))
+    u[0] -= polyval(u, m)
+    well = PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=m)
     well._keep_critical_points(crits)
     return well
 
@@ -608,7 +599,7 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     energy = energies[slots]
     columns = ShellColumns(
         error, slots, energy, x_minus, x_plus, residual, extrema, np.full(slots.size, math.nan),
-        amplitude=x_plus.copy() if U.is_symmetric else None,
+        amplitude=x_plus.copy() if U.is_symmetric else None, family=U.family,
     )
     tol = 1e-10 * np.maximum(1.0, energy)
     unsolved = np.zeros(slots.size, dtype=bool)
@@ -685,15 +676,14 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     rho = np.array([lam_i * a ** 2 if a <= _SQRT_FLOAT_MAX else lam_i * a * a
                     for lam_i, a in zip(lam_list, a_list)])
     # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
-    # in closed form: R(+-A) by the Horner steps of _residual_extrema, R(0) =
-    # R0, the first candidate winning a tie.
-    r0 = residual[:, 0]
-    r_a = r0 + (residual[:, 2] * amplitude) * amplitude
+    # in closed form: R(+-A) as _residual_extrema evaluates it, R(0) = R0, the
+    # first candidate winning a tie.
+    r0, r_a = residual[:, 0], polyval(residual, amplitude)
     extrema = np.array([np.minimum(r_a, r0), np.maximum(r_a, r0),
                         np.where(r_a > r0, 0.0, -amplitude), np.where(r_a < r0, 0.0, -amplitude)])
     return ShellColumns(
         error, slots, energy, -amplitude, amplitude, residual, extrema,
-        np.where(lam < 0.0, half_s, math.nan), amplitude=amplitude, rho=rho,
+        np.where(lam < 0.0, half_s, math.nan), amplitude=amplitude, rho=rho, family="quartic",
     )._checked()
 
 
@@ -771,7 +761,7 @@ def _residual_extrema(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarra
     candidates[:, 1] = x_plus
     inside = (candidates[:, :1] < crits) & (crits < candidates[:, 1:2])
     candidates[:, 2:] = np.where(inside, crits, math.nan)
-    values = _polyval_rows(residuals, candidates)
+    values = polyval(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
     i_max = np.where(pad, -np.inf, values).argmax(axis=1)

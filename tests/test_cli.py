@@ -690,6 +690,81 @@ def test_well_at_the_edge_of_the_float_range_gives_its_record_without_a_warning(
     assert capsys.readouterr().err == f"{kind} error: {message}\n"
 
 
+@pytest.mark.parametrize("coeffs, energy, kind, message", [
+    # U at the minimum overflows, so the shift leaves a constant that is not finite.
+    (["0", "0", "-1.6167813222507048", "1e-300"], "1.954015849347992", "domain",
+     "potential coefficients must be finite, got [inf, 0.0, -1.6167813222507048, 1e-300]"),
+    # R overflows at a candidate extremum of a shell whose deflation fails.
+    (["0", "0", "3.3529151871171885e-140", "6.488747709602148e+281", "5e-324",
+      "-0.06781932533612922"], "0.03427679073579659", "numerical",
+     "turning-point deflation left remainders (-3.2079677338380684e+143, 0.0) above 1e-10"),
+])
+def test_verify_of_a_well_whose_polynomials_overflow_gives_its_record_without_a_warning(
+        coeffs, energy, kind, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("verify", "--preset", "poly", "--coeffs", *coeffs,
+                            "--energy", energy, "--format", "json")
+    assert (code, json.loads(out)) == ({"domain": 2, "numerical": 3}[kind], {
+        "command": "error", "error": message, "error_kind": kind})
+    assert capsys.readouterr().err == f"{kind} error: {message}\n"
+
+
+def test_importing_the_cli_loads_no_numpy_polynomial_module():
+    # numpy 1.x imports numpy.polynomial itself; only what periodlab adds counts.
+    script = ("import sys, numpy\n"
+              "def loaded(): return {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+              "before = loaded()\n"
+              "import periodlab.cli\n"
+              "print(sorted(loaded() - before))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# ---------------------------------------------------------------------------
+# Cubic wells other than x^2/2 + c3 x^3 take the generic series
+# ---------------------------------------------------------------------------
+
+NON_CANONICAL_CUBICS = [
+    ("--coeffs", "0", "0", "2", "0.3"),
+    ("--coeffs", "0", "0", "0.5", "0.1", "--mass", "2"),
+    ("--coeffs", "0", "0.1", "0.5", "0.3"),
+]
+
+
+@pytest.mark.parametrize("well", NON_CANONICAL_CUBICS)
+def test_series_of_a_non_canonical_cubic_is_the_elliptic_period(well):
+    problem = ("--preset", "poly", *well, "--energy", "0.05", "--format", "json")
+    code, out = run_cli("period", *problem, "--method", "series", "--N", "30")
+    assert code == 0
+    series = json.loads(out)
+    code, out = run_cli("period", *problem, "--method", "elliptic")
+    assert code == 0
+    elliptic = json.loads(out)["T"]
+    assert series["xi"] is None and series["regime"] == "convergent"
+    assert abs(series["T"] - elliptic) <= 1e-12 * elliptic
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--preset", "poly", "--coeffs", "0", "0", "-1", "1",
+     "--energy", "0.01261747788900447"),
+    ("converge", "--preset", "poly", "--coeffs", "0", "0", "-1", "0.5", "--energy", "0.5",
+     "--Nmax", "8"),
+])
+def test_verify_and_converge_on_a_non_canonical_cubic_give_their_records(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(*argv, "--format", "json")
+    assert (code, capsys.readouterr().err) == (0, "")
+    records = json.loads(out)
+    assert all(r["xi"] is None and r["regime"] in (None, "convergent") for r in records)
+    if argv[0] == "verify":
+        assert records[-1]["max_rel_deviation"] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Message text does not depend on numpy's scalar repr; sqrt_rho_T follows rho
 # ---------------------------------------------------------------------------

@@ -94,14 +94,14 @@ def _text(pieces) -> st.SearchStrategy:
 
 @st.composite
 def _tables(draw, text):
-    """A field -> column table of 2-5 fields and 0-4 records, with field
+    """A field -> column table of 1-5 fields and 0-4 records, with field
     names and strings from ``text``; each column is one object, floats,
     lists of one length, or any mix of floats, numpy floats, ints, bools,
     None, strings and lists."""
     scalar = st.one_of(FLOAT, st.floats().map(np.float64), st.integers(-10**20, 10**20),
                        st.booleans(), st.none(), text)
     cell = st.one_of(scalar, st.lists(st.one_of(FLOAT, st.none(), text), max_size=3))
-    fields = draw(st.lists(text, min_size=2, max_size=5, unique=True))
+    fields = draw(st.lists(text, min_size=1, max_size=5, unique=True))
     n = draw(st.integers(0, 4))
     table = {}
     for k in fields:
@@ -120,11 +120,8 @@ def _tables(draw, text):
 
 
 def _csv_module(table, fields) -> str:
-    """The csv of ``table`` as ``csv.writer`` writes the texts of its values.
-
-    ``csv.writer`` also quotes the empty cell of a one-field row; every table
-    periodlab writes has more fields than one.
-    """
+    """The csv of ``table`` as ``csv.writer`` writes the texts of its values;
+    it quotes the empty cell of a one-field row."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
@@ -153,6 +150,16 @@ def test_csv_cells_with_a_carriage_return_reparse(drawn):
     rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
     assert rows == [fields, *map(list, zip(*([_value(v, CSV) for v in table[k]]
                                              for k in fields)))]
+
+
+def test_one_field_csv_quotes_an_empty_cell_so_that_it_stays_a_row():
+    out = io.StringIO()
+    emit([{"a": None}, {"a": 1.0}], ["a"], "csv", out)
+    assert out.getvalue() == 'a\n""\n1\n'
+    assert list(csv.reader(io.StringIO(out.getvalue()))) == [["a"], [""], ["1"]]
+    out = io.StringIO()
+    emit({"": [None, "x"]}, [""], "csv", out)
+    assert out.getvalue() == '""\n""\nx\n'
 
 
 def test_sweep_in_a_frame_named_with_a_carriage_return_reparses():

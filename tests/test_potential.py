@@ -14,14 +14,18 @@ from periodlab import (
     NoMinimumError,
     PolynomialPotential,
     SeparatrixError,
+    balanced_frame,
     barrier_info,
+    best_series,
     cubic_potential,
     duffing_potential,
     from_physical,
     harmonic_potential,
+    period_series_generic,
     turning_points,
 )
 from periodlab.cli import main
+from periodlab.potential import shell_columns
 from tests.conftest import random_wells
 
 
@@ -350,3 +354,24 @@ def test_construction_derives_the_derivatives_and_family_tags(U, lam, symmetric)
     for got, order in ((U.slope_coeffs, 1), (U.curvature_coeffs, 2)):
         assert not got.flags.writeable
         assert got.tobytes() == npoly.polyder(U.coeffs, order).tobytes()
+
+
+@pytest.mark.parametrize("U, family", [
+    (duffing_potential(0.7), "quartic"),
+    (harmonic_potential(), "quartic"),
+    (cubic_potential(-1.0), "cubic"),
+    (from_physical([0.0, 0.0, 0.5, 0.1]), "cubic"),
+    # Cubics that are not x^2/2 + c3 x^3: another c2, a scaling, a linear term.
+    (from_physical([0.0, 0.0, 2.0, 0.3]), "generic"),
+    (from_physical([0.0, 0.0, 0.5, 0.1], mass=2.0), "generic"),
+    (from_physical([0.0, 0.1, 0.5, 0.3]), "generic"),
+    (from_physical([0.0, 0.0, 0.5, 0.1, -0.05, 0.02, 0.1]), "generic"),
+])
+def test_the_well_decides_its_family_and_its_shells_carry_it(U, family):
+    assert U.family == family
+    shell = turning_points(U, 0.05)
+    assert shell.family == shell_columns(U, [0.05, 0.06]).family == family
+    frame = balanced_frame(shell)
+    assert (frame.xi is None) == (family == "generic")
+    if family == "generic":
+        assert best_series(shell, frame, 12).terms == period_series_generic(frame, 12).terms

@@ -1,6 +1,7 @@
 """Batched shells: the same bits as one energy at a time, and the same errors in their slots."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -264,13 +265,13 @@ def test_polish_stops_at_the_rounding_floor_next_to_the_barrier(gap, monkeypatch
     q = -U.coeffs.copy()
     q[0] += barrier_info(U).barrier_energy * (1.0 - gap)
     evaluations = []
-    polyval_rows = _poly._polyval_rows
+    polyval = _poly.polyval
 
     def counted(coeffs, x):
         evaluations.append(x.size)
-        return polyval_rows(coeffs, x)
+        return polyval(coeffs, x)
 
-    monkeypatch.setattr(_poly, "_polyval_rows", counted)
+    monkeypatch.setattr(_poly, "polyval", counted)
     roots = real_roots(q)
     # Two evaluations, Q and Q', per Newton iteration.
     assert len(evaluations) <= 2 * 8
@@ -300,3 +301,58 @@ def test_as_coeffs_trims_as_polytrim(coeffs):
 def test_as_coeffs_keeps_a_non_finite_top_coefficient():
     assert np.isnan(as_coeffs([0.0, 1.0, np.nan, 0.0])[-1])
     assert as_coeffs([0.0, 1.0, np.inf]).size == 3
+
+
+# ---------------------------------------------------------------------------
+# The polynomial kernel
+# ---------------------------------------------------------------------------
+
+def _float_bits(values) -> bytes:
+    """The bytes of ``values`` as floats, every NaN made one NaN."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_FLOAT, min_size=1, max_size=7), st.lists(_ANY_FLOAT, min_size=1, max_size=5))
+@example([0.0, 0.0, 0.5, 1e300], [1e300, -1e300])  # overflows to inf and to inf - inf
+@example([-0.0, 2.0, -0.0], [math.inf, -0.0])
+def test_polyval_gives_the_bits_of_npoly_without_a_warning(coeffs, xs):
+    c, x = np.array(coeffs), np.array(xs)
+    with np.errstate(all="ignore"):
+        expected = npoly.polyval(x, c)
+        expected_each = [npoly.polyval(v, c) for v in xs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _poly.polyval(c, x)
+        got_each = [_poly.polyval(c, v) for v in xs]
+        got_np_scalars = [_poly.polyval(c, v) for v in x]
+    assert _float_bits(got) == _float_bits(expected)
+    assert _float_bits(got_each) == _float_bits(got_np_scalars) == _float_bits(expected_each)
+    assert all(type(v) is float for v in got_each + got_np_scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ANY_FLOAT, min_size=1, max_size=6), st.lists(_ANY_FLOAT, min_size=3, max_size=3))
+def test_polyval_rows_are_the_one_row_form_row_by_row(coeffs, xs):
+    rows = np.array([coeffs, coeffs[::-1], [-v for v in coeffs]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_points = _poly.polyval(rows, np.array(xs))
+        at_rows = _poly.polyval(rows, np.array([xs, xs[::-1], xs]))
+        for row, v, got in zip(rows, xs, at_points):
+            assert _float_bits(got) == _float_bits(_poly.polyval(row, v))
+        for row, vs, got in zip(rows, (xs, xs[::-1], xs), at_rows):
+            assert _float_bits(got) == _float_bits(_poly.polyval(row, np.array(vs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6), st.integers(1, 3),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+def test_polyval_rows_keep_their_values_under_zero_padding(coeffs, pad, xs):
+    padded = np.array([coeffs + [0.0] * pad, [1.0] * (len(coeffs) + pad)])
+    at_rows = _poly.polyval(padded, np.array([xs, xs]))
+    assert _float_bits(at_rows[0]) == _float_bits(_poly.polyval(np.array(coeffs), np.array(xs)))
