@@ -1,4 +1,5 @@
-"""The polynomial kernel: evaluation, derivatives, real roots, Newton polish, deflation.
+"""The polynomial kernel: evaluation, derivatives, real roots, Newton polish,
+deflation, and the error-free transforms TwoSum and TwoProduct.
 
 Coefficient arrays are stored low-to-high: ``coeffs[k]`` multiplies ``x**k``.
 The helpers also take one polynomial per row of a 2-D array, so a family of
@@ -11,6 +12,9 @@ Roots are polished in plain double arithmetic, so a root ends as accurate as
 rounding in the polynomial allows: about 1e-15 relative for a well separated
 root, about ``eps / d`` for two roots ``d`` apart (relative), as the turning
 point and its partner beyond a barrier are.
+
+The error-free transforms act element by element (Ogita, Rump & Oishi, SIAM J.
+Sci. Comput. 26, 2005); with no FMA in numpy, the product splits by Veltkamp.
 """
 
 from __future__ import annotations
@@ -59,13 +63,34 @@ def polyval(coeffs, x):
         for ck in c[-2::-1]:
             acc = ck + acc * x
         return acc
-    x = np.asarray(x)
-    c = coeffs.T if coeffs.ndim < 2 or x.ndim < 2 else coeffs.T[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = c[-1] + x * 0
-        for k in range(len(c) - 2, -1, -1):
-            acc = c[k] + acc * x
+        return _horner(coeffs, np.asarray(x))
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """:func:`polyval` at the array ``x``, for a caller that holds an ``np.errstate``."""
+    c = coeffs.T if coeffs.ndim < 2 or x.ndim < 2 else coeffs.T[..., None]
+    acc = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        acc = c[k] + acc * x
     return acc
+
+
+def two_sum(a, b):
+    """``(s, e)``: ``s = a + b`` rounded and ``s + e = a + b`` exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def two_product(a, b):
+    """``(p, e)``: ``p = a * b`` rounded and ``p + e = a * b`` exactly (Dekker),
+    where neither operand passes about 2^996 and ``p`` neither overflows nor
+    underflows."""
+    c, d = 134217729.0 * a, 134217729.0 * b  # Veltkamp's split by 2^27 + 1
+    a_hi, b_hi = c - (c - a), d - (d - b)
+    a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 @functools.cache
@@ -111,8 +136,8 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
         for _ in range(_POLISH_MAX_ITER):
             if not np.count_nonzero(live):
                 break
-            f = polyval(coeffs, x)
-            df = polyval(dcoeffs, x)
+            f = _horner(coeffs, x)
+            df = _horner(dcoeffs, x)
             step = f / df
             x_new = x - step
             size = np.abs(step)

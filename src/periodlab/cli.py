@@ -11,10 +11,10 @@ variable ``PERIODLAB_TOL`` overrides the default 1e-13 quadrature tolerance.
 
 Output is written a column at a time (:func:`emit`), each value by the one
 formatter of its format; csv rows come from one ``%`` template per call, in
-which the columns that hold one object are literal text.  A quadrature
-``sweep`` goes from the shell solve to the output in columns: one array per
-shell, frame and period field, and no shell, frame or record object per grid
-point.
+which a column of one text is literal text and a list column a part per
+position.  A quadrature ``sweep`` goes from the shell solve to the output in
+columns: one array per shell, frame and period field, and no shell, frame or
+record object per grid point.
 """
 
 from __future__ import annotations
@@ -160,20 +160,34 @@ def _value(v, fmt: _Format) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _column(column: list, fmt: _Format) -> list[str]:
-    """The texts of the cells of ``column`` in ``fmt``: a column of one object
-    is formatted once, a column of floats by one ``format`` pass, and
-    non-empty lists of one length a position at a time."""
+def _kind(column: list) -> str:
+    """``"one"`` where each cell writes as the first: the same object, a str or
+    None equal to it (a count, cheaper than the identity test), or a float
+    equal to a nonzero first (0.0 == -0.0; NaN equals nothing).  Else
+    ``"floats"``, ``"lists"`` (non-empty, of one length) or ``"any"``."""
     first = column[0] if column else None
-    if all(map(is_, column, repeat(first))):
-        return [_value(first, fmt)] * len(column)
+    if ((first is None or type(first) is str) and column.count(first) == len(column)
+            or all(map(is_, column, repeat(first)))):
+        return "one"
     kinds = set(map(type, column))
-    if kinds == {float}:
+    if kinds == {float}:  # the last cell screens most columns out before the count
+        one = column[-1] == first != 0.0 and column.count(first) == len(column)
+        return "one" if one else "floats"
+    return "lists" if kinds == {list} and first and len(set(map(len, column))) == 1 else "any"
+
+
+def _column(column: list, fmt: _Format) -> list[str]:
+    """The texts of the cells of ``column`` in ``fmt`` by its :func:`_kind`: one
+    text is formatted once, floats by one ``format`` pass, lists by position."""
+    kind = _kind(column)
+    if kind == "one":
+        return [_value(column[0], fmt)] * len(column) if column else []
+    if kind == "floats":
         texts = list(map(format, column, repeat(fmt.float_spec)))
         if fmt.non_finite is None or all(map(math.isfinite, column)):
             return texts
         return [t if math.isfinite(v) else fmt.non_finite for t, v in zip(texts, column)]
-    if kinds == {list} and first and len(set(map(len, column))) == 1:
+    if kind == "lists":
         return list(map(fmt.join, zip(*(_column(list(c), fmt) for c in zip(*column)))))
     return [_value(v, fmt) for v in column]
 
@@ -189,22 +203,30 @@ def _csv_cell(text: str, lone: bool = False) -> str:
 
 def _csv_row(columns: list) -> tuple[str, list]:
     """The ``%`` template of the csv rows of ``columns``, and the columns that
-    fill it.  A column of one object is written into the template, a column
-    of floats is a float conversion filled from the column, and any other
-    column a ``%s`` filled from its csv cells."""
-    csv_format, lone = _FORMATS["csv"], len(columns) == 1
-    parts, cells = [], []
-    for column in columns:
-        first = column[0] if column else None
-        if all(map(is_, column, repeat(first))):
-            parts.append(_csv_cell(_value(first, csv_format), lone).replace("%", "%%"))
-        elif set(map(type, column)) == {float}:
-            parts.append("%" + csv_format.float_spec)
-            cells.append(column)
-        else:
-            parts.append("%s")
-            cells.append(list(map(_csv_cell, _column(column, csv_format), repeat(lone))))
-    return ",".join(parts) + "\n", cells
+    fill it, from :func:`_csv_part`."""
+    cells: list = []
+    return ",".join([_csv_part(c, len(columns) == 1, cells) for c in columns]) + "\n", cells
+
+
+def _csv_part(column: list, lone: bool, cells: list) -> str:
+    """The template part of ``column``'s csv cells, adding the columns that fill
+    it to ``cells``, by :func:`_kind`: one text is literal, floats a float
+    conversion.  Lists join the parts of their positions with ``;`` where one
+    is of floats and none is a ``%s`` or quoted; anything else is a ``%s``."""
+    csv_format, kind = _FORMATS["csv"], _kind(column)
+    if kind == "one":
+        return _csv_cell(_value(column[0] if column else None, csv_format), lone).replace("%", "%%")
+    if kind == "floats":
+        cells.append(column)
+        return "%" + csv_format.float_spec
+    if kind == "lists":
+        mark = len(cells)
+        parts = [_csv_part(list(c), False, cells) for c in zip(*column)]
+        if len(cells) > mark and not any(p == "%s" or p[:1] == '"' for p in parts):
+            return ";".join(parts)
+        del cells[mark:]
+    cells.append(list(map(_csv_cell, _column(column, csv_format), repeat(lone))))
+    return "%s"
 
 
 @functools.cache
@@ -457,7 +479,7 @@ def cmd_sweep(args, tol, out) -> int:
             cells.update(T=T, Omega=Omega, err_estimate=err)
         else:
             failed = _method_cells(args, tol, U, values, shells, strategy, cells)
-        for i, exc in zip(rows, failed):
+        for i, exc in zip(rows, failed) if failed.count(None) < len(failed) else ():
             if exc is not None:
                 error[i] = exc
     emit(_sweep_table(args, values, coeffs, error, rows, cells), RECORD_FIELDS, args.format, out)
@@ -487,8 +509,10 @@ def _rho_shells(args, rhos) -> tuple:
     # The rows share the objects of the coefficients they have in common, so
     # that the emitter formats those once.
     common = coeffs[0, :4].tolist()
-    return None, shells, [[*common, c] if c != 0.0 else common[:3]
-                          for c in coeffs[:, 4].tolist()]
+    rows = list(map(common.__add__, coeffs[:, 4:].astype(object).tolist()))
+    for j in np.flatnonzero(coeffs[:, 4] == 0.0).tolist():
+        rows[j] = common[:3]
+    return None, shells, rows
 
 
 def _method_cells(args, tol, U, values, shells, strategy, cells) -> list:
@@ -531,13 +555,15 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
     constants = dict(_constants("sweep", args), method=args.method)
     table = {k: [constants.get(k)] * n for k in RECORD_FIELDS}
     table["coeffs"] = list(coeffs)
+    rho, T = cells.get("rho"), cells.get("T")
+    if rho is not None and T is not None and np.count_nonzero(rho > 0.0):
+        # rho is set on the shells of the canonical quartic, whatever the preset;
+        # a row whose T is None (NaN here) has failed, and its cells go below.
+        root = np.sqrt(np.maximum(rho, 0.0)) * np.asarray(T, dtype=float)
+        cells["sqrt_rho_T"] = root if np.all(rho > 0.0) else np.where(rho > 0.0, root, None)
     cells = {k: v.tolist() if isinstance(v, np.ndarray)
              else v if isinstance(v, list) else [v] * len(rows)
              for k, v in cells.items() if v is not None}
-    if "rho" in cells:
-        # rho is set on the shells of the canonical quartic, whatever the preset.
-        cells["sqrt_rho_T"] = [math.sqrt(r) * t if r > 0.0 and t is not None else None
-                               for r, t in zip(cells["rho"], cells["T"])]
     if len(rows) == n:
         table.update(cells)
     else:
@@ -545,7 +571,7 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
             put = table[k]
             for i, v in zip(rows, column):
                 put[i] = v
-    failed = [i for i, exc in enumerate(error) if exc is not None]
+    failed = [] if error.count(None) == n else [i for i, exc in enumerate(error) if exc is not None]
     for k, column in table.items():
         if k not in constants:
             for i in failed:

@@ -439,14 +439,19 @@ def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
 
     Each moment ``int_0^pi Delta^j dtheta`` is a polynomial in cos(theta), so
     the Gauss-Chebyshev rule with enough nodes integrates it exactly.
-    Divergent regimes (sup |Delta| >= 1) still produce terms, flagged.
+    Divergent regimes (sup |Delta| >= 1) still produce terms, flagged.  A
+    frame whose ``omega^2`` or ``Delta`` leaves the float range, as a fixed
+    frequency far from the well's may, raises :class:`DomainError`.
     """
+    w2 = frame.omega * frame.omega
+    if not (0.0 < w2 < math.inf and frame.sup_abs_delta < math.inf):
+        raise DomainError(f"the {frame.strategy} frame omega = {frame.omega!r} puts the "
+                          "deviation 2R/omega^2 - 1 out of the float range")
     shell = frame.shell
     deg = max(shell.residual.size - 1, 1)
     n_nodes = max(16, (N * deg) // 2 + 2)
     u = _midpoint_cos(n_nodes)
     x = 0.5 * (shell.x_plus + shell.x_minus) + 0.5 * (shell.x_plus - shell.x_minus) * u
-    w2 = frame.omega * frame.omega
     delta_u = (2.0 * polyval(shell.residual, x) - w2) / w2
     weight = math.pi / n_nodes
     pref = _SQRT2 / frame.omega

@@ -44,6 +44,8 @@ from ._poly import (
     polyval,
     real_roots,
     real_roots_rows,
+    two_product,
+    two_sum,
 )
 from .errors import (
     ConvergenceError,
@@ -533,7 +535,7 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     of higher ones from one more stacked solve.  Every column of the result
     is an array.
     """
-    energies = np.array([float(e) for e in energies])
+    energies = np.array(energies, dtype=float)
     if U.duffing_lambda is not None:
         return _quartic_columns(np.full(energies.size, U.duffing_lambda), energies,
                                 [None] * energies.size)
@@ -635,15 +637,16 @@ def quartic_shells(lams, energies) -> list:
     ``E - U = (A^2 - x^2) R`` with ``R = (1 + s)/4 + (lam/4) x^2``, whose
     critical point is 0 (none at lam = 0).  For lam < 0 the shell carries
     ``R(+-A) = s/2``, which evaluating R there cancels next to the barrier.
-    No polynomial is solved.
+    No polynomial is solved, and no column is formed row by row (see :func:`_half_s`).
     """
-    lams = np.array([float(lam) for lam in lams])
-    energies = np.array([float(e) for e in energies])
+    lams = np.array(lams, dtype=float)
+    energies = np.array(energies, dtype=float)
     return _quartic_columns(lams, energies, [None] * energies.size).shells()
 
 
 def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> ShellColumns:
-    """The columns of :func:`quartic_shells` at the pairs whose ``error`` is None."""
+    """The columns of :func:`quartic_shells` at the pairs whose ``error`` is None,
+    formed on whole columns: ``s/2`` by :func:`_half_s`, rho by mapped C ``pow``."""
     error = list(error)
 
     def check(i):
@@ -656,25 +659,28 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
         barrier_energy = np.where(lams < 0.0, -0.25 / lams, math.inf)
     barrier_energy[~np.isfinite(lams)] = -math.inf
     _check_energies(energies, barrier_energy, check, error)
-    slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
+    slots = (np.arange(len(error)) if error.count(None) == len(error) else
+             np.array([i for i, e in enumerate(error) if e is None], dtype=int))
     if not slots.size:
         return ShellColumns.failed(error, 3)
 
     lam, energy = lams[slots], energies[slots]
-    lam_list = lam.tolist()
-    half_s = np.array([_quartic_half_s(lam_i, e) for lam_i, e in zip(lam_list, energy.tolist())])
+    half_s = _half_s(lam, energy)
     # (1 + s)/2, and 2 sqrt((E/2)/((1 + s)/2)) is sqrt(4E/(1 + s)), bit for
     # bit, with neither 4E nor s overflowing.
     half_sum = 0.5 + half_s
     amplitude = 2.0 * np.sqrt((0.5 * energy) / half_sum)
-    a_list = amplitude.tolist()
     residual = np.zeros((slots.size, 3))
     residual[:, 0] = 0.5 * half_sum
     residual[:, 2] = lam / 4.0
-    # a ** 2 is C pow, whose rounding numpy's square does not reproduce.  Past
-    # sqrt(max float) it overflows, though rho = s - 1 does not.
-    rho = np.array([lam_i * a ** 2 if a <= _SQRT_FLOAT_MAX else lam_i * a * a
-                    for lam_i, a in zip(lam_list, a_list)])
+    # a ** 2 is C pow, whose rounding numpy's square does not reproduce, and a
+    # Python product overflows to inf with no warning.  Past sqrt(max float)
+    # pow overflows, though rho = s - 1 does not: there rho is lam a a.
+    squares = map(float.__pow__, np.minimum(amplitude, _SQRT_FLOAT_MAX).tolist(), [2.0] * lam.size)
+    rho = np.array(list(map(float.__mul__, lam.tolist(), squares)))
+    past = amplitude > _SQRT_FLOAT_MAX
+    if np.count_nonzero(past):
+        rho[past] = lam[past] * amplitude[past] * amplitude[past]
     # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
     # in closed form: R(+-A) as _residual_extrema evaluates it, R(0) = R0, the
     # first candidate winning a tie.
@@ -698,7 +704,7 @@ def rho_columns(rhos) -> tuple[ShellColumns, np.ndarray]:
     barrier, as ``period --amplitude 1`` does: the shell at E is there an
     inner one, of another rho.
     """
-    rhos = np.array([float(rho) for rho in rhos])
+    rhos = np.array(rhos, dtype=float)
     coeffs = np.zeros((rhos.size, 5))
     coeffs[:, 2] = 0.5
     coeffs[:, 4] = rhos / 4.0
@@ -719,6 +725,30 @@ def _amplitude_error(a: float, limit: float | None) -> SeparatrixError | None:
     if limit is not None and a >= limit * (1.0 - SEPARATRIX_RTOL):
         return SeparatrixError(f"amplitude {a} at or beyond the limit {limit}")
     return None
+
+
+def _half_s(lam: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """:func:`_quartic_half_s` of each checked pair, bit for bit: ``1 + 4 lam E
+    = t + u + e`` exactly, ``(p, e) = two_product(4 lam, E)`` and ``(t, u) =
+    two_sum(1, p)``, and ``t + RO(u + e)``, rounded to odd first, rounds it once
+    (Boldo & Melquiond, IEEE Trans. Comput. 57(4), 2008).  A pair past 2^497 in
+    ``|lam|`` or ``E``, where the split or the product may overflow, is scalar."""
+    past = np.maximum(np.abs(lam), energy) > 2.0 ** 497
+    scalar = past.nonzero()[0]
+    if scalar.size:
+        found = list(map(_quartic_half_s, lam[scalar].tolist(), energy[scalar].tolist()))
+        lam, energy = np.where(past, 0.0, lam), np.where(past, 0.0, energy)
+    p, e = two_product(4.0 * lam, energy)
+    t, u = two_sum(1.0, p)
+    v, w = two_sum(u, e)
+    # v to odd: truncated toward zero (a step down where w is of the other
+    # sign), then its last bit set where inexact.
+    inexact = w != 0.0
+    odd = (v.view(np.int64) - (inexact & (np.signbit(w) != np.signbit(v)))) | inexact
+    half_s = np.sqrt(t + odd.view(np.float64)) * 0.5
+    if scalar.size:
+        half_s[scalar] = found
+    return half_s
 
 
 def _quartic_half_s(lam: float, energy: float) -> float:

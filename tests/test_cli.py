@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1002,3 +1003,57 @@ def test_shell_solve_that_misses_the_turning_points_is_a_numerical_error(coeffs,
     assert json.loads(proc.stdout)["error_kind"] == "numerical"
     assert proc.stderr.startswith("numerical error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_rho_sweep_past_the_barrier_gives_a_separatrix_record_per_slot(fmt, capsys):
+    # No slot reaches a route, so there is no T column to form sqrt_rho_T from.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("sweep", "--preset", "duffing", "--param", "rho", "--from", "-1.5",
+                            "--to", "-1.2", "--steps", "3", "--format", fmt)
+    assert code == 0 and capsys.readouterr().err == ""
+    if fmt == "json":
+        records = json.loads(out)
+    elif fmt == "csv":
+        records = list(csv.DictReader(io.StringIO(out)))
+    else:
+        header, *lines = out.splitlines()
+        starts = [m.start() for m in re.finditer(r"\S+", header)] + [None]
+        records = [{header[a:b].strip(): line[a:b].strip() for a, b in zip(starts, starts[1:])}
+                   for line in lines]
+    assert [r["error_kind"] for r in records] == ["separatrix"] * 3
+    for record, rho in zip(records, ("-1.5", "-1.35", "-1.2")):
+        assert run_cli("period", "--preset", "duffing", "--lambda", rho, "--amplitude", "1")[0] == 2
+        assert capsys.readouterr().err == f"separatrix error: {record['error']}\n"
+
+
+@pytest.mark.parametrize("omega", ["1e200", "1e-200", "1e-155"])
+def test_fixed_frame_out_of_the_float_range_is_a_series_domain_error(omega, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("period", "--preset", "duffing", "--lambda", "1.2", "--energy", "0.5",
+                            "--frame", f"fixed:{omega}", "--method", "series", "--format", "json")
+    record = json.loads(out)
+    assert (code, record["error_kind"], record["T"]) == (2, "domain", None)
+    assert f"fixed frame omega = {float(omega)!r}" in record["error"]
+    assert capsys.readouterr().err == f"domain error: series: {record['error']}\n"
+
+
+def test_verify_in_a_fixed_frame_out_of_the_float_range_keeps_the_other_routes(capsys):
+    well = ["--preset", "duffing", "--lambda", "1.226256995097196",
+            "--energy", "1983010717.2771227", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("verify", *well, "--frame", "fixed:5.389685900069915e+269")
+    records = json.loads(out)
+    assert code == 2
+    assert [(r["method"], r["error_kind"]) for r in records] == [
+        ("quadrature", None), ("series", "domain"), ("elliptic", None), ("oracle", None),
+        ("max-deviation", None)]
+    assert capsys.readouterr().err == f"domain error: series: {records[1]['error']}\n"
+    # The frame enters no route but the series.
+    balanced = json.loads(run_cli("verify", *well)[1])
+    for r, b in zip(records, balanced):
+        if r["method"] != "series":
+            assert (r["T"], r["err_estimate"]) == (b["T"], b["err_estimate"])

@@ -62,6 +62,37 @@ def test_each_column_pass_gives_the_text_of_each_value(fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_equal_floats_in_distinct_objects_give_the_text_of_each_value(fmt):
+    def copies(*values):
+        return [float(np.float64(v)) for v in values]
+
+    columns = [
+        copies(-1.0, -1.0, -1.0),  # written once
+        copies(0.0, -0.0, 0.0),  # equal, but not one text
+        copies(math.nan, math.nan),  # NaN equals nothing
+        copies(math.inf, math.inf),
+        [copies(0.0, 2.5), copies(-0.0, 2.5), copies(0.0, 2.5)],  # lists, a position at a time
+        [1.0, True, 1],  # equal, but not all floats
+    ]
+    for column in columns:
+        assert _column(column, _FORMATS[fmt]) == [_value(v, _FORMATS[fmt]) for v in column]
+        out = io.StringIO()
+        emit({"a": column, "b": column}, ["a", "b"], fmt, out)
+        if fmt == "csv":
+            assert out.getvalue() == _csv_module({"a": column, "b": column}, ["a", "b"])
+
+
+@pytest.mark.parametrize("fields", [["a"], ["a", "b"]])
+def test_list_columns_with_a_shared_text_quote_the_whole_cell(fields):
+    shared, empty = 'x, "y"', None
+    for column in ([[shared, 1.5], [shared, -0.0]], [[empty], [empty]], [[shared], [shared]]):
+        table = dict.fromkeys(fields, column)
+        out = io.StringIO()
+        emit(table, fields, "csv", out)
+        assert out.getvalue() == _csv_module(table, fields)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_emitted_records_reparse(fmt):
     record = dict.fromkeys(RECORD_FIELDS)
     record.update(command="sweep", preset="poly", coeffs=[0.0, 0.5, 1 / 3], energy=0.1,
@@ -95,7 +126,8 @@ def _text(pieces) -> st.SearchStrategy:
 @st.composite
 def _tables(draw, text):
     """A field -> column table of 1-5 fields and 0-4 records, with field
-    names and strings from ``text``; each column is one object, floats,
+    names and strings from ``text``; each column is one object, floats, one
+    float value in distinct objects (0.0 and -0.0 mixed, NaN among them),
     lists of one length, or any mix of floats, numpy floats, ints, bools,
     None, strings and lists."""
     scalar = st.one_of(FLOAT, st.floats().map(np.float64), st.integers(-10**20, 10**20),
@@ -105,11 +137,17 @@ def _tables(draw, text):
     n = draw(st.integers(0, 4))
     table = {}
     for k in fields:
-        kind = draw(st.sampled_from(["one object", "floats", "lists of one length", "any"]))
+        kind = draw(st.sampled_from(["one object", "floats", "one float value in distinct objects",
+                                     "lists of one length", "any"]))
         if kind == "one object":
             table[k] = [draw(st.one_of(cell, st.just("50% of 100%s")))] * n
         elif kind == "floats":
             table[k] = draw(st.lists(FLOAT, min_size=n, max_size=n))
+        elif kind == "one float value in distinct objects":
+            value = draw(FLOAT)
+            values = st.sampled_from([value, -value] if value == 0.0 else [value])
+            # float() of a numpy float is a new object.
+            table[k] = [float(np.float64(draw(values))) for _ in range(n)]
         elif kind == "lists of one length":
             size = draw(st.integers(1, 3))
             table[k] = draw(st.lists(st.lists(FLOAT, min_size=size, max_size=size),

@@ -7,12 +7,14 @@ float inputs, and of the complete-elliptic period.
 """
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import periodlab._poly as _poly
@@ -77,6 +79,72 @@ def test_turning_point_is_within_two_ulp_of_the_root(pair):
     assert abs(mp.mpf(shell.x_plus) - exact) <= 2 * math.ulp(float(exact))
     assert shell.x_minus == -shell.x_plus
     assert shell.residual_extrema[0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# s/2 on whole columns, against the integer routine
+# ---------------------------------------------------------------------------
+
+def _tie(draw, sign: int):
+    """A pair whose ``1 + 4 lam E`` lies a quarter ulp of ``u`` off a midpoint
+    of the float grid: ``4 lam E = p + e`` with ``1 + p`` the midpoint and
+    ``|e| = 2^-106 / 2^z``, so that only rounding ``u + e`` to odd, not to
+    nearest, rounds the sum the way its exact value does.  ``sign`` -1 puts
+    ``1 + p`` in [1/2, 1), a softening well, and 1 in [1, 2)."""
+    m = 1 << 53
+    a = draw(st.integers(m // 2, m - 1)) | 1
+    r = draw(st.sampled_from([1, -1]))
+    b = r * pow(a, -1, m) % m  # a b = P 2^53 + r
+    big_p = (a * b - r) >> 53
+    assume(big_p >= 2)
+    z = (big_p & -big_p).bit_length() - 1  # p = P 2^(53 + g) has its last bit at 2^-53 (2^-54)
+    g = (-106 if sign > 0 else -107) - z
+    shift = draw(st.integers(-60, 0))
+    return sign * math.ldexp(a, shift - 2), math.ldexp(b, g - shift)
+
+
+@st.composite
+def _half_s_pairs(draw):
+    """Pairs that pass the energy checks: lam = 0 or +-[5e-324, 1.8e308] with
+    E in [1e-30, 1e308] below any barrier; softening energies 1e-16 to 1 below
+    the barrier; pairs past 2^497 in ``|lam|`` or ``E``, where the scalar
+    routine runs; and :func:`_tie` pairs."""
+    kind = draw(st.sampled_from(["any", "softening", "past 2^497", "tie"]))
+    if kind == "tie":
+        return _tie(draw, draw(st.sampled_from([1, -1])))
+    if kind == "softening":
+        lam = -(10.0 ** draw(st.floats(-20.0, 28.0)))
+        return lam, -0.25 / lam * (1.0 - 10.0 ** draw(st.floats(-11.9, 0.0)) * (1.0 - 1e-16))
+    if kind == "past 2^497":
+        # |lam| past 2^497, or E past it with a hardening or a softening lam
+        lam, energy = draw(st.sampled_from([
+            (10.0 ** draw(st.floats(149.7, 308.25)), 10.0 ** draw(st.floats(-30.0, 308.25))),
+            (math.copysign(10.0 ** draw(st.floats(-323.3, 0.0)), draw(st.sampled_from([-1, 1]))),
+             10.0 ** draw(st.floats(149.7, 308.25))),
+        ]))
+    else:
+        lam = draw(st.sampled_from([0.0, math.copysign(
+            10.0 ** draw(st.floats(-323.3, 308.25)), draw(st.sampled_from([-1, 1])))]))
+        energy = 10.0 ** draw(st.floats(-30.0, 308.0))
+    if lam < 0.0:
+        energy = min(energy, -0.25 / lam * (1.0 - 1e-11))
+    assume(energy >= 1e-30)
+    return lam, energy
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_half_s_pairs(), min_size=1, max_size=12))
+@example([(0.0, 1e-30), (-0.0, 1e308), (5e-324, 1e308), (-5e-324, 1e-30), (-1e-310, 1e308),
+          (sys.float_info.max, 1e-30), (1e300, 1e300), (1e200, 1e200), (-1.0, 0.25 * (1 - 1e-11))])
+@example([(2.0 ** 497, 2.0 ** 497), (math.nextafter(2.0 ** 497, math.inf), 1.0),
+          (1.0, math.nextafter(2.0 ** 497, math.inf))])
+def test_half_s_on_columns_is_the_integer_routine_bit_for_bit(pairs):
+    lam, energy = (np.array(column) for column in zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = potential._half_s(lam, energy)
+    expected = [potential._quartic_half_s(*pair) for pair in pairs]
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -265,13 +266,13 @@ def test_polish_stops_at_the_rounding_floor_next_to_the_barrier(gap, monkeypatch
     q = -U.coeffs.copy()
     q[0] += barrier_info(U).barrier_energy * (1.0 - gap)
     evaluations = []
-    polyval = _poly.polyval
+    horner = _poly._horner
 
     def counted(coeffs, x):
         evaluations.append(x.size)
-        return polyval(coeffs, x)
+        return horner(coeffs, x)
 
-    monkeypatch.setattr(_poly, "polyval", counted)
+    monkeypatch.setattr(_poly, "_horner", counted)
     roots = real_roots(q)
     # Two evaluations, Q and Q', per Newton iteration.
     assert len(evaluations) <= 2 * 8
@@ -356,3 +357,37 @@ def test_polyval_rows_keep_their_values_under_zero_padding(coeffs, pad, xs):
     padded = np.array([coeffs + [0.0] * pad, [1.0] * (len(coeffs) + pad)])
     at_rows = _poly.polyval(padded, np.array([xs, xs]))
     assert _float_bits(at_rows[0]) == _float_bits(_poly.polyval(np.array(coeffs), np.array(xs)))
+
+
+def test_newton_polish_evaluates_without_entering_errstate_again(monkeypatch):
+    # polyval enters np.errstate on each array call; the polish holds one
+    # already, so it evaluates by the unguarded _horner.
+    def guarded(*args):
+        raise AssertionError("newton_polish called polyval")
+
+    rows = np.array([[-2.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.5, -0.6, 0.2]])
+    expected = _poly.real_roots_rows(rows)[0]
+    monkeypatch.setattr(_poly, "polyval", guarded)
+    assert _float_bits(_poly.real_roots_rows(rows)[0]) == _float_bits(expected)
+
+
+# Within these bounds no split of two_product overflows, nor the product.
+_EFT_FLOAT = st.floats(-2.0 ** 500, 2.0 ** 500, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EFT_FLOAT, _EFT_FLOAT), min_size=1, max_size=8))
+@example([(1.0, 2.0 ** -60), (2.0 ** -60, 1.0), (1e300, -1e-300), (0.1, 0.2)])
+@example([(5e-324, 2.0 ** 500), (2.0 ** 500, 2.0 ** 500), (-0.0, 3.0), (1 / 3, 3.0)])
+def test_error_free_transforms_are_exact(pairs):
+    a, b = (np.array(column) for column in zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, s_err = _poly.two_sum(a, b)
+        p, p_err = _poly.two_product(a, b)
+    assert _float_bits(s) == _float_bits(a + b) and _float_bits(p) == _float_bits(a * b)
+    for x, y, *sums in zip(*(v.tolist() for v in (a, b, s, s_err, p, p_err))):
+        assert Fraction(sums[0]) + Fraction(sums[1]) == Fraction(x) + Fraction(y)
+        # Dekker's product is exact where the product does not underflow.
+        if x == 0.0 or y == 0.0 or abs(Fraction(x) * Fraction(y)) >= Fraction(2) ** -960:
+            assert Fraction(sums[2]) + Fraction(sums[3]) == Fraction(x) * Fraction(y)

@@ -169,6 +169,30 @@ def test_quadrature_sweep_builds_no_shell_frame_or_well_per_point(sweep, built):
     assert built["derivatives"] == {"duffing-rho": 0, "poly": 2}.get(sweep, 1)
 
 
+@pytest.mark.parametrize("grid, scalar_calls", [
+    # the two halves of the benchmark's rho sweeps, at the ends of their ranges
+    (["--from", "0.01", "--to", "1e8", "--log"], 0),
+    (["--from", "-0.99", "--to", "-0.01"], 0),
+    # E = 1/2 + rho/4 of rho = 5e307 is past 2^497, where the scalar routine runs
+    (["--from", "-1.5", "--to", "1e308"], 1),
+])
+def test_rho_sweep_forms_s_on_columns(grid, scalar_calls, monkeypatch):
+    calls = []
+    half_s = potential._quartic_half_s
+
+    def counted(lam, energy):
+        calls.append(lam)
+        return half_s(lam, energy)
+
+    monkeypatch.setattr(potential, "_quartic_half_s", counted)
+    steps = "50" if scalar_calls == 0 else "3"
+    out = io.StringIO()
+    assert main(["sweep", "--preset", "duffing", "--param", "rho", *grid, "--steps", steps],
+                out=out) == 0
+    assert len(out.getvalue().splitlines()) == 1 + int(steps)
+    assert len(calls) == scalar_calls
+
+
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_series_sweep_builds_one_shell_and_frame_per_point(sweep, built):
     out = io.StringIO()
