@@ -1,5 +1,6 @@
 """The polynomial kernel: evaluation, derivatives, real roots, Newton polish,
-deflation, and the error-free transforms TwoSum and TwoProduct.
+deflation, and the error-free transforms TwoSum and TwoProduct (Ogita, Rump &
+Oishi, SIAM J. Sci. Comput. 26, 2005), which act element by element.
 
 Coefficient arrays are stored low-to-high: ``coeffs[k]`` multiplies ``x**k``.
 The helpers also take one polynomial per row of a 2-D array, so a family of
@@ -12,9 +13,6 @@ Roots are polished in plain double arithmetic, so a root ends as accurate as
 rounding in the polynomial allows: about 1e-15 relative for a well separated
 root, about ``eps / d`` for two roots ``d`` apart (relative), as the turning
 point and its partner beyond a barrier are.
-
-The error-free transforms act element by element (Ogita, Rump & Oishi, SIAM J.
-Sci. Comput. 26, 2005); with no FMA in numpy, the product splits by Veltkamp.
 """
 
 from __future__ import annotations
@@ -84,9 +82,8 @@ def two_sum(a, b):
 
 
 def two_product(a, b):
-    """``(p, e)``: ``p = a * b`` rounded and ``p + e = a * b`` exactly (Dekker),
-    where neither operand passes about 2^996 and ``p`` neither overflows nor
-    underflows."""
+    """``(p, e)``: ``p = a * b`` rounded and ``p + e = a * b`` exactly (Dekker, with
+    no FMA in numpy), for operands below about 2^996 and ``p`` in the normal range."""
     c, d = 134217729.0 * a, 134217729.0 * b  # Veltkamp's split by 2^27 + 1
     a_hi, b_hi = c - (c - a), d - (d - b)
     a_lo, b_lo, p = a - a_hi, b - b_hi, a * b

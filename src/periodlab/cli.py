@@ -160,34 +160,29 @@ def _value(v, fmt: _Format) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _kind(column: list) -> str:
-    """``"one"`` where each cell writes as the first: the same object, a str or
-    None equal to it (a count, cheaper than the identity test), or a float
-    equal to a nonzero first (0.0 == -0.0; NaN equals nothing).  Else
-    ``"floats"``, ``"lists"`` (non-empty, of one length) or ``"any"``."""
+def _one(column: list) -> bool:
+    """Whether each cell of ``column`` writes as the first: the same object, or a float
+    equal to a nonzero first (0.0 == -0.0), the last cell screening before the count."""
     first = column[0] if column else None
-    if ((first is None or type(first) is str) and column.count(first) == len(column)
-            or all(map(is_, column, repeat(first)))):
-        return "one"
-    kinds = set(map(type, column))
-    if kinds == {float}:  # the last cell screens most columns out before the count
-        one = column[-1] == first != 0.0 and column.count(first) == len(column)
-        return "one" if one else "floats"
-    return "lists" if kinds == {list} and first and len(set(map(len, column))) == 1 else "any"
+    return all(map(is_, column, repeat(first))) or (
+        type(first) is float and column[-1] == first != 0.0
+        and column.count(first) == len(column) and set(map(type, column)) == {float})
 
 
 def _column(column: list, fmt: _Format) -> list[str]:
-    """The texts of the cells of ``column`` in ``fmt`` by its :func:`_kind`: one
-    text is formatted once, floats by one ``format`` pass, lists by position."""
-    kind = _kind(column)
-    if kind == "one":
-        return [_value(column[0], fmt)] * len(column) if column else []
-    if kind == "floats":
+    """The texts of the cells of ``column`` in ``fmt``: a column that writes as
+    one (:func:`_one`) is formatted once, a column of floats by one ``format``
+    pass, and non-empty lists of one length a position at a time."""
+    first = column[0] if column else None
+    if _one(column):
+        return [_value(first, fmt)] * len(column)
+    kinds = set(map(type, column))
+    if kinds == {float}:
         texts = list(map(format, column, repeat(fmt.float_spec)))
         if fmt.non_finite is None or all(map(math.isfinite, column)):
             return texts
         return [t if math.isfinite(v) else fmt.non_finite for t, v in zip(texts, column)]
-    if kind == "lists":
+    if kinds == {list} and first and len(set(map(len, column))) == 1:
         return list(map(fmt.join, zip(*(_column(list(c), fmt) for c in zip(*column)))))
     return [_value(v, fmt) for v in column]
 
@@ -201,32 +196,32 @@ def _csv_cell(text: str, lone: bool = False) -> str:
     return text
 
 
-def _csv_row(columns: list) -> tuple[str, list]:
-    """The ``%`` template of the csv rows of ``columns``, and the columns that
-    fill it, from :func:`_csv_part`."""
-    cells: list = []
-    return ",".join([_csv_part(c, len(columns) == 1, cells) for c in columns]) + "\n", cells
-
-
-def _csv_part(column: list, lone: bool, cells: list) -> str:
-    """The template part of ``column``'s csv cells, adding the columns that fill
-    it to ``cells``, by :func:`_kind`: one text is literal, floats a float
-    conversion.  Lists join the parts of their positions with ``;`` where one
-    is of floats and none is a ``%s`` or quoted; anything else is a ``%s``."""
-    csv_format, kind = _FORMATS["csv"], _kind(column)
-    if kind == "one":
-        return _csv_cell(_value(column[0] if column else None, csv_format), lone).replace("%", "%%")
-    if kind == "floats":
-        cells.append(column)
-        return "%" + csv_format.float_spec
-    if kind == "lists":
-        mark = len(cells)
-        parts = [_csv_part(list(c), False, cells) for c in zip(*column)]
-        if len(cells) > mark and not any(p == "%s" or p[:1] == '"' for p in parts):
-            return ";".join(parts)
-        del cells[mark:]
-    cells.append(list(map(_csv_cell, _column(column, csv_format), repeat(lone))))
-    return "%s"
+def _csv_row(columns: list, sep: str = ",", end: str = "\n") -> tuple[str, list]:
+    """The ``%`` template of the csv rows of ``columns``, and the columns that fill it.
+    A column that writes as one (:func:`_one`) is literal text, floats a float conversion,
+    lists of one length the parts of their positions joined by ``;`` where one is a
+    conversion and none quoted or ``%s``, and any other column a ``%s`` of its csv cells."""
+    csv_format, lone = _FORMATS["csv"], len(columns) == 1 and sep == ","
+    parts, cells = [], []
+    for column in columns:
+        first = column[0] if column else None
+        if _one(column):
+            parts.append(_csv_cell(_value(first, csv_format), lone).replace("%", "%%"))
+            continue
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            parts.append("%" + csv_format.float_spec)
+            cells.append(column)
+            continue
+        if kinds == {list} and first and len(set(map(len, column))) == 1:
+            part, more = _csv_row(list(map(list, zip(*column))), ";", "")
+            if more and "%s" not in part and '"' not in part:
+                parts.append(part)
+                cells.extend(more)
+                continue
+        parts.append("%s")
+        cells.append(list(map(_csv_cell, _column(column, csv_format), repeat(lone))))
+    return sep.join(parts) + end, cells
 
 
 @functools.cache
@@ -479,7 +474,7 @@ def cmd_sweep(args, tol, out) -> int:
             cells.update(T=T, Omega=Omega, err_estimate=err)
         else:
             failed = _method_cells(args, tol, U, values, shells, strategy, cells)
-        for i, exc in zip(rows, failed) if failed.count(None) < len(failed) else ():
+        for i, exc in zip(rows, failed):
             if exc is not None:
                 error[i] = exc
     emit(_sweep_table(args, values, coeffs, error, rows, cells), RECORD_FIELDS, args.format, out)
@@ -509,10 +504,8 @@ def _rho_shells(args, rhos) -> tuple:
     # The rows share the objects of the coefficients they have in common, so
     # that the emitter formats those once.
     common = coeffs[0, :4].tolist()
-    rows = list(map(common.__add__, coeffs[:, 4:].astype(object).tolist()))
-    for j in np.flatnonzero(coeffs[:, 4] == 0.0).tolist():
-        rows[j] = common[:3]
-    return None, shells, rows
+    return None, shells, [[*common, c] if c != 0.0 else common[:3]
+                          for c in coeffs[:, 4].tolist()]
 
 
 def _method_cells(args, tol, U, values, shells, strategy, cells) -> list:
@@ -555,12 +548,11 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
     constants = dict(_constants("sweep", args), method=args.method)
     table = {k: [constants.get(k)] * n for k in RECORD_FIELDS}
     table["coeffs"] = list(coeffs)
-    rho, T = cells.get("rho"), cells.get("T")
-    if rho is not None and T is not None and np.count_nonzero(rho > 0.0):
+    if cells.get("rho") is not None and "T" in cells:
         # rho is set on the shells of the canonical quartic, whatever the preset;
-        # a row whose T is None (NaN here) has failed, and its cells go below.
-        root = np.sqrt(np.maximum(rho, 0.0)) * np.asarray(T, dtype=float)
-        cells["sqrt_rho_T"] = root if np.all(rho > 0.0) else np.where(rho > 0.0, root, None)
+        # a failed row's T is None (NaN here), and its cells are cleared below.
+        root = np.sqrt(np.maximum(cells["rho"], 0.0)) * np.asarray(cells["T"], dtype=float)
+        cells["sqrt_rho_T"] = np.where(cells["rho"] > 0.0, root, None)
     cells = {k: v.tolist() if isinstance(v, np.ndarray)
              else v if isinstance(v, list) else [v] * len(rows)
              for k, v in cells.items() if v is not None}
@@ -571,7 +563,7 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
             put = table[k]
             for i, v in zip(rows, column):
                 put[i] = v
-    failed = [] if error.count(None) == n else [i for i, exc in enumerate(error) if exc is not None]
+    failed = [i for i, exc in enumerate(error) if exc is not None]
     for k, column in table.items():
         if k not in constants:
             for i in failed:

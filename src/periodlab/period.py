@@ -439,14 +439,12 @@ def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
 
     Each moment ``int_0^pi Delta^j dtheta`` is a polynomial in cos(theta), so
     the Gauss-Chebyshev rule with enough nodes integrates it exactly.
-    Divergent regimes (sup |Delta| >= 1) still produce terms, flagged.  A
-    frame whose ``omega^2`` or ``Delta`` leaves the float range, as a fixed
-    frequency far from the well's may, raises :class:`DomainError`.
+    Divergent regimes (sup |Delta| >= 1) still produce terms, flagged.
     """
     w2 = frame.omega * frame.omega
     if not (0.0 < w2 < math.inf and frame.sup_abs_delta < math.inf):
-        raise DomainError(f"the {frame.strategy} frame omega = {frame.omega!r} puts the "
-                          "deviation 2R/omega^2 - 1 out of the float range")
+        raise DomainError(f"the {frame.strategy} frame omega = {frame.omega!r} puts omega^2 or "
+                          "Delta out of the float range")
     shell = frame.shell
     deg = max(shell.residual.size - 1, 1)
     n_nodes = max(16, (N * deg) // 2 + 2)

@@ -659,8 +659,7 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
         barrier_energy = np.where(lams < 0.0, -0.25 / lams, math.inf)
     barrier_energy[~np.isfinite(lams)] = -math.inf
     _check_energies(energies, barrier_energy, check, error)
-    slots = (np.arange(len(error)) if error.count(None) == len(error) else
-             np.array([i for i, e in enumerate(error) if e is None], dtype=int))
+    slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
     if not slots.size:
         return ShellColumns.failed(error, 3)
 
@@ -676,11 +675,10 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     # a ** 2 is C pow, whose rounding numpy's square does not reproduce, and a
     # Python product overflows to inf with no warning.  Past sqrt(max float)
     # pow overflows, though rho = s - 1 does not: there rho is lam a a.
-    squares = map(float.__pow__, np.minimum(amplitude, _SQRT_FLOAT_MAX).tolist(), [2.0] * lam.size)
+    squares = map(pow, np.minimum(amplitude, _SQRT_FLOAT_MAX).tolist(), [2] * lam.size)
     rho = np.array(list(map(float.__mul__, lam.tolist(), squares)))
     past = amplitude > _SQRT_FLOAT_MAX
-    if np.count_nonzero(past):
-        rho[past] = lam[past] * amplitude[past] * amplitude[past]
+    rho[past] = lam[past] * amplitude[past] * amplitude[past]
     # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
     # in closed form: R(+-A) as _residual_extrema evaluates it, R(0) = R0, the
     # first candidate winning a tie.
@@ -728,11 +726,10 @@ def _amplitude_error(a: float, limit: float | None) -> SeparatrixError | None:
 
 
 def _half_s(lam: np.ndarray, energy: np.ndarray) -> np.ndarray:
-    """:func:`_quartic_half_s` of each checked pair, bit for bit: ``1 + 4 lam E
-    = t + u + e`` exactly, ``(p, e) = two_product(4 lam, E)`` and ``(t, u) =
-    two_sum(1, p)``, and ``t + RO(u + e)``, rounded to odd first, rounds it once
-    (Boldo & Melquiond, IEEE Trans. Comput. 57(4), 2008).  A pair past 2^497 in
-    ``|lam|`` or ``E``, where the split or the product may overflow, is scalar."""
+    """:func:`_quartic_half_s` of each pair, bit for bit: ``1 + 4 lam E = t + u + e`` from
+    ``(p, e) = two_product(4 lam, E)`` and ``(t, u) = two_sum(1, p)`` rounds once as ``t +
+    RO(u + e)``, RO rounding to odd (Boldo & Melquiond, IEEE Trans. Comput. 57(4), 2008).
+    A pair past 2^497 in ``|lam|`` or ``E``, where the product may overflow, is scalar."""
     past = np.maximum(np.abs(lam), energy) > 2.0 ** 497
     scalar = past.nonzero()[0]
     if scalar.size:
@@ -741,8 +738,7 @@ def _half_s(lam: np.ndarray, energy: np.ndarray) -> np.ndarray:
     p, e = two_product(4.0 * lam, energy)
     t, u = two_sum(1.0, p)
     v, w = two_sum(u, e)
-    # v to odd: truncated toward zero (a step down where w is of the other
-    # sign), then its last bit set where inexact.
+    # v to odd: truncated (a step toward zero where w has the other sign), last bit set if inexact.
     inexact = w != 0.0
     odd = (v.view(np.int64) - (inexact & (np.signbit(w) != np.signbit(v)))) | inexact
     half_s = np.sqrt(t + odd.view(np.float64)) * 0.5
