@@ -51,12 +51,12 @@ def derivative(coeffs) -> np.ndarray:
 def polyval(coeffs, x):
     """``coeffs`` at ``x`` by the Horner steps ``c[k] + acc * x`` of
     ``npoly.polyval``, bit for bit; an overflow gives inf or NaN without a
-    warning, as Python floats do.  ``x`` is one point, giving a float, or an
-    array.  A 2-D ``coeffs`` holds one polynomial per row, row ``i`` taken at
-    ``x[i]``, one point or a row of points; zeros padded above a row's leading
-    coefficient leave its values unchanged."""
+    warning, as Python floats do.  ``x`` is one point, giving a float (``coeffs``
+    may then be a list), or an array.  A 2-D ``coeffs`` holds one polynomial per
+    row, row ``i`` taken at ``x[i]``, one point or a row of points; zeros padded
+    above a row's leading coefficient leave its values unchanged."""
     if not isinstance(x, (np.ndarray, list, tuple)):
-        c, x = coeffs.tolist(), float(x)
+        c, x = coeffs if isinstance(coeffs, list) else coeffs.tolist(), float(x)
         acc = c[-1] + x * 0.0
         for ck in c[-2::-1]:
             acc = ck + acc * x

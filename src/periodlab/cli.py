@@ -12,9 +12,9 @@ variable ``PERIODLAB_TOL`` overrides the default 1e-13 quadrature tolerance.
 Output is written a column at a time (:func:`emit`), each value by the one
 formatter of its format; csv rows come from one ``%`` template per call, in
 which a column of one text is literal text and a list column a part per
-position.  A quadrature ``sweep`` goes from the shell solve to the output in
-columns: one array per shell, frame and period field, and no shell, frame or
-record object per grid point.
+position.  A ``sweep`` by any method goes from the shell solve to the output
+in columns: one array per shell, frame and period field, and no shell, frame
+or record object per grid point.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .frame import (
     BALANCED,
     FIXED,
     NAYFEH,
-    BalancedFrame,
     balanced_frame,
     fixed_frame,
     frame_columns,
@@ -46,6 +45,8 @@ from .frame import (
 )
 from .oracle import measure_period
 from .period import (
+    _each_row,
+    _elliptic,
     best_series,
     # Not called here: bench/spans.py counts elliptic calls by rebinding them.
     cubic_elliptic,  # noqa: F401
@@ -54,6 +55,7 @@ from .period import (
     period_from_series,
     period_quadrature,
     quadrature_columns,
+    series_columns,
 )
 from .potential import (
     ShellColumns,
@@ -357,8 +359,24 @@ def _base_record(command: str, args, U, shell, frame) -> dict:
 
 
 def _has_elliptic(shell) -> bool:
-    """Whether the well has degree at most 4, so its residual at most 2."""
-    return shell.residual.size <= 3
+    """Whether the well of ``shell``, or of each shell of its columns, has
+    degree at most 4, so its residual at most 2."""
+    return shell.residual.shape[-1] <= 3
+
+
+def _require_elliptic(shell) -> None:
+    if not _has_elliptic(shell):
+        raise UsageError("the elliptic period requires a well of degree at most 4")
+
+
+def _oracle(U, energy: float) -> tuple[float, float]:
+    """The oracle's period of ``U`` at ``energy`` and its error estimate."""
+    report = measure_period(U, energy)
+    if not report.reliable:
+        raise ConvergenceError(
+            "oracle integration unreliable (energy drift, error bound or period cap exceeded)"
+        )
+    return report.period, report.err_estimate
 
 
 def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict:
@@ -375,18 +393,11 @@ def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict
             scale = _SQRT2 / args.omega0
             record["partial_sums"] = [scale * s for s in series.partial_sums]
     elif method == "elliptic":
-        if not _has_elliptic(shell):
-            raise UsageError("the elliptic period requires a well of degree at most 4")
+        _require_elliptic(shell)
         res = elliptic_period(shell, args.omega0)
     elif method == "oracle":
-        report = measure_period(U, shell)
-        if not report.reliable:
-            raise ConvergenceError(
-                "oracle integration unreliable (energy drift, error bound or period cap exceeded)"
-            )
-        record["T"] = report.period
-        record["Omega"] = 2.0 * math.pi / report.period
-        record["err_estimate"] = report.err_estimate
+        T, err = _oracle(U, shell.energy)
+        record.update(T=T, Omega=2.0 * math.pi / T, err_estimate=err)
         return record
     else:
         raise UsageError(f"unknown method {method!r}")
@@ -467,13 +478,23 @@ def cmd_sweep(args, tol, out) -> int:
         if not rows:
             # No shell, as when the well or its scaling failed: no method runs.
             failed = []
-        elif args.method == "quadrature":
-            T, Omega, err, failed = quadrature_columns(
-                shells.residual, shells.x_minus, shells.x_plus,
-                shells.residual_at_turning_points, args.omega0, tol)
-            cells.update(T=T, Omega=Omega, err_estimate=err)
         else:
-            failed = _method_cells(args, tol, U, values, shells, strategy, cells)
+            ends = (shells.residual, shells.x_minus, shells.x_plus,
+                    shells.residual_at_turning_points)
+            if args.method == "quadrature":
+                *periods, failed = quadrature_columns(*ends, args.omega0, tol)
+            elif args.method == "series":
+                *periods, failed = series_columns(shells, strategy, omega_ref, xi, args.N,
+                                                  args.omega0)
+            elif args.method == "elliptic":
+                _require_elliptic(shells)
+                *periods, failed = _each_row(lambda *row: _elliptic(*row, args.omega0),
+                                             zip(*(c.tolist() for c in ends)), len(rows))
+            else:  # the oracle reads a row's energy and its well: U, or the point's own
+                *periods, failed = _each_row(lambda i, energy: _oracle(U or duffing_potential(
+                    values[i], args.mass, args.omega0), energy), zip(rows, shells.energy.tolist()),
+                    len(rows))
+            cells.update(zip(("T", "Omega", "err_estimate", "N", "regime"), periods))
         for i, exc in zip(rows, failed):
             if exc is not None:
                 error[i] = exc
@@ -508,34 +529,6 @@ def _rho_shells(args, rhos) -> tuple:
                           for c in coeffs[:, 4].tolist()]
 
 
-def _method_cells(args, tol, U, values, shells, strategy, cells) -> list:
-    """Add to ``cells`` the period fields of each row of ``shells`` by the
-    method of ``args``, from the shell and frame that the row's columns
-    give; returns the error of each row, or None.  Only the oracle reads a
-    well: ``U``, or on a rho grid the point's own."""
-    rows = shells.slots.tolist()
-    found = shells.shells()
-    omega_ref = np.broadcast_to(cells["omega_ref"], len(rows)).tolist()
-    xi = [None] * len(rows) if cells["xi"] is None else cells["xi"].tolist()
-    fields = ("T", "Omega", "err_estimate", "N", "regime")
-    cells.update((k, [None] * len(rows)) for k in fields)
-    failed = [None] * len(rows)
-    for j, i in enumerate(rows):
-        shell, record = found[i], {}
-        try:
-            well = U
-            if well is None and args.method == "oracle":
-                well = duffing_potential(values[i], args.mass, args.omega0)
-            frame = BalancedFrame(shell, omega_ref[j], strategy, xi[j])
-            _apply_method(record, args.method, well, shell, frame, args, tol)
-        except tuple(_ERROR_KINDS) as exc:
-            failed[j] = exc
-        else:
-            for k in fields:
-                cells[k][j] = record.get(k)
-    return failed
-
-
 def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
     """The field -> column table of a sweep over the grid ``values``.
 
@@ -550,8 +543,8 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
     table["coeffs"] = list(coeffs)
     if cells.get("rho") is not None and "T" in cells:
         # rho is set on the shells of the canonical quartic, whatever the preset;
-        # a failed row's T is None (NaN here), and its cells are cleared below.
-        root = np.sqrt(np.maximum(cells["rho"], 0.0)) * np.asarray(cells["T"], dtype=float)
+        # a failed row's T is NaN, and its cells are cleared below.
+        root = np.sqrt(np.maximum(cells["rho"], 0.0)) * cells["T"]
         cells["sqrt_rho_T"] = np.where(cells["rho"] > 0.0, root, None)
     cells = {k: v.tolist() if isinstance(v, np.ndarray)
              else v if isinstance(v, list) else [v] * len(rows)

@@ -9,10 +9,10 @@ binomially in the deviation.  Every well of degree at most 4 also has its period
 in closed form: Carlson's reduction turns the integral into one
 arithmetic-geometric mean (:func:`elliptic_period`).
 
-The trapezoid rule runs on columns: :func:`quadrature_columns` takes the
-turning points and residuals of a stack of shells as arrays and returns the
-periods as arrays, and :func:`period_quadratures` and
-:func:`period_quadrature` are that routine on frames.
+Every route runs on the rows of a stack of shells: :func:`quadrature_columns` and
+:func:`series_columns`, one partial-sum loop for every series, take them as
+arrays, and a sweep maps the elliptic kernel :func:`_elliptic` over them.  A
+route on one shell or frame is its one-row case.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._poly import polyval
+from ._poly import _horner, polyval
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
 from .frame import BALANCED, NAYFEH, BalancedFrame
 from .potential import EnergyShell
@@ -86,7 +87,7 @@ class SeriesResult:
         return self.partial_sums[-1]
 
 
-def _period_result(T: float, method: str, err: float) -> PeriodResult:
+def _period_result(T: float, err: float, method: str) -> PeriodResult:
     if not T > 0.0:
         raise DomainError(f"non-positive period {T}")
     return PeriodResult(T=T, Omega=2.0 * math.pi / T, method=method, err_estimate=err)
@@ -115,25 +116,27 @@ def elliptic_K(m: float) -> float:
     return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
 
 
-def elliptic_period(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
-    """The exact period of a shell of a well of degree at most 4.
+def _elliptic(r: list, lo: float, hi: float, r_end: float | None, omega0: float) -> tuple:
+    """The exact period of one shell of a well of degree at most 4 and its error, from floats.
 
     Carlson's reduction (DLMF 19.29, 19.22): ``int dx / sqrt(Q) = 2 R_F(0, y, z) =
-    pi / M(sqrt y, sqrt z)`` between the turning points, so ``T = pi sqrt(2) / (omega0
-    M)``.  Of the residual R, ``y = z = R`` for degree 2; ``y = R(x_minus)``, ``z =
-    R(x_plus)`` for degree 3; and for degree 4, ``R = c (x - r3)(x - r4)``, ``y = c
-    (x_minus - r3)(x_plus - r4)``, ``z = c (x_plus - r3)(x_minus - r4)``, conjugates
-    for a complex pair r3, r4, whose M is ``M(Re sqrt y, |sqrt y|)``.  As ``y z =
-    R(x_minus) R(x_plus)``, a shell that carries ``residual_at_turning_points``
-    takes the smaller as ``R_end^2`` over the larger, which does not cancel next to
-    the barrier.  Where ``sqrt(min/max)`` is at most ``_BOUNDARY_TOL`` the shell is
-    a separatrix shell.
+    pi / M(sqrt y, sqrt z)`` between the turning points ``lo`` and ``hi``, so ``T =
+    pi sqrt(2) / (omega0 M)``.  Of the residual R, whose coefficients ``r`` are cut
+    after the last nonzero one as ``as_coeffs`` cuts them, ``y = z = R`` for degree
+    2; ``y = R(lo)``, ``z = R(hi)`` for degree 3; and for degree 4, ``R = c (x -
+    r3)(x - r4)``, ``y = c (lo - r3)(hi - r4)``, ``z = c (hi - r3)(lo - r4)``,
+    conjugates for a complex pair r3, r4, whose M is ``M(Re sqrt y, |sqrt y|)``.  As
+    ``y z = R(lo) R(hi)``, ``r_end``, R at the turning points where known (not None
+    or NaN), makes the smaller ``r_end^2`` over the larger, which does not cancel
+    next to the barrier.  Where ``sqrt(min/max)`` is at most ``_BOUNDARY_TOL`` the
+    shell is a separatrix shell.
     """
-    r, lo, hi = shell.residual.tolist(), shell.x_minus, shell.x_plus
+    while len(r) > 1 and r[-1] == 0.0:
+        r = r[:-1]
     if len(r) > 3:
         raise DomainError(f"the elliptic period takes wells of degree at most 4, not {len(r) + 1}")
     if len(r) < 3:
-        y, z = polyval(shell.residual, lo), polyval(shell.residual, hi)
+        y, z = polyval(r, lo), polyval(r, hi)
     else:
         # R = (c x - q)(x - r4): the roots q/c and r4 = b0/q, each formed
         # without cancellation.  The discriminant is formed scaled by a power
@@ -150,26 +153,43 @@ def elliptic_period(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
         a, b = abs(s), s.real
     else:
         small, big = sorted((y, z))
-        r_end = shell.residual_at_turning_points
-        if r_end is not None:
+        if r_end is not None and not math.isnan(r_end):
             small = r_end * r_end / big
         if not small > 0.0 or math.sqrt(small) <= _BOUNDARY_TOL * math.sqrt(big):
             raise SeparatrixError(
                 f"R_F arguments {small} and {big} at the separatrix limit: separatrix shell")
         a, b = math.sqrt(big), math.sqrt(small)
     T = math.pi * _SQRT2 / (omega0 * _agm(a, b))
-    return _period_result(T, "elliptic", 8.0 * np.finfo(float).eps * T)
+    return T, 8.0 * math.ulp(1.0) * T  # 8 eps T
+
+
+def elliptic_period(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
+    """The exact period of a shell of a well of degree at most 4 (:func:`_elliptic`)."""
+    return _period_result(*_elliptic(shell.residual.tolist(), shell.x_minus, shell.x_plus,
+                                     shell.residual_at_turning_points, omega0), "elliptic")
+
+
+def _each_row(route, rows, n: int):
+    """``(T, Omega, err_estimate, errors)`` of ``route``, which gives ``(T, err)`` of
+    one row of arguments or raises, on each of the ``n`` ``rows``."""
+    T, err, found = np.full(n, math.nan), np.full(n, math.nan), [None] * n
+    for j, row in enumerate(rows):
+        try:
+            T[j], err[j] = route(*row)
+        except (DomainError, ConvergenceError) as exc:
+            found[j] = exc
+    return _period_columns(T, err, found)
 
 
 def duffing_elliptic(rho: float, omega0: float = 1.0) -> PeriodResult:
-    """Exact canonical-quartic period at ``rho = lam A^2``: :func:`elliptic_period`
-    on the shell of amplitude 1, ``R = (2 + rho)/4 + (rho/4) x^2``, which carries
-    ``R(+-1) = (1 + rho)/2``."""
-    _require_oscillatory_rho(rho)
-    return elliptic_period(EnergyShell(
-        energy=0.5 + 0.25 * rho, x_minus=-1.0, x_plus=1.0,
-        residual=[0.5 + 0.25 * rho, 0.0, 0.25 * rho], rho=rho,
-        residual_at_turning_points=0.5 * (1.0 + rho)), omega0)
+    """Exact canonical-quartic period at ``rho = lam A^2``: :func:`_elliptic` on the
+    shell of amplitude 1, ``R = (2 + rho)/4 + (rho/4) x^2``, which carries ``R(+-1) =
+    (1 + rho)/2``."""
+    (error,) = _rho_errors([rho])
+    if error is not None:
+        raise error
+    return _period_result(*_elliptic([0.5 + 0.25 * rho, 0.0, 0.25 * rho], -1.0, 1.0,
+                                     0.5 * (1.0 + rho), omega0), "elliptic")
 
 
 # The quadratic-cubic period, kept under its own name.
@@ -180,25 +200,14 @@ cubic_elliptic = elliptic_period
 # Nested trapezoid rule in theta
 # ---------------------------------------------------------------------------
 
-def _midpoint_theta(n: int) -> np.ndarray:
-    """``(2i - 1) pi / (2n)`` for i = 1..n: the midpoints of n equal intervals
-    of [0, pi]."""
-    i = np.arange(1, n + 1)
-    return (2.0 * i - 1.0) * math.pi / (2.0 * n)
-
-
-def _midpoint_cos(n: int) -> np.ndarray:
-    """``cos theta`` at the midpoints of n equal intervals of [0, pi], which are
-    also the Gauss-Chebyshev nodes."""
-    return np.cos(_midpoint_theta(n))
-
-
 @functools.cache
 def _level_nodes(n: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
     """``cos theta`` and ``sin^2 theta`` at the new nodes of a trapezoid
     level: the n + 1 points ``k pi/n`` on the ``first`` level, else the
-    midpoints of n equal intervals.  Read-only, and shared by every call."""
-    theta = np.arange(n + 1) * (math.pi / n) if first else _midpoint_theta(n)
+    midpoints ``(2i - 1) pi/(2n)`` of n equal intervals, whose cosines are the
+    Gauss-Chebyshev nodes.  Read-only, and shared by every call."""
+    theta = (np.arange(n + 1) * (math.pi / n) if first
+             else (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))
     cos, sin2 = np.cos(theta), np.sin(theta) ** 2
     cos.flags.writeable = sin2.flags.writeable = False
     return cos, sin2
@@ -332,10 +341,17 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
                 coeffs, mid_half, ends, vals = coeffs[keep], mid_half[keep], ends[keep], vals[keep]
             prev = vals
             n *= 2
-    for i in (~(T > 0.0)).nonzero()[0].tolist():
-        if found[i] is None:
-            found[i] = DomainError(f"non-positive period {float(T[i])}")
-            T[i] = err[i] = math.nan
+    return _period_columns(T, err, found)
+
+
+def _period_columns(T: np.ndarray, err: np.ndarray, found: list):
+    """``(T, Omega, err, found)`` with a :class:`DomainError` in ``found`` for each
+    row whose T is not positive and has no error yet, as :func:`_period_result`
+    raises it; a failed row's T and err are NaN."""
+    found = [exc or DomainError(f"non-positive period {float(t)}") if not t > 0.0 else exc
+             for t, exc in zip(T.tolist(), found)]
+    failed = [i for i, exc in enumerate(found) if exc is not None]
+    T[failed] = err[failed] = math.nan
     with np.errstate(over="ignore"):
         return T, 2.0 * math.pi / T, err, found
 
@@ -364,117 +380,203 @@ def duffing_large_rho_constant() -> float:
 # Binomial series machinery
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def binom_minus_half(n: int) -> np.ndarray:
-    """``C(-1/2, j)`` for j = 0..n by the stable recurrence (no factorials)."""
+    """``C(-1/2, j)`` for j = 0..n by the stable recurrence, once per n; read-only."""
     b = np.empty(n + 1)
-    b[0] = 1.0
+    b[0] = c = 1.0
     for j in range(n):
-        b[j + 1] = b[j] * (-0.5 - j) / (j + 1.0)
+        b[j + 1] = c = c * (-0.5 - j) / (j + 1.0)
+    b.flags.writeable = False
     return b
 
 
-def _regime_from_ratio(s: float) -> str:
-    if s < 1.0 - _BOUNDARY_TOL:
-        return CONVERGENT
-    if s <= 1.0 + _BOUNDARY_TOL:
-        return BOUNDARY
-    return DIVERGENT
+@functools.cache
+def _alternating_pair_coeffs(N: int) -> np.ndarray:
+    """``(-1)^j C(-1/2, j) C(-1/2, 2j)`` for j = 0..N, once per N; read-only."""
+    b, j = binom_minus_half(2 * N), np.arange(N + 1)
+    c = (-1.0) ** j * b[j] * b[2 * j]
+    c.flags.writeable = False
+    return c
 
 
-def _truncation_estimate(terms, governing_ratio: float) -> float:
-    if governing_ratio == 0.0:
-        return 0.0  # the expansion variable vanishes: the tail is identically zero
-    nz = [abs(t) for t in terms if t != 0.0]
-    if not nz:
-        return 0.0
-    if len(nz) >= 2 and 0.0 < nz[-1] < nz[-2]:
-        r = nz[-1] / nz[-2]
-        return nz[-1] * r / (1.0 - r)
-    return nz[-1]
+def _terms(pref, coeffs, step, N: int, weight=None, block=None):
+    """The terms j = 0..N of each row i as column i, ``block`` at a time:
+    ``pref[i] coeffs[0][j] ...`` times the power ``step[i]^j``, or, where ``step``
+    holds a row of nodes per row, ``weight`` times the sum of their powers.  The
+    powers are ``np.multiply.accumulate``, which runs in order as a loop does."""
+    block = block or max(1, _QUAD_CHUNK // step.size)
+    for lo in range(0, N + 1, block):
+        p = np.empty((min(block, N + 1 - lo),) + step.shape)
+        p[0] = power * step if lo else 1.0  # power: the last of the block before
+        p[1:] = step
+        np.multiply.accumulate(p, axis=0, out=p)
+        power = p[-1]
+        c = pref
+        for f in coeffs:
+            c = c * f[lo:lo + len(p), None]
+        yield c * (p if weight is None else weight * np.add.reduce(p, axis=2))
 
 
-def _summed_series(N: int, coeffs, step, xi, ratio: float, power=1.0,
-                   moment=float) -> SeriesResult:
-    """The partial-sum loop behind every series.
+_REGIMES = (CONVERGENT, BOUNDARY, DIVERGENT)
 
-    Term j is ``coeffs(N)[j] * moment(power_j)`` with ``power_0 = power`` and
-    ``power_(j+1) = power_j * step``; ``ratio`` is the governing ratio that
-    sets the regime.  While it is below 1 the sum stops early once two
-    successive terms fall below ``_EARLY_STOP_RTOL`` of the running total; a
-    divergent series keeps all N + 1 terms so that its growth stays visible.
+
+def _summed_series(N: int, blocks, ratio, errors: list, xi=None) -> tuple:
+    """The partial-sum loop behind every series, on rows: ``(terms, sums, stop,
+    value, trunc, regime, errors, xi)``.  ``blocks(N)`` yields the terms j = 0..N
+    of each row i as column i, a block at a time (:func:`_terms`).  While its
+    governing ``ratio`` is below 1, row i stops at the first j > 0 where term j
+    and the one before fall below ``_EARLY_STOP_RTOL`` of the running sum, an
+    ``np.add.accumulate``, and sums ``terms[:stop[i] + 1, i]`` to ``value[i]``;
+    a divergent row keeps all N + 1 terms.  Blocks end once every row without an
+    error has stopped.  A row's tail estimate is its last nonzero term,
+    extrapolated geometrically where it is below the nonzero term before, or 0
+    where the ratio is.  The caller ignores overflow and invalid values.
     """
     if N < 0:
-        raise DomainError(f"series cap N must be >= 0, got {N}")
-    c = coeffs(N)
-    terms = []
-    total = 0.0
-    # An overflowing term needs no warning: the sum is checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(N + 1):
-            term = c[j] * moment(power)
-            terms.append(term)
-            total += term
-            if (ratio < 1.0 and j > 0
-                    and max(abs(term), abs(terms[-2])) < _EARLY_STOP_RTOL * abs(total)):
-                break
-            power = power * step
-        sums = np.cumsum(terms)
-    if not math.isfinite(sums[-1]):
-        raise ConvergenceError(f"series partial sum {sums[-1]} is not finite")
-    regime = _regime_from_ratio(ratio)
-    trunc = _truncation_estimate(terms, ratio)
-    converged = regime == CONVERGENT and trunc <= _CONVERGED_RTOL * abs(sums[-1])
-    return SeriesResult(
-        terms=tuple(float(t) for t in terms),
-        partial_sums=tuple(float(s) for s in sums),
-        xi=xi,
-        converged=bool(converged),
-        truncation_error=float(trunc),
-        regime=regime,
-    )
+        errors = [exc or DomainError(f"series cap N must be >= 0, got {N}") for exc in errors]
+        N = 0
+    # The bound per unit of the running sum: 0 for a row that keeps its terms.
+    rtol = _EARLY_STOP_RTOL * (ratio < 1.0)
+    if any(errors):
+        rtol[[e is not None for e in errors]] = 0.0
+    i, stop, lo, parts = np.arange(len(ratio)), N, 0, []
+    for t in blocks(N):
+        a = np.empty((len(t) + 1, len(ratio)))  # |t| after the term before, 0 before term 0
+        a[0] = parts[-1][2][-1] if parts else 0.0
+        np.abs(t, out=a[1:])
+        s = (np.add.accumulate(np.concatenate((parts[-1][1][-1:], t)), axis=0)[1:] if parts
+             else np.add.accumulate(t, axis=0))
+        hit = np.maximum(a[1:], a[:-1]) < np.abs(s) * rtol
+        m = hit.argmax(axis=0)
+        found = hit[m, i]
+        stop = np.where(found, m + lo, stop)
+        parts.append((t, s, a[1:] if parts else a))
+        lo += len(t)
+        if lo > N:
+            break
+        rtol[found] = 0.0
+        if not np.count_nonzero(rtol) and all(r < 1.0 or e for r, e in zip(ratio.tolist(), errors)):
+            break
+    terms, sums, a = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+    value = sums[stop, i]
+    if np.count_nonzero(np.isfinite(value)) < len(value):
+        for j in (~np.isfinite(value)).nonzero()[0].tolist():
+            errors[j] = errors[j] or ConvergenceError(
+                f"series partial sum {value[j]} is not finite")
+    # Row j + 1 of a is |term j|: the row of the last nonzero one up to each
+    # row, 0 where there is none, then the last two up to the stop.
+    nonzero = np.maximum.accumulate((a > 0.0) * np.arange(len(a))[:, None], axis=0)
+    last = nonzero[stop + 1, i]
+    a1, a2 = a[last, i], a[nonzero[last - 1, i], i]
+    r = a1 / a2
+    trunc = np.where(a1 < a2, a1 * r / (1.0 - r), a1) * (ratio != 0.0)
+    # NaN is neither below 1 - tol nor at most 1 + tol: divergent.
+    regime = 2 - (ratio <= 1.0 + _BOUNDARY_TOL) - (ratio < 1.0 - _BOUNDARY_TOL)
+    return terms, sums, stop, value, trunc, regime, errors, xi
+
+
+def _one_row(rows: tuple) -> SeriesResult:
+    """The :class:`SeriesResult` of one row of :func:`_summed_series`, or its error."""
+    terms, sums, stop, _, trunc, regime, errors, xi = rows
+    if errors[0] is not None:
+        raise errors[0]
+    k, trunc, regime = int(stop[0]) + 1, float(trunc[0]), _REGIMES[regime[0]]
+    sums = sums[:k, 0].tolist()
+    return SeriesResult(tuple(terms[:k, 0].tolist()), tuple(sums),
+                        None if xi is None else float(xi[0]),
+                        regime == CONVERGENT and trunc <= _CONVERGED_RTOL * abs(sums[-1]),
+                        trunc, regime)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _generic_rows(shells, strategy: str, omega, xi, N: int) -> tuple:
+    """The binomial series of polynomial shells, by exact angle moments: each
+    ``int_0^pi Delta^j dtheta`` is a polynomial in cos(theta), which the
+    Gauss-Chebyshev rule with enough nodes for the degree of the residual, cut
+    after its last nonzero coefficient, integrates exactly.  Divergent regimes
+    (sup |Delta| >= 1) still produce terms, flagged."""
+    residual = np.atleast_2d(shells.residual)
+    rows = len(residual)
+    lo, hi, r_min, r_max = (np.array(v, dtype=float, ndmin=1) for v in (
+        shells.x_minus, shells.x_plus, *shells.residual_extrema[:2]))
+    omega = np.full(rows, omega)
+    w2 = omega * omega
+    d_min, d_max = abs(2.0 * r_min / w2 - 1.0), abs(2.0 * r_max / w2 - 1.0)
+    sup = np.where(d_max > d_min, d_max, d_min)  # Python's max(d_min, d_max)
+    errors = [None if 0.0 < w < math.inf and d < math.inf else DomainError(
+        f"the {strategy} frame omega = {o!r} puts omega^2 or Delta out of the float range")
+        for w, d, o in zip(w2.tolist(), sup.tolist(), omega.tolist())]
+    deg = np.maximum.reduce((residual != 0.0) * np.arange(residual.shape[1]), axis=1)
+    nodes = [max(16, (N * max(d, 1)) // 2 + 2) for d in deg.tolist()]
+    # The rows of each node count go together, as at rho = 0 on a rho grid.
+    groups = [(n, [j for j, m in enumerate(nodes) if m == n]) for n in set(nodes)]
+    groups = groups if len(groups) > 1 else [(nodes[0], slice(None))]
+    block = max(1, _QUAD_CHUNK // (rows * max(nodes)))
+
+    def blocks(N):
+        parts = []
+        for n, g in groups:
+            x = (0.5 * (hi[g] + lo[g]))[:, None] + (0.5 * (hi[g] - lo[g]))[:, None] * (
+                _level_nodes(n, False)[0])
+            delta = (2.0 * _horner(residual[g], x) - w2[g, None]) / w2[g, None]
+            parts.append(_terms(_SQRT2 / omega[g], (binom_minus_half(N),), delta, N, math.pi / n,
+                                block))
+        for ts in zip(*parts):
+            t = np.empty((len(ts[0]), rows))
+            for (_, g), part in zip(groups, ts):
+                t[:, g] = part
+            yield t
+
+    return _summed_series(N, blocks, sup, errors, None if xi is None else np.full(rows, xi))
 
 
 def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
-    """The binomial series for any polynomial shell, by exact angle moments.
-
-    Each moment ``int_0^pi Delta^j dtheta`` is a polynomial in cos(theta), so
-    the Gauss-Chebyshev rule with enough nodes integrates it exactly.
-    Divergent regimes (sup |Delta| >= 1) still produce terms, flagged.
-    """
-    w2 = frame.omega * frame.omega
-    if not (0.0 < w2 < math.inf and frame.sup_abs_delta < math.inf):
-        raise DomainError(f"the {frame.strategy} frame omega = {frame.omega!r} puts omega^2 or "
-                          "Delta out of the float range")
-    shell = frame.shell
-    deg = max(shell.residual.size - 1, 1)
-    n_nodes = max(16, (N * deg) // 2 + 2)
-    u = _midpoint_cos(n_nodes)
-    x = 0.5 * (shell.x_plus + shell.x_minus) + 0.5 * (shell.x_plus - shell.x_minus) * u
-    delta_u = (2.0 * polyval(shell.residual, x) - w2) / w2
-    weight = math.pi / n_nodes
-    pref = _SQRT2 / frame.omega
-    return _summed_series(N, lambda n: pref * binom_minus_half(n), delta_u, frame.xi,
-                          frame.sup_abs_delta, power=np.ones_like(delta_u),
-                          moment=lambda powers: weight * float(powers.sum()))
+    """The binomial series for any polynomial shell (:func:`_generic_rows`)."""
+    return _one_row(_generic_rows(frame.shell, frame.strategy, frame.omega, frame.xi, N))
 
 
-def _alternating_pair_coeffs(N: int) -> np.ndarray:
-    """``(-1)^j C(-1/2, j) C(-1/2, 2j)`` for j = 0..N."""
-    b = binom_minus_half(2 * N)
-    j = np.arange(N + 1)
-    return (-1.0) ** j * b[j] * b[2 * j]
+def _rho_errors(rhos) -> list:
+    """The error of each rho at or beyond the amplitude limit rho = -1, or None."""
+    return [SeparatrixError(f"rho = {rho} is at or beyond the amplitude limit (rho = -1): "
+                            "no periodic motion") if rho <= -1.0 + _BOUNDARY_TOL else None
+            for rho in rhos]
 
 
-def _closed_form_series(pref: float, xi2: float, xi_report, N: int) -> SeriesResult:
-    return _summed_series(N, lambda n: pref * _alternating_pair_coeffs(n), xi2, xi_report,
-                          math.sqrt(abs(xi2)))
-
-
-def _require_oscillatory_rho(rho: float) -> None:
-    if rho <= -1.0 + _BOUNDARY_TOL:
-        raise SeparatrixError(
-            f"rho = {rho} is at or beyond the amplitude limit (rho = -1): no periodic motion"
-        )
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _series_rows(shells, strategy: str, omega, xi, N: int) -> tuple:
+    """The series of one :class:`EnergyShell` or ``ShellColumns`` in the frame
+    ``strategy`` of frequency ``omega``: the closed form where the frame admits
+    one, which reads only ``family`` and ``rho`` of a quartic, else generic."""
+    if strategy == NAYFEH and shells.family != "quartic":
+        raise DomainError("nayfeh series requires a canonical quartic shell")
+    if strategy not in (BALANCED, NAYFEH) or shells.family not in ("quartic", "cubic"):
+        return _generic_rows(shells, strategy, omega, xi, N)
+    if shells.family == "quartic":
+        rho = np.array(shells.rho, dtype=float, ndmin=1)
+        errors = _rho_errors(rho.tolist())
+        if strategy == NAYFEH:
+            xi = rho / (2.0 * rho + 2.0)
+            return _summed_series(N, lambda n: _terms(_SQRT2 * math.pi / np.sqrt(1.0 + rho),
+                                                      (binom_minus_half(n),) * 2, xi, n),
+                                  np.abs(xi), errors, xi)
+        d = 4.0 + 3.0 * rho
+        xi = report = rho / d
+        pref = 2.0 * _SQRT2 * math.pi / np.sqrt(d)
+    else:  # the cubic, summed in the orientation whose residual rises
+        lo, hi = np.array(shells.x_minus, ndmin=1), np.array(shells.x_plus, ndmin=1)
+        flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
+        xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+        # ** 2 is C pow, whose rounding numpy's square does not reproduce.
+        xm2, xp2 = (np.array([v ** 2 for v in x.tolist()]) for x in (xm, xp))
+        sum_sq, cross = xp2 + xp * xm + xm2, xp2 + 4.0 * xp * xm + xm2
+        xi = (xp2 - xm2) / cross
+        errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")
+                  if v >= 1.0 - _BOUNDARY_TOL else None for v in np.abs(xi).tolist()]
+        pref, report = _SQRT2 * math.pi / np.sqrt(-cross / (2.0 * sum_sq)), np.where(flip, -xi, xi)
+    xi2 = xi * xi
+    return _summed_series(N, lambda n: _terms(pref, (_alternating_pair_coeffs(n),), xi2, n),
+                          np.sqrt(xi2), errors, report)
 
 
 def duffing_series_balanced(rho: float, N: int) -> SeriesResult:
@@ -482,10 +584,8 @@ def duffing_series_balanced(rho: float, N: int) -> SeriesResult:
 
     Converges for every rho > -1, i.e. for every energy with periodic motion.
     """
-    _require_oscillatory_rho(rho)
-    xi = rho / (4.0 + 3.0 * rho)
-    pref = 2.0 * _SQRT2 * math.pi / math.sqrt(4.0 + 3.0 * rho)
-    return _closed_form_series(pref, xi * xi, xi, N)
+    quartic = SimpleNamespace(family="quartic", rho=rho)  # all a closed form reads
+    return _one_row(_series_rows(quartic, BALANCED, None, None, N))
 
 
 def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
@@ -494,15 +594,8 @@ def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
     Terms are returned for every rho > -1 so divergence is observable; the
     regime flag carries the verdict.
     """
-    _require_oscillatory_rho(rho)
-    xi = rho / (2.0 * rho + 2.0)
-    pref = _SQRT2 * math.pi / math.sqrt(1.0 + rho)
-
-    def coeffs(n):
-        b = binom_minus_half(n)
-        return pref * b * b
-
-    return _summed_series(N, coeffs, xi, xi, abs(xi))
+    quartic = SimpleNamespace(family="quartic", rho=rho)  # all a closed form reads
+    return _one_row(_series_rows(quartic, NAYFEH, None, None, N))
 
 
 def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
@@ -516,23 +609,29 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     """
     if shell.family != "cubic":
         raise DomainError("the balanced cubic series requires a canonical cubic shell")
-    flip = not shell.residual[1] > 0.0
-    xm, xp = (-shell.x_plus, -shell.x_minus) if flip else (shell.x_minus, shell.x_plus)
-    sum_sq = xp ** 2 + xp * xm + xm ** 2
-    cross = xp ** 2 + 4.0 * xp * xm + xm ** 2
-    omega_b = math.sqrt(-cross / (2.0 * sum_sq))
-    xi = (xp ** 2 - xm ** 2) / cross
-    if abs(xi) >= 1.0 - _BOUNDARY_TOL:
-        raise SeparatrixError(f"|xi| = {abs(xi)} at or above 1: separatrix shell")
-    pref = _SQRT2 * math.pi / omega_b
-    return _closed_form_series(pref, xi * xi, -xi if flip else xi, N)
+    return _one_row(_series_rows(shell, BALANCED, None, None, N))
+
+
+def best_series(shell: EnergyShell, frame: BalancedFrame, N: int) -> SeriesResult:
+    """The closed-form series when the frame admits one, else the generic series."""
+    return _one_row(_series_rows(shell, frame.strategy, frame.omega, frame.xi, N))
+
+
+def series_columns(shells, strategy: str, omega, xi, N: int, omega0: float = 1.0):
+    """The series periods of ``ShellColumns`` in the frame that
+    :func:`~periodlab.frame.frame_columns` gives, as columns ``(T, Omega,
+    err_estimate, N, regime, errors)``: N is the index of each row's last term."""
+    _, _, stop, value, trunc, regime, errors, _ = _series_rows(shells, strategy, omega, xi, N)
+    scale = _SQRT2 / omega0
+    T, Omega, err, errors = _period_columns(scale * value, scale * trunc, errors)
+    return T, Omega, err, stop, [_REGIMES[r] for r in regime.tolist()], errors
 
 
 def period_from_series(series: SeriesResult, omega0: float = 1.0,
                        method: str = "series") -> PeriodResult:
     """Convert a series value of I into a period ``T = (sqrt 2 / omega0) I``."""
     scale = _SQRT2 / omega0
-    return _period_result(scale * series.value, method, scale * series.truncation_error)
+    return _period_result(scale * series.value, scale * series.truncation_error, method)
 
 
 def duffing_balanced_large_rho_limit(N: int) -> float:
@@ -540,20 +639,3 @@ def duffing_balanced_large_rho_limit(N: int) -> float:
     coeffs = _alternating_pair_coeffs(N)
     powers = (1.0 / 9.0) ** np.arange(N + 1)
     return 4.0 * math.pi / math.sqrt(3.0) * float(coeffs @ powers)
-
-
-# ---------------------------------------------------------------------------
-# Convenience dispatch used by the CLI and demos
-# ---------------------------------------------------------------------------
-
-def best_series(shell: EnergyShell, frame: BalancedFrame, N: int) -> SeriesResult:
-    """The closed-form series when the frame admits one, else the generic series."""
-    if frame.strategy == NAYFEH:
-        if shell.family != "quartic":
-            raise DomainError("nayfeh series requires a canonical quartic shell")
-        return duffing_series_nayfeh(shell.rho, N)
-    if frame.strategy == BALANCED and shell.family == "quartic":
-        return duffing_series_balanced(shell.rho, N)
-    if frame.strategy == BALANCED and shell.family == "cubic":
-        return cubic_series_balanced(shell, N)
-    return period_series_generic(frame, N)

@@ -564,7 +564,7 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     elsewhere the slot holds the error of the companion solve.
     """
     error = list(error)
-    slots = np.flatnonzero(np.equal(np.array(error, dtype=object), None))
+    slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
     if not slots.size:
         return ShellColumns.failed(error, max(U.coeffs.size - 2, 1))
     q = np.tile(-U.coeffs, (slots.size, 1))

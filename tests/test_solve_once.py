@@ -9,11 +9,14 @@ solve.  The canonical quartic's shells and barrier have closed forms, so a
 call on the duffing preset solves nothing.
 """
 
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import periodlab._poly as _poly
 import periodlab.frame as frame
@@ -124,7 +127,7 @@ def test_rho_sweep_failing_point_fails_only_its_own_slot(capsys):
 
 
 # ---------------------------------------------------------------------------
-# A quadrature sweep goes from the shell solve to the output in columns
+# A sweep by any method goes from the shell solve to the output in columns
 # ---------------------------------------------------------------------------
 
 SWEEPS = {
@@ -157,16 +160,22 @@ def built(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("sweep", sorted(SWEEPS))
-def test_quadrature_sweep_builds_no_shell_frame_or_well_per_point(sweep, built):
+@pytest.mark.parametrize("sweep, method", [
+    (sweep, method) for sweep in sorted(SWEEPS)
+    for method in ("quadrature", "series", "elliptic", "oracle")
+    # the sextic has no elliptic period
+    if (sweep, method) != ("poly", "elliptic")])
+def test_quadrature_sweep_builds_no_shell_frame_or_well_per_point(sweep, method, built):
     out = io.StringIO()
-    assert main(["sweep", *SWEEPS[sweep], "--steps", "50"], out=out) == 0
+    assert main(["sweep", *SWEEPS[sweep], "--steps", "50", "--method", method], out=out) == 0
     rows = out.getvalue().splitlines()[1:]
     assert len(rows) == 50 and all(row.endswith(",,") for row in rows)  # no error
     assert built["shells"] == built["frames"] == 0
     # the well of an energy sweep is checked once (twice for poly: from the
-    # physical coefficients, then as built); a rho point builds no well
-    assert built["derivatives"] == {"duffing-rho": 0, "poly": 2}.get(sweep, 1)
+    # physical coefficients, then as built); a rho point builds a well only
+    # for the oracle, which integrates its motion
+    rho_wells = 50 if method == "oracle" else 0
+    assert built["derivatives"] == {"duffing-rho": rho_wells, "poly": 2}.get(sweep, 1)
 
 
 @pytest.mark.parametrize("grid, scalar_calls", [
@@ -193,8 +202,75 @@ def test_rho_sweep_forms_s_on_columns(grid, scalar_calls, monkeypatch):
     assert len(calls) == scalar_calls
 
 
-@pytest.mark.parametrize("sweep", sorted(SWEEPS))
-def test_series_sweep_builds_one_shell_and_frame_per_point(sweep, built):
+# Each well's flags and an energy a little above its barrier, or a top for a
+# well without one, so that grids cross into error rows.
+ROUTE_WELLS = {
+    "cubic+": (["--preset", "cubic", "--lambda", "1"], 0.2),
+    "cubic-": (["--preset", "cubic", "--lambda", "-1"], 0.2),
+    "quartic+": (["--preset", "duffing", "--lambda", "0.7"], 2.0),
+    "quartic-": (["--preset", "duffing", "--lambda", "-0.7"], 0.4),
+    "poly4": (["--preset", "poly", "--coeffs", "0", "0", "0.5", "-0.2", "0.3"], 1.0),
+    "sextic": (["--preset", "poly", "--coeffs", "0", "0", "0.5", "0.05", "0.1", "-0.02",
+                "-0.1"], 0.7),
+}
+
+
+def _json_records(argv):
     out = io.StringIO()
-    assert main(["sweep", *SWEEPS[sweep], "--steps", "50", "--method", "series"], out=out) == 0
-    assert built["shells"] == built["frames"] == 50
+    with contextlib.redirect_stderr(io.StringIO()):
+        main(argv + ["--format", "json"], out=out)
+    records = json.loads(out.getvalue())
+    return records if isinstance(records, list) else [records]
+
+
+def _hex(v):
+    return v.hex() if isinstance(v, float) else v
+
+
+# A rho grid: through rho = 0, where the residual has degree 0, or on a log
+# scale down to rho whose series terms underflow to zero.
+RHO_GRIDS = st.one_of(
+    st.tuples(st.floats(0.01, 0.9), st.sampled_from([3, 5])).map(
+        lambda g: ["--from", repr(-g[0]), "--to", repr(g[0]), "--steps", str(g[1])]),
+    st.tuples(st.integers(-300, 6), st.integers(1, 150), st.integers(2, 4)).map(
+        lambda g: ["--from", f"1e{g[0]}", "--to", f"1e{g[0] + g[1]}", "--steps", str(g[2]),
+                   "--log"]))
+
+
+@settings(max_examples=80, deadline=None)
+# rows of two residual degrees, the harmonic one at rho = 0, in the generic series
+@example(well="rho", method="series", frame="fixed:1.1", N=16, span=[0.5, 1.0], steps=2,
+         rho_grid=["--from", "-0.5", "--to", "0.5", "--steps", "3"])
+@given(well=st.sampled_from(sorted(ROUTE_WELLS) + ["rho"]),
+       method=st.sampled_from(["series", "elliptic"]),
+       frame=st.one_of(st.sampled_from(["balanced", "nayfeh"]),
+                       st.floats(0.3, 3.0).map(lambda w: f"fixed:{w!r}")),
+       N=st.sampled_from([0, 1, 4, 16, 30]),
+       span=st.tuples(st.floats(0.001, 1.0), st.floats(0.001, 1.0)).map(sorted),
+       steps=st.integers(2, 5), rho_grid=RHO_GRIDS)
+def test_series_and_elliptic_sweep_rows_are_the_period_records(well, method, frame, N, span,
+                                                              steps, rho_grid):
+    """Each row of a series or elliptic sweep is the ``period`` record at its grid
+    value, to the bit: T, Omega, err_estimate, N and regime, or the error."""
+    assume(not (method == "elliptic" and well == "sextic"))  # no elliptic period
+    common = ["--frame", frame, "--N", str(N), "--method", method]
+    if well == "rho":
+        rows = _json_records(["sweep", "--preset", "duffing", *common, "--param", "rho",
+                              *rho_grid])
+        point = [["--preset", "duffing", "--lambda", repr(row["lambda"]), "--amplitude", "1"]
+                 for row in rows]
+    else:
+        flags, top = ROUTE_WELLS[well]
+        assume(span[0] < span[1])
+        rows = _json_records(["sweep", *flags, *common, "--param", "energy", "--from",
+                              repr(span[0] * top), "--to", repr(span[1] * top),
+                              "--steps", str(steps)])
+        point = [flags + ["--energy", repr(row["energy"])] for row in rows]
+    for row, at in zip(rows, point):
+        (record,) = _json_records(["period", *at, *common])
+        if row["error"] is not None:
+            assert (record["error"], record["error_kind"]) == (row["error"], row["error_kind"])
+            continue
+        assert record["error"] is None
+        for field in ("T", "Omega", "err_estimate", "N", "regime"):
+            assert _hex(record[field]) == _hex(row[field]), field
