@@ -484,8 +484,7 @@ def cmd_sweep(args, tol, out) -> int:
             if args.method == "quadrature":
                 *periods, failed = quadrature_columns(*ends, args.omega0, tol)
             elif args.method == "series":
-                *periods, failed = series_columns(shells, strategy, omega_ref, xi, args.N,
-                                                  args.omega0)
+                *periods, failed = series_columns(shells, strategy, omega_ref, args.N, args.omega0)
             elif args.method == "elliptic":
                 _require_elliptic(shells)
                 *periods, failed = _each_row(lambda *row: _elliptic(*row, args.omega0),

@@ -21,7 +21,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -380,9 +379,9 @@ def duffing_large_rho_constant() -> float:
 # Binomial series machinery
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def binom_minus_half(n: int) -> np.ndarray:
-    """``C(-1/2, j)`` for j = 0..n by the stable recurrence, once per n; read-only."""
+@functools.lru_cache(maxsize=1)
+def _binomials(n: int) -> np.ndarray:
+    """:func:`binom_minus_half` of the last n asked for, read-only."""
     b = np.empty(n + 1)
     b[0] = c = 1.0
     for j in range(n):
@@ -391,10 +390,15 @@ def binom_minus_half(n: int) -> np.ndarray:
     return b
 
 
-@functools.cache
+def binom_minus_half(n: int) -> np.ndarray:
+    """``C(-1/2, j)`` for j = 0..n by the stable recurrence (no factorials)."""
+    return _binomials(n).copy()
+
+
+@functools.lru_cache(maxsize=1)
 def _alternating_pair_coeffs(N: int) -> np.ndarray:
-    """``(-1)^j C(-1/2, j) C(-1/2, 2j)`` for j = 0..N, once per N; read-only."""
-    b, j = binom_minus_half(2 * N), np.arange(N + 1)
+    """``(-1)^j C(-1/2, j) C(-1/2, 2j)`` for j = 0..N, of the last N asked for; read-only."""
+    b, j = _binomials(2 * N), np.arange(N + 1)
     c = (-1.0) ** j * b[j] * b[2 * j]
     c.flags.writeable = False
     return c
@@ -403,14 +407,20 @@ def _alternating_pair_coeffs(N: int) -> np.ndarray:
 def _terms(pref, coeffs, step, N: int, weight=None, block=None):
     """The terms j = 0..N of each row i as column i, ``block`` at a time:
     ``pref[i] coeffs[0][j] ...`` times the power ``step[i]^j``, or, where ``step``
-    holds a row of nodes per row, ``weight`` times the sum of their powers.  The
-    powers are ``np.multiply.accumulate``, which runs in order as a loop does."""
+    holds a row of nodes per row, ``weight`` times the sum of their powers.  Each
+    power is the one before times ``step``, as a loop forms it: one
+    ``np.multiply.accumulate`` for a step per row, and a multiply per term for
+    rows of nodes, on which an accumulate runs a node at a time."""
     block = block or max(1, _QUAD_CHUNK // step.size)
     for lo in range(0, N + 1, block):
         p = np.empty((min(block, N + 1 - lo),) + step.shape)
         p[0] = power * step if lo else 1.0  # power: the last of the block before
-        p[1:] = step
-        np.multiply.accumulate(p, axis=0, out=p)
+        if weight is None:
+            p[1:] = step
+            np.multiply.accumulate(p, axis=0, out=p)
+        else:
+            for before, after in zip(p, p[1:]):
+                np.multiply(before, step, out=after)
         power = p[-1]
         c = pref
         for f in coeffs:
@@ -421,49 +431,48 @@ def _terms(pref, coeffs, step, N: int, weight=None, block=None):
 _REGIMES = (CONVERGENT, BOUNDARY, DIVERGENT)
 
 
-def _summed_series(N: int, blocks, ratio, errors: list, xi=None) -> tuple:
+def _summed_series(N: int, blocks, ratio, errors: list) -> tuple:
     """The partial-sum loop behind every series, on rows: ``(terms, sums, stop,
-    value, trunc, regime, errors, xi)``.  ``blocks(N)`` yields the terms j = 0..N
-    of each row i as column i, a block at a time (:func:`_terms`).  While its
+    value, trunc, regime, errors)``.  ``blocks(N)`` yields the terms j = 0..N of
+    each row i as column i, a block at a time (:func:`_terms`).  While its
     governing ``ratio`` is below 1, row i stops at the first j > 0 where term j
     and the one before fall below ``_EARLY_STOP_RTOL`` of the running sum, an
     ``np.add.accumulate``, and sums ``terms[:stop[i] + 1, i]`` to ``value[i]``;
-    a divergent row keeps all N + 1 terms.  Blocks end once every row without an
-    error has stopped.  A row's tail estimate is its last nonzero term,
-    extrapolated geometrically where it is below the nonzero term before, or 0
-    where the ratio is.  The caller ignores overflow and invalid values.
+    a divergent row keeps all N + 1 terms.  Blocks end once no row is left to
+    stop or to keep its terms; a row with an error stops at the last term
+    formed.  A row's tail estimate is its last nonzero term, extrapolated
+    geometrically where it is below the nonzero term before, or 0 where the
+    ratio is.  The caller ignores overflow and invalid values.
     """
     if N < 0:
         errors = [exc or DomainError(f"series cap N must be >= 0, got {N}") for exc in errors]
         N = 0
-    # The bound per unit of the running sum: 0 for a row that keeps its terms.
-    rtol = _EARLY_STOP_RTOL * (ratio < 1.0)
-    if any(errors):
-        rtol[[e is not None for e in errors]] = 0.0
+    # The bound on two terms per unit of the running sum: -inf for a row that
+    # keeps all its terms, 0 for a row that has stopped or has an error.
+    rtol = np.where(ratio < 1.0, _EARLY_STOP_RTOL, -math.inf)
+    rtol[[e is not None for e in errors]] = 0.0
     i, stop, lo, parts = np.arange(len(ratio)), N, 0, []
     for t in blocks(N):
-        a = np.empty((len(t) + 1, len(ratio)))  # |t| after the term before, 0 before term 0
-        a[0] = parts[-1][2][-1] if parts else 0.0
+        # Row 0 of s and a: the running sum and |term| before the block, 0 before term 0.
+        s, a = np.empty((2, len(t) + 1, len(ratio)))
+        s[0], a[0] = (parts[-1][1][-1], parts[-1][2][-1]) if parts else (0.0, 0.0)
+        s[1:] = t
+        np.add.accumulate(s, axis=0, out=s)
         np.abs(t, out=a[1:])
-        s = (np.add.accumulate(np.concatenate((parts[-1][1][-1:], t)), axis=0)[1:] if parts
-             else np.add.accumulate(t, axis=0))
-        hit = np.maximum(a[1:], a[:-1]) < np.abs(s) * rtol
+        hit = np.maximum(a[1:], a[:-1]) < np.abs(s[1:]) * rtol
         m = hit.argmax(axis=0)
         found = hit[m, i]
         stop = np.where(found, m + lo, stop)
-        parts.append((t, s, a[1:] if parts else a))
-        lo += len(t)
-        if lo > N:
-            break
         rtol[found] = 0.0
-        if not np.count_nonzero(rtol) and all(r < 1.0 or e for r, e in zip(ratio.tolist(), errors)):
+        parts.append((t, s[1:], a[1:] if parts else a))
+        lo += len(t)
+        if not np.count_nonzero(rtol):
             break
-    terms, sums, a = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+    stop = np.minimum(stop, lo - 1)
+    terms, sums, a = (np.concatenate(x) for x in zip(*parts))
     value = sums[stop, i]
-    if np.count_nonzero(np.isfinite(value)) < len(value):
-        for j in (~np.isfinite(value)).nonzero()[0].tolist():
-            errors[j] = errors[j] or ConvergenceError(
-                f"series partial sum {value[j]} is not finite")
+    for j in np.flatnonzero(~np.isfinite(value)).tolist():
+        errors[j] = errors[j] or ConvergenceError(f"series partial sum {value[j]} is not finite")
     # Row j + 1 of a is |term j|: the row of the last nonzero one up to each
     # row, 0 where there is none, then the last two up to the stop.
     nonzero = np.maximum.accumulate((a > 0.0) * np.arange(len(a))[:, None], axis=0)
@@ -473,24 +482,24 @@ def _summed_series(N: int, blocks, ratio, errors: list, xi=None) -> tuple:
     trunc = np.where(a1 < a2, a1 * r / (1.0 - r), a1) * (ratio != 0.0)
     # NaN is neither below 1 - tol nor at most 1 + tol: divergent.
     regime = 2 - (ratio <= 1.0 + _BOUNDARY_TOL) - (ratio < 1.0 - _BOUNDARY_TOL)
-    return terms, sums, stop, value, trunc, regime, errors, xi
+    return terms, sums, stop, value, trunc, regime, errors
 
 
-def _one_row(rows: tuple) -> SeriesResult:
-    """The :class:`SeriesResult` of one row of :func:`_summed_series`, or its error."""
-    terms, sums, stop, _, trunc, regime, errors, xi = rows
+def _one_row(rows: tuple, xi: float | None) -> SeriesResult:
+    """The :class:`SeriesResult` of one row of :func:`_summed_series` that
+    reports ``xi``, or its error."""
+    terms, sums, stop, _, trunc, regime, errors = rows
     if errors[0] is not None:
         raise errors[0]
     k, trunc, regime = int(stop[0]) + 1, float(trunc[0]), _REGIMES[regime[0]]
-    sums = sums[:k, 0].tolist()
-    return SeriesResult(tuple(terms[:k, 0].tolist()), tuple(sums),
-                        None if xi is None else float(xi[0]),
+    sums, xi = sums[:k, 0].tolist(), None if xi is None else float(xi)
+    return SeriesResult(tuple(terms[:k, 0].tolist()), tuple(sums), xi,
                         regime == CONVERGENT and trunc <= _CONVERGED_RTOL * abs(sums[-1]),
                         trunc, regime)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _generic_rows(shells, strategy: str, omega, xi, N: int) -> tuple:
+def _generic_rows(shells, strategy: str, omega, N: int) -> tuple:
     """The binomial series of polynomial shells, by exact angle moments: each
     ``int_0^pi Delta^j dtheta`` is a polynomial in cos(theta), which the
     Gauss-Chebyshev rule with enough nodes for the degree of the residual, cut
@@ -511,29 +520,27 @@ def _generic_rows(shells, strategy: str, omega, xi, N: int) -> tuple:
     nodes = [max(16, (N * max(d, 1)) // 2 + 2) for d in deg.tolist()]
     # The rows of each node count go together, as at rho = 0 on a rho grid.
     groups = [(n, [j for j, m in enumerate(nodes) if m == n]) for n in set(nodes)]
-    groups = groups if len(groups) > 1 else [(nodes[0], slice(None))]
     block = max(1, _QUAD_CHUNK // (rows * max(nodes)))
+    mid, half, pref = 0.5 * (hi + lo), 0.5 * (hi - lo), _SQRT2 / omega
 
     def blocks(N):
         parts = []
         for n, g in groups:
-            x = (0.5 * (hi[g] + lo[g]))[:, None] + (0.5 * (hi[g] - lo[g]))[:, None] * (
-                _level_nodes(n, False)[0])
+            x = mid[g, None] + half[g, None] * _level_nodes(n, False)[0]
             delta = (2.0 * _horner(residual[g], x) - w2[g, None]) / w2[g, None]
-            parts.append(_terms(_SQRT2 / omega[g], (binom_minus_half(N),), delta, N, math.pi / n,
-                                block))
+            parts.append(_terms(pref[g], (_binomials(N),), delta, N, math.pi / n, block))
         for ts in zip(*parts):
             t = np.empty((len(ts[0]), rows))
             for (_, g), part in zip(groups, ts):
                 t[:, g] = part
             yield t
 
-    return _summed_series(N, blocks, sup, errors, None if xi is None else np.full(rows, xi))
+    return _summed_series(N, blocks, sup, errors)
 
 
 def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     """The binomial series for any polynomial shell (:func:`_generic_rows`)."""
-    return _one_row(_generic_rows(frame.shell, frame.strategy, frame.omega, frame.xi, N))
+    return _one_row(_generic_rows(frame.shell, frame.strategy, frame.omega, N), frame.xi)
 
 
 def _rho_errors(rhos) -> list:
@@ -543,40 +550,57 @@ def _rho_errors(rhos) -> list:
             for rho in rhos]
 
 
+def _closed_form(pref, xi, errors: list, N: int) -> tuple:
+    """:func:`_summed_series` of ``pref (-1)^j C(-1/2, j) C(-1/2, 2j) xi^2j``."""
+    xi2 = xi * xi
+    return _summed_series(N, lambda n: _terms(pref, (_alternating_pair_coeffs(n),), xi2, n),
+                          np.sqrt(xi2), errors)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _series_rows(shells, strategy: str, omega, xi, N: int) -> tuple:
+def _quartic_rows(rho, strategy: str, N: int) -> tuple:
+    """The closed-form series of canonical quartic shells at ``rho`` in the
+    balanced or nayfeh frame, and the xi of each."""
+    rho = np.array(rho, dtype=float, ndmin=1)
+    errors = _rho_errors(rho.tolist())
+    if strategy == NAYFEH:
+        xi = rho / (2.0 * rho + 2.0)
+        return _summed_series(N, lambda n: _terms(_SQRT2 * math.pi / np.sqrt(1.0 + rho),
+                                                  (_binomials(n),) * 2, xi, n),
+                              np.abs(xi), errors), xi
+    d = 4.0 + 3.0 * rho
+    xi = rho / d
+    return _closed_form(2.0 * _SQRT2 * math.pi / np.sqrt(d), xi, errors, N), xi
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _cubic_rows(shells, N: int) -> tuple:
+    """The closed-form series of canonical cubic shells, summed in the
+    orientation whose residual rises, and the xi of each shell itself."""
+    lo, hi = np.array(shells.x_minus, ndmin=1), np.array(shells.x_plus, ndmin=1)
+    flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
+    xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    # ** 2 is C pow, whose rounding numpy's square does not reproduce.
+    xm2, xp2 = (np.array([v ** 2 for v in x.tolist()]) for x in (xm, xp))
+    sum_sq, cross = xp2 + xp * xm + xm2, xp2 + 4.0 * xp * xm + xm2
+    xi = (xp2 - xm2) / cross
+    errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")
+              if v >= 1.0 - _BOUNDARY_TOL else None for v in np.abs(xi).tolist()]
+    return (_closed_form(_SQRT2 * math.pi / np.sqrt(-cross / (2.0 * sum_sq)), xi, errors, N),
+            np.where(flip, -xi, xi))
+
+
+def _series_rows(shells, strategy: str, omega, N: int) -> tuple:
     """The series of one :class:`EnergyShell` or ``ShellColumns`` in the frame
-    ``strategy`` of frequency ``omega``: the closed form where the frame admits
-    one, which reads only ``family`` and ``rho`` of a quartic, else generic."""
+    ``strategy`` of frequency ``omega``, and the xi it reports: the closed form
+    where the frame admits one, else generic, which reports None."""
     if strategy == NAYFEH and shells.family != "quartic":
         raise DomainError("nayfeh series requires a canonical quartic shell")
     if strategy not in (BALANCED, NAYFEH) or shells.family not in ("quartic", "cubic"):
-        return _generic_rows(shells, strategy, omega, xi, N)
+        return _generic_rows(shells, strategy, omega, N), None
     if shells.family == "quartic":
-        rho = np.array(shells.rho, dtype=float, ndmin=1)
-        errors = _rho_errors(rho.tolist())
-        if strategy == NAYFEH:
-            xi = rho / (2.0 * rho + 2.0)
-            return _summed_series(N, lambda n: _terms(_SQRT2 * math.pi / np.sqrt(1.0 + rho),
-                                                      (binom_minus_half(n),) * 2, xi, n),
-                                  np.abs(xi), errors, xi)
-        d = 4.0 + 3.0 * rho
-        xi = report = rho / d
-        pref = 2.0 * _SQRT2 * math.pi / np.sqrt(d)
-    else:  # the cubic, summed in the orientation whose residual rises
-        lo, hi = np.array(shells.x_minus, ndmin=1), np.array(shells.x_plus, ndmin=1)
-        flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
-        xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-        # ** 2 is C pow, whose rounding numpy's square does not reproduce.
-        xm2, xp2 = (np.array([v ** 2 for v in x.tolist()]) for x in (xm, xp))
-        sum_sq, cross = xp2 + xp * xm + xm2, xp2 + 4.0 * xp * xm + xm2
-        xi = (xp2 - xm2) / cross
-        errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")
-                  if v >= 1.0 - _BOUNDARY_TOL else None for v in np.abs(xi).tolist()]
-        pref, report = _SQRT2 * math.pi / np.sqrt(-cross / (2.0 * sum_sq)), np.where(flip, -xi, xi)
-    xi2 = xi * xi
-    return _summed_series(N, lambda n: _terms(pref, (_alternating_pair_coeffs(n),), xi2, n),
-                          np.sqrt(xi2), errors, report)
+        return _quartic_rows(shells.rho, strategy, N)
+    return _cubic_rows(shells, N)
 
 
 def duffing_series_balanced(rho: float, N: int) -> SeriesResult:
@@ -584,8 +608,8 @@ def duffing_series_balanced(rho: float, N: int) -> SeriesResult:
 
     Converges for every rho > -1, i.e. for every energy with periodic motion.
     """
-    quartic = SimpleNamespace(family="quartic", rho=rho)  # all a closed form reads
-    return _one_row(_series_rows(quartic, BALANCED, None, None, N))
+    rows, xi = _quartic_rows(rho, BALANCED, N)
+    return _one_row(rows, xi[0])
 
 
 def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
@@ -594,8 +618,8 @@ def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
     Terms are returned for every rho > -1 so divergence is observable; the
     regime flag carries the verdict.
     """
-    quartic = SimpleNamespace(family="quartic", rho=rho)  # all a closed form reads
-    return _one_row(_series_rows(quartic, NAYFEH, None, None, N))
+    rows, xi = _quartic_rows(rho, NAYFEH, N)
+    return _one_row(rows, xi[0])
 
 
 def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
@@ -609,19 +633,21 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     """
     if shell.family != "cubic":
         raise DomainError("the balanced cubic series requires a canonical cubic shell")
-    return _one_row(_series_rows(shell, BALANCED, None, None, N))
+    rows, xi = _cubic_rows(shell, N)
+    return _one_row(rows, xi[0])
 
 
 def best_series(shell: EnergyShell, frame: BalancedFrame, N: int) -> SeriesResult:
     """The closed-form series when the frame admits one, else the generic series."""
-    return _one_row(_series_rows(shell, frame.strategy, frame.omega, frame.xi, N))
+    rows, xi = _series_rows(shell, frame.strategy, frame.omega, N)
+    return _one_row(rows, frame.xi if xi is None else xi[0])
 
 
-def series_columns(shells, strategy: str, omega, xi, N: int, omega0: float = 1.0):
+def series_columns(shells, strategy: str, omega, N: int, omega0: float = 1.0):
     """The series periods of ``ShellColumns`` in the frame that
     :func:`~periodlab.frame.frame_columns` gives, as columns ``(T, Omega,
     err_estimate, N, regime, errors)``: N is the index of each row's last term."""
-    _, _, stop, value, trunc, regime, errors, _ = _series_rows(shells, strategy, omega, xi, N)
+    (_, _, stop, value, trunc, regime, errors), _ = _series_rows(shells, strategy, omega, N)
     scale = _SQRT2 / omega0
     T, Omega, err, errors = _period_columns(scale * value, scale * trunc, errors)
     return T, Omega, err, stop, [_REGIMES[r] for r in regime.tolist()], errors

@@ -6,6 +6,7 @@ path under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -45,6 +46,8 @@ from periodlab import (
     period_series_generic,
     turning_points,
 )
+from periodlab.period import series_columns
+from periodlab.potential import shell_columns
 
 # mpmath oracle values (40 significant digits at computation time)
 K_HALF = 1.8540746773013719
@@ -454,6 +457,9 @@ def test_binomial_recurrence_values():
     assert b[2] == pytest.approx(3.0 / 8.0, rel=1e-15)
     assert b[3] == pytest.approx(-5.0 / 16.0, rel=1e-15)
     assert b[4] == pytest.approx(35.0 / 128.0, rel=1e-15)
+    # Each call returns its own writable array.
+    b[0] = 2.0
+    assert binom_minus_half(4)[0] == 1.0
 
 
 def test_period_from_series_scaling():
@@ -686,3 +692,35 @@ def test_elliptic_period_rejects_separatrix_limits():
     for rho in (-1.0, -1.5, -3.0):
         with pytest.raises(SeparatrixError):
             duffing_elliptic(rho)
+
+
+# ---------------------------------------------------------------------------
+# Series on rows: a row with an error among rows summed past one block
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy, one_row", [("balanced", duffing_series_balanced),
+                                               ("nayfeh", duffing_series_nayfeh)])
+def test_closed_form_error_row_past_one_block_of_terms(strategy, one_row):
+    # Two rows take terms 131,072 at a time; the rho = 0.5 row stops in the
+    # first block, and the rho = -1 row, an error, must not be read at N.  The
+    # closed form reads only the family and rho of its shells, and no shell
+    # solve gives a row at rho = -1, so the rows are a stand-in.
+    N = 300_000
+    quartic = SimpleNamespace(family="quartic", rho=np.array([0.5, -1.0]))
+    T, _, err, stop, regime, errors = series_columns(quartic, strategy, None, N)
+    expected = one_row(0.5, N)
+    assert (T[0], err[0]) == (period_from_series(expected).T,
+                              period_from_series(expected).err_estimate)
+    assert (stop[0], regime[0], errors[0]) == (len(expected.terms) - 1, expected.regime, None)
+    assert isinstance(errors[1], SeparatrixError) and math.isnan(T[1])
+
+
+def test_generic_error_row_past_one_block_of_terms():
+    U, N = duffing_potential(1.0), 1000
+    shells = shell_columns(U, [0.1, 0.2])
+    T, _, err, stop, _, errors = series_columns(shells, "fixed", np.array([1.0, 1e200]), N)
+    expected = period_series_generic(fixed_frame(turning_points(U, 0.1), 1.0), N)
+    assert (T[0], err[0], stop[0]) == (period_from_series(expected).T,
+                                       period_from_series(expected).err_estimate,
+                                       len(expected.terms) - 1)
+    assert isinstance(errors[1], DomainError) and math.isnan(T[1])
