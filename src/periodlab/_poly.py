@@ -7,7 +7,7 @@ The helpers also take one polynomial per row of a 2-D array, so a family of
 polynomials of one degree (``E - U`` over an energy grid) is solved in one go;
 each row gets exactly the arithmetic it would get on its own.  Every
 polynomial of a well is evaluated here, by :func:`polyval` or, in the
-oracle's inner loop, by the compiled :func:`_polynomial`.
+oracle, by the compiled Horner expression of :func:`_horner_text`.
 
 Roots are polished in plain double arithmetic, so a root ends as accurate as
 rounding in the polynomial allows: about 1e-15 relative for a well separated
@@ -90,17 +90,23 @@ def two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def _horner_text(degree: int, x: str) -> str:
+    """The unrolled Horner expression ``((c_d) * x + c_{d-1}) * x ... + c0`` of
+    the coefficients ``c0, ..., c_degree`` at the variable named ``x``."""
+    expr = f"c{degree}"
+    for i in range(degree - 1, -1, -1):
+        expr = f"({expr}) * {x} + c{i}"
+    return expr
+
+
 @functools.cache
 def _horner_maker(degree: int):
     """A function of ``c0, ..., c_degree`` that returns their polynomial as
-    one unrolled Horner expression ``lambda x: (c_d * x + c_{d-1}) * x ...``,
-    compiled once per degree."""
-    names = [f"c{i}" for i in range(degree + 1)]
-    expr = names[-1]
-    for name in reversed(names[:-1]):
-        expr = f"({expr}) * x + {name}"
+    one :func:`_horner_text` expression ``lambda x: ...``, compiled once per
+    degree."""
+    args = ", ".join(f"c{i}" for i in range(degree + 1))
     namespace: dict = {}
-    exec(f"def make({', '.join(names)}):\n    return lambda x: {expr}\n", namespace)
+    exec(f"def make({args}):\n    return lambda x: {_horner_text(degree, 'x')}\n", namespace)
     return namespace["make"]
 
 

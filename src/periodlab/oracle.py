@@ -6,7 +6,9 @@ Norsett & Wanner, *Solving ODEs I*, II.14; Bulirsch & Stoer 1966).  A macro
 step of length H runs Stormer's rule in its summed form with n = 2, 4, ...,
 2k substeps and extrapolates the k results to zero substep by Neville's
 scheme in (H/n)^2; the last two diagonal entries of the tableau give the
-step's error estimate and choose the next H.
+step's error estimate and choose the next H.  The macro step is compiled once
+per degree of the force into straight-line code with the arithmetic of the
+loop over the tableau's columns, in the loop's order.
 
 The motion starts at the well's minimum with all its energy kinetic, so no
 turning point, shell or frame is read.  The motion is time-reversible, so the
@@ -17,10 +19,11 @@ of a partial macro step from the last step's start, where v' = -U'(x).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from ._poly import _polynomial
+from ._poly import _horner_text, _polynomial
 from .errors import DomainError
 from .frame import balanced_frame  # noqa: F401  (a name layer tracers bind)
 from .potential import (  # noqa: F401  (turning_points: a name layer tracers bind)
@@ -102,57 +105,64 @@ class OracleReport:
     reliable: bool
 
 
-def _force(U: PolynomialPotential):
-    """``-U'(x)``; rounding is symmetric, so Horner on the negated
-    coefficients gives the bits of ``-(U'(x))``."""
-    return _polynomial(-U.slope_coeffs)
+def _dynamics(U: PolynomialPotential):
+    """``(force, step)``: ``-U'(x)``, and its macro step by :func:`_step_maker`.
+    Rounding is symmetric, so Horner on the negated coefficients gives the
+    bits of ``-(U'(x))``."""
+    c = -U.slope_coeffs
+    return _polynomial(c), _step_maker(len(c) - 1)(*c.tolist())
 
 
-def _step(force, x: float, v: float, a: float, H: float):
-    """One macro step of length ``H`` from ``(x, v)``, where ``a = force(x)``.
+@functools.cache
+def _step_maker(degree: int):
+    """A function of the force's coefficients ``c0, ..., c_degree`` that
+    returns its macro step ``step(x, v, a, H)`` of length ``H`` from
+    ``(x, v)``, where ``a = force(x)``; compiled once per degree.
 
     Column j runs Stormer's rule in summed form with ``n = 2j`` substeps of
     ``h = H/n``: ``d = h (v + h a / 2)``, then ``x += d`` and ``d += h^2 f(x)``
     for each interior substep, and ``v = d / h + h f(x_n) / 2`` at the end;
-    both results expand in even powers of h.  Returns ``(x, v, dx, dv)``: the
+    both results expand in even powers of h.  The code is straight-line: each
+    ``f`` is the force's :func:`_horner_text` inlined, each tableau entry a
+    local, and Neville's weights integer literals, so the step runs in any
+    precision its inputs have.  The step returns ``(x, v, dx, dv)``: the
     extrapolated state and the difference of the last two entries of the
     tableau's last row, the step's error estimate.
     """
-    last_x = last_v = ()
-    for n, weights in zip(_SUBSTEPS, _NEVILLE):
-        h = H / n
-        hh = h * h
-        d = h * (v + 0.5 * h * a)
-        y = x + d
-        for _ in range(n - 1):
-            d += hh * force(y)
-            y += d
-        row_x = [y]
-        row_v = [d / h + 0.5 * h * force(y)]
-        for l, (m2, d2) in enumerate(weights):
-            row_x.append(row_x[l] + (row_x[l] - last_x[l]) * m2 / d2)
-            row_v.append(row_v[l] + (row_v[l] - last_v[l]) * m2 / d2)
-        last_x, last_v = row_x, row_v
-    return last_x[-1], last_v[-1], last_x[-1] - last_x[-2], last_v[-1] - last_v[-2]
+    f = _horner_text(degree, "y")
+    body = []
+    for j, (n, weights) in enumerate(zip(_SUBSTEPS, _NEVILLE)):
+        body += [f"h = H / {n}", "hh = h * h", "d = h * (v + 0.5 * h * a)", "y = x + d"]
+        body += [f"d += hh * ({f})", "y += d"] * (n - 1)
+        body += [f"x{j}_0 = y", f"v{j}_0 = d / h + 0.5 * h * ({f})"]
+        body += [f"{r}{j}_{l + 1} = {r}{j}_{l} + ({r}{j}_{l} - {r}{j - 1}_{l}) * {m2} / {d2}"
+                 for l, (m2, d2) in enumerate(weights) for r in "xv"]
+    k = _K - 1
+    body.append(f"return x{k}_{k}, v{k}_{k}, x{k}_{k} - x{k}_{k - 1}, v{k}_{k} - v{k}_{k - 1}")
+    args = ", ".join(f"c{i}" for i in range(degree + 1))
+    namespace: dict = {}
+    exec(f"def make({args}):\n    def step(x, v, a, H):\n"
+         + "".join(f"        {line}\n" for line in body) + "    return step\n", namespace)
+    return namespace["make"]
 
 
 def integrate(U: PolynomialPotential, state0: TrajectoryState, dtau: float,
               n: int) -> list[TrajectoryState]:
     """Advance ``n`` macro steps of size ``dtau``; returns the n+1 states."""
-    if dtau <= 0.0:
-        raise DomainError(f"dtau must be positive, got {dtau}")
+    if not 0.0 < dtau < math.inf:
+        raise DomainError(f"dtau must be finite and positive, got {dtau}")
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
-    force = _force(U)
+    force, step = _dynamics(U)
     x, v = state0.x, state0.v
     states = [state0]
     for i in range(1, n + 1):
-        x, v, _, _ = _step(force, x, v, force(x), dtau)
+        x, v, _, _ = step(x, v, force(x), dtau)
         states.append(TrajectoryState(tau=state0.tau + i * dtau, x=x, v=v))
     return states
 
 
-def _crossing(force, x: float, v: float, a: float, v1: float, a1: float, H: float):
+def _crossing(step, force, x: float, v: float, a: float, v1: float, a1: float, H: float):
     """The length ``s`` of the partial macro step from ``(x, v)`` that ends on
     ``v = 0``, where the full step of length ``H`` ends at velocity ``v1``
     with ``a1 = force(x1)``; returns ``(s, macro steps taken)``.
@@ -180,7 +190,7 @@ def _crossing(force, x: float, v: float, a: float, v1: float, a1: float, H: floa
     steps = 0
     last = math.inf
     for _ in range(_NEWTON_MAX):
-        xs, vs, _, _ = _step(force, x, v, a, s)
+        xs, vs, _, _ = step(x, v, a, s)
         steps += 1
         slope = force(xs)
         if slope == 0.0 or not 0.0 < s - vs / slope <= H:
@@ -219,9 +229,9 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
     energy = float(energy)
     barrier = U.barrier
     _check_energy(energy, barrier)
-    if dtau is not None and not dtau > 0.0:
-        raise DomainError(f"dtau must be positive, got {dtau}")
-    force, potential = _force(U), _polynomial(U.coeffs)
+    if dtau is not None and not 0.0 < dtau < math.inf:
+        raise DomainError(f"dtau must be finite and positive, got {dtau}")
+    (force, step), potential = _dynamics(U), _polynomial(U.coeffs)
     x = float(U.minimum_x)
     kinetic = energy - potential(x)
     if not kinetic > 0.0:
@@ -251,7 +261,7 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
         if tau > tau_cap or steps >= _MAX_STEPS or tau + H == tau:
             capped = True
             break
-        x1, v1, dx, dv = _step(force, x, v, a, H)
+        x1, v1, dx, dv = step(x, v, a, H)
         steps += 1
         if not fixed:
             err = max(abs(dx) / x_scale, abs(dv) / v_scale) / tol
@@ -276,7 +286,7 @@ def measure_period(U: PolynomialPotential, energy: float | EnergyShell, *,
         drift = max(drift, abs(0.5 * v1 * v1 + potential(x1) - energy))
         a1 = force(x1)
         if v != 0.0 and (v1 == 0.0 or (v1 < 0.0) != (v < 0.0)):
-            s, n = _crossing(force, x, v, a, v1, a1, H)
+            s, n = _crossing(step, force, x, v, a, v1, a1, H)
             steps += n
             crossings.append(tau + s)
         x, v, a, tau = x1, v1, a1, tau + H

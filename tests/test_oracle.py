@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodlab import _poly, oracle
 from periodlab import (
     DomainError,
     TrajectoryState,
@@ -84,6 +85,62 @@ def test_integrate_validates_inputs():
         integrate(U, TrajectoryState(0.0, 1.0, 0.0), -0.1, 10)
     with pytest.raises(DomainError):
         integrate(U, TrajectoryState(0.0, 1.0, 0.0), 0.1, -1)
+
+
+@pytest.mark.parametrize("dtau", [math.nan, math.inf, 0.0, -1.0])
+def test_a_step_that_is_not_finite_and_positive_is_rejected(dtau):
+    U = duffing_potential(1.0)
+    with pytest.raises(DomainError, match="dtau must be finite and positive"):
+        integrate(U, TrajectoryState(0.0, 1.0, 0.0), dtau, 2)
+    with pytest.raises(DomainError, match="dtau must be finite and positive"):
+        measure_period(U, 0.75, dtau=dtau)
+
+
+# ---------------------------------------------------------------------------
+# the compiled macro step
+# ---------------------------------------------------------------------------
+
+def _loop_step(force, x, v, a, H):
+    """The macro step as a loop over the tableau's columns, the reference
+    for the straight-line step of ``oracle._step_maker``."""
+    last_x = last_v = ()
+    for n, weights in zip(oracle._SUBSTEPS, oracle._NEVILLE):
+        h = H / n
+        hh = h * h
+        d = h * (v + 0.5 * h * a)
+        y = x + d
+        for _ in range(n - 1):
+            d += hh * force(y)
+            y += d
+        row_x = [y]
+        row_v = [d / h + 0.5 * h * force(y)]
+        for l, (m2, d2) in enumerate(weights):
+            row_x.append(row_x[l] + (row_x[l] - last_x[l]) * m2 / d2)
+            row_v.append(row_v[l] + (row_v[l] - last_v[l]) * m2 / d2)
+        last_x, last_v = row_x, row_v
+    return last_x[-1], last_v[-1], last_x[-1] - last_x[-2], last_v[-1] - last_v[-2]
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_UNIT, min_size=2, max_size=9), x=_UNIT, v=_UNIT,
+       H=st.floats(1e-3, 0.5), digits=st.sampled_from([None, 40]))
+def test_compiled_step_is_the_loop_bit_for_bit(coeffs, x, v, H, digits):
+    # Force degrees 1 to 8; with digits=40 the state and step are 40-digit
+    # mpf numbers, which every operation of the step must keep.
+    c = np.array(coeffs)
+    force = _poly._polynomial(c)
+    step = oracle._step_maker(c.size - 1)(*coeffs)
+    with mp.workdps(40):
+        if digits:
+            x, v, H = mp.mpf(x) / 3, mp.mpf(v) / 7, mp.mpf(H) / 3
+        a = force(x)
+        # repr tells -0.0 from 0.0 and gives every digit of an mpf.
+        assert repr(step(x, v, a, H)) == repr(_loop_step(force, x, v, a, H))
+    # One compile per degree: every step of the degree shares its code.
+    assert oracle._step_maker(c.size - 1)(*[1.0] * c.size).__code__ is step.__code__
 
 
 # ---------------------------------------------------------------------------
