@@ -1,6 +1,7 @@
 """The polynomial kernel: evaluation, derivatives, real roots, Newton polish,
-deflation, and the error-free transforms TwoSum and TwoProduct (Ogita, Rump &
-Oishi, SIAM J. Sci. Comput. 26, 2005), which act element by element.
+deflation, the error-free transforms TwoSum and TwoProduct (Ogita, Rump &
+Oishi, SIAM J. Sci. Comput. 26, 2005), which act element by element, and the
+compensated Horner scheme built from them.
 
 Coefficient arrays are stored low-to-high: ``coeffs[k]`` multiplies ``x**k``.
 The helpers also take one polynomial per row of a 2-D array, so a family of
@@ -12,7 +13,9 @@ oracle, by the compiled Horner expression of :func:`_horner_text`.
 Roots are polished in plain double arithmetic, so a root ends as accurate as
 rounding in the polynomial allows: about 1e-15 relative for a well separated
 root, about ``eps / d`` for two roots ``d`` apart (relative), as the turning
-point and its partner beyond a barrier are.
+point and its partner beyond a barrier are.  :func:`comp_horner` evaluates
+as if in twice the working precision, so a Newton step on its values lands
+next to such a root too.
 """
 
 from __future__ import annotations
@@ -88,6 +91,24 @@ def two_product(a, b):
     a_hi, b_hi = c - (c - a), d - (d - b)
     a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def comp_horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """:func:`_horner`, compensated (Graillat, Langlois & Louvet, Japan J.
+    Indust. Appl. Math. 26, 2009): :func:`two_product` and :func:`two_sum` keep
+    the rounding error of each Horner step, and a second Horner pass sums those
+    errors into the value.  With ``u = 2^-53``, ``gamma_k = k u/(1 - k u)`` and
+    ``n`` the degree, ``|result - p(x)| <= u |p(x)| + gamma_2n^2 sum |c_k| |x|^k``.
+    Rows and points pair as in :func:`_horner`; every operand must stay within
+    the range of :func:`two_product`."""
+    c = coeffs.T if coeffs.ndim < 2 or x.ndim < 2 else coeffs.T[..., None]
+    acc = c[-1] + x * 0
+    err = x * 0
+    for k in range(len(c) - 2, -1, -1):
+        p, p_err = two_product(acc, x)
+        acc, s_err = two_sum(p, c[k])
+        err = err * x + (p_err + s_err)
+    return acc + err
 
 
 def _horner_text(degree: int, x: str) -> str:

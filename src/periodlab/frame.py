@@ -90,11 +90,8 @@ def _closed_form_xi(shells):
 
 
 def _cubic_xi(xm, xp):
-    if isinstance(xm, np.ndarray):
-        # ** 2 is C pow, whose rounding numpy's square does not reproduce, so
-        # a column takes the scalar formula row by row.
-        return np.array([_cubic_xi(m, p) for m, p in zip(xm.tolist(), xp.tolist())])
-    return (xp ** 2 - xm ** 2) / (xp ** 2 + 4.0 * xp * xm + xm ** 2)
+    """xi of cubic shells, one or a column of them alike: squares are products."""
+    return (xp * xp - xm * xm) / (xp * xp + 4.0 * xp * xm + xm * xm)
 
 
 def frame_columns(strategy: str, shells, omega: float | None = None):

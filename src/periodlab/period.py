@@ -580,8 +580,7 @@ def _cubic_rows(shells, N: int) -> tuple:
     lo, hi = np.array(shells.x_minus, ndmin=1), np.array(shells.x_plus, ndmin=1)
     flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
     xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-    # ** 2 is C pow, whose rounding numpy's square does not reproduce.
-    xm2, xp2 = (np.array([v ** 2 for v in x.tolist()]) for x in (xm, xp))
+    xm2, xp2 = xm * xm, xp * xp
     sum_sq, cross = xp2 + xp * xm + xm2, xp2 + 4.0 * xp * xm + xm2
     xi = (xp2 - xm2) / cross
     errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")

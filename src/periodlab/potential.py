@@ -6,9 +6,13 @@ given energy this module locates the turning points, peels the two simple
 zeros off ``Q(x) = E - U(x)`` to expose the positive residual ``R(x)``, and
 reports barrier/limit metadata for wells that are only locally confining.
 
-A well whose coefficients are exactly the canonical quartic's,
-``x^2/2 + lam x^4/4`` (the harmonic well at lam = 0), has all of this in
-closed form: :func:`quartic_shells` and its barrier solve no polynomial.
+A well's :attr:`PolynomialPotential.family` decides which closed forms it
+has.  The canonical quartic ``x^2/2 + lam x^4/4`` (the harmonic well at
+lam = 0) has all of this in closed form: :func:`quartic_shells` and its
+barrier solve no polynomial.  Nor does the canonical cubic ``x^2/2 + c3 x^3``
+within a wide range of ``c3``: its barrier is the zero of a linear U'/x, and
+its turning points come from the trigonometric roots of a cubic, finished by
+one Newton step on a compensated Q (see :func:`_cubic_turning_points`).
 Every other well finds the roots of ``E - U`` at a whole grid of its energies
 with one stacked companion-matrix eigensolve and one Newton polish, picks the
 turning points from them by masks, and computes what does not depend on the
@@ -37,7 +41,9 @@ from functools import cached_property
 import numpy as np
 
 from ._poly import (
+    _horner,
     as_coeffs,
+    comp_horner,
     deflate,
     derivative,
     newton_polish,
@@ -62,6 +68,13 @@ _MIN_ENERGY = 1e-30
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
+# The canonical cubic takes its closed forms where |c3| lies in this range.
+# There its barrier 1/(54 c3^2) lies in [2^-606, 2^594], so every energy that
+# passes the checks has e = 54 c3^2 E in [2^-694, 1), and no operand of the
+# error-free transforms of e nor of the compensated Q passes 2^996 or has a
+# partial product below the normal range, where TwoProduct stops being exact.
+_CUBIC_RANGE = (2.0 ** -300, 2.0 ** 300)
+
 
 @dataclass(frozen=True)
 class PolynomialPotential:
@@ -79,11 +92,12 @@ class PolynomialPotential:
     ``lam`` of a well whose coefficients are exactly ``[0, 0, 1/2, 0, lam/4]``
     (``[0, 0, 1/2]`` at lam = 0), None for any other well, one that misses
     that pattern by rounding included; and ``family``, which decides the
-    closed forms of its shells: ``"quartic"`` where ``duffing_lambda`` is set,
-    ``"cubic"`` for coefficients exactly ``[0, 0, 1/2, c3]``, else
-    ``"generic"``.  The barrier is found on first use and cached: in closed
-    form for a well with ``duffing_lambda`` set, from the critical points, the
-    zeros of U' solved on first use and cached too, for any other well.
+    closed forms of its barrier and shells: ``"quartic"`` where
+    ``duffing_lambda`` is set, ``"cubic"`` for coefficients exactly ``[0, 0,
+    1/2, c3]``, else ``"generic"``.  The barrier is found on first use and
+    cached: in closed form for the quartic, and for a cubic with its minimum
+    at 0 and ``|c3|`` in ``_CUBIC_RANGE``; for any other well from the
+    critical points, the zeros of U' solved on first use and cached too.
     ``coeffs`` is read-only, so nothing goes stale.
     """
 
@@ -150,9 +164,14 @@ class PolynomialPotential:
         """The finite barriers bounding the reference well, if any."""
         if self.duffing_lambda is not None:
             return quartic_barrier(self.duffing_lambda)
-        crits, x0 = self.critical_points, self.minimum_x
-        # The critical points next to the minimum, one on each side at most.
-        sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
+        if _closed_cubic(self) is None:
+            crits, x0 = self.critical_points, self.minimum_x
+            # The critical points next to the minimum, one on each side at most.
+            sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
+        else:
+            # U' = x (c1 + c2 x): the critical point besides the minimum is -c1/c2.
+            _, c1, c2 = self.slope_coeffs.tolist()
+            sides = [-c1 / c2]
         # A critical point whose height overflows is not a finite barrier.
         heights = [(self(x), float(x)) for x in sides if self.curvature(x) <= 0.0]
         candidates = [(e, x) for e, x in heights if 0.0 < e < math.inf]
@@ -528,7 +547,9 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
 
     A well whose coefficients are exactly the canonical quartic's takes its
     shells from the closed form of :func:`quartic_shells` and solves nothing.
-    Any other well reads its barrier once; the roots of ``E - U`` at all its
+    Any other well reads its barrier once.  A canonical cubic with ``c3`` in
+    ``_CUBIC_RANGE`` forms its turning points in closed form and solves
+    nothing either; for every other well the roots of ``E - U`` at all its
     energies come from one stacked companion-matrix solve, and the turning
     points are picked from them as arrays (see :func:`_solve_shells`).  The
     critical points of a residual of degree <= 2 come in closed form, those
@@ -549,19 +570,15 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     return _solve_shells(U, energies, error)
 
 
-# The root columns are NaN where a row holds no root, and a comparison with
-# NaN is False with no warning owed.
-@np.errstate(invalid="ignore")
+@np.errstate(invalid="ignore")  # a NaN turning point fails the checks quietly
 def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> ShellColumns:
     """The shell columns of ``U`` at the ``energies`` whose ``error`` is None.
 
-    Those energies passed :func:`_check_energy`, so a row whose roots bracket
-    no minimum is a failed solve.  Such a row, and one whose eigensolve
-    fails, polishes the harmonic turning points ``x0 +- sqrt(2E/U''(x0))``
-    instead: where a leading coefficient far below ``c2`` makes the companion
-    matrix overflow or lose the small roots, Newton still finds them.  The
-    pair is kept only where it brackets ``x0`` and passes every check below;
-    elsewhere the slot holds the error of the companion solve.
+    Those energies passed :func:`_check_energy`.  The turning points come in
+    closed form for a canonical cubic with ``c3`` in ``_CUBIC_RANGE``
+    (:func:`_cubic_turning_points`), else from the companion roots
+    (:func:`_picked_turning_points`).  Both are deflated off ``E - U`` and
+    checked alike.
     """
     error = list(error)
     slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
@@ -569,26 +586,11 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
         return ShellColumns.failed(error, max(U.coeffs.size - 2, 1))
     q = np.tile(-U.coeffs, (slots.size, 1))
     q[:, 0] += energies[slots]
-    roots, counts, failed = _solved_rows(q)
-
-    # The roots ascend, NaN padding last: x_minus is the root before the
-    # first one at or above x0 (the last entry where there is none), and
-    # x_plus the first one above x0.  Where either is missing, the entry
-    # picked does not bracket x0.
-    x0, rows = U.minimum_x, np.arange(slots.size)
-    x_minus = roots[rows, (roots >= x0).argmax(axis=1) - 1]
-    x_plus = roots[rows, (roots > x0).argmax(axis=1)]
-    retried = ~((x_minus < x0) & (x0 < x_plus))
-    any_retried = np.count_nonzero(retried)
-    if any_retried:
-        j = retried.nonzero()[0]
-        with np.errstate(over="ignore"):
-            reach = np.sqrt(2.0 * energies[slots[j]] / U.curvature(x0))
-        lo, hi = newton_polish(q[j], derivative(q[j]), np.stack([x0 - reach, x0 + reach], axis=1)).T
-        # A pair that does not bracket x0 becomes NaN, which fails every
-        # check below quietly.
-        found = (lo < x0) & (x0 < hi) & np.isfinite(lo) & np.isfinite(hi)
-        x_minus[j], x_plus[j] = np.where(found, lo, math.nan), np.where(found, hi, math.nan)
+    c3 = _closed_cubic(U)
+    if c3 is None:
+        x_minus, x_plus, retried, retry_error = _picked_turning_points(U, q, energies[slots])
+    else:
+        (x_minus, x_plus), retried = _cubic_turning_points(c3, q, U.slope_coeffs).T, None
     if U.is_symmetric:
         # Companion roots of an even polynomial are symmetric to rounding;
         # averaging pins the parity invariant exactly.
@@ -607,15 +609,13 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     unsolved = np.zeros(slots.size, dtype=bool)
     unsolved[list(crit_failed)] = True
     checks = []
-    if any_retried:
+    if retried is not None:
         # A retried row keeps its pair, which is in order, only where every
         # check passes, NaN failing; elsewhere its slot keeps the error of the
         # companion solve.
         passed = ((np.abs(rem_plus) <= tol) & (np.abs(rem_minus) <= tol) & (extrema[0] > 0.0)
                   & ~unsolved)
-        checks.append((retried & ~passed, lambda j: failed.get(j) or ConvergenceError(
-            f"no turning points bracket the minimum at energy {float(energies[slots[j]])}; "
-            f"real roots found: {roots[j, :counts[j]].tolist()}")))
+        checks.append((retried & ~passed, retry_error))
     if crit_failed:
         checks.append((unsolved, lambda j: crit_failed[j]))
     return columns._checked(*checks, (
@@ -625,6 +625,92 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
             f"{float(rem_minus[j])}) above {float(tol[j])}"
         ),
     ))
+
+
+# The root columns are NaN where a row holds no root, and a comparison with
+# NaN is False with no warning owed.
+@np.errstate(invalid="ignore")
+def _picked_turning_points(U: PolynomialPotential, q: np.ndarray, energy: np.ndarray) -> tuple:
+    """``(x_minus, x_plus, retried, retry_error)``: the turning points of each
+    row of ``q``, ``E - U`` at the ``energy`` of the row, which passed the
+    checks, picked from its companion roots.
+
+    A row whose roots bracket no minimum is a failed solve.  Such a row, and
+    one whose eigensolve fails, polishes the harmonic turning points ``x0 +-
+    sqrt(2E/U''(x0))`` instead: where a leading coefficient far below ``c2``
+    makes the companion matrix overflow or lose the small roots, Newton still
+    finds them.  A pair that does not bracket ``x0`` is NaN.  ``retried``
+    marks those rows, or is None where there are none, and ``retry_error(j)``
+    is the error of row ``j``'s companion solve, which its slot holds unless
+    the pair passes every check.
+    """
+    roots, counts, failed = _solved_rows(q)
+    # The roots ascend, NaN padding last: x_minus is the root before the
+    # first one at or above x0 (the last entry where there is none), and
+    # x_plus the first one above x0.  Where either is missing, the entry
+    # picked does not bracket x0.
+    x0, rows = U.minimum_x, np.arange(len(q))
+    x_minus = roots[rows, (roots >= x0).argmax(axis=1) - 1]
+    x_plus = roots[rows, (roots > x0).argmax(axis=1)]
+    retried = ~((x_minus < x0) & (x0 < x_plus))
+    if not np.count_nonzero(retried):
+        return x_minus, x_plus, None, None
+    j = retried.nonzero()[0]
+    with np.errstate(over="ignore"):
+        reach = np.sqrt(2.0 * energy[j] / U.curvature(x0))
+    lo, hi = newton_polish(q[j], derivative(q[j]), np.stack([x0 - reach, x0 + reach], axis=1)).T
+    found = (lo < x0) & (x0 < hi) & np.isfinite(lo) & np.isfinite(hi)
+    x_minus[j], x_plus[j] = np.where(found, lo, math.nan), np.where(found, hi, math.nan)
+    return x_minus, x_plus, retried, lambda j: failed.get(j) or ConvergenceError(
+        f"no turning points bracket the minimum at energy {float(energy[j])}; "
+        f"real roots found: {roots[j, :counts[j]].tolist()}")
+
+
+def _closed_cubic(U: PolynomialPotential) -> float | None:
+    """``c3`` of a canonical cubic ``x^2/2 + c3 x^3`` with its minimum at 0 and
+    ``|c3|`` in ``_CUBIC_RANGE``, whose barrier and shells take closed forms;
+    None for any other well."""
+    if U.family != "cubic" or U.minimum_x != 0.0:
+        return None
+    c3 = float(U.coeffs[3])
+    return c3 if _CUBIC_RANGE[0] <= abs(c3) <= _CUBIC_RANGE[1] else None
+
+
+def _cubic_turning_points(c3: float, q: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """The turning points ``(x_minus, x_plus)``, one row per row of ``q``, of the
+    cubic ``x^2/2 + c3 x^3`` whose U' has the coefficients ``slope``; row ``i``
+    of ``q`` is ``E - U`` at an energy below the barrier, and ``c3`` is in
+    ``_CUBIC_RANGE``.
+
+    With ``y = -3 c3 x``, ``U = E`` reads ``3 y^2 - 2 y^3 = e``, ``e = 54 c3^2
+    E``, which is ``sin^2(phi/2)``.  ``e`` and ``g = 1 - e`` are formed in
+    double-double by :func:`two_product` and :func:`two_sum` and rounded
+    once, so ``g`` keeps its digits next to the barrier.  ``phi`` is ``2 asin
+    sqrt(e)`` where ``e <= g`` and ``pi - 2 asin sqrt(g)`` elsewhere, and the
+    roots next to 0 are ``y = 2 sin(2 pi/3 - phi/6) sin(phi/6)`` and ``y = -2
+    sin(2 pi/3 + phi/6) sin(phi/6)``, free of cancellation.  The points ``x =
+    y/(-3 c3)`` are a few ulp off; one Newton step on Q, evaluated by
+    :func:`comp_horner`, takes both to within an ulp of the roots of ``E -
+    U`` in float coefficients.
+    """
+    energy = q[:, 0]  # c0 = 0
+    a, a_err = two_product(c3, c3)
+    b, b_err = two_product(54.0, a)
+    b_err += 54.0 * a_err
+    p, p_err = two_product(b, energy)
+    tail = p_err + b_err * energy
+    t, t_err = two_sum(1.0, -p)
+    e, g = p + tail, t + (t_err - tail)
+    small = e <= g
+    half = np.arcsin(np.sqrt(np.where(small, e, g)))
+    phi6 = np.where(small, half, 0.5 * math.pi - half) / 3.0
+    sines = np.sin(np.stack([2.0 * math.pi / 3.0 - phi6, 2.0 * math.pi / 3.0 + phi6, phi6],
+                            axis=1))
+    x = sines[:, :2] * (sines[:, 2:] * [2.0, -2.0]) / (-3.0 * c3)
+    if c3 < 0.0:
+        x = x[:, ::-1]
+    # Q' = -U'
+    return x + comp_horner(q, x) / _horner(slope, x)
 
 
 def quartic_shells(lams, energies) -> list:

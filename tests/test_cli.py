@@ -413,9 +413,10 @@ def test_sweep_numerical_point_becomes_error_record():
 # one well per energy sweep, one parser per process
 # ---------------------------------------------------------------------------
 
-# The canonical quartic's barrier has a closed form, so its U' is never solved.
+# The canonical quartic's and cubic's barriers have closed forms, so their U' is
+# never solved.
 @pytest.mark.parametrize("preset, factory, solves", [("duffing", "duffing_potential", 0),
-                                                     ("cubic", "cubic_potential", 1)])
+                                                     ("cubic", "cubic_potential", 0)])
 def test_energy_sweep_builds_and_solves_the_well_once(monkeypatch, preset, factory, solves):
     import numpy as np
 

@@ -186,10 +186,13 @@ def test_shell_columns_pick_the_roots_of_the_one_row_rule(degree, middle, lead, 
     # every energy lies inside the band
     assert cols.slots.tolist() == list(range(len(energies)))
     for j, slot in enumerate(cols.slots.tolist()):
-        picked = _picked(U, energies[slot])
-        assert picked is not None
-        assert (float(cols.x_minus[j]).hex(), float(cols.x_plus[j]).hex()) == (
-            picked[0].hex(), picked[1].hex())
+        # The canonical cubic's turning points have a closed form, held to
+        # mpmath in test_cubic_shells.py; only a generic well is picked.
+        if U.family == "generic":
+            picked = _picked(U, energies[slot])
+            assert picked is not None
+            assert (float(cols.x_minus[j]).hex(), float(cols.x_plus[j]).hex()) == (
+                picked[0].hex(), picked[1].hex())
         # The extrema over the turning points and the solved zeros of R'.  R'
         # of degree <= 1 has its zero in closed form, within an ulp of the
         # solved one, and R is flat there.

@@ -1,12 +1,13 @@
-"""Each polynomial is solved once per CLI call, and the canonical quartic not at all.
+"""Each polynomial is solved once per CLI call, and the canonical wells not at all.
 
 A well's U', each energy's E - U and the R' of each residual of degree 3 or
 more are solved by ``_poly.real_roots_rows``, which every root finder goes
 through; an R' of degree 1 or less has its zero in closed form.  Wrapping it
 where ``_poly`` and ``potential`` look it up records every coefficient row
 solved; within one CLI call, no row of degree >= 1 may come back in a later
-solve.  The canonical quartic's shells and barrier have closed forms, so a
-call on the duffing preset solves nothing.
+solve.  The canonical quartic's and the canonical cubic's shells and barriers
+have closed forms, so a call on the duffing or the cubic preset solves
+nothing.
 """
 
 import contextlib
@@ -59,7 +60,7 @@ def solved(monkeypatch):
 def test_no_polynomial_is_solved_twice_in_one_call(command, well, solved):
     argv = COMMANDS[command][:1] + WELLS[well] + COMMANDS[command][1:]
     assert main(argv + ["--format", "json"], out=io.StringIO()) == 0
-    assert (solved == []) if well == "duffing" else solved
+    assert (solved == []) if well in ("duffing", "cubic") else solved
     seen, again = set(), 0
     for rows in solved:
         again += len(rows & seen)
@@ -75,8 +76,9 @@ def test_a_cubic_call_solves_u_prime_and_e_minus_u_once_each(solved):
                 "--method", "all"]
         assert main(argv, out=io.StringIO()) == 0
         counts.append(len(solved))
-    # the constant R' of the linear residual has no zero to solve for
-    assert counts == [2, 2]
+    # U' and E - U have closed forms, and the constant R' of the linear
+    # residual has no zero to solve for
+    assert counts == [0, 0]
 
 
 # ---------------------------------------------------------------------------
