@@ -15,6 +15,10 @@ which a column of one text is literal text and a list column a part per
 position.  A ``sweep`` by any method goes from the shell solve to the output
 in columns: one array per shell, frame and period field, and no shell, frame
 or record object per grid point.
+
+argv is parsed once (:func:`_parse_argv`): when its first word names a
+subcommand, that subcommand's parser takes the rest.  The top-level parser
+takes only an argv with no subcommand, an unknown one, or ``-h``/``--help``.
 """
 
 from __future__ import annotations
@@ -633,8 +637,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="periodlab",
                      description="Periods of one-dimensional polynomial anharmonic wells")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
+    # Subcommand name -> its parser, which _parse_argv hands the rest of argv.
+    parser.subcommands = {}
 
-    p = sub.add_parser("period", help="compute the period of one configuration")
+    def add(name: str, help: str) -> _Parser:
+        p = parser.subcommands[name] = sub.add_parser(name, help=help)
+        return p
+
+    p = add("period", help="compute the period of one configuration")
     _add_problem_flags(p)
     p.add_argument("--method",
                    choices=["quadrature", "series", "elliptic", "oracle", "all"],
@@ -643,7 +653,7 @@ def build_parser() -> _Parser:
                    help="include the series partial sums in the record")
     p.set_defaults(func=cmd_period)
 
-    p = sub.add_parser("sweep", help="compute a period across a parameter grid")
+    p = add("sweep", help="compute a period across a parameter grid")
     _add_problem_flags(p)
     p.add_argument("--method",
                    choices=["quadrature", "series", "elliptic", "oracle"],
@@ -655,12 +665,12 @@ def build_parser() -> _Parser:
     p.add_argument("--log", action="store_true", help="logarithmic grid")
     p.set_defaults(func=cmd_sweep, format="csv")
 
-    p = sub.add_parser("converge", help="tabulate series partial sums against quadrature")
+    p = add("converge", help="tabulate series partial sums against quadrature")
     _add_problem_flags(p)
     p.add_argument("--Nmax", type=int, required=True)
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("verify", help="cross-check all applicable methods and the oracle")
+    p = add("verify", help="cross-check all applicable methods and the oracle")
     _add_problem_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -680,13 +690,26 @@ def _env_tol() -> float | None:
     return tol
 
 
+def _parse_argv(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one parse: an ``argv`` whose first
+    word names a subcommand goes straight to that subcommand's parser, which
+    the top-level parser would hand the same words, and ``subcommand`` is set
+    by hand.  Any other ``argv`` goes to the top-level parser."""
+    parser = build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
+
+
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
         if getattr(args, "func", None) is None:
-            parser.print_help(out)
+            build_parser().print_help(out)
             return 1
         tol = _env_tol()
         return args.func(args, tol, out)

@@ -212,12 +212,25 @@ def _level_nodes(n: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin2
 
 
+@functools.cache
+def _first_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """``cos theta`` and ``sin^2 theta`` at the 2n + 1 nodes of the first pass,
+    n = ``_QUAD_N0``: the n + 1 of the first level, then the n midpoints of the
+    second, with the bits of :func:`_level_nodes`.  Read-only and shared."""
+    cos, sin2 = map(np.concatenate, zip(_level_nodes(_QUAD_N0, True),
+                                        _level_nodes(_QUAD_N0, False)))
+    cos.flags.writeable = sin2.flags.writeable = False
+    return cos, sin2
+
+
 def _level_sums(coeffs, mid_half, ends, nodes, first: bool):
-    """For each row: the sum of ``1/sqrt(R)`` at the ``nodes`` of
-    :func:`_level_nodes`, whose two ends weigh 1/2 on the ``first`` level,
-    and, where that sum is not finite, whether R is non-positive at a node.
-    Rows go in chunks of at most ``_QUAD_CHUNK`` values; each row's sum has
-    the same bits in any chunk."""
+    """For each row: the sum of ``1/sqrt(R)`` at the new ``nodes`` of a
+    level (:func:`_level_nodes`), and, where that sum is not finite, whether R
+    is non-positive at a node.  The ``first`` pass takes :func:`_first_nodes`
+    and gives two sums before that flag: the first level's, whose two ends
+    weigh 1/2, and the second level's.  Rows go in chunks of at most
+    ``_QUAD_CHUNK`` values; each row's sums have the same bits in any chunk,
+    and each is the sum that a pass of its level alone forms."""
     cos, sin2 = nodes
     step = max(1, _QUAD_CHUNK // cos.size)
     if len(coeffs) > step:
@@ -235,11 +248,16 @@ def _level_sums(coeffs, mid_half, ends, nodes, first: bool):
             r[known] = ends[known, :1] + ends[known, 1:] * sin2
     f = 1.0 / np.sqrt(r)
     total = np.add.reduce  # ndarray.sum without its Python wrapper
-    sums = 0.5 * (f[:, 0] + f[:, -1]) + total(f[:, 1:-1], axis=1) if first else total(f, axis=1)
-    nonpositive = ~np.isfinite(sums)
+    if first:
+        n = cos.size // 2
+        sums = (0.5 * (f[:, 0] + f[:, n]) + total(f[:, 1:n], axis=1), total(f[:, n + 1:], axis=1))
+        nonpositive = ~(np.isfinite(sums[0]) & np.isfinite(sums[1]))
+    else:
+        sums = (total(f, axis=1),)
+        nonpositive = ~np.isfinite(sums[0])
     if np.count_nonzero(nonpositive):
         nonpositive[nonpositive] = (r[nonpositive] <= 0.0).any(axis=1)
-    return sums, nonpositive
+    return (*sums, nonpositive)
 
 
 def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) -> list:
@@ -272,9 +290,13 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     the error :func:`period_quadrature` raises for that shell, or None; its
     row of the other columns is then NaN.
 
-    Each level of the trapezoid rule evaluates ``1/sqrt(R)`` at its new nodes
-    for every live shell in one array, or in row chunks on the fine levels,
-    by :func:`~periodlab._poly.polyval`.  A shell that knows
+    No row converges on the first level, 16 intervals, so the first pass
+    takes it with the second, 32 intervals: it evaluates ``1/sqrt(R)`` at the
+    17 nodes ``k pi/16`` and the 16 midpoints between them in one (shells x
+    33) array, forms each level's sum as a pass of its own would, and checks
+    R's sign at both levels' nodes.  Each later level evaluates its new
+    midpoints for every live shell in one array, or in row chunks on the fine
+    levels.  R comes from :func:`~periodlab._poly.polyval`; a shell that knows
     ``R_end`` instead takes ``R = R_end + (R(0) - R_end) sin^2 theta``, which
     does not cancel at the turning points, and may refine to
     ``_QUAD_NMAX_KNOWN_ENDS`` nodes instead of ``_QUAD_NMAX``.  A row leaves
@@ -306,18 +328,19 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         while slots.size:
             # Rows with a non-positive R at a node are separatrix shells.
-            # The first level has both ends of [0, pi]; the next has the
-            # midpoints of the intervals before it.
-            nodes = _level_nodes(n, True) if prev is None else _level_nodes(n // 2, False)
-            sums, separatrix = _level_sums(coeffs, mid_half, ends, nodes, prev is None)
             if prev is None:
-                vals = (math.pi / n) * sums
-                # Nothing converges on the first level; change is not read.
-                converged, change = np.zeros(slots.size, dtype=bool), vals
-            else:  # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
-                vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
-                change = np.abs(vals - prev)
-                converged = change <= tol * np.maximum(1e-300, np.abs(vals))
+                # No row converges on the first level, so the first pass
+                # takes its nodes and the second level's midpoints together.
+                coarse, sums, separatrix = _level_sums(coeffs, mid_half, ends, _first_nodes(), True)
+                prev = (math.pi / n) * coarse
+                n *= 2
+            else:
+                sums, separatrix = _level_sums(coeffs, mid_half, ends,
+                                               _level_nodes(n // 2, False), False)
+            # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
+            vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
+            change = np.abs(vals - prev)
+            converged = change <= tol * np.maximum(1e-300, np.abs(vals))
             finished = separatrix | converged
             if n >= cap_min:
                 finished = finished | (n >= caps[slots])

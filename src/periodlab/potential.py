@@ -165,9 +165,15 @@ class PolynomialPotential:
         if self.duffing_lambda is not None:
             return quartic_barrier(self.duffing_lambda)
         if _closed_cubic(self) is None:
+            # The critical points next to the minimum, one on each side at
+            # most.  The minimum is the critical point of positive curvature
+            # nearest minimum_x, which construction accepts off it by up to
+            # 1e-8 of the largest coefficient.
             crits, x0 = self.critical_points, self.minimum_x
-            # The critical points next to the minimum, one on each side at most.
-            sides = [*crits[crits < x0 - 1e-14][-1:], *crits[crits > x0 + 1e-14][:1]]
+            minima = crits[self.curvature(crits) > 0.0]
+            if minima.size:
+                x0 = minima[np.argmin(np.abs(minima - x0))]
+            sides = [*crits[crits < x0][-1:], *crits[crits > x0][:1]]
         else:
             # U' = x (c1 + c2 x): the critical point besides the minimum is -c1/c2.
             _, c1, c2 = self.slope_coeffs.tolist()

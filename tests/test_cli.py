@@ -1,5 +1,6 @@
 """CLI: subcommands, formats, round-trips, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -13,8 +14,18 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from periodlab.cli import CONVERGE_FIELDS, RECORD_FIELDS, emit, main
+from periodlab.cli import (
+    CONVERGE_FIELDS,
+    RECORD_FIELDS,
+    UsageError,
+    _parse_argv,
+    build_parser,
+    emit,
+    main,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -374,6 +385,83 @@ def test_no_subcommand_prints_help():
     code, out = run_cli()
     assert code == 1
     assert "period" in out and "sweep" in out
+
+
+# ---------------------------------------------------------------------------
+# argv dispatch: a subcommand's parser alone gives the two-parser result
+# ---------------------------------------------------------------------------
+
+# Each subcommand's required flags with valid values; an argv drops some.
+_REQUIRED = {
+    "period": [("--preset", "duffing")],
+    "verify": [("--preset", "poly")],
+    "converge": [("--preset", "cubic"), ("--Nmax", "5")],
+    "sweep": [("--preset", "duffing"), ("--param", "energy"), ("--from", "-1e-3"),
+              ("--to", "0.5"), ("--steps", "3")],
+}
+# Flags with values that some subcommand takes, abbreviated or in full.
+_VALID = [("--lambda", "-1e-3"), ("--lam", "0.5"), ("--pre", "cubic"), ("--energy", "0.1"),
+          ("--amplitude", "1"), ("--mass", "2"), ("--omega0", "-2.5E+2"), ("--frame", "fixed:1"),
+          ("--N", "3"), ("--N=4",), ("--format", "json"), ("--form", "table"),
+          ("--method", "series"), ("--param", "rho"), ("--fr", "-1"), ("--to", "1e308"),
+          ("--ste", "3"), ("--Nmax", "4"), ("--coeffs", "0", "0", "0.5", "-1e-3"), ("--log",),
+          ("--show-terms",), ("--show",)]
+_FLAGS = ["--preset", "--lambda", "--coeffs", "--energy", "--amplitude", "--mass", "--omega0",
+          "--frame", "--N", "--format", "--method", "--show-terms", "--param", "--from", "--to",
+          "--steps", "--log", "--Nmax",
+          # ambiguous abbreviations, and flags no parser knows
+          "--m", "--f", "--s", "--lambda=-2e-1", "--bogus", "-x", "-h", "--"]
+_VALUES = ["duffing", "cubic", "poly", "bogus", "energy", "rho", "quadrature", "elliptic",
+           "oracle", "all", "csv", "balanced", "1", "0.5", "-1", "-1e-3", "-.5", "nan", "x",
+           "1.5.2"]
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: its namespace, its usage error or its exit."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(argv)
+    except UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return "args", repr(sorted(vars(args).items()))
+
+
+_UNITS = (st.sampled_from(_VALID)
+          | st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+          | st.sampled_from(_FLAGS + _VALUES).map(lambda word: (word,)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_REQUIRED)),
+    kept=st.lists(st.sampled_from([True, True, True, False]), min_size=5, max_size=5),
+    units=st.lists(_UNITS, max_size=5),
+    data=st.data(),
+)
+def test_subcommand_parser_alone_gives_the_same_result(command, kept, units, data):
+    # Negative numbers in exponent form, abbreviations, unknown flags, missing
+    # required flags and bad choices: the same namespace, usage error or exit.
+    required = [pair for pair, keep in zip(_REQUIRED[command], kept) if keep]
+    argv = [command, *(w for unit in data.draw(st.permutations(required + units)) for w in unit)]
+    expected = _parsed(build_parser().parse_args, argv)
+    assert _parsed(_parse_argv, argv) == expected
+    assert _parsed(_parse_argv, tuple(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"], ["per"], ["--preset"],
+                                  ["-1e-3", "period"]])
+def test_argv_without_a_known_subcommand_goes_to_the_top_level_parser(argv):
+    assert _parsed(_parse_argv, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_subcommand_help_names_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: periodlab sweep ")
 
 
 # ---------------------------------------------------------------------------

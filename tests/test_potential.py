@@ -22,6 +22,7 @@ from periodlab import (
     from_physical,
     harmonic_potential,
     period_series_generic,
+    shells,
     turning_points,
 )
 from periodlab.cli import main
@@ -237,6 +238,32 @@ def test_barrier_info_height_that_overflows_is_no_barrier(lam):
             "--format", "json"]
     assert main(argv, out=out) == 0
     assert abs(json.loads(out.getvalue())["T"] - 2 * math.pi) <= 1e-15 * 2 * math.pi
+
+
+@pytest.mark.parametrize("x0", [1e-9, -1e-9, 1e-13, 1e-15])
+def test_barrier_is_found_from_a_minimum_x_off_the_true_minimum(x0):
+    # Construction accepts minimum_x off the true minimum, 0, by up to 1e-8;
+    # the barrier is the critical point next to that minimum, 1/6 at x = -1.
+    U = PolynomialPotential([0.0, 0.0, 0.5, 1.0 / 3.0], minimum_x=x0)
+    b = U.barrier
+    assert b.has_barrier
+    assert b.barrier_x == pytest.approx(-1.0, rel=1e-15)
+    assert b.barrier_energy == pytest.approx(1.0 / 6.0, rel=1e-15)
+    above, below = shells(U, [0.5, 0.1])
+    assert type(above) is SeparatrixError
+    assert below.x_minus < 0.0 < below.x_plus
+    assert below.x_plus - below.x_minus == pytest.approx(
+        turning_points(cubic_potential(1.0), 0.1).x_plus
+        - turning_points(cubic_potential(1.0), 0.1).x_minus, rel=1e-12)
+
+
+def test_barriers_on_both_sides_are_found_from_a_minimum_x_off_the_true_minimum():
+    # The softening quartic x^2/2 - x^4/16 has barriers of height 1 at x = +-2.
+    U = PolynomialPotential([0.0, 0.0, 0.5, 0.0, -0.0625], minimum_x=2e-9)
+    assert U.family == "generic"
+    b = U.barrier
+    assert (b.barrier_energy, b.barrier_x) == (pytest.approx(1.0, rel=1e-15), -2.0)
+    assert type(shells(U, [1.5])[0]) is SeparatrixError
 
 
 def test_barrier_info_is_critical_point(rng):
