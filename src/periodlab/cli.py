@@ -12,9 +12,11 @@ variable ``PERIODLAB_TOL`` overrides the default 1e-13 quadrature tolerance.
 Output is written a column at a time (:func:`emit`), each value by the one
 formatter of its format; csv rows come from one ``%`` template per call, in
 which a column of one text is literal text and a list column a part per
-position.  A ``sweep`` by any method goes from the shell solve to the output
-in columns: one array per shell, frame and period field, and no shell, frame
-or record object per grid point.
+position.  Every subcommand goes from the shell solve to the output in
+columns, each method through one dispatch (:func:`_period_cells`): one array
+per shell, frame and period field, and no shell, frame or record object per
+grid point.  ``period``, ``verify`` and ``converge`` take their point as a
+grid of one slot.
 
 argv is parsed once (:func:`_parse_argv`): when its first word names a
 subcommand, that subcommand's parser takes the rest.  The top-level parser
@@ -42,22 +44,14 @@ from .frame import (
     BALANCED,
     FIXED,
     NAYFEH,
-    balanced_frame,
-    fixed_frame,
     frame_columns,
-    nayfeh_frame,
 )
 from .oracle import measure_period
 from .period import (
+    _REGIMES,
     _each_row,
     _elliptic,
-    best_series,
-    # Not called here: bench/spans.py counts elliptic calls by rebinding them.
-    cubic_elliptic,  # noqa: F401
-    duffing_elliptic,  # noqa: F401
-    elliptic_period,
-    period_from_series,
-    period_quadrature,
+    _series_rows,
     quadrature_columns,
     series_columns,
 )
@@ -71,8 +65,12 @@ from .potential import (
     from_physical,
     rho_columns,
     shell_columns,
-    turning_points,
 )
+
+# Not called here: bench/spans.py traces their layers by rebinding these names.
+from .frame import balanced_frame  # noqa: F401
+from .period import best_series, cubic_elliptic, duffing_elliptic, period_quadrature  # noqa: F401
+from .potential import turning_points  # noqa: F401
 
 RECORD_FIELDS = [
     "command", "preset", "lambda", "coeffs", "mass", "omega0",
@@ -291,16 +289,6 @@ def _parse_frame(text: str) -> tuple[str, float | None]:
     raise UsageError(f"unknown frame {text!r}; expected balanced, nayfeh or fixed:<omega>")
 
 
-def _frame(args, shell):
-    """The frame that ``args`` names on ``shell``."""
-    strategy, omega = _parse_frame(args.frame)
-    if strategy == BALANCED:
-        return balanced_frame(shell)
-    if strategy == NAYFEH:
-        return nayfeh_frame(shell)
-    return fixed_frame(shell, omega)
-
-
 def _build_potential(args):
     if args.preset == "duffing":
         if args.lam is None:
@@ -327,6 +315,8 @@ def _resolve_energy(args, U) -> float:
     a = float(args.amplitude)
     if a <= 0.0:
         raise UsageError(f"amplitude must be positive, got {a}")
+    if not math.isfinite(a):
+        raise DomainError(f"amplitude must be finite, got {a}")
     error = _amplitude_error(a, barrier_info(U).amplitude_limit)
     if error is not None:
         raise error
@@ -335,42 +325,45 @@ def _resolve_energy(args, U) -> float:
     return U(a)
 
 
-def _problem(args):
-    """The potential, shell and frame that ``args`` describe."""
-    U = _build_potential(args)
-    shell = turning_points(U, _resolve_energy(args, U))
-    return U, shell, _frame(args, shell)
-
-
 def _constants(command: str, args) -> dict:
     """The fields that every record of a call of ``command`` shares."""
     return {"command": command, "preset": args.preset, "lambda": args.lam,
             "mass": args.mass, "omega0": args.omega0, "frame": args.frame}
 
 
-def _shell_fields(shell, omega_ref, xi) -> dict:
-    """The fields of ``shell`` and of its frame's ``omega_ref`` and ``xi``:
-    numbers of an :class:`EnergyShell`, or columns of :class:`ShellColumns`."""
-    return {"energy": shell.energy, "x_minus": shell.x_minus, "x_plus": shell.x_plus,
-            "amplitude": shell.amplitude, "rho": shell.rho, "omega_ref": omega_ref, "xi": xi}
+def _shell_fields(shells: ShellColumns, omega_ref, xi) -> dict:
+    """The columns of ``shells`` and of their frame's ``omega_ref`` and ``xi``."""
+    return {"energy": shells.energy, "x_minus": shells.x_minus, "x_plus": shells.x_plus,
+            "amplitude": shells.amplitude, "rho": shells.rho, "omega_ref": omega_ref, "xi": xi}
 
 
-def _base_record(command: str, args, U, shell, frame) -> dict:
-    record = dict.fromkeys(RECORD_FIELDS)
-    record.update(_constants(command, args), coeffs=U.coeffs.tolist(),
-                  **_shell_fields(shell, frame.omega, frame.xi))
-    return record
+def _slot(cells: dict) -> dict:
+    """The fields of the one slot of ``cells``: an array or a list gives its
+    one item, and any other value is the slot's own."""
+    return {k: v.item() if isinstance(v, np.ndarray) else v[0] if isinstance(v, list) else v
+            for k, v in cells.items()}
 
 
-def _has_elliptic(shell) -> bool:
-    """Whether the well of ``shell``, or of each shell of its columns, has
-    degree at most 4, so its residual at most 2."""
-    return shell.residual.shape[-1] <= 3
+def _point(command: str, args) -> tuple:
+    """The well, one-slot shell columns, frame strategy and ``omega_ref`` of the point
+    that ``args`` describe, and the fields every record of ``command`` shares.  The
+    slot's error, or the frame's, is raised: the call gives one error record."""
+    U = _build_potential(args)
+    shells = shell_columns(U, [_resolve_energy(args, U)])
+    if shells.error[0] is not None:
+        raise shells.error[0]
+    # Read after the shell: a failed shell's error wins over a bad --frame.
+    strategy, omega = _parse_frame(args.frame)
+    omega_ref, xi = frame_columns(strategy, shells, omega)
+    base = dict.fromkeys(RECORD_FIELDS)
+    base.update(_constants(command, args), coeffs=U.coeffs.tolist(),
+                **_slot(_shell_fields(shells, omega_ref, xi)))
+    return U, shells, strategy, omega_ref, base
 
 
-def _require_elliptic(shell) -> None:
-    if not _has_elliptic(shell):
-        raise UsageError("the elliptic period requires a well of degree at most 4")
+def _has_elliptic(shells: ShellColumns) -> bool:
+    """Whether the well of ``shells`` has degree at most 4, so its residual at most 2."""
+    return shells.residual.shape[-1] <= 3
 
 
 def _oracle(U, energy: float) -> tuple[float, float]:
@@ -383,36 +376,41 @@ def _oracle(U, energy: float) -> tuple[float, float]:
     return report.period, report.err_estimate
 
 
-def _apply_method(record: dict, method: str, U, shell, frame, args, tol) -> dict:
-    """Complete ``record`` by ``method``; only the oracle reads the well ``U``."""
-    record["method"] = method
+def _period_cells(method: str, shells: ShellColumns, strategy: str, omega_ref, well,
+                  args, tol) -> tuple[dict, list]:
+    """The cells ``T``, ``Omega``, ``err_estimate`` and a series' ``N`` and ``regime`` of
+    ``method`` on the rows of ``shells``, arrays or lists, and each row's error or None.
+    The series is in the frame ``strategy`` of ``omega_ref``; the oracle reads ``well(slot)``."""
+    ends = (shells.residual, shells.x_minus, shells.x_plus, shells.residual_at_turning_points)
+    rows = len(shells.slots)
     if method == "quadrature":
-        res = period_quadrature(frame, args.omega0, tol)
+        *periods, failed = quadrature_columns(*ends, args.omega0, tol)
     elif method == "series":
-        series = best_series(shell, frame, args.N)
-        res = period_from_series(series, args.omega0)
-        record["regime"] = series.regime
-        record["N"] = len(series.partial_sums) - 1
-        if getattr(args, "show_terms", False):
-            scale = _SQRT2 / args.omega0
-            record["partial_sums"] = [scale * s for s in series.partial_sums]
+        *periods, failed = series_columns(shells, strategy, omega_ref, args.N, args.omega0)
     elif method == "elliptic":
-        _require_elliptic(shell)
-        res = elliptic_period(shell, args.omega0)
-    elif method == "oracle":
-        T, err = _oracle(U, shell.energy)
-        record.update(T=T, Omega=2.0 * math.pi / T, err_estimate=err)
-        return record
+        if not _has_elliptic(shells):
+            raise UsageError("the elliptic period requires a well of degree at most 4")
+        *periods, failed = _each_row(lambda *row: _elliptic(*row, args.omega0),
+                                     zip(*(c.tolist() for c in ends)), rows)
     else:
-        raise UsageError(f"unknown method {method!r}")
-    record.update(T=res.T, Omega=res.Omega, err_estimate=res.err_estimate)
-    return record
+        *periods, failed = _each_row(lambda i, energy: _oracle(well(i), energy),
+                                     zip(shells.slots.tolist(), shells.energy.tolist()), rows)
+    return dict(zip(("T", "Omega", "err_estimate", "N", "regime"), periods)), failed
 
 
-def _methods_for(method: str, shell) -> list[str]:
+def _partial_sums(shells: ShellColumns, strategy: str, omega_ref, N: int) -> tuple[list, str]:
+    """The partial sums, to its stop, and the regime of the series of one-slot
+    ``shells`` in the frame ``strategy`` of ``omega_ref``; its error is raised."""
+    (_, sums, stop, _, _, regime, (error,)), _ = _series_rows(shells, strategy, omega_ref, N)
+    if error is not None:
+        raise error
+    return sums[:stop[0] + 1, 0].tolist(), _REGIMES[regime[0]]
+
+
+def _methods_for(method: str, shells: ShellColumns) -> list[str]:
     if method != "all":
         return [method]
-    if not _has_elliptic(shell):
+    if not _has_elliptic(shells):
         return ["quadrature", "series", "oracle"]
     return ["quadrature", "series", "elliptic", "oracle"]
 
@@ -425,20 +423,24 @@ def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[di
     """The base record of the point that ``args`` describe, a copy of it
     completed by each method that ``method`` selects, and the exit status.
 
-    A method that fails gives its own error record, names itself on stderr
-    and sets the exit status of its error; the other methods keep theirs.
+    Each method runs on the one-slot grid of :func:`_point` as on a sweep's.  A
+    method that fails gives its own error record, names itself on stderr and
+    sets the exit status of its error; the other methods keep theirs.
     """
-    U, shell, frame = _problem(args)
-    base = _base_record(command, args, U, shell, frame)
+    U, shells, strategy, omega_ref, base = _point(command, args)
     records, status = [], 0
-    for m in _methods_for(method, shell):
-        try:
-            records.append(_apply_method(dict(base), m, U, shell, frame, args, tol))
-        except tuple(_ERROR_KINDS) as exc:
-            kind, code = _error_kind(exc)
-            records.append(dict(base, method=m, error=str(exc), error_kind=kind))
-            print(f"{kind} error: {m}: {exc}", file=sys.stderr)
-            status = max(status, code)
+    for m in _methods_for(method, shells):
+        cells, (exc,) = _period_cells(m, shells, strategy, omega_ref, lambda i: U, args, tol)
+        if exc is None:
+            records.append(dict(base, method=m, **_slot(cells)))
+            if m == "series" and getattr(args, "show_terms", False):
+                sums, _ = _partial_sums(shells, strategy, omega_ref, args.N)
+                records[-1]["partial_sums"] = [_SQRT2 / args.omega0 * s for s in sums]
+            continue
+        kind, code = _error_kind(exc)
+        records.append(dict(base, method=m, error=str(exc), error_kind=kind))
+        print(f"{kind} error: {m}: {exc}", file=sys.stderr)
+        status = max(status, code)
     return base, records, status
 
 
@@ -468,7 +470,7 @@ def cmd_sweep(args, tol, out) -> int:
     strategy, omega = _parse_frame(args.frame)
 
     values = grid.tolist()
-    U, shells, coeffs = (_energy_shells if args.param == "energy" else _rho_shells)(args, values)
+    well, shells, coeffs = (_energy_shells if args.param == "energy" else _rho_shells)(args, values)
     error = list(shells.error)
     rows = shells.slots.tolist()  # the slots with a shell, one row of the columns each
     try:
@@ -479,45 +481,31 @@ def cmd_sweep(args, tol, out) -> int:
         rows, cells = [], {}
     else:
         cells = _shell_fields(shells, omega_ref, xi)
-        if not rows:
-            # No shell, as when the well or its scaling failed: no method runs.
-            failed = []
-        else:
-            ends = (shells.residual, shells.x_minus, shells.x_plus,
-                    shells.residual_at_turning_points)
-            if args.method == "quadrature":
-                *periods, failed = quadrature_columns(*ends, args.omega0, tol)
-            elif args.method == "series":
-                *periods, failed = series_columns(shells, strategy, omega_ref, args.N, args.omega0)
-            elif args.method == "elliptic":
-                _require_elliptic(shells)
-                *periods, failed = _each_row(lambda *row: _elliptic(*row, args.omega0),
-                                             zip(*(c.tolist() for c in ends)), len(rows))
-            else:  # the oracle reads a row's energy and its well: U, or the point's own
-                *periods, failed = _each_row(lambda i, energy: _oracle(U or duffing_potential(
-                    values[i], args.mass, args.omega0), energy), zip(rows, shells.energy.tolist()),
-                    len(rows))
-            cells.update(zip(("T", "Omega", "err_estimate", "N", "regime"), periods))
-        for i, exc in zip(rows, failed):
-            if exc is not None:
-                error[i] = exc
+        # With no shell, as when the well or its scaling failed, no method runs.
+        if rows:
+            periods, failed = _period_cells(args.method, shells, strategy, omega_ref, well,
+                                            args, tol)
+            cells.update(periods)
+            for i, exc in zip(rows, failed):
+                if exc is not None:
+                    error[i] = exc
     emit(_sweep_table(args, values, coeffs, error, rows, cells), RECORD_FIELDS, args.format, out)
     return 0
 
 
 def _energy_shells(args, energies) -> tuple:
-    """The well of an energy grid, its shell columns and the coefficients of
-    each slot's well.  A well that cannot be built fails every slot."""
+    """The well of a slot of an energy grid, as a function, the grid's shell columns
+    and the coefficients of each slot's well.  A well that cannot be built fails every slot."""
     try:
         U = _build_potential(args)
     except tuple(_ERROR_KINDS) as exc:
         return None, ShellColumns.failed([exc] * len(energies)), [None] * len(energies)
-    return U, shell_columns(U, energies), [U.coeffs.tolist()] * len(energies)
+    return lambda i: U, shell_columns(U, energies), [U.coeffs.tolist()] * len(energies)
 
 
 def _rho_shells(args, rhos) -> tuple:
-    """No well, the shell columns of a rho grid and the coefficients of each
-    slot's well (:func:`rho_columns`); a point builds no well."""
+    """A function that builds the well of a slot of a rho grid, the grid's shell
+    columns and the coefficients of each slot's well (:func:`rho_columns`)."""
     try:
         _require_positive("mass", args.mass)
         _require_positive("omega0", args.omega0)
@@ -528,8 +516,8 @@ def _rho_shells(args, rhos) -> tuple:
     # The rows share the objects of the coefficients they have in common, so
     # that the emitter formats those once.
     common = coeffs[0, :4].tolist()
-    return None, shells, [[*common, c] if c != 0.0 else common[:3]
-                          for c in coeffs[:, 4].tolist()]
+    return (lambda i: duffing_potential(rhos[i], args.mass, args.omega0), shells,
+            [[*common, c] if c != 0.0 else common[:3] for c in coeffs[:, 4].tolist()])
 
 
 def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
@@ -576,18 +564,19 @@ def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
 
 
 def cmd_converge(args, tol, out) -> int:
-    U, shell, frame = _problem(args)
-    series = best_series(shell, frame, args.Nmax)
-    t_quad = period_quadrature(frame, U.omega0, tol).T
-    scale = _SQRT2 / U.omega0
-    base = _base_record("converge", args, U, shell, frame)
-    rows = [dict(base, regime=series.regime, N=n, I_N=float(i_n), T_N=scale * i_n,
+    _, shells, strategy, omega_ref, base = _point("converge", args)
+    sums, regime = _partial_sums(shells, strategy, omega_ref, args.Nmax)
+    cells, (exc,) = _period_cells("quadrature", shells, strategy, omega_ref, None, args, tol)
+    if exc is not None:
+        raise exc
+    t_quad, scale = cells["T"].item(), _SQRT2 / args.omega0
+    rows = [dict(base, regime=regime, N=n, I_N=i_n, T_N=scale * i_n,
                  abs_dev_quadrature=abs(scale * i_n - t_quad))
-            for n, i_n in enumerate(series.partial_sums)]
+            for n, i_n in enumerate(sums)]
     if args.format == "table":
-        digits17 = _FORMATS["csv"]
-        out.write(f"# regime: {series.regime}"
-                  + (f"  xi = {_value(frame.xi, digits17)}" if frame.xi is not None else "")
+        digits17, xi = _FORMATS["csv"], base["xi"]
+        out.write(f"# regime: {regime}"
+                  + (f"  xi = {_value(xi, digits17)}" if xi is not None else "")
                   + f"  T_quadrature = {_value(t_quad, digits17)}\n")
     emit(rows, CONVERGE_FIELDS, args.format, out)
     return 0

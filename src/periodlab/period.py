@@ -11,7 +11,7 @@ arithmetic-geometric mean (:func:`elliptic_period`).
 
 Every route runs on the rows of a stack of shells: :func:`quadrature_columns` and
 :func:`series_columns`, one partial-sum loop for every series, take them as
-arrays, and a sweep maps the elliptic kernel :func:`_elliptic` over them.  A
+arrays, and the CLI maps the elliptic kernel :func:`_elliptic` over them.  A
 route on one shell or frame is its one-row case.
 """
 
@@ -86,10 +86,16 @@ class SeriesResult:
         return self.partial_sums[-1]
 
 
-def _period_result(T: float, err: float, method: str) -> PeriodResult:
+def _period(T: float, err: float) -> tuple:
+    """``(T, Omega, err)`` of one period ``T`` and its error; a T that is not positive raises."""
     if not T > 0.0:
         raise DomainError(f"non-positive period {T}")
-    return PeriodResult(T=T, Omega=2.0 * math.pi / T, method=method, err_estimate=err)
+    return T, 2.0 * math.pi / T, err
+
+
+def _period_result(T: float, err: float, method: str) -> PeriodResult:
+    T, Omega, err = _period(T, err)
+    return PeriodResult(T=T, Omega=Omega, method=method, err_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +175,15 @@ def elliptic_period(shell: EnergyShell, omega0: float = 1.0) -> PeriodResult:
 
 
 def _each_row(route, rows, n: int):
-    """``(T, Omega, err_estimate, errors)`` of ``route``, which gives ``(T, err)`` of
-    one row of arguments or raises, on each of the ``n`` ``rows``."""
-    T, err, found = np.full(n, math.nan), np.full(n, math.nan), [None] * n
+    """``(T, Omega, err_estimate, errors)`` lists of ``route``, which gives ``(T, err)`` of one
+    row of arguments or raises, on each of the ``n`` ``rows``; :func:`_period` checks each."""
+    T, Omega, err, found = [math.nan] * n, [math.nan] * n, [math.nan] * n, [None] * n
     for j, row in enumerate(rows):
         try:
-            T[j], err[j] = route(*row)
+            T[j], Omega[j], err[j] = _period(*route(*row))
         except (DomainError, ConvergenceError) as exc:
             found[j] = exc
-    return _period_columns(T, err, found)
+    return T, Omega, err, found
 
 
 def duffing_elliptic(rho: float, omega0: float = 1.0) -> PeriodResult:
@@ -368,14 +374,17 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
 
 def _period_columns(T: np.ndarray, err: np.ndarray, found: list):
     """``(T, Omega, err, found)`` with a :class:`DomainError` in ``found`` for each
-    row whose T is not positive and has no error yet, as :func:`_period_result`
-    raises it; a failed row's T and err are NaN."""
-    found = [exc or DomainError(f"non-positive period {float(t)}") if not t > 0.0 else exc
-             for t, exc in zip(T.tolist(), found)]
+    row whose T is not positive and has no error yet, as :func:`_period` raises
+    it; a failed row's T, Omega and err are NaN."""
+    ts = T.tolist()
+    found = [exc or DomainError(f"non-positive period {t}") if not t > 0.0 else exc
+             for t, exc in zip(ts, found)]
     failed = [i for i, exc in enumerate(found) if exc is not None]
-    T[failed] = err[failed] = math.nan
-    with np.errstate(over="ignore"):
-        return T, 2.0 * math.pi / T, err, found
+    if failed:
+        T[failed] = err[failed] = math.nan
+    # A Python float quotient overflows to inf without a warning.
+    return T, np.array([2.0 * math.pi / t if exc is None else math.nan
+                        for t, exc in zip(ts, found)]), err, found
 
 
 def period_quadrature(frame: BalancedFrame, omega0: float = 1.0,

@@ -29,6 +29,7 @@ from periodlab.cli import main
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_cli.json"
 SWEEPS_PATH = GOLDEN_PATH.with_name("golden_sweeps.json")
+POINTS_PATH = GOLDEN_PATH.with_name("golden_points.json")
 
 
 def run_case(argv) -> dict:

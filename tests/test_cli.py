@@ -567,13 +567,17 @@ def test_parser_is_reused_without_carrying_state():
     ("--preset", "duffing", "--lambda", "1", "--energy", "inf"),
     ("--preset", "duffing", "--lambda", "1", "--energy", "nan"),
     ("--preset", "duffing", "--lambda", "1", "--amplitude", "inf"),
+    ("--preset", "duffing", "--lambda", "1", "--amplitude", "nan"),
     ("--preset", "duffing", "--lambda", "1", "--energy", "0.5", "--frame", "fixed:nan"),
     ("--preset", "duffing", "--lambda", "1", "--energy", "0.5", "--frame", "fixed:inf"),
 ])
 def test_non_finite_input_is_a_domain_error(problem, capsys):
     code, out = run_cli("period", *problem, "--format", "json")
     assert code == 2
-    assert json.loads(out)["error_kind"] == "domain"
+    record = json.loads(out)
+    assert record["error_kind"] == "domain"
+    if "--amplitude" in problem:  # the error names the value given, not its energy
+        assert record["error"] == f"amplitude must be finite, got {problem[-1]}"
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -17,6 +17,11 @@ output: ``table`` energy and rho sweeps, grids with error rows between
 results, and sweeps in every frame.  It is compared the same way; a
 ``table`` output, which does not re-parse, is compared as one text.
 
+``data/golden_points.json`` holds single-point calls that neither set
+pins: ``converge`` tables with their ``# regime`` header, ``--omega0`` and
+``--mass`` on ``period --method all`` and ``converge``, a failing oracle, a
+frame error under ``verify``, and the generic series' ``--show-terms``.
+
 ``record_golden.py`` re-records the cases whose argv matches a pattern, and
 ``--add`` records new ones.
 """
@@ -29,11 +34,12 @@ import re
 
 import pytest
 
-from tests.record_golden import GOLDEN_PATH, SWEEPS_PATH, add, record, run_case
+from tests.record_golden import GOLDEN_PATH, POINTS_PATH, SWEEPS_PATH, add, record, run_case
 
 ULPS = 8
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 SWEEPS = json.loads(SWEEPS_PATH.read_text())
+POINTS = json.loads(POINTS_PATH.read_text())
 # field -> the field whose ulp sets its tolerance (None: the ulp of 1)
 DIFFERENCE_OF = {"err_estimate": "T", "abs_dev_quadrature": "T_N", "max_rel_deviation": None}
 _NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.])")
@@ -113,6 +119,18 @@ def test_cli_output_matches_the_golden_set(case):
 
 @pytest.mark.parametrize("case", SWEEPS, ids=[" ".join(c["argv"]) for c in SWEEPS])
 def test_sweep_output_matches_the_golden_sweeps(case):
+    got = run_case(case["argv"])
+    assert got["code"] == case["code"]
+    assert _same_text(got["stderr"], case["stderr"])
+    fmt = _format(case["argv"])
+    if fmt == "table":
+        assert _same_text(got["stdout"], case["stdout"])
+    else:
+        assert _same_stdout(got["stdout"], case["stdout"], fmt)
+
+
+@pytest.mark.parametrize("case", POINTS, ids=[" ".join(c["argv"]) for c in POINTS])
+def test_point_output_matches_the_golden_points(case):
     got = run_case(case["argv"])
     assert got["code"] == case["code"]
     assert _same_text(got["stderr"], case["stderr"])

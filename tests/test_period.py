@@ -46,7 +46,7 @@ from periodlab import (
     period_series_generic,
     turning_points,
 )
-from periodlab.period import series_columns
+from periodlab.period import _period_columns, series_columns
 from periodlab.potential import shell_columns
 
 # mpmath oracle values (40 significant digits at computation time)
@@ -724,3 +724,19 @@ def test_generic_error_row_past_one_block_of_terms():
                                        period_from_series(expected).err_estimate,
                                        len(expected.terms) - 1)
     assert isinstance(errors[1], DomainError) and math.isnan(T[1])
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from([5e-324, 1e-310, 3.4e-308, 0.0, -0.0])),
+                max_size=12))
+def test_period_columns_match_the_array_quotient_and_overflow_quietly(periods):
+    # Omega is each row's Python quotient 2 pi / T: the bits of numpy's
+    # division, inf without a warning where that overflows, NaN on a failed row.
+    T = np.array(periods, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        expected = np.where(T > 0.0, 2.0 * math.pi / T, math.nan)
+    n = len(periods)
+    got_T, omega, err, found = _period_columns(T.copy(), np.ones(n), [None] * n)
+    assert omega.tobytes() == expected.tobytes()
+    assert [exc is None for exc in found] == [t > 0.0 for t in periods]
+    assert all(math.isnan(t) and math.isnan(e) for t, e, exc in zip(got_T, err, found) if exc)
