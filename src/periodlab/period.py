@@ -50,7 +50,7 @@ DIVERGENT = "divergent"
 BOUNDARY = "boundary"
 
 _SQRT2 = math.sqrt(2.0)
-_EARLY_STOP_RTOL = 1e-16
+_EPS = math.ulp(1.0)
 _CONVERGED_RTOL = 1e-10
 _BOUNDARY_TOL = 1e-12
 
@@ -70,8 +70,9 @@ class SeriesResult:
     """Binomial-series evaluation of the period integral I.
 
     ``terms[j]`` is the j-th series contribution and ``partial_sums[j]`` their
-    running sum.  ``truncation_error`` is a geometric tail estimate built from
-    the last two nonzero terms; ``regime`` classifies the governing ratio.
+    running sum.  ``truncation_error`` bounds the sum of the terms after the
+    last one by the governing ratio q that ``regime`` classifies, and is inf
+    where q >= 1 (:func:`_summed_series`).
     """
 
     terms: tuple
@@ -249,7 +250,7 @@ def _level_sums(coeffs, mid_half, ends, nodes, first: bool):
     if n_known == len(known):
         r = ends[:, :1] + ends[:, 1:] * sin2
     else:
-        r = polyval(coeffs, mid_half[:, :1] + mid_half[:, 1:] * cos)
+        r = _horner(coeffs, mid_half[:, :1] + mid_half[:, 1:] * cos)
         if n_known:
             r[known] = ends[known, :1] + ends[known, 1:] * sin2
     f = 1.0 / np.sqrt(r)
@@ -285,6 +286,7 @@ def period_quadratures(frames, omega0: float = 1.0, tol: float | None = None) ->
             else exc for t, w, e, exc in zip(T.tolist(), Omega.tolist(), err.tolist(), found)]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.ndarray,
                        r_end: np.ndarray, omega0: float = 1.0, tol: float | None = None):
     """The quadrature periods of a stack of shells, as columns ``(T, Omega,
@@ -318,11 +320,10 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     # (R_end, R(0) - R_end) row, NaN where R_end is not known.  Like Python
     # floats, they overflow to inf without a warning.
     mid_half, ends = np.empty((rows, 2)), np.empty((rows, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        mid_half[:, 0] = 0.5 * (x_plus + x_minus)
-        mid_half[:, 1] = 0.5 * (x_plus - x_minus)
-        ends[:, 0] = r_end
-        ends[:, 1] = residual[:, 0] - r_end
+    mid_half[:, 0] = 0.5 * (x_plus + x_minus)
+    mid_half[:, 1] = 0.5 * (x_plus - x_minus)
+    ends[:, 0] = r_end
+    ends[:, 1] = residual[:, 0] - r_end
     unknown = np.isnan(r_end)
     caps = np.where(unknown, _QUAD_NMAX, _QUAD_NMAX_KNOWN_ENDS)
     cap_min = _QUAD_NMAX if np.count_nonzero(unknown) else _QUAD_NMAX_KNOWN_ENDS
@@ -331,44 +332,43 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     n = _QUAD_N0
     scale = _SQRT2 / omega0
     # A non-positive radicand R makes its row's value inf or NaN.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while slots.size:
-            # Rows with a non-positive R at a node are separatrix shells.
-            if prev is None:
-                # No row converges on the first level, so the first pass
-                # takes its nodes and the second level's midpoints together.
-                coarse, sums, separatrix = _level_sums(coeffs, mid_half, ends, _first_nodes(), True)
-                prev = (math.pi / n) * coarse
-                n *= 2
-            else:
-                sums, separatrix = _level_sums(coeffs, mid_half, ends,
-                                               _level_nodes(n // 2, False), False)
-            # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
-            vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
-            change = np.abs(vals - prev)
-            converged = change <= tol * np.maximum(1e-300, np.abs(vals))
-            finished = separatrix | converged
-            if n >= cap_min:
-                finished = finished | (n >= caps[slots])
-            if np.count_nonzero(finished):
-                if np.count_nonzero(separatrix):
-                    for i in slots[separatrix].tolist():
-                        found[i] = SeparatrixError(
-                            "non-positive radicand in the period integrand: separatrix shell")
-                    converged &= ~separatrix
-                T[slots[converged]] = scale * vals[converged]
-                err[slots[converged]] = scale * change[converged]
-                if n >= cap_min:
-                    for i in slots[finished & ~separatrix & ~converged].tolist():
-                        found[i] = ConvergenceError(
-                            f"theta quadrature did not converge to {tol} within {caps[i]} nodes")
-                keep = ~finished
-                slots = slots[keep]
-                if not slots.size:
-                    break
-                coeffs, mid_half, ends, vals = coeffs[keep], mid_half[keep], ends[keep], vals[keep]
-            prev = vals
+    while slots.size:
+        # Rows with a non-positive R at a node are separatrix shells.
+        if prev is None:
+            # No row converges on the first level, so the first pass
+            # takes its nodes and the second level's midpoints together.
+            coarse, sums, separatrix = _level_sums(coeffs, mid_half, ends, _first_nodes(), True)
+            prev = (math.pi / n) * coarse
             n *= 2
+        else:
+            sums, separatrix = _level_sums(coeffs, mid_half, ends,
+                                           _level_nodes(n // 2, False), False)
+        # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
+        vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
+        change = np.abs(vals - prev)
+        converged = change <= tol * np.maximum(1e-300, np.abs(vals))
+        finished = separatrix | converged
+        if n >= cap_min:
+            finished = finished | (n >= caps[slots])
+        if np.count_nonzero(finished):
+            if np.count_nonzero(separatrix):
+                for i in slots[separatrix].tolist():
+                    found[i] = SeparatrixError(
+                        "non-positive radicand in the period integrand: separatrix shell")
+                converged &= ~separatrix
+            T[slots[converged]] = scale * vals[converged]
+            err[slots[converged]] = scale * change[converged]
+            if n >= cap_min:
+                for i in slots[finished & ~separatrix & ~converged].tolist():
+                    found[i] = ConvergenceError(
+                        f"theta quadrature did not converge to {tol} within {caps[i]} nodes")
+            keep = ~finished
+            slots = slots[keep]
+            if not slots.size:
+                break
+            coeffs, mid_half, ends, vals = coeffs[keep], mid_half[keep], ends[keep], vals[keep]
+        prev = vals
+        n *= 2
     return _period_columns(T, err, found)
 
 
@@ -463,57 +463,51 @@ def _terms(pref, coeffs, step, N: int, weight=None, block=None):
 _REGIMES = (CONVERGENT, BOUNDARY, DIVERGENT)
 
 
-def _summed_series(N: int, blocks, ratio, errors: list) -> tuple:
+def _summed_series(N: int, blocks, P, q, errors: list) -> tuple:
     """The partial-sum loop behind every series, on rows: ``(terms, sums, stop,
     value, trunc, regime, errors)``.  ``blocks(N)`` yields the terms j = 0..N of
-    each row i as column i, a block at a time (:func:`_terms`).  While its
-    governing ``ratio`` is below 1, row i stops at the first j > 0 where term j
-    and the one before fall below ``_EARLY_STOP_RTOL`` of the running sum, an
-    ``np.add.accumulate``, and sums ``terms[:stop[i] + 1, i]`` to ``value[i]``;
-    a divergent row keeps all N + 1 terms.  Blocks end once no row is left to
-    stop or to keep its terms; a row with an error stops at the last term
-    formed.  A row's tail estimate is its last nonzero term, extrapolated
-    geometrically where it is below the nonzero term before, or 0 where the
-    ratio is.  The caller ignores overflow and invalid values.
+    each row i as column i, a block at a time (:func:`_terms`).  Term j of row i
+    is at most ``P[i] |C(-1/2, j)| q[i]^j``, and ``|C(-1/2, j)|`` falls with j, so
+    while ``q[i] < 1`` the terms after j sum to at most ``P[i] |C(-1/2, j)|
+    q[i]^(j+1) / (1 - q[i])``, and to inf otherwise.  Row i stops at the first j
+    where that bound is at most eps of the running sum, an ``np.add.accumulate``,
+    sums ``terms[:stop[i] + 1, i]`` to ``value[i]`` and reports the bound at its
+    stop as ``trunc[i]``; ``regime`` classifies q.  Blocks end once no row is
+    left to stop; a row that does not stop, or has an error, stops at the last
+    term formed.  The caller ignores overflow and invalid values.
     """
     if N < 0:
         errors = [exc or DomainError(f"series cap N must be >= 0, got {N}") for exc in errors]
         N = 0
-    # The bound on two terms per unit of the running sum: -inf for a row that
-    # keeps all its terms, 0 for a row that has stopped or has an error.
-    rtol = np.where(ratio < 1.0, _EARLY_STOP_RTOL, -math.inf)
-    rtol[[e is not None for e in errors]] = 0.0
-    i, stop, lo, parts = np.arange(len(ratio)), N, 0, []
+    # The bound at j is scale |C(-1/2, j)| x^j: inf where q is not below 1.
+    below = q < 1.0
+    x, scale = np.where(below, q, 1.0), np.where(below, P * q / (1.0 - q), math.inf)
+    b = np.abs(_binomials(N))
+    live = np.array([e is None for e in errors], dtype=bool)
+    i, stop, lo, parts = np.arange(len(q)), N, 0, []
     for t in blocks(N):
-        # Row 0 of s and a: the running sum and |term| before the block, 0 before term 0.
-        s, a = np.empty((2, len(t) + 1, len(ratio)))
-        s[0], a[0] = (parts[-1][1][-1], parts[-1][2][-1]) if parts else (0.0, 0.0)
+        # Row 0 of s: the running sum before the block, 0 before term 0.
+        s = np.empty((len(t) + 1, len(q)))
+        s[0] = parts[-1][1][-1] if parts else 0.0
         s[1:] = t
         np.add.accumulate(s, axis=0, out=s)
-        np.abs(t, out=a[1:])
-        hit = np.maximum(a[1:], a[:-1]) < np.abs(s[1:]) * rtol
+        bound = scale * b[lo:lo + len(t), None] * x ** np.arange(lo, lo + len(t))[:, None]
+        hit = (bound <= _EPS * np.abs(s[1:])) & live
         m = hit.argmax(axis=0)
         found = hit[m, i]
         stop = np.where(found, m + lo, stop)
-        rtol[found] = 0.0
-        parts.append((t, s[1:], a[1:] if parts else a))
+        live &= ~found
+        parts.append((t, s[1:], bound))
         lo += len(t)
-        if not np.count_nonzero(rtol):
+        if not np.count_nonzero(live):
             break
     stop = np.minimum(stop, lo - 1)
-    terms, sums, a = (np.concatenate(x) for x in zip(*parts))
-    value = sums[stop, i]
+    terms, sums, bounds = (np.concatenate(c) for c in zip(*parts))
+    value, trunc = sums[stop, i], bounds[stop, i]
     for j in np.flatnonzero(~np.isfinite(value)).tolist():
         errors[j] = errors[j] or ConvergenceError(f"series partial sum {value[j]} is not finite")
-    # Row j + 1 of a is |term j|: the row of the last nonzero one up to each
-    # row, 0 where there is none, then the last two up to the stop.
-    nonzero = np.maximum.accumulate((a > 0.0) * np.arange(len(a))[:, None], axis=0)
-    last = nonzero[stop + 1, i]
-    a1, a2 = a[last, i], a[nonzero[last - 1, i], i]
-    r = a1 / a2
-    trunc = np.where(a1 < a2, a1 * r / (1.0 - r), a1) * (ratio != 0.0)
     # NaN is neither below 1 - tol nor at most 1 + tol: divergent.
-    regime = 2 - (ratio <= 1.0 + _BOUNDARY_TOL) - (ratio < 1.0 - _BOUNDARY_TOL)
+    regime = 2 - (q <= 1.0 + _BOUNDARY_TOL) - (q < 1.0 - _BOUNDARY_TOL)
     return terms, sums, stop, value, trunc, regime, errors
 
 
@@ -567,7 +561,7 @@ def _generic_rows(shells, strategy: str, omega, N: int) -> tuple:
                 t[:, g] = part
             yield t
 
-    return _summed_series(N, blocks, sup, errors)
+    return _summed_series(N, blocks, math.pi * pref, sup, errors)
 
 
 def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
@@ -586,7 +580,7 @@ def _closed_form(pref, xi, errors: list, N: int) -> tuple:
     """:func:`_summed_series` of ``pref (-1)^j C(-1/2, j) C(-1/2, 2j) xi^2j``."""
     xi2 = xi * xi
     return _summed_series(N, lambda n: _terms(pref, (_alternating_pair_coeffs(n),), xi2, n),
-                          np.sqrt(xi2), errors)
+                          pref, xi2, errors)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -597,9 +591,9 @@ def _quartic_rows(rho, strategy: str, N: int) -> tuple:
     errors = _rho_errors(rho.tolist())
     if strategy == NAYFEH:
         xi = rho / (2.0 * rho + 2.0)
-        return _summed_series(N, lambda n: _terms(_SQRT2 * math.pi / np.sqrt(1.0 + rho),
-                                                  (_binomials(n),) * 2, xi, n),
-                              np.abs(xi), errors), xi
+        pref = _SQRT2 * math.pi / np.sqrt(1.0 + rho)
+        return _summed_series(N, lambda n: _terms(pref, (_binomials(n),) * 2, xi, n),
+                              pref, np.abs(xi), errors), xi
     d = 4.0 + 3.0 * rho
     xi = rho / d
     return _closed_form(2.0 * _SQRT2 * math.pi / np.sqrt(d), xi, errors, N), xi

@@ -175,6 +175,23 @@ def test_show_terms_includes_partial_sums():
     assert sums[-1] == pytest.approx(record["T"], rel=1e-15)
 
 
+@pytest.mark.parametrize("point", [
+    # next to the softening barrier, xi = -0.9996
+    "--lambda -0.9999 --amplitude 1 --N 30",
+    # a fixed frame far above the well's frequency, sup |Delta| just below 1
+    "--lambda 1.2 --energy 0.5 --frame fixed:1e3",
+])
+def test_series_err_estimate_covers_its_error_where_the_series_converges_slowly(point):
+    # Both reported an estimate far below their error (2.6 against 8.9, and
+    # 0.027 against 4.9) when it was extrapolated from the last two terms.
+    _, out = run_cli("period", "--preset", "duffing", *point.split(), "--method", "all",
+                     "--format", "json")
+    records = {r["method"]: r for r in json.loads(out)}
+    series, elliptic = records["series"], records["elliptic"]
+    assert series["error"] is None and elliptic["error"] is None
+    assert abs(series["T"] - elliptic["T"]) <= series["err_estimate"]
+
+
 def test_table_format_runs():
     code, out = run_cli("period", "--preset", "duffing", "--lambda", "1",
                         "--amplitude", "1")

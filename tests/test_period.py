@@ -46,6 +46,7 @@ from periodlab import (
     period_series_generic,
     turning_points,
 )
+from periodlab.frame import frame_columns
 from periodlab.period import _period_columns, series_columns
 from periodlab.potential import shell_columns
 
@@ -740,3 +741,55 @@ def test_period_columns_match_the_array_quotient_and_overflow_quietly(periods):
     assert omega.tobytes() == expected.tobytes()
     assert [exc is None for exc in found] == [t > 0.0 for t in periods]
     assert all(math.isnan(t) and math.isnan(e) for t, e, exc in zip(got_T, err, found) if exc)
+
+
+# ---------------------------------------------------------------------------
+# The series err_estimate bounds the error of every row it calls convergent
+# ---------------------------------------------------------------------------
+
+_SEXTIC = from_physical([0.0, 0.0, 0.5, 0.05, 0.1, -0.02, -0.1])
+
+
+def _quartic_case(e: float, strategy: str):
+    # The closed form reads only rho = 10^e - 1; its shell is the one of
+    # amplitude 1, R = (2 + rho)/4 + (rho/4) x^2 on [-1, 1], which exists
+    # closer to rho = -1 than a shell solve resolves.
+    rho = 10.0 ** e - 1.0
+    shell = SimpleNamespace(residual=np.array([0.5 + 0.25 * rho, 0.0, 0.25 * rho]),
+                            x_minus=-1.0, x_plus=1.0)
+    return SimpleNamespace(family="quartic", rho=np.array([rho])), shell, strategy, None
+
+
+def _solved_case(U, energy: float, omega: float | None):
+    shells = shell_columns(U, [energy])
+    (shell,) = shells.shells()
+    strategy = "balanced" if omega is None else "fixed"
+    return shells, shell, strategy, frame_columns(strategy, shells, omega)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    # cubic lam = +-1 at gaps 1e-1 to 1e-8 below the barrier energy 1/6
+    st.builds(lambda lam, e: _solved_case(cubic_potential(lam), (1.0 - 10.0 ** e) / 6.0, None),
+              st.sampled_from([1.0, -1.0]), st.floats(-8.0, -1.0)),
+    # the canonical quartic at rho in (-1 + 1e-8, 1e12)
+    st.builds(_quartic_case, st.floats(-8.0, 12.0), st.sampled_from(["balanced", "nayfeh"])),
+    # a sextic below its barrier, balanced and in fixed frames
+    st.builds(lambda f, omega: _solved_case(_SEXTIC, f * _SEXTIC.barrier.barrier_energy, omega),
+              st.floats(0.01, 0.99), st.none() | st.floats(0.5, 2.0)),
+))
+def test_series_err_estimate_bounds_its_error(case):
+    # Against a 40-digit integral on the same float shell, at every N from 0
+    # to 30: the error is within err_estimate, which bounds the terms left
+    # out, plus 8 ulp of T for the rounding of the float terms and their sum,
+    # which it does not count (up to about 5 ulp on the generic sextic).  A
+    # row the series cannot bound, with an inf estimate or an error, is not
+    # convergent.
+    shells, shell, strategy, omega_ref = case
+    ref = _mp_period_on_shell(shell)
+    for N in range(31):
+        (T,), _, (err,), _, (regime,), (error,) = series_columns(shells, strategy, omega_ref, N)
+        if error is not None or err == math.inf:
+            assert regime != CONVERGENT, (N, error)
+            continue
+        assert float(abs(mp.mpf(T) - ref)) <= err + 8.0 * math.ulp(T), (N, T, err, regime)
