@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -135,12 +134,24 @@ class _Format(NamedTuple):
     join: Callable
 
 
-_FORMATS = {
-    "csv": _Format(".17g", None, "", str, ";".join),
-    "table": _Format(".12g", None, "", str, ";".join),
-    "json": _Format(".17g", "null", "null", json.dumps,
-                    lambda texts: "[" + ", ".join(texts) + "]"),
-}
+class _Formats(dict):
+    """The formats by name.  json's is made and kept on first use, so that
+    only a run that writes json imports json."""
+
+    def __missing__(self, fmt: str) -> _Format:
+        if fmt != "json":
+            raise KeyError(fmt)
+        import json
+
+        spec = self[fmt] = _Format(".17g", "null", "null", json.dumps,
+                                   lambda texts: "[" + ", ".join(texts) + "]")
+        return spec
+
+
+_FORMATS = _Formats(
+    csv=_Format(".17g", None, "", str, ";".join),
+    table=_Format(".12g", None, "", str, ";".join),
+)
 
 
 def _value(v, fmt: _Format) -> str:
@@ -230,7 +241,7 @@ def _csv_row(columns: list, sep: str = ",", end: str = "\n") -> tuple[str, list]
 
 @functools.cache
 def _json_key(k: str) -> str:
-    return json.dumps(k)
+    return _FORMATS["json"].string(k)
 
 
 def emit(table, fields, fmt: str, out) -> None:

@@ -14,7 +14,7 @@ builders call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ NAYFEH = "nayfeh"
 FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class BalancedFrame:
+class BalancedFrame(NamedTuple):
     """A reference frequency together with the deviation it induces on a shell.
 
     ``xi`` carries the closed-form series parameter when the shell is of the

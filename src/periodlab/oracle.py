@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._poly import _horner_text, _polynomial
 from .errors import DomainError
@@ -66,8 +66,7 @@ _NEWTON_MAX = 8
 _NEWTON_STOP = 1e-6
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
+class TrajectoryState(NamedTuple):
     """One phase-space sample along a trajectory (dimensionless time)."""
 
     tau: float
@@ -75,8 +74,7 @@ class TrajectoryState:
     v: float
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """A measured period with its quality metadata.
 
     ``err_estimate`` is meant to bound ``|period - T|``.  It is the period

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ _CONVERGED_RTOL = 1e-10
 _BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(NamedTuple):
     """A computed period. ``Omega = 2 pi / T`` is fixed by construction."""
 
     T: float
@@ -65,8 +64,7 @@ class PeriodResult:
     err_estimate: float
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Binomial-series evaluation of the period integral I.
 
     ``terms[j]`` is the j-th series contribution and ``partial_sums[j]`` their

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,17 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 _CUBIC_RANGE = (2.0 ** -300, 2.0 ** 300)
 
 
-@dataclass(frozen=True)
-class PolynomialPotential:
+class _Immutable:
+    """Instances refuse to set or delete an attribute: ``__init__`` and the
+    cached properties write ``__dict__`` directly."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class PolynomialPotential(_Immutable):
     """Dimensionless polynomial potential with provenance scaling.
 
     ``coeffs[k]`` multiplies ``x**k`` directly, so the canonical hardening
@@ -101,19 +110,15 @@ class PolynomialPotential:
     ``coeffs`` is read-only, so nothing goes stale.
     """
 
-    coeffs: np.ndarray
-    mass: float = 1.0
-    omega0: float = 1.0
-    minimum_x: float = 0.0
-
-    def __post_init__(self):
-        c = as_coeffs(self.coeffs)
-        _require_positive("mass", self.mass)
-        _require_positive("omega0", self.omega0)
+    def __init__(self, coeffs: np.ndarray, mass: float = 1.0, omega0: float = 1.0,
+                 minimum_x: float = 0.0):
+        c = as_coeffs(coeffs)
+        _require_positive("mass", mass)
+        _require_positive("omega0", omega0)
         du, d2u = _derivatives(c)
-        for name, value in (("coeffs", c), ("slope_coeffs", du), ("curvature_coeffs", d2u)):
-            object.__setattr__(self, name, value)
-        x0 = self.minimum_x
+        self.__dict__.update(coeffs=c, mass=mass, omega0=omega0, minimum_x=minimum_x,
+                             slope_coeffs=du, curvature_coeffs=d2u)
+        x0 = minimum_x
         scale = max(1.0, float(np.max(np.abs(c))))
         if abs(self(x0)) > 1e-8 * scale:
             raise DomainError(
@@ -132,9 +137,7 @@ class PolynomialPotential:
             lam = 4.0 * float(c[4]) if c.size == 5 else 0.0
         cubic = c.size == 4 and not c[:2].any() and c[2] == 0.5
         family = "quartic" if lam is not None else "cubic" if cubic else "generic"
-        for name, value in (("is_symmetric", symmetric), ("duffing_lambda", lam),
-                            ("family", family)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(is_symmetric=symmetric, duffing_lambda=lam, family=family)
 
     def __call__(self, x):
         return polyval(self.coeffs, x)
@@ -188,8 +191,7 @@ class PolynomialPotential:
         return BarrierInfo(True, barrier_energy=energy, barrier_x=x, amplitude_limit=limit)
 
 
-@dataclass(frozen=True)
-class EnergyShell:
+class EnergyShell(_Immutable):
     """One energy level of a well: turning points and the deflated residual.
 
     ``Q(x) = energy - U(x) = (x_plus - x)(x - x_minus) R(x)`` with ``R > 0``
@@ -207,29 +209,23 @@ class EnergyShell:
     ``R`` at ``x = A cos theta`` as ``R_end + (R(0) - R_end) sin^2 theta``.
     """
 
-    energy: float
-    x_minus: float
-    x_plus: float
-    residual: np.ndarray
-    amplitude: float | None = None
-    rho: float | None = None
-    residual_extrema: tuple | None = None
-    residual_at_turning_points: float | None = None
-    family: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "residual", as_coeffs(self.residual))
-        if self.family is None:
-            object.__setattr__(self, "family", "quartic" if self.rho is not None else
-                               "cubic" if self.residual.size == 2 else "generic")
-        if not self.x_minus < self.x_plus:
-            raise DomainError(f"turning points out of order: {self.x_minus} >= {self.x_plus}")
-        if self.residual_extrema is None:
-            extrema, failed = _residual_extrema(self.residual[None, :], [self.x_minus],
-                                                [self.x_plus])
+    def __init__(self, energy: float, x_minus: float, x_plus: float, residual: np.ndarray,
+                 amplitude: float | None = None, rho: float | None = None,
+                 residual_extrema: tuple | None = None,
+                 residual_at_turning_points: float | None = None, family: str | None = None):
+        residual = as_coeffs(residual)
+        if family is None:
+            family = "quartic" if rho is not None else "cubic" if residual.size == 2 else "generic"
+        if not x_minus < x_plus:
+            raise DomainError(f"turning points out of order: {x_minus} >= {x_plus}")
+        if residual_extrema is None:
+            extrema, failed = _residual_extrema(residual[None, :], [x_minus], [x_plus])
             if failed:
                 raise failed[0]
-            object.__setattr__(self, "residual_extrema", tuple(extrema[:, 0].tolist()))
+            residual_extrema = tuple(extrema[:, 0].tolist())
+        self.__dict__.update(energy=energy, x_minus=x_minus, x_plus=x_plus, residual=residual,
+                             amplitude=amplitude, rho=rho, residual_extrema=residual_extrema,
+                             residual_at_turning_points=residual_at_turning_points, family=family)
 
     def residual_at(self, x):
         return polyval(self.residual, x)
@@ -239,8 +235,7 @@ class EnergyShell:
         return (self.x_plus - x) * (x - self.x_minus) * self.residual_at(x)
 
 
-@dataclass(frozen=True)
-class ShellColumns:
+class ShellColumns(NamedTuple):
     """The shells of a grid of slots, each slot one energy of a well, as columns.
 
     ``error[i]`` is the error that :func:`turning_points` raises for slot
@@ -328,8 +323,7 @@ class ShellColumns:
         )
 
 
-@dataclass(frozen=True)
-class BarrierInfo:
+class BarrierInfo(NamedTuple):
     """Barriers adjacent to the reference minimum, if any.
 
     ``barrier_energy`` is the lowest adjacent barrier height (``inf`` when the

@@ -72,3 +72,20 @@ def test_names_the_benchmark_trace_rebinds_still_exist():
     bindings = [b for layer in spans.LAYER_BINDINGS.values() for b in layer]
     for module, attr in bindings + [("periodlab.period", "delta_at")]:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_import_loads_neither_dataclasses_nor_json_but_loads_the_oracle():
+    # numpy first, so that what numpy imports itself, which varies between
+    # versions, is not counted.  bench/spans.py reads periodlab.oracle from
+    # sys.modules when it installs its tracer, so the oracle stays eager.
+    code = ("import sys, numpy; before = set(sys.modules); import periodlab.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "json"}, sorted(loaded)
+    assert "periodlab.oracle" in loaded, sorted(loaded)

@@ -402,3 +402,78 @@ def test_the_well_decides_its_family_and_its_shells_carry_it(U, family):
     assert (frame.xi is None) == (family == "generic")
     if family == "generic":
         assert best_series(shell, frame, 12).terms == period_series_generic(frame, 12).terms
+
+
+# ---------------------------------------------------------------------------
+# The public types
+# ---------------------------------------------------------------------------
+
+def test_public_types_are_immutable_records_and_classes():
+    import inspect
+
+    from periodlab import (
+        BarrierInfo,
+        BalancedFrame,
+        EnergyShell,
+        OracleReport,
+        PeriodResult,
+        SeriesResult,
+        TrajectoryState,
+        integrate,
+        measure_period,
+        period_quadrature,
+    )
+    from periodlab.potential import ShellColumns
+
+    # Each record's fields in order, with the defaults of the trailing ones.
+    records = {
+        BarrierInfo: ("has_barrier barrier_energy barrier_x amplitude_limit",
+                      {"barrier_energy": math.inf, "barrier_x": None, "amplitude_limit": None}),
+        ShellColumns: ("error slots energy x_minus x_plus residual residual_extrema "
+                       "residual_at_turning_points amplitude rho family",
+                       {"amplitude": None, "rho": None, "family": None}),
+        BalancedFrame: ("shell omega strategy xi", {"xi": None}),
+        PeriodResult: ("T Omega method err_estimate", {}),
+        SeriesResult: ("terms partial_sums xi converged truncation_error regime", {}),
+        TrajectoryState: ("tau x v", {}),
+        OracleReport: ("period err_estimate energy_drift steps method_order half_period "
+                       "reliable", {}),
+    }
+    for record, (fields, defaults) in records.items():
+        assert record._fields == tuple(fields.split()), record
+        assert record._field_defaults == defaults, record
+    info = BarrierInfo(False)
+    assert info.barrier_energy == math.inf and info.barrier_x is None
+    assert info.amplitude_limit is None
+    # The two classes take the same fields, with the same defaults, as arguments.
+    classes = {
+        PolynomialPotential: {"coeffs": inspect.Parameter.empty, "mass": 1.0, "omega0": 1.0,
+                              "minimum_x": 0.0},
+        EnergyShell: dict.fromkeys(["energy", "x_minus", "x_plus", "residual"],
+                                   inspect.Parameter.empty)
+        | dict.fromkeys(["amplitude", "rho", "residual_extrema", "residual_at_turning_points",
+                         "family"]),
+    }
+    for cls, params in classes.items():
+        got = inspect.signature(cls).parameters.values()
+        assert {p.name: p.default for p in got} == params, cls
+
+    U = duffing_potential(0.7)
+    assert "barrier" not in vars(U)
+    assert U.barrier.has_barrier is False and "barrier" in vars(U)
+    shell = turning_points(U, 0.3)
+    frame = balanced_frame(shell)
+    state = integrate(U, TrajectoryState(0.0, 0.0, 1.0), 0.1, 1)[-1]
+    instances = [U, shell, U.barrier, shell_columns(U, [0.2, 0.3]), frame,
+                 period_quadrature(frame), best_series(shell, frame, 4), state,
+                 measure_period(U, 0.3)]
+    assert {type(v) for v in instances} == {PolynomialPotential, EnergyShell, *records}
+    for value in instances:
+        for name in ("coeffs", "energy", "barrier_energy", "slots", "omega", "T", "terms",
+                     "tau", "period", "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1.0)
+    for value, name in ((U, "coeffs"), (U, "barrier"), (shell, "x_plus")):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert U.coeffs.tobytes() == duffing_potential(0.7).coeffs.tobytes()
