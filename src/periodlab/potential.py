@@ -5,6 +5,8 @@ A well is described by a dimensionless potential ``U(x) = sum_k c_k x**k``
 given energy this module locates the turning points, peels the two simple
 zeros off ``Q(x) = E - U(x)`` to expose the positive residual ``R(x)``, and
 reports barrier/limit metadata for wells that are only locally confining.
+A well is derived and checked once, in one pass: :func:`from_physical` hands
+the well the U' and U'' and critical points it found its minimum with.
 
 A well's :attr:`PolynomialPotential.family` decides which closed forms it
 has.  The canonical quartic ``x^2/2 + lam x^4/4`` (the harmonic well at
@@ -94,16 +96,17 @@ class PolynomialPotential(_Immutable):
     the physical scaling used to build the dimensionless form; they do not
     enter any evaluation except the final conversion of periods to time.
 
-    Construction derives, once, all the well's shells need that takes no
-    eigensolve: ``slope_coeffs`` and ``curvature_coeffs``, the read-only
-    coefficients of U' and U''; ``is_symmetric``, true when every odd
-    coefficient is 0 and the minimum sits at 0; ``duffing_lambda``, the
-    ``lam`` of a well whose coefficients are exactly ``[0, 0, 1/2, 0, lam/4]``
-    (``[0, 0, 1/2]`` at lam = 0), None for any other well, one that misses
-    that pattern by rounding included; and ``family``, which decides the
-    closed forms of its barrier and shells: ``"quartic"`` where
-    ``duffing_lambda`` is set, ``"cubic"`` for coefficients exactly ``[0, 0,
-    1/2, c3]``, else ``"generic"``.  The barrier is found on first use and
+    Construction derives and checks the well once, in one pass that checks
+    U, U' and U'' at ``minimum_x`` on Python floats, and sets all the well's
+    shells need that takes no eigensolve: ``slope_coeffs`` and
+    ``curvature_coeffs``, the read-only coefficients of U' and U'';
+    ``is_symmetric``, true when every odd coefficient is 0 and the minimum
+    sits at 0; ``duffing_lambda``, the ``lam`` of a well whose coefficients
+    are exactly ``[0, 0, 1/2, 0, lam/4]`` (``[0, 0, 1/2]`` at lam = 0), None
+    for any other well, one that misses that pattern by rounding included;
+    and ``family``, which decides the closed forms of its barrier and
+    shells: ``"quartic"`` where ``duffing_lambda`` is set, ``"cubic"`` for
+    coefficients exactly ``[0, 0, 1/2, c3]``, else ``"generic"``.  The barrier is found on first use and
     cached: in closed form for the quartic, and for a cubic with its minimum
     at 0 and ``|c3|`` in ``_CUBIC_RANGE``; for any other well from the
     critical points, the zeros of U' solved on first use and cached too.
@@ -115,27 +118,36 @@ class PolynomialPotential(_Immutable):
         c = as_coeffs(coeffs)
         _require_positive("mass", mass)
         _require_positive("omega0", omega0)
-        du, d2u = _derivatives(c)
+        self._build(c, *_derivatives(c), mass, omega0, minimum_x)
+
+    def _build(self, c: np.ndarray, du: np.ndarray, d2u: np.ndarray, mass: float,
+               omega0: float, minimum_x: float) -> None:
+        """Set the fields of the well with the cut, finite, read-only
+        coefficients ``c``, whose U' and U'' have the coefficients ``du`` and
+        ``d2u``: check U, U' and U'' at ``minimum_x`` and tag the family, on
+        the Python floats of ``c``."""
         self.__dict__.update(coeffs=c, mass=mass, omega0=omega0, minimum_x=minimum_x,
                              slope_coeffs=du, curvature_coeffs=d2u)
-        x0 = minimum_x
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if abs(self(x0)) > 1e-8 * scale:
+        x0, cs = minimum_x, c.tolist()
+        scale = max(1.0, *map(abs, cs))
+        u0 = polyval(cs, x0)
+        if abs(u0) > 1e-8 * scale:
             raise DomainError(
-                f"U(minimum_x) = {self(x0)!r} is not zero; "
+                f"U(minimum_x) = {u0!r} is not zero; "
                 "shift the coefficients so the reference minimum has zero potential"
             )
-        if abs(self.slope(x0)) > 1e-8 * scale:
+        if abs(polyval(du, x0)) > 1e-8 * scale:
             raise DomainError(f"minimum_x={x0} is not a critical point")
-        if not self.curvature(x0) > 0.0:
+        curvature = polyval(d2u, x0)
+        if not curvature > 0.0:
             raise NoMinimumError(
-                f"U''({x0}) = {self.curvature(x0)} <= 0: reference point is not a local minimum"
+                f"U''({x0}) = {curvature} <= 0: reference point is not a local minimum"
             )
-        symmetric = bool(abs(x0) <= 1e-14 and not c[1::2].any())
+        symmetric = bool(abs(x0) <= 1e-14 and not any(cs[1::2]))
         lam = None
-        if symmetric and c.size in (3, 5) and c[0] == 0.0 and c[2] == 0.5:
-            lam = 4.0 * float(c[4]) if c.size == 5 else 0.0
-        cubic = c.size == 4 and not c[:2].any() and c[2] == 0.5
+        if symmetric and len(cs) in (3, 5) and cs[0] == 0.0 and cs[2] == 0.5:
+            lam = 4.0 * cs[4] if len(cs) == 5 else 0.0
+        cubic = len(cs) == 4 and not any(cs[:2]) and cs[2] == 0.5
         family = "quartic" if lam is not None else "cubic" if cubic else "generic"
         self.__dict__.update(is_symmetric=symmetric, duffing_lambda=lam, family=family)
 
@@ -167,22 +179,23 @@ class PolynomialPotential(_Immutable):
         """The finite barriers bounding the reference well, if any."""
         if self.duffing_lambda is not None:
             return quartic_barrier(self.duffing_lambda)
+        u, d2u = self.coeffs.tolist(), self.curvature_coeffs.tolist()
         if _closed_cubic(self) is None:
             # The critical points next to the minimum, one on each side at
             # most.  The minimum is the critical point of positive curvature
             # nearest minimum_x, which construction accepts off it by up to
             # 1e-8 of the largest coefficient.
-            crits, x0 = self.critical_points, self.minimum_x
-            minima = crits[self.curvature(crits) > 0.0]
-            if minima.size:
-                x0 = minima[np.argmin(np.abs(minima - x0))]
-            sides = [*crits[crits < x0][-1:], *crits[crits > x0][:1]]
+            crits, x0 = self.critical_points.tolist(), self.minimum_x
+            minima = [x for x in crits if polyval(d2u, x) > 0.0]
+            if minima:
+                x0 = min(minima, key=lambda x: abs(x - self.minimum_x))
+            sides = [*[x for x in crits if x < x0][-1:], *[x for x in crits if x > x0][:1]]
         else:
             # U' = x (c1 + c2 x): the critical point besides the minimum is -c1/c2.
             _, c1, c2 = self.slope_coeffs.tolist()
             sides = [-c1 / c2]
         # A critical point whose height overflows is not a finite barrier.
-        heights = [(self(x), float(x)) for x in sides if self.curvature(x) <= 0.0]
+        heights = [(polyval(u, x), x) for x in sides if polyval(d2u, x) <= 0.0]
         candidates = [(e, x) for e, x in heights if 0.0 < e < math.inf]
         if not candidates:
             return BarrierInfo(has_barrier=False)
@@ -342,10 +355,11 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
 
     The reference minimum is the critical point of U with positive curvature
     nearest the origin; the constant coefficient is shifted so that
-    ``U(minimum) = 0`` exactly.  The shift leaves U' unchanged, so the well
-    keeps the critical points solved here.  A scaling ``1/(m omega0^2)`` that
-    is not a finite positive number, or that overflows a coefficient, raises
-    :class:`DomainError`.
+    ``U(minimum) = 0`` exactly.  The shift leaves U' and U'' unchanged, so
+    the well keeps the derivatives and critical points found here and is
+    derived and checked once: only the shifted constant is checked anew.  A
+    scaling ``1/(m omega0^2)`` that is not a finite positive number, or that
+    overflows a coefficient, raises :class:`DomainError`.
     """
     _require_positive("mass", mass)
     _require_positive("omega0", omega0)
@@ -370,9 +384,12 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
             f"no local minimum with positive curvature; critical points: {crits.tolist()}"
         )
     m = min(minima, key=abs)
-    u = u.copy()
-    u[0] -= polyval(u, m)
-    well = PolynomialPotential(u, mass=mass, omega0=omega0, minimum_x=m)
+    cs = u.tolist()
+    cs[0] -= polyval(cs, m)
+    if not math.isfinite(cs[0]):
+        raise DomainError(f"potential coefficients must be finite, got {cs}")
+    well = PolynomialPotential.__new__(PolynomialPotential)
+    well._build(as_coeffs(cs), du, d2u, mass, omega0, m)
     well._keep_critical_points(crits)
     return well
 

@@ -3,11 +3,14 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
@@ -25,8 +28,11 @@ from periodlab import (
     shells,
     turning_points,
 )
+from periodlab import potential
+from periodlab._poly import as_coeffs, polyval, real_roots
 from periodlab.cli import main
-from periodlab.potential import shell_columns
+from periodlab.errors import PeriodLabError
+from periodlab.potential import quartic_barrier, shell_columns
 from tests.conftest import random_wells
 
 
@@ -402,6 +408,160 @@ def test_the_well_decides_its_family_and_its_shells_carry_it(U, family):
     assert (frame.xi is None) == (family == "generic")
     if family == "generic":
         assert best_series(shell, frame, 12).terms == period_series_generic(frame, 12).terms
+
+
+# ---------------------------------------------------------------------------
+# One pass against two
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the class and message of the periodlab error it raises."""
+    try:
+        return fn(*args)
+    except PeriodLabError as exc:
+        return type(exc), str(exc)
+
+
+def _fields(U):
+    """What a well holds, bytes and reprs for the floats; the critical points
+    and the barrier as their error where solving them fails."""
+    return (U.coeffs.tobytes(), U.coeffs.flags.writeable, U.slope_coeffs.tobytes(),
+            U.curvature_coeffs.tobytes(), repr(U.minimum_x), U.family,
+            repr(U.duffing_lambda), U.is_symmetric,
+            _outcome(lambda: U.critical_points.tobytes()), _outcome(lambda: repr(U.barrier)))
+
+
+def _two_pass_from_physical(v_coeffs, mass, omega0):
+    """:func:`from_physical` in two passes: the minimum found from the
+    physical coefficients, then the shifted well built and checked anew."""
+    potential._require_positive("mass", mass)
+    potential._require_positive("omega0", omega0)
+    v = np.asarray(v_coeffs, dtype=float)
+    try:
+        scale = mass * omega0 ** 2
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = v / scale
+    finite = np.count_nonzero(np.isfinite(v))
+    if not 0.0 < scale < math.inf or np.count_nonzero(np.isfinite(u)) < finite:
+        raise DomainError(f"mass {mass} and omega0 {omega0} give no finite scaling "
+                          f"1/(mass omega0^2) of the coefficients {v.tolist()}")
+    u = as_coeffs(u)
+    du, d2u = potential._derivatives(u)
+    crits = potential._solved(real_roots, du)
+    minima = [c for c in crits.tolist() if polyval(d2u, c) > 0.0]
+    if not minima:
+        raise NoMinimumError(
+            f"no local minimum with positive curvature; critical points: {crits.tolist()}"
+        )
+    m = min(minima, key=abs)
+    u = u.copy()
+    with np.errstate(over="ignore"):
+        u[0] -= polyval(u, m)
+    return _two_pass_as_built(u, mass, omega0, m, crits)
+
+
+def _two_pass_as_built(coeffs, mass, omega0, x0, crits=None):
+    """The :func:`_fields` of ``PolynomialPotential(coeffs, mass, omega0, x0)``,
+    cut, derived and checked on its own, its checks, tags and barrier on arrays."""
+    c = as_coeffs(coeffs)
+    potential._require_positive("mass", mass)
+    potential._require_positive("omega0", omega0)
+    du, d2u = potential._derivatives(c)
+    scale = max(1.0, float(np.max(np.abs(c))))
+    if abs(polyval(c, x0)) > 1e-8 * scale:
+        raise DomainError(
+            f"U(minimum_x) = {polyval(c, x0)!r} is not zero; "
+            "shift the coefficients so the reference minimum has zero potential"
+        )
+    if abs(polyval(du, x0)) > 1e-8 * scale:
+        raise DomainError(f"minimum_x={x0} is not a critical point")
+    if not polyval(d2u, x0) > 0.0:
+        raise NoMinimumError(
+            f"U''({x0}) = {polyval(d2u, x0)} <= 0: reference point is not a local minimum"
+        )
+    symmetric = bool(abs(x0) <= 1e-14 and not c[1::2].any())
+    lam = None
+    if symmetric and c.size in (3, 5) and c[0] == 0.0 and c[2] == 0.5:
+        lam = 4.0 * float(c[4]) if c.size == 5 else 0.0
+    cubic = c.size == 4 and not c[:2].any() and c[2] == 0.5
+    family = "quartic" if lam is not None else "cubic" if cubic else "generic"
+
+    def critical_points():
+        return potential._solved(real_roots, du) if crits is None else crits
+
+    def barrier():
+        if lam is not None:
+            return quartic_barrier(lam)
+        well = SimpleNamespace(family=family, minimum_x=x0, coeffs=c)
+        if potential._closed_cubic(well) is None:
+            points, x = critical_points(), x0
+            minima = points[polyval(d2u, points) > 0.0]
+            if minima.size:
+                with np.errstate(over="ignore"):
+                    x = minima[np.argmin(np.abs(minima - x))]
+            sides = [*points[points < x][-1:], *points[points > x][:1]]
+        else:
+            _, c1, c2 = du.tolist()
+            sides = [-c1 / c2]
+        heights = [(polyval(c, x), float(x)) for x in sides if polyval(d2u, x) <= 0.0]
+        candidates = [(e, x) for e, x in heights if 0.0 < e < math.inf]
+        if not candidates:
+            return potential.BarrierInfo(has_barrier=False)
+        energy, x = min(candidates)
+        limit = abs(x) if symmetric else None
+        return potential.BarrierInfo(True, energy, x, limit)
+
+    return (c.tobytes(), c.flags.writeable, du.tobytes(), d2u.tobytes(), repr(x0), family,
+            repr(lam), symmetric, _outcome(lambda: critical_points().tobytes()),
+            _outcome(lambda: repr(barrier())))
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 0.1, -0.05, 2.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+)
+_COEFFS = st.one_of(
+    # degree below 2 included
+    st.lists(_FLOATS, max_size=7),
+    # wells with a minimum at 0, most of them
+    st.lists(st.floats(-1.0, 1.0) | _FLOATS, max_size=4).map(lambda c: [0.0, 0.0, 0.5, *c]),
+    # the canonical quartic and cubic, at a unit scaling or at mass 2
+    _FLOATS.map(lambda lam: [0.0, 0.0, 0.5, 0.0, lam / 4.0]),
+    _FLOATS.map(lambda lam: [0.0, 0.0, 1.0, 0.0, lam / 2.0]),
+    _FLOATS.map(lambda lam: [0.0, 0.0, 0.5, lam / 3.0]),
+    st.sampled_from([
+        [0.0, 0.0, 0.5, 0.0, 2.5e307],                  # U'' overflows
+        [0.0, 0.0, 0.5, 0.0, 1e308],                    # U' and U'' overflow
+        [0.0, 0.0, -1.6167813222507048, 1e-300],        # the shifted c0 overflows
+        [0.0, 0.0, 0.5, 0.05, 0.1, -0.02, -0.1],        # a sextic with a barrier
+        [0.0, 0.0, 0.5, -0.6, 0.1],                     # a double well
+        # U' = x (x + 1)(x + 1/2)(x - 1)(x - 2): minima at -1, 0 and 2, and
+        # the barrier at -1/2, next to the minimum nearest minimum_x
+        [0.0, 0.0, 0.5, 0.5, -0.5, -0.3, 1.0 / 6.0],
+        [0.0, 1.0],
+    ]),
+)
+# Scalings 1/(mass omega0^2) that leave the float range included.
+_SCALES = st.one_of(st.just(1.0), st.just(2.0), st.floats(0.1, 10.0),
+                    st.sampled_from([1e-200, 1e155, 1e200, 0.0, -1.0, math.nan, math.inf]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs=_COEFFS, mass=_SCALES, omega0=_SCALES, offset=st.floats(-1e-9, 1e-9))
+def test_a_well_built_in_one_pass_is_the_one_built_in_two(coeffs, mass, omega0, offset):
+    U = _outcome(from_physical, coeffs, mass, omega0)
+    got = U if isinstance(U, tuple) else _fields(U)
+    assert got == _outcome(_two_pass_from_physical, coeffs, mass, omega0)
+    # The constructor, at a minimum_x off the minimum by up to 1e-9.
+    c, x0 = (coeffs, offset) if isinstance(U, tuple) else (U.coeffs, U.minimum_x + offset)
+    built = _outcome(PolynomialPotential, c, mass, omega0, x0)
+    got = built if isinstance(built, tuple) else _fields(built)
+    assert got == _outcome(_two_pass_as_built, c, mass, omega0, x0)
 
 
 # ---------------------------------------------------------------------------

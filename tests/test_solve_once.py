@@ -173,11 +173,11 @@ def test_quadrature_sweep_builds_no_shell_frame_or_well_per_point(sweep, method,
     rows = out.getvalue().splitlines()[1:]
     assert len(rows) == 50 and all(row.endswith(",,") for row in rows)  # no error
     assert built["shells"] == built["frames"] == 0
-    # the well of an energy sweep is checked once (twice for poly: from the
-    # physical coefficients, then as built); a rho point builds a well only
-    # for the oracle, which integrates its motion
+    # the well of an energy sweep is derived and checked once, a poly well
+    # from its physical coefficients too; a rho point builds a well only for
+    # the oracle, which integrates its motion
     rho_wells = 50 if method == "oracle" else 0
-    assert built["derivatives"] == {"duffing-rho": rho_wells, "poly": 2}.get(sweep, 1)
+    assert built["derivatives"] == {"duffing-rho": rho_wells}.get(sweep, 1)
 
 
 @pytest.mark.parametrize("grid, scalar_calls", [
