@@ -84,13 +84,23 @@ def two_sum(a, b):
     return s, (a - (s - v)) + (b - v)
 
 
+def _split(a):
+    """``(a_hi, a_lo)``, ``a_hi + a_lo = a``: Veltkamp's split by 2^27 + 1."""
+    c = 134217729.0 * a
+    a_hi = c - (c - a)
+    return a_hi, a - a_hi
+
+
+def _split_product(a, a_hi, a_lo, b, b_hi, b_lo):
+    """:func:`two_product` of ``a`` and ``b``, given their :func:`_split` halves."""
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def two_product(a, b):
     """``(p, e)``: ``p = a * b`` rounded and ``p + e = a * b`` exactly (Dekker, with
     no FMA in numpy), for operands below about 2^996 and ``p`` in the normal range."""
-    c, d = 134217729.0 * a, 134217729.0 * b  # Veltkamp's split by 2^27 + 1
-    a_hi, b_hi = c - (c - a), d - (d - b)
-    a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return _split_product(a, *_split(a), b, *_split(b))
 
 
 def comp_horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -100,12 +110,13 @@ def comp_horner(coeffs, x: np.ndarray) -> np.ndarray:
     errors into the value.  With ``u = 2^-53``, ``gamma_k = k u/(1 - k u)`` and
     ``n`` the degree, ``|result - p(x)| <= u |p(x)| + gamma_2n^2 sum |c_k| |x|^k``.
     Rows and points pair as in :func:`_horner`; every operand must stay within
-    the range of :func:`two_product`."""
+    the range of :func:`two_product`.  ``x`` is split once, not at every step."""
     c = coeffs.T if coeffs.ndim < 2 or x.ndim < 2 else coeffs.T[..., None]
+    x_hi, x_lo = _split(x)
     acc = c[-1] + x * 0
     err = x * 0
     for k in range(len(c) - 2, -1, -1):
-        p, p_err = two_product(acc, x)
+        p, p_err = _split_product(acc, *_split(acc), x, x_hi, x_lo)
         acc, s_err = two_sum(p, c[k])
         err = err * x + (p_err + s_err)
     return acc + err
@@ -225,17 +236,21 @@ def real_roots(coeffs) -> np.ndarray:
     return roots[0, :counts[0]]
 
 
-def deflate(coeffs, root):
-    """Synthetic division of ``p(x)`` by ``(x - root)`` along the last axis.
+def deflate(coeffs, *roots):
+    """Synthetic division of ``p(x)`` by ``(x - r1)(x - r2)...`` along the last axis.
 
-    Returns ``(quotient, remainder)`` with the quotient low-to-high; the
-    remainder equals ``p(root)``.  With one polynomial per row, ``root`` holds
-    one root per row.
+    Returns ``(quotient, rem1, rem2, ...)``, the quotient low-to-high, with
+    the bits of one division per root: ``rem1 = p(r1)``, ``rem2`` the first
+    quotient at ``r2``, and so on.  One loop over the coefficients runs each
+    root's recurrence from ``0.0 * root`` and feeds its values straight to
+    the next root's, storing no intermediate quotient.  With one polynomial
+    per row, each root holds one root per row.
     """
     c = np.asarray(coeffs, dtype=float)
-    out = np.empty(c.shape)
-    acc = 0.0
+    out, acc = np.empty(c.shape), [0.0] * len(roots)
     for i in range(c.shape[-1] - 1, -1, -1):
-        acc = acc * root + c[..., i]
-        out[..., i] = acc
-    return out[..., 1:], out[..., 0]
+        value = c[..., i]
+        for j, root in enumerate(roots[:i + 1]):
+            value = acc[j] = acc[j] * root + value
+        out[..., i] = value
+    return (out[..., len(roots):], *acc)

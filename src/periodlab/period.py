@@ -228,29 +228,29 @@ def _first_nodes() -> tuple[np.ndarray, np.ndarray]:
     return cos, sin2
 
 
-def _level_sums(coeffs, mid_half, ends, nodes, first: bool):
-    """For each row: the sum of ``1/sqrt(R)`` at the new ``nodes`` of a
-    level (:func:`_level_nodes`), and, where that sum is not finite, whether R
-    is non-positive at a node.  The ``first`` pass takes :func:`_first_nodes`
+def _level_sums(columns, nodes, first: bool):
+    """For each row of the live ``columns`` of :func:`quadrature_columns`:
+    the sum of ``1/sqrt(R)`` at the new ``nodes`` of a level
+    (:func:`_level_nodes`), and, where that sum is not finite, whether R is
+    non-positive at a node.  The ``first`` pass takes :func:`_first_nodes`
     and gives two sums before that flag: the first level's, whose two ends
     weigh 1/2, and the second level's.  Rows go in chunks of at most
     ``_QUAD_CHUNK`` values; each row's sums have the same bits in any chunk,
     and each is the sum that a pass of its level alone forms."""
+    coeffs, mid, half, r_end, r_span, known = columns
     cos, sin2 = nodes
     step = max(1, _QUAD_CHUNK // cos.size)
     if len(coeffs) > step:
-        parts = [_level_sums(coeffs[lo:lo + step], mid_half[lo:lo + step],
-                             ends[lo:lo + step], nodes, first)
+        parts = [_level_sums([c[lo:lo + step] for c in columns], nodes, first)
                  for lo in range(0, len(coeffs), step)]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    known = ~np.isnan(ends[:, 0])
     n_known = np.count_nonzero(known)
     if n_known == len(known):
-        r = ends[:, :1] + ends[:, 1:] * sin2
+        r = r_end + r_span * sin2
     else:
-        r = _horner(coeffs, mid_half[:, :1] + mid_half[:, 1:] * cos)
+        r = _horner(coeffs, mid + half * cos)
         if n_known:
-            r[known] = ends[known, :1] + ends[known, 1:] * sin2
+            r[known] = r_end[known] + r_span[known] * sin2
     f = 1.0 / np.sqrt(r)
     total = np.add.reduce  # ndarray.sum without its Python wrapper
     if first:
@@ -307,24 +307,23 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     does not cancel at the turning points, and may refine to
     ``_QUAD_NMAX_KNOWN_ENDS`` nodes instead of ``_QUAD_NMAX``.  A row leaves
     the live set once two successive levels agree to ``tol`` relative, so
-    every value has the same bits as on its own.
+    every value has the same bits as on its own.  The live set is a list of
+    columns formed once per call and cut only where rows leave: the
+    residuals, the ``(rows, 1)`` columns ``mid``, ``half``, ``R_end`` and
+    ``R(0) - R_end`` of ``x = mid + half cos theta``, and the mask of the
+    rows that know ``R_end``.
     """
     tol = DEFAULT_QUAD_TOL if tol is None else float(tol)
     rows = len(x_minus)
     T, err = np.full(rows, math.nan), np.full(rows, math.nan)
     found: list = [None] * rows
-    coeffs = residual
-    # One (mid, half) row per live shell, for x = mid + half cos theta, and one
-    # (R_end, R(0) - R_end) row, NaN where R_end is not known.  Like Python
-    # floats, they overflow to inf without a warning.
-    mid_half, ends = np.empty((rows, 2)), np.empty((rows, 2))
-    mid_half[:, 0] = 0.5 * (x_plus + x_minus)
-    mid_half[:, 1] = 0.5 * (x_plus - x_minus)
-    ends[:, 0] = r_end
-    ends[:, 1] = residual[:, 0] - r_end
-    unknown = np.isnan(r_end)
-    caps = np.where(unknown, _QUAD_NMAX, _QUAD_NMAX_KNOWN_ENDS)
-    cap_min = _QUAD_NMAX if np.count_nonzero(unknown) else _QUAD_NMAX_KNOWN_ENDS
+    # Like Python floats, the columns overflow to inf without a warning.
+    r_end = np.array(r_end, dtype=float).reshape(rows, 1)
+    known = ~np.isnan(r_end[:, 0])
+    columns = [residual, 0.5 * (x_plus + x_minus)[:, None], 0.5 * (x_plus - x_minus)[:, None],
+               r_end, residual[:, :1] - r_end, known]
+    caps = np.where(known, _QUAD_NMAX_KNOWN_ENDS, _QUAD_NMAX)
+    cap_min = _QUAD_NMAX if np.count_nonzero(known) < rows else _QUAD_NMAX_KNOWN_ENDS
     slots = np.arange(rows)
     prev = None
     n = _QUAD_N0
@@ -335,12 +334,11 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
         if prev is None:
             # No row converges on the first level, so the first pass
             # takes its nodes and the second level's midpoints together.
-            coarse, sums, separatrix = _level_sums(coeffs, mid_half, ends, _first_nodes(), True)
+            coarse, sums, separatrix = _level_sums(columns, _first_nodes(), True)
             prev = (math.pi / n) * coarse
             n *= 2
         else:
-            sums, separatrix = _level_sums(coeffs, mid_half, ends,
-                                           _level_nodes(n // 2, False), False)
+            sums, separatrix = _level_sums(columns, _level_nodes(n // 2, False), False)
         # T_n = (T_(n/2) + (pi/(n/2)) * sum of f at the n/2 new midpoints) / 2
         vals = 0.5 * (prev + (2.0 * math.pi / n) * sums)
         change = np.abs(vals - prev)
@@ -360,11 +358,11 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
                 for i in slots[finished & ~separatrix & ~converged].tolist():
                     found[i] = ConvergenceError(
                         f"theta quadrature did not converge to {tol} within {caps[i]} nodes")
-            keep = ~finished
-            slots = slots[keep]
+            keep = (~finished).nonzero()[0]
+            slots = slots.take(keep)
             if not slots.size:
                 break
-            coeffs, mid_half, ends, vals = coeffs[keep], mid_half[keep], ends[keep], vals[keep]
+            columns, vals = [c.take(keep, axis=0) for c in columns], vals.take(keep)
         prev = vals
         n *= 2
     return _period_columns(T, err, found)

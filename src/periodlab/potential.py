@@ -76,6 +76,10 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 # error-free transforms of e nor of the compensated Q passes 2^996 or has a
 # partial product below the normal range, where TwoProduct stops being exact.
 _CUBIC_RANGE = (2.0 ** -300, 2.0 ** 300)
+# The cubic's angles 2 pi/3 -+ phi/6 and phi/6 are a + b phi/6, exactly, for
+# the columns (a, b) here; its roots next to 0 take the factors 2 and -2.
+_CUBIC_ANGLES = np.array([[2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0, -0.0], [-1.0, 1.0, 1.0]])
+_CUBIC_SINES = np.array([2.0, -2.0])
 
 
 class _Immutable:
@@ -354,12 +358,14 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
     """Build the dimensionless well ``U = V/(m omega0^2)`` from physical coefficients.
 
     The reference minimum is the critical point of U with positive curvature
-    nearest the origin; the constant coefficient is shifted so that
-    ``U(minimum) = 0`` exactly.  The shift leaves U' and U'' unchanged, so
-    the well keeps the derivatives and critical points found here and is
-    derived and checked once: only the shifted constant is checked anew.  A
-    scaling ``1/(m omega0^2)`` that is not a finite positive number, or that
-    overflows a coefficient, raises :class:`DomainError`.
+    nearest the origin; the constant coefficient, checked finite, is then
+    replaced by ``-U0(m)``, ``U0`` the well with a constant of +0.0, so that
+    ``U(minimum) = 0`` exactly and every constant gives the same well.  U'
+    and U'' do not change, so the well keeps the derivatives and critical
+    points found here and is derived and checked once: only the new constant
+    is checked anew.  A scaling ``1/(m omega0^2)`` that is not a finite
+    positive number, or that overflows a coefficient, raises
+    :class:`DomainError`.
     """
     _require_positive("mass", mass)
     _require_positive("omega0", omega0)
@@ -385,7 +391,8 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
         )
     m = min(minima, key=abs)
     cs = u.tolist()
-    cs[0] -= polyval(cs, m)
+    cs[0] = 0.0
+    cs[0] = 0.0 - polyval(cs, m)
     if not math.isfinite(cs[0]):
         raise DomainError(f"potential coefficients must be finite, got {cs}")
     well = PolynomialPotential.__new__(PolynomialPotential)
@@ -594,18 +601,22 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     Those energies passed :func:`_check_energy`.  The turning points come in
     closed form for a canonical cubic with ``c3`` in ``_CUBIC_RANGE``
     (:func:`_cubic_turning_points`), else from the companion roots
-    (:func:`_picked_turning_points`).  Both are deflated off ``E - U`` and
-    checked alike.
+    (:func:`_picked_turning_points`).  Both are deflated off ``E - U`` in one
+    :func:`deflate` loop and checked alike.  ``E - U`` and the energy column
+    are formed once, and one mask of the rows that pass every check is split
+    into the checks, in their order, only when a row fails.
     """
     error = list(error)
     slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
     if not slots.size:
         return ShellColumns.failed(error, max(U.coeffs.size - 2, 1))
-    q = np.tile(-U.coeffs, (slots.size, 1))
-    q[:, 0] += energies[slots]
+    energy = energies[slots]
+    q = np.empty((slots.size, U.coeffs.size))
+    q[:] = -U.coeffs
+    q[:, 0] += energy
     c3 = _closed_cubic(U)
     if c3 is None:
-        x_minus, x_plus, retried, retry_error = _picked_turning_points(U, q, energies[slots])
+        x_minus, x_plus, retried, retry_error = _picked_turning_points(U, q, energy)
     else:
         (x_minus, x_plus), retried = _cubic_turning_points(c3, q, U.slope_coeffs).T, None
     if U.is_symmetric:
@@ -613,26 +624,26 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
         # averaging pins the parity invariant exactly.
         half = 0.5 * (x_plus - x_minus)
         x_minus, x_plus = -half, half
-    quot, rem_plus = deflate(q, x_plus)
-    quot, rem_minus = deflate(quot, x_minus)
+    quot, rem_plus, rem_minus = deflate(q, x_plus, x_minus)
     residual = -quot
     extrema, crit_failed = _residual_extrema(residual, x_minus, x_plus)
-    energy = energies[slots]
     columns = ShellColumns(
         error, slots, energy, x_minus, x_plus, residual, extrema, np.full(slots.size, math.nan),
         amplitude=x_plus.copy() if U.is_symmetric else None, family=U.family,
     )
     tol = 1e-10 * np.maximum(1.0, energy)
+    # Deflation and positivity pass, NaN failing; only a failing row splits the checks.
+    passed = (np.maximum(np.abs(rem_plus), np.abs(rem_minus)) <= tol) & (extrema[0] > 0.0)
+    if (retried is None and not crit_failed
+            and np.count_nonzero(passed & (x_minus < x_plus)) == slots.size):
+        return columns
     unsolved = np.zeros(slots.size, dtype=bool)
     unsolved[list(crit_failed)] = True
     checks = []
     if retried is not None:
         # A retried row keeps its pair, which is in order, only where every
-        # check passes, NaN failing; elsewhere its slot keeps the error of the
-        # companion solve.
-        passed = ((np.abs(rem_plus) <= tol) & (np.abs(rem_minus) <= tol) & (extrema[0] > 0.0)
-                  & ~unsolved)
-        checks.append((retried & ~passed, retry_error))
+        # check passes; elsewhere its slot keeps the error of the companion solve.
+        checks.append((retried & ~(passed & ~unsolved), retry_error))
     if crit_failed:
         checks.append((unsolved, lambda j: crit_failed[j]))
     return columns._checked(*checks, (
@@ -721,9 +732,8 @@ def _cubic_turning_points(c3: float, q: np.ndarray, slope: np.ndarray) -> np.nda
     small = e <= g
     half = np.arcsin(np.sqrt(np.where(small, e, g)))
     phi6 = np.where(small, half, 0.5 * math.pi - half) / 3.0
-    sines = np.sin(np.stack([2.0 * math.pi / 3.0 - phi6, 2.0 * math.pi / 3.0 + phi6, phi6],
-                            axis=1))
-    x = sines[:, :2] * (sines[:, 2:] * [2.0, -2.0]) / (-3.0 * c3)
+    sines = np.sin(_CUBIC_ANGLES[0] + phi6[:, None] * _CUBIC_ANGLES[1])
+    x = sines[:, :2] * (sines[:, 2:] * _CUBIC_SINES) / (-3.0 * c3)
     if c3 < 0.0:
         x = x[:, ::-1]
     # Q' = -U'
@@ -865,8 +875,9 @@ def _quartic_half_s(lam: float, energy: float) -> float:
         return math.sqrt(num / (den << 1202)) * 2.0 ** 600
 
 
-# R' may have complex roots, NaN here, and a comparison with NaN is False.
-@np.errstate(invalid="ignore")
+# R' may have complex roots, NaN here, and a comparison with NaN is False;
+# R overflows to inf or NaN without a warning, as in polyval.
+@np.errstate(over="ignore", invalid="ignore")
 def _residual_extrema(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarray, dict]:
     """The rows ``(R_min, R_max, argmin, argmax)``, one column per residual,
     and the :class:`ConvergenceError` of each row whose R' has no eigensolve,
@@ -874,23 +885,23 @@ def _residual_extrema(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarra
 
     The candidates are the two turning points and the zeros of R' strictly
     between them, in that order, the first index winning a tie.  A constant
-    R' (a linear residual) has no zero, and a linear one ``r1 + 2 r2 x`` its
-    zero ``-r1/(2 r2)``.  Any other R' has its zeros solved, all rows in one
-    call.  R is evaluated once for the whole stack.
+    R' (a linear residual) has no zero, and only the turning points are
+    candidates; a linear one ``r1 + 2 r2 x`` has its zero ``-r1/(2 r2)``.  Any
+    other R' has its zeros solved, all rows in one call.  R is evaluated once
+    for the whole stack.
     """
     slope = derivative(residuals)
-    if slope.shape[1] < 2:
-        crits, failed = np.empty((len(slope), 0)), {}
-    elif slope.shape[1] == 2:
-        crits, failed = -slope[:, :1] / slope[:, 1:], {}
-    else:
-        crits, _, failed = _solved_rows(slope)
-    candidates = np.empty((len(crits), 2 + crits.shape[1]))
+    candidates, failed = np.empty((len(residuals), 1 + max(1, slope.shape[1]))), {}
     candidates[:, 0] = x_minus
     candidates[:, 1] = x_plus
-    inside = (candidates[:, :1] < crits) & (crits < candidates[:, 1:2])
-    candidates[:, 2:] = np.where(inside, crits, math.nan)
-    values = polyval(residuals, candidates)
+    if slope.shape[1] > 1:
+        if slope.shape[1] == 2:
+            crits = -slope[:, :1] / slope[:, 1:]
+        else:
+            crits, _, failed = _solved_rows(slope)
+        inside = (candidates[:, :1] < crits) & (crits < candidates[:, 1:2])
+        candidates[:, 2:] = np.where(inside, crits, math.nan)
+    values = _horner(residuals, candidates)
     pad = np.isnan(candidates)
     i_min = np.where(pad, np.inf, values).argmin(axis=1)
     i_max = np.where(pad, -np.inf, values).argmax(axis=1)

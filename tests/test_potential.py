@@ -456,9 +456,11 @@ def _two_pass_from_physical(v_coeffs, mass, omega0):
             f"no local minimum with positive curvature; critical points: {crits.tolist()}"
         )
     m = min(minima, key=abs)
+    # The physical constant drops out: c0 is -U0(m), U0 the well with c0 = +0.0.
     u = u.copy()
+    u[0] = 0.0
     with np.errstate(over="ignore"):
-        u[0] -= polyval(u, m)
+        u[0] = 0.0 - polyval(u, m)
     return _two_pass_as_built(u, mass, omega0, m, crits)
 
 
@@ -562,6 +564,14 @@ def test_a_well_built_in_one_pass_is_the_one_built_in_two(coeffs, mass, omega0, 
     built = _outcome(PolynomialPotential, c, mass, omega0, x0)
     got = built if isinstance(built, tuple) else _fields(built)
     assert got == _outcome(_two_pass_as_built, c, mass, omega0, x0)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e9, 1e12, -0.0])
+def test_a_physical_constant_drops_out_of_the_well(offset):
+    base = from_physical([0.0, 0.1, 0.5, 0.1])
+    U = from_physical([offset, 0.1, 0.5, 0.1])
+    assert _fields(U) == _fields(base)
+    assert U.coeffs[0] == 0.005104790489744076
 
 
 # ---------------------------------------------------------------------------

@@ -220,3 +220,63 @@ def test_first_nodes_are_the_two_levels_nodes():
     assert cos.tobytes() == level0[0].tobytes() + level1[0].tobytes()
     assert sin2.tobytes() == level0[1].tobytes() + level1[1].tobytes()
     assert not cos.flags.writeable and not sin2.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The known-ends mask is formed once per call and again only where rows leave
+# ---------------------------------------------------------------------------
+
+# Rows that converge after 1, 6, 7 and 10 passes: a smooth generic R, a
+# known-ends R with R_end = 1e-3, and a generic and a known-ends R that are
+# sharper at a turning point.
+_EARLY = _row([1.0, 0.0, 0.1])
+_MIDDLE_KNOWN = _row([1.0], r_end=1e-3)
+_LATE = _row([1.0 + 1e-4, -1.0])
+_LATE_KNOWN = _row([1.0], r_end=1e-5)
+
+
+def _traced_levels(monkeypatch, rows):
+    """The bits check of ``rows``, in their order, and per level the count of
+    live rows that know R_end and of all live rows."""
+    levels = []
+    level_sums = period._level_sums
+
+    def traced(columns, nodes, first):
+        levels.append((np.count_nonzero(columns[-1]), len(columns[-1])))
+        return level_sums(columns, nodes, first)
+
+    monkeypatch.setattr(period, "_level_sums", traced)
+    args = (*_columns(rows, range(len(rows))), 1.0, None)
+    got = quadrature_columns(*args)
+    assert _outcome(got) == _outcome(_reference_columns(*args))
+    assert all(e is None for e in got[3])
+    return levels
+
+
+def test_known_ends_rows_that_leave_first(monkeypatch):
+    levels = _traced_levels(monkeypatch, [_LATE, _MIDDLE_KNOWN] * 3)
+    assert levels[0] == (3, 6)
+    assert (0, 3) in levels and levels[-1][0] == 0
+
+
+def test_known_ends_rows_that_leave_last(monkeypatch):
+    levels = _traced_levels(monkeypatch, [_LATE_KNOWN, _EARLY, _MIDDLE_KNOWN] * 2)
+    assert levels[0] == (4, 6)
+    assert (4, 4) in levels and levels[-1] == (2, 2)
+
+
+def test_known_ends_rows_that_leave_in_between(monkeypatch):
+    levels = _traced_levels(monkeypatch, [_EARLY, _MIDDLE_KNOWN, _LATE, _MIDDLE_KNOWN])
+    assert levels[0] == (2, 4)
+    assert (2, 3) in levels and (0, 1) in levels
+
+
+def test_rows_split_by_the_chunk_size_keep_every_bit(monkeypatch):
+    # Five rows to a chunk of the first pass and of the first later level,
+    # then fewer: chunks that all know R_end, that none do, and mixed ones.
+    monkeypatch.setattr(period, "_QUAD_CHUNK", 5 * period._first_nodes()[0].size)
+    rng = np.random.default_rng(13)
+    rows = ([_MIDDLE_KNOWN] * 5 + [_EARLY, _LATE] * 3 + [_LATE_KNOWN, _LATE, _EARLY]
+            + _synthetic_rows(rng, 12) + _edge_rows(rng))
+    args = (*_columns(rows, range(len(rows))), 1.0, None)
+    assert _outcome(quadrature_columns(*args)) == _outcome(_reference_columns(*args))
