@@ -125,7 +125,7 @@ def balanced_frame(shell: EnergyShell) -> BalancedFrame:
 def nayfeh_frame(shell: EnergyShell) -> BalancedFrame:
     """The textbook quartic choice ``omega = sqrt(1 + rho)``, ``xi = rho/(2 rho + 2)``.
 
-    Only defined for shells of the canonical quartic family (``rho`` set).
+    Only defined for shells of the canonical quartic family (``family`` ``"quartic"``).
     The induced deviation is ``-xi sin^2 theta`` scaled into the standard
     compact integrand; its series diverges for rho in (-1, -2/3).
     """

@@ -674,11 +674,10 @@ def series_columns(shells, strategy: str, omega, N: int, omega0: float = 1.0):
     return T, Omega, err, stop, [_REGIMES[r] for r in regime.tolist()], errors
 
 
-def period_from_series(series: SeriesResult, omega0: float = 1.0,
-                       method: str = "series") -> PeriodResult:
+def period_from_series(series: SeriesResult, omega0: float = 1.0) -> PeriodResult:
     """Convert a series value of I into a period ``T = (sqrt 2 / omega0) I``."""
     scale = _SQRT2 / omega0
-    return _period_result(scale * series.value, scale * series.truncation_error, method)
+    return _period_result(scale * series.value, scale * series.truncation_error, "series")
 
 
 def duffing_balanced_large_rho_limit(N: int) -> float:

@@ -217,8 +217,9 @@ class EnergyShell(_Immutable):
     zeros of R' strictly between them, in that order, first index winning a
     tie.  :func:`shells` passes it; when it is not given, it is computed from
     ``residual`` by the routine :func:`shells` uses.  ``family`` is the well's
-    :attr:`PolynomialPotential.family`; a shell given none is ``"quartic"``
-    where ``rho`` is set, ``"cubic"`` where R is linear, else ``"generic"``.
+    :attr:`PolynomialPotential.family`, which decides the closed-form frame
+    and series of the shell; a hand-built shell is ``"generic"`` unless it is
+    given one.
     ``residual_at_turning_points``, when set, is ``R(x_minus) = R(x_plus)``
     of a symmetric shell with an even quadratic residual, known more closely
     than evaluating ``residual`` there gives: next to the barrier of the
@@ -229,10 +230,8 @@ class EnergyShell(_Immutable):
     def __init__(self, energy: float, x_minus: float, x_plus: float, residual: np.ndarray,
                  amplitude: float | None = None, rho: float | None = None,
                  residual_extrema: tuple | None = None,
-                 residual_at_turning_points: float | None = None, family: str | None = None):
+                 residual_at_turning_points: float | None = None, family: str = "generic"):
         residual = as_coeffs(residual)
-        if family is None:
-            family = "quartic" if rho is not None else "cubic" if residual.size == 2 else "generic"
         if not x_minus < x_plus:
             raise DomainError(f"turning points out of order: {x_minus} >= {x_plus}")
         if residual_extrema is None:
@@ -266,7 +265,8 @@ class ShellColumns(NamedTuple):
     shell.  ``residual_at_turning_points`` is NaN where
     it is not known, and ``amplitude`` and ``rho`` are None where the shells
     do not set them.  All shells of the columns are of one ``family``, that
-    of :class:`EnergyShell`; where it is None, each shell decides its own.
+    of :class:`EnergyShell`: columns built by hand are ``"generic"`` unless
+    they are given one.
     """
 
     error: list
@@ -279,14 +279,14 @@ class ShellColumns(NamedTuple):
     residual_at_turning_points: np.ndarray
     amplitude: np.ndarray | None = None
     rho: np.ndarray | None = None
-    family: str | None = None
+    family: str = "generic"
 
     @classmethod
-    def failed(cls, error: list, width: int = 1) -> "ShellColumns":
+    def failed(cls, error: list) -> "ShellColumns":
         """Columns whose every slot holds the error in ``error``."""
         empty = np.empty(0)
         return cls(list(error), np.empty(0, dtype=int), empty, empty, empty,
-                   np.empty((0, width)), np.empty((4, 0)), empty)
+                   np.empty((0, 1)), np.empty((4, 0)), empty)
 
     def shells(self) -> list:
         """Slot ``i`` holds the :class:`EnergyShell` of slot ``i``, or its error."""
@@ -609,7 +609,7 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     error = list(error)
     slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
     if not slots.size:
-        return ShellColumns.failed(error, max(U.coeffs.size - 2, 1))
+        return ShellColumns.failed(error)
     energy = energies[slots]
     q = np.empty((slots.size, U.coeffs.size))
     q[:] = -U.coeffs
@@ -774,7 +774,7 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     _check_energies(energies, barrier_energy, check, error)
     slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
     if not slots.size:
-        return ShellColumns.failed(error, 3)
+        return ShellColumns.failed(error)
 
     lam, energy = lams[slots], energies[slots]
     half_s = _half_s(lam, energy)
@@ -839,40 +839,32 @@ def _amplitude_error(a: float, limit: float | None) -> SeparatrixError | None:
 
 
 def _half_s(lam: np.ndarray, energy: np.ndarray) -> np.ndarray:
-    """:func:`_quartic_half_s` of each pair, bit for bit: ``1 + 4 lam E = t + u + e`` from
-    ``(p, e) = two_product(4 lam, E)`` and ``(t, u) = two_sum(1, p)`` rounds once as ``t +
-    RO(u + e)``, RO rounding to odd (Boldo & Melquiond, IEEE Trans. Comput. 57(4), 2008).
-    A pair past 2^497 in ``|lam|`` or ``E``, where the product may overflow, is scalar."""
-    past = np.maximum(np.abs(lam), energy) > 2.0 ** 497
-    scalar = past.nonzero()[0]
-    if scalar.size:
-        found = list(map(_quartic_half_s, lam[scalar].tolist(), energy[scalar].tolist()))
-        lam, energy = np.where(past, 0.0, lam), np.where(past, 0.0, energy)
+    """``sqrt(1 + 4 lam E)/2`` of each pair that passed the energy checks, with ``1 + 4 lam
+    E`` rounded once: it is ``t + u + e`` exactly, from ``(p, e) = two_product(4 lam, E)``
+    and ``(t, u) = two_sum(1, p)``, and rounds as ``t + RO(u + e)``, RO rounding to odd
+    (Boldo & Melquiond, IEEE Trans. Comput. 57(4), 2008).
+
+    Where ``|lam|`` or ``E`` passes 2^497, so that the product may overflow, each is scaled
+    by ``2^-k`` into range, ``E`` by one more where that makes ``K = k_lam + k_E`` even (E
+    >= 1e-30 stays normal, where a subnormal lam would not), and 1 becomes ``2^-K``: at
+    least 2^-1055, so nonzero, and it still sets the sticky bit.  The root is then
+    ``2^(K/2)`` times too small.  No scaling moves a bit.
+    """
+    one, scale = 1.0, 0.5
+    if np.count_nonzero(np.maximum(np.abs(lam), energy) > 2.0 ** 497):
+        k_lam = np.maximum(np.frexp(lam)[1] - 497, 0)
+        k_e = np.maximum(np.frexp(energy)[1] - 497, 0)
+        k_e += (k_lam + k_e) & 1
+        k = k_lam + k_e
+        lam, energy = np.ldexp(lam, -k_lam), np.ldexp(energy, -k_e)
+        one, scale = np.ldexp(1.0, -k), np.ldexp(0.5, k // 2)
     p, e = two_product(4.0 * lam, energy)
-    t, u = two_sum(1.0, p)
+    t, u = two_sum(one, p)
     v, w = two_sum(u, e)
     # v to odd: truncated (a step toward zero where w has the other sign), last bit set if inexact.
     inexact = w != 0.0
     odd = (v.view(np.int64) - (inexact & (np.signbit(w) != np.signbit(v)))) | inexact
-    half_s = np.sqrt(t + odd.view(np.float64)) * 0.5
-    if scalar.size:
-        half_s[scalar] = found
-    return half_s
-
-
-def _quartic_half_s(lam: float, energy: float) -> float:
-    """``sqrt(1 + 4 lam E)/2``, with ``1 + 4 lam E`` formed exactly in
-    integers and rounded once.
-
-    Near the softening barrier ``1 + 4 lam E`` cancels.  Where it passes the
-    float range, which its root does not, it is rounded scaled by ``2^-1200``.
-    """
-    (n_lam, d_lam), (n_e, d_e) = lam.as_integer_ratio(), energy.as_integer_ratio()
-    num, den = d_lam * d_e + 4 * n_lam * n_e, d_lam * d_e
-    try:
-        return math.sqrt(num / (den << 2))
-    except OverflowError:
-        return math.sqrt(num / (den << 1202)) * 2.0 ** 600
+    return np.sqrt(t + odd.view(np.float64)) * scale
 
 
 # R' may have complex roots, NaN here, and a comparison with NaN is False;

@@ -150,7 +150,7 @@ def test_criterion_5_separatrix_behavior():
     # Exact barrier factorization Q = (x+1)^2 (1-2x)/6: xi = 1 and k^2 = 1.
     limit_shell = EnergyShell(
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), family="cubic",
     )
     xi = balanced_frame(limit_shell).xi
     k2 = (limit_shell.x_plus - limit_shell.x_minus) / (limit_shell.x_plus - (-1.0))

@@ -87,7 +87,7 @@ def test_balanced_cubic_separatrix_limit_values():
     # Exact barrier factorization: R = (1+x)/3 on [-1, 1/2].
     shell = EnergyShell(
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), family="cubic",
     )
     fr = balanced_frame(shell)
     assert fr.omega ** 2 == pytest.approx(0.5, rel=1e-14)

@@ -324,7 +324,7 @@ def test_cubic_elliptic_negative_lambda_via_parity():
 def test_cubic_separatrix_modulus_reaches_one_and_rejects():
     shell = EnergyShell(
         energy=1.0 / 6.0, x_minus=-1.0, x_plus=0.5,
-        residual=np.array([1.0 / 3.0, 1.0 / 3.0]),
+        residual=np.array([1.0 / 3.0, 1.0 / 3.0]), family="cubic",
     )
     # k^2 = (x_plus - x_minus)/(x_plus - x3) = 1 exactly at the barrier, and
     # so R(x_minus)/R(x_plus) = 1 - k^2 = 0
@@ -578,7 +578,7 @@ def test_cubic_series_xi_has_the_sign_of_the_balanced_frame(lam):
     # and negates the linear residual coefficient.
     mirrored = cubic_series_balanced(EnergyShell(
         energy=shell.energy, x_minus=-shell.x_plus, x_plus=-shell.x_minus,
-        residual=shell.residual * [1.0, -1.0]), 20)
+        residual=shell.residual * [1.0, -1.0], family="cubic"), 20)
     assert mirrored.xi == -series.xi
     assert mirrored.partial_sums == series.partial_sums
 

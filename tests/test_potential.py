@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
+    EnergyShell,
     NoMinimumError,
     PolynomialPotential,
     SeparatrixError,
@@ -24,6 +25,8 @@ from periodlab import (
     duffing_potential,
     from_physical,
     harmonic_potential,
+    period_from_series,
+    period_quadrature,
     period_series_generic,
     shells,
     turning_points,
@@ -410,6 +413,24 @@ def test_the_well_decides_its_family_and_its_shells_carry_it(U, family):
         assert best_series(shell, frame, 12).terms == period_series_generic(frame, 12).terms
 
 
+def test_a_hand_built_shell_is_generic_unless_given_a_family():
+    # The shell of a cubic that is not x^2/2 + c3 x^3 has a linear residual,
+    # as a canonical cubic's has; rebuilt by hand, it is still generic, and its
+    # series is the generic one, not the canonical cubic's closed form.
+    U = from_physical([0.0, 0.0, 0.7, 0.2])
+    solved = turning_points(U, 0.05)
+    shell = EnergyShell(solved.energy, solved.x_minus, solved.x_plus, solved.residual)
+    assert shell.residual.size == 2 and shell.family == solved.family == "generic"
+    frame = balanced_frame(shell)
+    assert frame.xi is None
+    series = period_from_series(best_series(shell, frame, 30))
+    T = period_quadrature(frame).T
+    assert abs(series.T - T) <= series.err_estimate + 8 * math.ulp(T)
+    cubic = EnergyShell(solved.energy, solved.x_minus, solved.x_plus, solved.residual,
+                        family="cubic")
+    assert cubic.family == "cubic" and balanced_frame(cubic).xi is not None
+
+
 # ---------------------------------------------------------------------------
 # One pass against two
 # ---------------------------------------------------------------------------
@@ -601,7 +622,7 @@ def test_public_types_are_immutable_records_and_classes():
                       {"barrier_energy": math.inf, "barrier_x": None, "amplitude_limit": None}),
         ShellColumns: ("error slots energy x_minus x_plus residual residual_extrema "
                        "residual_at_turning_points amplitude rho family",
-                       {"amplitude": None, "rho": None, "family": None}),
+                       {"amplitude": None, "rho": None, "family": "generic"}),
         BalancedFrame: ("shell omega strategy xi", {"xi": None}),
         PeriodResult: ("T Omega method err_estimate", {}),
         SeriesResult: ("terms partial_sums xi converged truncation_error regime", {}),
@@ -621,8 +642,8 @@ def test_public_types_are_immutable_records_and_classes():
                               "minimum_x": 0.0},
         EnergyShell: dict.fromkeys(["energy", "x_minus", "x_plus", "residual"],
                                    inspect.Parameter.empty)
-        | dict.fromkeys(["amplitude", "rho", "residual_extrema", "residual_at_turning_points",
-                         "family"]),
+        | dict.fromkeys(["amplitude", "rho", "residual_extrema", "residual_at_turning_points"])
+        | {"family": "generic"},
     }
     for cls, params in classes.items():
         got = inspect.signature(cls).parameters.values()

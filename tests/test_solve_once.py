@@ -24,6 +24,7 @@ import periodlab.frame as frame
 import periodlab.potential as potential
 from periodlab import duffing_large_rho_constant
 from periodlab.cli import main
+from tests.test_quartic_shells import _quartic_half_s
 
 WELLS = {
     "duffing": ["--preset", "duffing", "--lambda", "0.7"],
@@ -180,28 +181,34 @@ def test_quadrature_sweep_builds_no_shell_frame_or_well_per_point(sweep, method,
     assert built["derivatives"] == {"duffing-rho": rho_wells}.get(sweep, 1)
 
 
-@pytest.mark.parametrize("grid, scalar_calls", [
+@pytest.mark.parametrize("grid, past", [
     # the two halves of the benchmark's rho sweeps, at the ends of their ranges
     (["--from", "0.01", "--to", "1e8", "--log"], 0),
     (["--from", "-0.99", "--to", "-0.01"], 0),
-    # E = 1/2 + rho/4 of rho = 5e307 is past 2^497, where the scalar routine runs
+    # E = 1/2 + rho/4 of rho = 5e307 is past 2^497, where _half_s scales lam and E
     (["--from", "-1.5", "--to", "1e308"], 1),
 ])
-def test_rho_sweep_forms_s_on_columns(grid, scalar_calls, monkeypatch):
+def test_rho_sweep_forms_s_on_columns(grid, past, monkeypatch):
     calls = []
-    half_s = potential._quartic_half_s
+    half_s = potential._half_s
 
-    def counted(lam, energy):
-        calls.append(lam)
-        return half_s(lam, energy)
+    def recorded(lam, energy):
+        found = half_s(lam, energy)
+        calls.append((lam.tolist(), energy.tolist(), found.tolist()))
+        return found
 
-    monkeypatch.setattr(potential, "_quartic_half_s", counted)
-    steps = "50" if scalar_calls == 0 else "3"
+    monkeypatch.setattr(potential, "_half_s", recorded)
+    steps = 50 if past == 0 else 3
     out = io.StringIO()
-    assert main(["sweep", "--preset", "duffing", "--param", "rho", *grid, "--steps", steps],
+    assert main(["sweep", "--preset", "duffing", "--param", "rho", *grid, "--steps", str(steps)],
                 out=out) == 0
-    assert len(out.getvalue().splitlines()) == 1 + int(steps)
-    assert len(calls) == scalar_calls
+    assert len(out.getvalue().splitlines()) == 1 + steps
+    # One call on the column of the slots that pass the energy checks; the
+    # slot of rho = 1e308, whose U'' overflows, is not among them.
+    ((lam, energy, found),) = calls
+    assert len(found) == (steps if past == 0 else 2)
+    assert sum(max(abs(a), e) > 2.0 ** 497 for a, e in zip(lam, energy)) == past
+    assert [v.hex() for v in found] == [_quartic_half_s(*pair).hex() for pair in zip(lam, energy)]
 
 
 # Each well's flags and an energy a little above its barrier, or a top for a
