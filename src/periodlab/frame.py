@@ -84,13 +84,23 @@ def _closed_form_xi(shells):
     if shells.family == "quartic":
         return shells.rho / (4.0 + 3.0 * shells.rho)
     if shells.family == "cubic":
-        return _cubic_xi(shells.x_minus, shells.x_plus)
+        xi = _cubic_oriented(shells)[3]
+        return float(xi[0]) if isinstance(shells, EnergyShell) else xi
     return None
 
 
-def _cubic_xi(xm, xp):
-    """xi of cubic shells, one or a column of them alike: squares are products."""
-    return (xp * xp - xm * xm) / (xp * xp + 4.0 * xp * xm + xm * xm)
+def _cubic_oriented(shells) -> tuple:
+    """Columns ``(xm, xp, cross, xi)`` of canonical cubic shells, one or many,
+    taken where the residual rises: x -> -x flips a falling one, ``xm = -x_plus``
+    and ``xp = -x_minus``.  There ``xi = (xp^2 - xm^2)/cross``, ``cross = xp^2 +
+    4 xp xm + xm^2``; ``xi`` is negated back where flipped, so it is the shell's
+    own and mirrored wells get exactly opposite xi."""
+    flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
+    lo, hi = shells.x_minus, shells.x_plus
+    xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    cross = xp * xp + 4.0 * xp * xm + xm * xm
+    xi = (xp * xp - xm * xm) / cross
+    return xm, xp, cross, np.where(flip, -xi, xi)
 
 
 def frame_columns(strategy: str, shells, omega: float | None = None):

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._poly import _horner, polyval
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
-from .frame import BALANCED, NAYFEH, BalancedFrame
+from .frame import BALANCED, NAYFEH, BalancedFrame, _cubic_oriented
 from .potential import EnergyShell
 
 # Not called here any more: bench/spans.py counts quadrature nodes by rebinding
@@ -599,16 +599,11 @@ def _quartic_rows(rho, strategy: str, N: int) -> tuple:
 def _cubic_rows(shells, N: int) -> tuple:
     """The closed-form series of canonical cubic shells, summed in the
     orientation whose residual rises, and the xi of each shell itself."""
-    lo, hi = np.array(shells.x_minus, ndmin=1), np.array(shells.x_plus, ndmin=1)
-    flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
-    xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-    xm2, xp2 = xm * xm, xp * xp
-    sum_sq, cross = xp2 + xp * xm + xm2, xp2 + 4.0 * xp * xm + xm2
-    xi = (xp2 - xm2) / cross
+    xm, xp, cross, xi = _cubic_oriented(shells)
+    sum_sq = xp * xp + xp * xm + xm * xm
     errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")
               if v >= 1.0 - _BOUNDARY_TOL else None for v in np.abs(xi).tolist()]
-    return (_closed_form(_SQRT2 * math.pi / np.sqrt(-cross / (2.0 * sum_sq)), xi, errors, N),
-            np.where(flip, -xi, xi))
+    return _closed_form(_SQRT2 * math.pi / np.sqrt(-cross / (2.0 * sum_sq)), xi, errors, N), xi
 
 
 def _series_rows(shells, strategy: str, omega, N: int) -> tuple:

@@ -594,7 +594,7 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     return _solve_shells(U, energies, error)
 
 
-@np.errstate(invalid="ignore")  # a NaN turning point fails the checks quietly
+@np.errstate(invalid="ignore")  # NaN turning points and root columns compare quietly
 def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> ShellColumns:
     """The shell columns of ``U`` at the ``energies`` whose ``error`` is None.
 
@@ -655,9 +655,6 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     ))
 
 
-# The root columns are NaN where a row holds no root, and a comparison with
-# NaN is False with no warning owed.
-@np.errstate(invalid="ignore")
 def _picked_turning_points(U: PolynomialPotential, q: np.ndarray, energy: np.ndarray) -> tuple:
     """``(x_minus, x_plus, retried, retry_error)``: the turning points of each
     row of ``q``, ``E - U`` at the ``energy`` of the row, which passed the
@@ -759,7 +756,7 @@ def quartic_shells(lams, energies) -> list:
 
 def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> ShellColumns:
     """The columns of :func:`quartic_shells` at the pairs whose ``error`` is None,
-    formed on whole columns: ``s/2`` by :func:`_half_s`, rho by mapped C ``pow``."""
+    formed on whole columns: ``s/2`` by :func:`_half_s`, rho as ``lam (A A)``."""
     error = list(error)
 
     def check(i):
@@ -785,13 +782,10 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     residual = np.zeros((slots.size, 3))
     residual[:, 0] = 0.5 * half_sum
     residual[:, 2] = lam / 4.0
-    # a ** 2 is C pow, whose rounding numpy's square does not reproduce, and a
-    # Python product overflows to inf with no warning.  Past sqrt(max float)
-    # pow overflows, though rho = s - 1 does not: there rho is lam a a.
-    squares = map(pow, np.minimum(amplitude, _SQRT_FLOAT_MAX).tolist(), [2] * lam.size)
-    rho = np.array(list(map(float.__mul__, lam.tolist(), squares)))
-    past = amplitude > _SQRT_FLOAT_MAX
-    rho[past] = lam[past] * amplitude[past] * amplitude[past]
+    # Past sqrt(max float), where A A overflows and rho = s - 1 need not, rho is (lam A) A.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.where(amplitude > _SQRT_FLOAT_MAX, lam * amplitude * amplitude,
+                       lam * (amplitude * amplitude))
     # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
     # in closed form: R(+-A) as _residual_extrema evaluates it, R(0) = R0, the
     # first candidate winning a tie.

@@ -138,6 +138,22 @@ def test_period_unknown_frame_is_usage_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("point", [
+    ("--preset", "cubic", "--energy", "0.1"),
+    ("--preset", "poly", "--energy", "0.1"),
+    ("--preset", "duffing", "--lambda", "1", "--energy", "0.5", "--frame", "fixed:abc"),
+    ("--preset", "duffing", "--lambda", "1", "--amplitude", "0"),
+    ("--preset", "duffing", "--lambda", "1", "--amplitude", "-1"),
+])
+def test_period_input_that_names_no_point_is_one_usage_line(point, capsys):
+    # A preset without its parameter, a fixed frame without a number, and an
+    # amplitude that is not positive.
+    code, out = run_cli("period", *point, "--format", "json")
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_period_poly_preset_round_trip():
     code, out = run_cli(
         "period", "--preset", "poly", "--coeffs", "0", "0", "1", "0", "2",
@@ -287,6 +303,14 @@ def test_converge_balanced_duffing_error_decay():
     for n in range(1, 5):
         assert devs[n] / devs[n - 1] < 0.05
     assert data[0]["regime"] == "convergent"
+
+
+def test_converge_negative_series_cap_is_a_domain_record():
+    code, out = run_cli("converge", "--preset", "duffing", "--lambda", "1", "--energy", "0.5",
+                        "--Nmax", "-1", "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert (record["error_kind"], record["error"]) == ("domain", "series cap N must be >= 0, got -1")
 
 
 def test_converge_harmonic_all_zero_error():

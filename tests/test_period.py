@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodlab import (
+    BALANCED,
     BOUNDARY,
     CONVERGENT,
     DIVERGENT,
@@ -132,6 +133,17 @@ def test_elliptic_period_near_the_cubic_barrier_against_root_solve():
         xp, xm = mp.mpf(shell.x_plus), mp.mpf(shell.x_minus)
         legendre = mp.sqrt(mp.mpf(1.5)) * 4 / mp.sqrt(xp - x3) * mp.ellipk((xp - xm) / (xp - x3))
     assert elliptic_period(shell).T == pytest.approx(float(legendre), rel=1e-10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cubic_potential(0.0), "requires lam != 0"),
+    (lambda: cubic_series_balanced(turning_points(duffing_potential(1.0), 0.5), 8),
+     "requires a canonical cubic shell"),
+    (lambda: EnergyShell(0.1, 0.5, -0.5, [1.0]), "turning points out of order"),
+], ids=["cubic lam 0", "cubic series of a quartic shell", "shell out of order"])
+def test_library_input_errors_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_elliptic_period_rejects_degree_above_four():
@@ -581,6 +593,27 @@ def test_cubic_series_xi_has_the_sign_of_the_balanced_frame(lam):
         residual=shell.residual * [1.0, -1.0], family="cubic"), 20)
     assert mirrored.xi == -series.xi
     assert mirrored.partial_sums == series.partial_sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 2.0), st.floats(-9.0, -1.0))
+def test_cubic_xi_is_one_formula_exactly_opposite_on_mirrored_wells(log_lam, log_gap):
+    """The balanced frame and the series read one xi, formed where the
+    residual rises: mirrored wells, whose shells are exact mirrors, get
+    exactly opposite xi, and a shell gets a Python float."""
+    lam = 10.0 ** log_lam
+    energy = cubic_potential(lam).barrier.barrier_energy * (1.0 - 10.0 ** log_gap)
+    found = []
+    for U in (cubic_potential(lam), cubic_potential(-lam)):
+        shell = turning_points(U, energy)
+        frame = balanced_frame(shell)
+        assert type(frame.xi) is float
+        assert best_series(shell, frame, 8).xi == frame.xi
+        assert frame_columns(BALANCED, shell_columns(U, [energy]))[1].tolist() == [frame.xi]
+        found.append((shell, frame.xi))
+    (shell, xi), (mirror, mirror_xi) = found
+    assert (mirror.x_minus, mirror.x_plus) == (-shell.x_plus, -shell.x_minus)
+    assert mirror_xi == -xi
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_shell_fields_are_the_closed_forms(lam):
     shell = quartic_shells([lam], [energy])[0]
     s = math.sqrt(1 + 4 * Fraction(lam) * Fraction(energy))
     assert shell.residual.tolist() == ([(1.0 + s) / 4.0, 0.0, lam / 4.0] if lam else [0.5])
-    assert shell.amplitude == shell.x_plus and shell.rho == lam * shell.x_plus ** 2
+    assert shell.amplitude == shell.x_plus and shell.rho == lam * (shell.x_plus * shell.x_plus)
     r_ends = float(shell.residual_at(shell.x_plus))
     r_mid = float(shell.residual_at(0.0))
     if lam < 0.0:
@@ -210,6 +210,19 @@ def test_shell_fields_are_the_closed_forms(lam):
         assert shell.residual_extrema == (r_mid, r_ends, 0.0, shell.x_minus)
     else:  # a tie: the first candidate, x_minus, wins both
         assert shell.residual_extrema == (0.5, 0.5, shell.x_minus, shell.x_minus)
+
+
+# C pow, which Python's A ** 2 calls, rounds A^2 otherwise than A * A at the
+# first three amplitudes, as glibc's does; past sqrt(max float), at the last
+# one, A * A overflows and rho is (lam A) A.
+@pytest.mark.parametrize("lam, energy", [(1.0, 0.405), (-0.5, 0.0589), (10.0, 0.064),
+                                         (1e-310, 1e308)])
+@mp.workdps(40)
+def test_rho_is_lam_times_a_product_square(lam, energy):
+    shell = quartic_shells([lam, 1.0], [energy, 0.1])[0]
+    a, rho = shell.amplitude, shell.rho
+    assert rho == (lam * (a * a) if a * a < math.inf else lam * a * a)
+    assert abs(mp.mpf(rho) - mp.mpf(lam) * mp.mpf(a) ** 2) <= math.ulp(rho)
 
 
 def test_quartic_barrier_is_closed_form():
