@@ -9,14 +9,20 @@ re-parse bit-exactly; table writes 12.  Exit codes: 0 success, 1 usage, 2
 domain (separatrix/energy), 3 numerical non-convergence.  The environment
 variable ``PERIODLAB_TOL`` overrides the default 1e-13 quadrature tolerance.
 
-Output is written a column at a time (:func:`emit`), each value by the one
-formatter of its format; csv rows come from one ``%`` template per call, in
-which a column of one text is literal text and a list column a part per
-position.  Every subcommand goes from the shell solve to the output in
-columns, each method through one dispatch (:func:`_period_cells`): one array
-per shell, frame and period field, and no shell, frame or record object per
-grid point.  ``period``, ``verify`` and ``converge`` take their point as a
-grid of one slot.
+Each call hands :func:`emit` one table, in which the caller states each
+field's shape: one value where the field is the same in every record, a
+float64 array where a float column has a value in every record, a tuple of
+such columns where each record holds a list (a rho sweep's coefficients),
+and a list otherwise (a failed slot's None, strings, lists, a series' N and
+regime).  Every value is written by the one formatter of its format.  csv
+and json fill one ``%`` row template per call: a value is literal text,
+formatted once; a float array is a float conversion fed by one ``tolist``;
+and only a list, or a json float array with a value that is not finite, is
+written a cell at a time.  Every subcommand goes from the shell solve to the
+output in columns, each method through one dispatch (:func:`_period_cells`):
+one array per shell, frame and period field, and no shell, frame or record
+object per grid point.  ``period``, ``verify`` and ``converge`` take their
+point as a grid of one slot.
 
 argv is parsed once (:func:`_parse_argv`): when its first word names a
 subcommand, that subcommand's parser takes the rest.  The top-level parser
@@ -33,7 +39,6 @@ import re
 import sys
 from collections.abc import Callable
 from itertools import repeat
-from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -175,31 +180,69 @@ def _value(v, fmt: _Format) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def _one(column: list) -> bool:
-    """Whether each cell of ``column`` writes as the first: the same object, or a float
-    equal to a nonzero first (0.0 == -0.0), the last cell screening before the count."""
-    first = column[0] if column else None
-    return all(map(is_, column, repeat(first))) or (
-        type(first) is float and column[-1] == first != 0.0
-        and column.count(first) == len(column) and set(map(type, column)) == {float})
+_VARYING = (list, np.ndarray)
 
 
-def _column(column: list, fmt: _Format) -> list[str]:
-    """The texts of the cells of ``column`` in ``fmt``: a column that writes as
-    one (:func:`_one`) is formatted once, a column of floats by one ``format``
-    pass, and non-empty lists of one length a position at a time."""
-    first = column[0] if column else None
-    if _one(column):
-        return [_value(first, fmt)] * len(column)
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        texts = list(map(format, column, repeat(fmt.float_spec)))
-        if fmt.non_finite is None or all(map(math.isfinite, column)):
-            return texts
-        return [t if math.isfinite(v) else fmt.non_finite for t, v in zip(texts, column)]
-    if kinds == {list} and first and len(set(map(len, column))) == 1:
-        return list(map(fmt.join, zip(*(_column(list(c), fmt) for c in zip(*column)))))
-    return [_value(v, fmt) for v in column]
+def _varies(column) -> bool:
+    """Whether ``column`` has a cell per row: a float array, a list, or a tuple with
+    such a position.  Any other value is the cell of every row."""
+    return isinstance(column, _VARYING) or (
+        type(column) is tuple and any(isinstance(c, _VARYING) for c in column))
+
+
+def _per_row(column, n: int) -> list:
+    """The cell of each of the ``n`` rows of ``column``, in any shape of :func:`emit`."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    if isinstance(column, list):
+        return column
+    if _varies(column):
+        return list(map(list, zip(*(_per_row(c, n) for c in column))))
+    return [column] * n
+
+
+def _floats(values: list, fmt: _Format) -> list[str]:
+    """The texts of the floats ``values`` in ``fmt``, by one ``format`` pass."""
+    texts = list(map(format, values, repeat(fmt.float_spec)))
+    if fmt.non_finite is None or all(map(math.isfinite, values)):
+        return texts
+    return [t if math.isfinite(v) else fmt.non_finite for t, v in zip(texts, values)]
+
+
+def _column(column, fmt: _Format, n: int | None = None) -> list[str]:
+    """The texts of the ``n`` cells of ``column``, in any shape of :func:`emit`, in
+    ``fmt``: a float array by one ``format`` pass, a column that does not vary
+    formatted once, and any other column a cell at a time."""
+    if isinstance(column, np.ndarray):
+        return _floats(column.tolist(), fmt)
+    if not _varies(column):
+        return [_value(column, fmt)] * n
+    return [_value(v, fmt) for v in _per_row(column, n)]
+
+
+def _part(column, fmt: _Format, n: int, quote=None) -> tuple[str, list]:
+    """The ``%`` template text of the ``n`` cells of ``column`` in ``fmt``, and the
+    lists that fill it.  A column that does not vary is literal text, formatted
+    once; a float array whose every value ``fmt`` writes by its spec is a float
+    conversion fed by one ``tolist``; a tuple is the parts of its positions
+    joined, where each is one of those; and any other column is a ``%s`` of its
+    cells' texts (:func:`_column`).  ``quote``, if given, quotes a part of one
+    cell, or each such text; a float's text needs no quotes."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if fmt.non_finite is None or all(map(math.isfinite, values)):
+            return "%" + fmt.float_spec, [values]
+        return "%s", [_floats(values, fmt)]
+    if not _varies(column):
+        text = _value(column, fmt).replace("%", "%%")
+        return (text if quote is None else quote(text)), []
+    if isinstance(column, tuple):
+        parts, feeds = zip(*(_part(c, fmt, n) for c in column))
+        if "%s" not in parts:
+            text = fmt.join(parts)
+            return (text if quote is None else quote(text)), [f for more in feeds for f in more]
+    texts = _column(column, fmt, n)
+    return "%s", [texts if quote is None else list(map(quote, texts))]
 
 
 def _csv_cell(text: str, lone: bool = False) -> str:
@@ -211,77 +254,81 @@ def _csv_cell(text: str, lone: bool = False) -> str:
     return text
 
 
-def _csv_row(columns: list, sep: str = ",", end: str = "\n") -> tuple[str, list]:
-    """The ``%`` template of the csv rows of ``columns``, and the columns that fill it.
-    A column that writes as one (:func:`_one`) is literal text, floats a float conversion,
-    lists of one length the parts of their positions joined by ``;`` where one is a
-    conversion and none quoted or ``%s``, and any other column a ``%s`` of its csv cells."""
-    csv_format, lone = _FORMATS["csv"], len(columns) == 1 and sep == ","
-    parts, cells = [], []
+def _row_template(columns: list, fmt: _Format, n: int, quote=None) -> tuple[list[str], list]:
+    """The ``%`` template part of each of ``columns`` in ``fmt`` (:func:`_part`), and
+    the lists that fill them, in order.  A column object given under two fields, as
+    a symmetric quartic shell's amplitude is its x_plus array, is converted once."""
+    parts, feeds, done = [], [], {}
     for column in columns:
-        first = column[0] if column else None
-        if _one(column):
-            parts.append(_csv_cell(_value(first, csv_format), lone).replace("%", "%%"))
-            continue
-        kinds = set(map(type, column))
-        if kinds == {float}:
-            parts.append("%" + csv_format.float_spec)
-            cells.append(column)
-            continue
-        if kinds == {list} and first and len(set(map(len, column))) == 1:
-            part, more = _csv_row(list(map(list, zip(*column))), ";", "")
-            if more and "%s" not in part and '"' not in part:
-                parts.append(part)
-                cells.extend(more)
-                continue
-        parts.append("%s")
-        cells.append(list(map(_csv_cell, _column(column, csv_format), repeat(lone))))
-    return sep.join(parts) + end, cells
+        known = done.get(id(column))
+        if known is None:
+            known = done[id(column)] = _part(column, fmt, n, quote)
+        parts.append(known[0])
+        feeds += known[1]
+    return parts, feeds
+
+
+@functools.cache
+def _csv_header(fields: tuple) -> str:
+    """The csv line of the field names ``fields``."""
+    return ",".join(map(_csv_cell, fields, repeat(len(fields) == 1))) + "\n"
 
 
 @functools.cache
 def _json_key(k: str) -> str:
-    return _FORMATS["json"].string(k)
+    """The template text that opens the field ``k`` of a json record."""
+    return (_FORMATS["json"].string(k) + ": ").replace("%", "%%")
 
 
-def emit(table, fields, fmt: str, out) -> None:
-    """Write the records of ``table`` to ``out`` in the format ``fmt``.
+def emit(table, fields, fmt: str, out, n: int | None = None) -> None:
+    """Write the ``n`` records of ``table`` to ``out`` in the format ``fmt``.
 
-    ``table`` maps each of ``fields`` to its column, one cell per record, or
-    is a list of record dicts, whose missing fields are None.  Each column is
-    formatted as a whole (:func:`_column`); ``table`` shows only the columns
-    that some record sets.  csv fills one row template (:func:`_csv_row`) per
-    record, and quotes a cell or field name by :func:`_csv_cell`.
+    ``table`` maps each of ``fields`` to its column, in the shape the caller
+    states: a float64 array, a float per record; a list, a cell per record; a
+    tuple with such a position, a list per record whose positions are float
+    arrays, lists or values; and any other value, the cell of every record.
+    A field that ``table`` lacks is None in every record.  ``n`` is by default
+    the length of the list and array columns, or 1 where there are none.
+    ``table`` may also be a list of record dicts, whose fields are list columns.
+
+    csv and json fill one ``%`` row template per call (:func:`_row_template`),
+    in which a column that does not vary is literal text, formatted once, and a
+    float array a float conversion (:func:`_part`); csv quotes a cell or field
+    name by :func:`_csv_cell`.  ``table`` writes each column's texts
+    (:func:`_column`) padded, and shows only the columns that some record sets.
     """
     fields = list(fields)
-    if isinstance(table, dict):
-        columns = [table[k] for k in fields]
-    else:
-        columns = [[r.get(k) for r in table] for k in fields]
-    if fmt == "csv":
-        template, cells = _csv_row(columns)
-        n = len(columns[0]) if columns else 0
-        rows = map(template.__mod__, zip(*cells)) if cells else repeat(template % (), n)
-        out.write(",".join(map(_csv_cell, fields, repeat(len(fields) == 1))) + "\n" + "".join(rows))
-        return
+    if not isinstance(table, dict):
+        n, table = len(table), {k: [r.get(k) for r in table] for k in fields}
+    columns = [table.get(k) for k in fields]
+    if n is None:
+        n = next((len(c) for c in columns if isinstance(c, (list, np.ndarray))), 1)
+    spec = _FORMATS[fmt]
     if fmt == "table":
-        shown = [j for j, column in enumerate(columns) if column.count(None) < len(column)]
-        fields, columns = [fields[j] for j in shown], [columns[j] for j in shown]
-    texts = [_column(column, _FORMATS[fmt]) for column in columns]
-    if fmt == "json":
-        keyed = [list(map((_json_key(k) + ": ").__add__, t)) for k, t in zip(fields, texts)]
-        bodies = ["{" + ", ".join(parts) + "}" for parts in zip(*keyed)]
-        if len(bodies) == 1:
-            out.write(bodies[0] + "\n")
-        else:
-            out.write("[\n  " + ",\n  ".join(bodies) + "\n]\n")
-    else:
+        shown = [j for j, c in enumerate(columns)
+                 if n and not (c is None or isinstance(c, list) and c.count(None) == n)]
         padded = []
-        for k, t in zip(fields, texts):
-            width = max(len(k), *map(len, t))
-            padded.append([k.ljust(width), *map(str.ljust, t, repeat(width))])
+        for j in shown:
+            texts = _column(columns[j], spec, n)
+            width = max(len(fields[j]), *map(len, texts))
+            padded.append([fields[j].ljust(width), *map(str.ljust, texts, repeat(width))])
         rows = zip(*padded) if padded else [()]
         out.write("".join("  ".join(row).rstrip() + "\n" for row in rows))
+        return
+    if fmt == "csv":
+        quote = functools.partial(_csv_cell, lone=True) if len(fields) == 1 else _csv_cell
+        parts, feeds = _row_template(columns, spec, n, quote)
+        template = ",".join(parts) + "\n"
+    else:
+        parts, feeds = _row_template(columns, spec, n)
+        template = "{" + ", ".join(map(str.__add__, map(_json_key, fields), parts)) + "}"
+    rows = list(map(template.__mod__, zip(*feeds))) if feeds else [template % ()] * n
+    if fmt == "csv":
+        out.write(_csv_header(tuple(fields)) + "".join(rows))
+    elif len(rows) == 1:
+        out.write(rows[0] + "\n")
+    else:
+        out.write("[\n  " + ",\n  ".join(rows) + "\n]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +404,9 @@ def _slot(cells: dict) -> dict:
 
 def _point(command: str, args) -> tuple:
     """The well, one-slot shell columns, frame strategy and ``omega_ref`` of the point
-    that ``args`` describe, and the fields every record of ``command`` shares.  The
-    slot's error, or the frame's, is raised: the call gives one error record."""
+    that ``args`` describe, and the fields every record of ``command`` shares, one
+    value each.  The slot's error, or the frame's, is raised: the call gives one
+    error record."""
     U = _build_potential(args)
     shells = shell_columns(U, [_resolve_energy(args, U)])
     if shells.error[0] is not None:
@@ -366,8 +414,7 @@ def _point(command: str, args) -> tuple:
     # Read after the shell: a failed shell's error wins over a bad --frame.
     strategy, omega = _parse_frame(args.frame)
     omega_ref, xi = frame_columns(strategy, shells, omega)
-    base = dict.fromkeys(RECORD_FIELDS)
-    base.update(_constants(command, args), coeffs=U.coeffs.tolist(),
+    base = dict(_constants(command, args), coeffs=tuple(U.coeffs.tolist()),
                 **_slot(_shell_fields(shells, omega_ref, xi)))
     return U, shells, strategy, omega_ref, base
 
@@ -389,15 +436,18 @@ def _oracle(U, energy: float) -> tuple[float, float]:
 
 def _period_cells(method: str, shells: ShellColumns, strategy: str, omega_ref, well,
                   args, tol) -> tuple[dict, list]:
-    """The cells ``T``, ``Omega``, ``err_estimate`` and a series' ``N`` and ``regime`` of
-    ``method`` on the rows of ``shells``, arrays or lists, and each row's error or None.
-    The series is in the frame ``strategy`` of ``omega_ref``; the oracle reads ``well(slot)``."""
+    """The cells of ``method`` on the rows of ``shells``, ``T``, ``Omega`` and
+    ``err_estimate`` float arrays and a series' ``N`` and ``regime`` lists, and each
+    row's error or None.  The series is in the frame ``strategy`` of ``omega_ref``;
+    the oracle reads ``well(slot)``."""
     ends = (shells.residual, shells.x_minus, shells.x_plus, shells.residual_at_turning_points)
-    rows = len(shells.slots)
+    rows, series = len(shells.slots), {}
     if method == "quadrature":
         *periods, failed = quadrature_columns(*ends, args.omega0, tol)
     elif method == "series":
-        *periods, failed = series_columns(shells, strategy, omega_ref, args.N, args.omega0)
+        *periods, stop, regime, failed = series_columns(shells, strategy, omega_ref, args.N,
+                                                        args.omega0)
+        series = {"N": stop.tolist(), "regime": regime}
     elif method == "elliptic":
         if not _has_elliptic(shells):
             raise UsageError("the elliptic period requires a well of degree at most 4")
@@ -406,16 +456,16 @@ def _period_cells(method: str, shells: ShellColumns, strategy: str, omega_ref, w
     else:
         *periods, failed = _each_row(lambda i, energy: _oracle(well(i), energy),
                                      zip(shells.slots.tolist(), shells.energy.tolist()), rows)
-    return dict(zip(("T", "Omega", "err_estimate", "N", "regime"), periods)), failed
+    return dict(zip(("T", "Omega", "err_estimate"), map(np.asarray, periods)), **series), failed
 
 
-def _partial_sums(shells: ShellColumns, strategy: str, omega_ref, N: int) -> tuple[list, str]:
-    """The partial sums, to its stop, and the regime of the series of one-slot
+def _partial_sums(shells: ShellColumns, strategy: str, omega_ref, N: int) -> tuple:
+    """The partial sums, an array to its stop, and the regime of the series of one-slot
     ``shells`` in the frame ``strategy`` of ``omega_ref``; its error is raised."""
     (_, sums, stop, _, _, regime, (error,)), _ = _series_rows(shells, strategy, omega_ref, N)
     if error is not None:
         raise error
-    return sums[:stop[0] + 1, 0].tolist(), _REGIMES[regime[0]]
+    return sums[:stop[0] + 1, 0], _REGIMES[regime[0]]
 
 
 def _methods_for(method: str, shells: ShellColumns) -> list[str]:
@@ -431,8 +481,8 @@ def _methods_for(method: str, shells: ShellColumns) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[dict], int]:
-    """The base record of the point that ``args`` describe, a copy of it
-    completed by each method that ``method`` selects, and the exit status.
+    """The fields that the records of the point that ``args`` describe share, one
+    value each, the fields of each method that ``method`` selects, and the exit status.
 
     Each method runs on the one-slot grid of :func:`_point` as on a sweep's.  A
     method that fails gives its own error record, names itself on stderr and
@@ -443,21 +493,28 @@ def _method_records(command: str, method: str, args, tol) -> tuple[dict, list[di
     for m in _methods_for(method, shells):
         cells, (exc,) = _period_cells(m, shells, strategy, omega_ref, lambda i: U, args, tol)
         if exc is None:
-            records.append(dict(base, method=m, **_slot(cells)))
+            records.append(dict(_slot(cells), method=m))
             if m == "series" and getattr(args, "show_terms", False):
                 sums, _ = _partial_sums(shells, strategy, omega_ref, args.N)
-                records[-1]["partial_sums"] = [_SQRT2 / args.omega0 * s for s in sums]
+                records[-1]["partial_sums"] = [_SQRT2 / args.omega0 * s for s in sums.tolist()]
             continue
         kind, code = _error_kind(exc)
-        records.append(dict(base, method=m, error=str(exc), error_kind=kind))
+        records.append({"method": m, "error": str(exc), "error_kind": kind})
         print(f"{kind} error: {m}: {exc}", file=sys.stderr)
         status = max(status, code)
     return base, records, status
 
 
+def _records_table(base: dict, records: list[dict]) -> dict:
+    """The table of ``records`` that share the fields of ``base``: a list column for
+    each field that some record sets, and the value of ``base`` for the others."""
+    fields = {k for r in records for k in r}
+    return dict(base, **{k: [r.get(k) for r in records] for k in fields})
+
+
 def cmd_period(args, tol, out) -> int:
-    _, records, status = _method_records("period", args.method, args, tol)
-    emit(records, RECORD_FIELDS, args.format, out)
+    base, records, status = _method_records("period", args.method, args, tol)
+    emit(_records_table(base, records), RECORD_FIELDS, args.format, out, len(records))
     return status
 
 
@@ -472,12 +529,12 @@ def cmd_sweep(args, tol, out) -> int:
         raise UsageError(f"sweep range must have a finite width: from {args.start} to {args.stop}")
     if args.param == "rho" and args.preset != "duffing":
         raise UsageError("--param rho requires the duffing preset")
-    if args.log:
-        if args.start <= 0.0:
-            raise UsageError("--log requires a positive sweep start")
-        grid = np.geomspace(args.start, args.stop, args.steps)
-    else:
-        grid = np.linspace(args.start, args.stop, args.steps)
+    if args.log and args.start <= 0.0:
+        raise UsageError("--log requires a positive sweep start")
+    try:
+        grid = (np.geomspace if args.log else np.linspace)(args.start, args.stop, args.steps)
+    except ValueError:  # numpy: "Maximum allowed size exceeded"
+        raise UsageError(f"sweep cannot allocate a grid of {args.steps} steps") from None
     strategy, omega = _parse_frame(args.frame)
 
     values = grid.tolist()
@@ -500,77 +557,83 @@ def cmd_sweep(args, tol, out) -> int:
             for i, exc in zip(rows, failed):
                 if exc is not None:
                     error[i] = exc
-    emit(_sweep_table(args, values, coeffs, error, rows, cells), RECORD_FIELDS, args.format, out)
+    table = _sweep_table(args, grid, coeffs, error, rows, cells)
+    emit(table, RECORD_FIELDS, args.format, out, len(values))
     return 0
 
 
 def _energy_shells(args, energies) -> tuple:
     """The well of a slot of an energy grid, as a function, the grid's shell columns
-    and the coefficients of each slot's well.  A well that cannot be built fails every slot."""
+    and the column of each slot's coefficients, one tuple for all; a well that cannot
+    be built fails every slot, and its coefficients are None."""
     try:
         U = _build_potential(args)
     except tuple(_ERROR_KINDS) as exc:
-        return None, ShellColumns.failed([exc] * len(energies)), [None] * len(energies)
-    return lambda i: U, shell_columns(U, energies), [U.coeffs.tolist()] * len(energies)
+        return None, ShellColumns.failed([exc] * len(energies)), None
+    return lambda i: U, shell_columns(U, energies), tuple(U.coeffs.tolist())
 
 
 def _rho_shells(args, rhos) -> tuple:
     """A function that builds the well of a slot of a rho grid, the grid's shell
-    columns and the coefficients of each slot's well (:func:`rho_columns`)."""
+    columns and the column of each slot's coefficients (:func:`rho_columns`)."""
     try:
         _require_positive("mass", args.mass)
         _require_positive("omega0", args.omega0)
     except DomainError as exc:
-        return None, ShellColumns.failed([exc] * len(rhos)), [None] * len(rhos)
+        return None, ShellColumns.failed([exc] * len(rhos)), None
     shells, coeffs = rho_columns(rhos)
-    # Cut after the last nonzero coefficient, as a well's coefficients are.
-    # The rows share the objects of the coefficients they have in common, so
-    # that the emitter formats those once.
-    common = coeffs[0, :4].tolist()
+    # Cut after the last nonzero coefficient, as a well's coefficients are: the
+    # slots share the first four, and a slot at rho = 0 has three.
+    common, quartic = tuple(coeffs[0, :4].tolist()), coeffs[:, 4]
     return (lambda i: duffing_potential(rhos[i], args.mass, args.omega0), shells,
-            [[*common, c] if c != 0.0 else common[:3] for c in coeffs[:, 4].tolist()])
+            (*common, quartic) if quartic.all()
+            else [[*common, c] if c != 0.0 else list(common[:3]) for c in quartic.tolist()])
 
 
-def _sweep_table(args, values, coeffs, error, rows, cells) -> dict:
-    """The field -> column table of a sweep over the grid ``values``.
+def _sweep_table(args, grid: np.ndarray, coeffs, error, rows, cells) -> dict:
+    """The table of a sweep over ``grid`` (:func:`emit`).
 
-    ``cells`` maps fields to their values on ``rows``, the slots with a
-    shell: an array, a list, or one value for all.  A slot whose ``error`` is
-    set keeps the call's constant fields and its grid value, gets its error
-    and has no other cell.
+    ``cells`` maps fields to their columns on ``rows``, the slots with a shell,
+    and ``coeffs`` is the column of every slot's coefficients, in the shapes of
+    :func:`emit`; a None column is left out.  When no slot's ``error`` is set,
+    they are the table's columns.  Otherwise each becomes a list over the grid,
+    in which a slot whose error is set has no cell: it keeps the call's
+    constant fields and its grid value, and gets its error.
     """
-    n = len(values)
-    constants = dict(_constants("sweep", args), method=args.method)
-    table = {k: [constants.get(k)] * n for k in RECORD_FIELDS}
-    table["coeffs"] = list(coeffs)
-    if cells.get("rho") is not None and "T" in cells:
-        # rho is set on the shells of the canonical quartic, whatever the preset;
-        # a failed row's T is NaN, and its cells are cleared below.
-        root = np.sqrt(np.maximum(cells["rho"], 0.0)) * cells["T"]
-        cells["sqrt_rho_T"] = np.where(cells["rho"] > 0.0, root, None)
-    cells = {k: v.tolist() if isinstance(v, np.ndarray)
-             else v if isinstance(v, list) else [v] * len(rows)
-             for k, v in cells.items() if v is not None}
-    if len(rows) == n:
-        table.update(cells)
-    else:
-        for k, column in cells.items():
-            put = table[k]
-            for i, v in zip(rows, column):
-                put[i] = v
-    failed = [i for i, exc in enumerate(error) if exc is not None]
-    for k, column in table.items():
-        if k not in constants:
-            for i in failed:
-                column[i] = None
-    grid = table["energy" if args.param == "energy" else "rho"]
-    for i in failed:
-        grid[i] = values[i]
-        table["error"][i] = str(error[i])
-        table["error_kind"][i] = _error_kind(error[i])[0]
+    table = dict(_constants("sweep", args), method=args.method)
     if args.param == "rho":
         # Each point is the well at A = 1, so its lam is its rho.
-        table["lambda"] = list(values)
+        table["lambda"] = grid
+    rho = cells.get("rho")
+    if rho is not None and "T" in cells and (positive := rho > 0.0).any():
+        # rho is set on the shells of the canonical quartic, whatever the preset;
+        # a failed row's T is NaN, and its cells are cleared below.
+        root = np.sqrt(np.maximum(rho, 0.0)) * cells["T"]
+        cells["sqrt_rho_T"] = root if positive.all() else [
+            r if p else None for r, p in zip(root.tolist(), positive.tolist())]
+    cells = {k: v for k, v in cells.items() if v is not None}
+    failed = [i for i, exc in enumerate(error) if exc is not None]
+    if not failed:
+        return dict(table, coeffs=coeffs, **cells)
+    n, spread = len(error), {}
+    for k, v in cells.items():
+        if id(v) not in spread:  # a column under two fields, as amplitude is x_plus
+            column = spread[id(v)] = [None] * n
+            for i, c in zip(rows, _per_row(v, len(rows))):
+                column[i] = c
+            for i in failed:
+                column[i] = None
+        table[k] = spread[id(v)]
+    table["coeffs"] = [c if exc is None else None for c, exc in zip(_per_row(coeffs, n), error)]
+    key = "energy" if args.param == "energy" else "rho"
+    # A copy: fields share a list where they share a column object, as the
+    # empty columns of a grid with no shell do.
+    grid_column = table[key] = list(table.get(key) or [None] * n)
+    values = grid.tolist()
+    for i in failed:
+        grid_column[i] = values[i]
+    table["error"] = [None if exc is None else str(exc) for exc in error]
+    table["error_kind"] = [None if exc is None else _error_kind(exc)[0] for exc in error]
     return table
 
 
@@ -580,16 +643,18 @@ def cmd_converge(args, tol, out) -> int:
     cells, (exc,) = _period_cells("quadrature", shells, strategy, omega_ref, None, args, tol)
     if exc is not None:
         raise exc
-    t_quad, scale = cells["T"].item(), _SQRT2 / args.omega0
-    rows = [dict(base, regime=regime, N=n, I_N=i_n, T_N=scale * i_n,
-                 abs_dev_quadrature=abs(scale * i_n - t_quad))
-            for n, i_n in enumerate(sums)]
+    t_quad = cells["T"].item()
+    # As Python floats do, a product or difference out of range is inf or NaN, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_n = _SQRT2 / args.omega0 * sums
+        table = dict(base, regime=regime, N=list(range(len(sums))), I_N=sums, T_N=t_n,
+                     abs_dev_quadrature=np.abs(t_n - t_quad))
     if args.format == "table":
         digits17, xi = _FORMATS["csv"], base["xi"]
         out.write(f"# regime: {regime}"
                   + (f"  xi = {_value(xi, digits17)}" if xi is not None else "")
                   + f"  T_quadrature = {_value(t_quad, digits17)}\n")
-    emit(rows, CONVERGE_FIELDS, args.format, out)
+    emit(table, CONVERGE_FIELDS, args.format, out, len(sums))
     return 0
 
 
@@ -597,7 +662,7 @@ def cmd_verify(args, tol, out) -> int:
     args.N = max(args.N, 30)
     base, records, status = _method_records("verify", "all", args, tol)
 
-    periods = [r["T"] for r in records if r["error"] is None]
+    periods = [r["T"] for r in records if "T" in r]
     deviation = 0.0
     for i in range(len(periods)):
         for j in range(i + 1, len(periods)):
@@ -605,8 +670,8 @@ def cmd_verify(args, tol, out) -> int:
                 deviation,
                 abs(periods[i] - periods[j]) / max(abs(periods[i]), abs(periods[j])),
             )
-    records.append(dict(base, method="max-deviation", max_rel_deviation=deviation))
-    emit(records, RECORD_FIELDS, args.format, out)
+    records.append({"method": "max-deviation", "max_rel_deviation": deviation})
+    emit(_records_table(base, records), RECORD_FIELDS, args.format, out, len(records))
     return max(status, 0 if deviation <= VERIFY_DEVIATION_LIMIT else 3)
 
 
@@ -719,7 +784,7 @@ def main(argv=None, out=None) -> int:
     except tuple(_ERROR_KINDS) as exc:
         kind, code = _error_kind(exc)
         record = {"command": "error", "error": str(exc), "error_kind": kind}
-        emit([record], record, "json", out)
+        emit(record, record, "json", out)
         print(f"{kind} error: {exc}", file=sys.stderr)
         return code
 

@@ -89,12 +89,29 @@ def _closed_form_xi(shells):
     return None
 
 
+# The shells that _cubic_oriented read last, and its columns of them.
+_last_oriented: list = [(None, None)]
+
+
 def _cubic_oriented(shells) -> tuple:
     """Columns ``(xm, xp, cross, xi)`` of canonical cubic shells, one or many,
     taken where the residual rises: x -> -x flips a falling one, ``xm = -x_plus``
     and ``xp = -x_minus``.  There ``xi = (xp^2 - xm^2)/cross``, ``cross = xp^2 +
     4 xp xm + xm^2``; ``xi`` is negated back where flipped, so it is the shell's
-    own and mirrored wells get exactly opposite xi."""
+    own and mirrored wells get exactly opposite xi.
+
+    The columns of the shells object last read are kept and returned again,
+    so that a call's frame and series orient its shells once (:func:`_orient`).
+    """
+    last, columns = _last_oriented[0]
+    if last is not shells:
+        columns = _orient(shells)
+        _last_oriented[0] = shells, columns
+    return columns
+
+
+def _orient(shells) -> tuple:
+    """The columns of :func:`_cubic_oriented`, formed."""
     flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
     lo, hi = shells.x_minus, shells.x_plus
     xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)

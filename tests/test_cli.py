@@ -690,6 +690,18 @@ def test_non_finite_sweep_bound_is_a_usage_error(grid, capsys):
     assert err.startswith("usage error: ") and "finite" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid", [
+    ("--lambda", "1", "--param", "energy", "--from", "0.1", "--to", "0.5"),
+    ("--param", "rho", "--from", "0.1", "--to", "0.5", "--log"),
+])
+def test_a_grid_too_large_to_allocate_is_a_usage_error(grid, capsys):
+    # numpy refuses 1e20 points by their count, before it allocates anything.
+    code, out = run_cli("sweep", "--preset", "duffing", *grid, "--steps", "100000000000000000000")
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "usage error: sweep cannot allocate a grid of 100000000000000000000 steps\n"
+
+
 # U'' (and for the last, U') has a coefficient beyond the float range.
 OVERFLOWING_DERIVATIVES = [
     ("--preset", "duffing", "--lambda", "1e308"),

@@ -1,5 +1,6 @@
 """Record emission: the fast paths for whole columns give the text of the
-value formatter, and csv rows are those texts as the csv module writes them."""
+value formatter, csv rows are those texts as the csv module writes them, and a
+table in the shapes of ``emit`` writes the bytes of the records it stands for."""
 
 import csv
 import io
@@ -208,3 +209,124 @@ def test_sweep_in_a_frame_named_with_a_carriage_return_reparses():
     rows = list(csv.DictReader(io.StringIO(out.getvalue(), newline="")))
     assert [r["frame"] for r in rows] == ["fixed:1\r"] * 2
     assert [r["energy"] for r in rows] == ["0.10000000000000001", "0.20000000000000001"]
+
+
+# ---------------------------------------------------------------------------
+# Table shapes: scalars, float arrays, lists and tuples of columns
+# ---------------------------------------------------------------------------
+
+SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]
+SHAPED_FLOAT = st.one_of(st.sampled_from(EDGE_FLOATS + SUBNORMALS), st.floats())
+
+
+@st.composite
+def _shaped_tables(draw):
+    """A table of 1-5 fields and 0-4 records in the shapes of ``emit``, with the
+    records it stands for: a scalar is every record's cell, a float array or a
+    list a cell per record, a tuple a list per record of its positions' cells, and
+    a field may give the column object of an earlier field."""
+    text = _text([*"ab1 .;%", ",", '"', "\r", "\n", "%s"])
+    cell = st.one_of(SHAPED_FLOAT, st.integers(-10**6, 10**6), st.booleans(), st.none(), text,
+                     st.lists(st.one_of(SHAPED_FLOAT, st.none(), text), max_size=3))
+    fields = draw(st.lists(text, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 4))
+    floats = st.lists(SHAPED_FLOAT, min_size=n, max_size=n).map(np.array)
+    position = st.one_of(SHAPED_FLOAT, st.none(), text, floats,
+                         st.lists(cell, min_size=n, max_size=n))
+    table, records = {}, [{} for _ in range(n)]
+    for k in fields:
+        shape = draw(st.sampled_from(["scalar", "floats", "list", "tuple", "an earlier column"]))
+        if shape == "an earlier column" and table:
+            column = table[draw(st.sampled_from(sorted(table)))]
+        elif shape == "floats":
+            column = draw(floats)
+        elif shape == "list":
+            column = draw(st.lists(cell, min_size=n, max_size=n))
+        elif shape == "tuple":
+            column = tuple(draw(st.lists(position, min_size=1, max_size=3)))
+        else:
+            column = draw(cell.map(lambda v: tuple(v) if isinstance(v, list) else v))
+        table[k] = column
+        for i, record in enumerate(records):
+            record[k] = _cell(column, i)
+    return table, fields, n, records
+
+
+def _cell(column, i):
+    """Record ``i``'s cell of ``column``, as the shapes of ``emit`` define it."""
+    if isinstance(column, np.ndarray):
+        return float(column[i])
+    if isinstance(column, list):
+        return column[i]
+    if isinstance(column, tuple):
+        return [_cell(c, i) for c in column]
+    return column
+
+
+def _json_value(v):
+    """``v`` as json re-parses it, with every number a float: a float that is
+    not finite is null, and a bool stays one."""
+    if isinstance(v, (list, tuple)):
+        return [_json_value(e) for e in v]
+    if isinstance(v, bool) or v is None or isinstance(v, str):
+        return v
+    v = float(v)
+    return v.hex() if math.isfinite(v) else None
+
+
+def _hexed(v):
+    if isinstance(v, list):
+        return [_hexed(e) for e in v]
+    return v.hex() if isinstance(v, float) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped_tables())
+def test_a_table_in_shapes_writes_the_bytes_of_its_records(drawn):
+    table, fields, n, records = drawn
+    for fmt in ("csv", "json", "table"):
+        shaped, per_record = io.StringIO(), io.StringIO()
+        emit(table, fields, fmt, shaped, n)
+        emit(records, fields, fmt, per_record)
+        assert shaped.getvalue() == per_record.getvalue(), fmt
+        text = shaped.getvalue()
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            assert rows == [fields, *([_value(r[k], CSV) for k in fields] for r in records)]
+        elif fmt == "json" and n:
+            # "-0" and "1" are floats here, so that every float comes back to the bit.
+            parsed = json.loads(text, parse_int=float)
+            parsed = [parsed] if n == 1 else parsed
+            assert [[_hexed(r[k]) for k in fields] for r in parsed] == \
+                [[_json_value(r[k]) for k in fields] for r in records]
+
+
+def test_a_scalar_table_is_one_record():
+    out = io.StringIO()
+    emit({"command": "error", "error": 'a "b", c'}, ["command", "error"], "csv", out)
+    assert out.getvalue() == 'command,error\nerror,"a ""b"", c"\n'
+
+
+class _CountedArray(np.ndarray):
+    conversions = 0
+
+    def tolist(self):
+        type(self).conversions += 1
+        return super().tolist()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_column_object_under_two_fields_is_converted_once(fmt):
+    # As a symmetric quartic shell's amplitude is its x_plus array.
+    x_plus = np.array([0.5, 1 / 3, -0.0, 5e-324]).view(_CountedArray)
+    fields = ["amplitude", "x_plus", "T"]
+    table = {"amplitude": x_plus, "x_plus": x_plus, "T": np.array([1.0, 2.0, 3.0, 4.0])}
+    _CountedArray.conversions = 0
+    out = io.StringIO()
+    emit(table, fields, fmt, out)
+    assert _CountedArray.conversions == 1
+    records = [{"amplitude": a, "x_plus": a, "T": t}
+               for a, t in zip([0.5, 1 / 3, -0.0, 5e-324], [1.0, 2.0, 3.0, 4.0])]
+    expected = io.StringIO()
+    emit(records, fields, fmt, expected)
+    assert out.getvalue() == expected.getvalue()

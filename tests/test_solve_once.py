@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import periodlab._poly as _poly
 import periodlab.frame as frame
+import periodlab.period as period
 import periodlab.potential as potential
 from periodlab import duffing_large_rho_constant
 from periodlab.cli import main
@@ -283,3 +284,47 @@ def test_series_and_elliptic_sweep_rows_are_the_period_records(well, method, fra
         assert record["error"] is None
         for field in ("T", "Omega", "err_estimate", "N", "regime"):
             assert _hex(record[field]) == _hex(row[field]), field
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "cubic", "--lambda", "-1", "--energy", "0.12", "--format", "json"],
+    ["period", "--preset", "cubic", "--lambda", "1", "--energy", "0.12", "--method", "series",
+     "--show-terms", "--format", "json"],
+    ["converge", "--preset", "cubic", "--lambda", "1", "--energy", "0.12", "--Nmax", "4",
+     "--format", "csv"],
+    ["sweep", "--preset", "cubic", "--lambda", "-1", "--param", "energy", "--from", "0.02",
+     "--to", "0.15", "--steps", "5", "--method", "series", "--format", "json"],
+])
+def test_a_cubic_call_orients_its_shells_once(argv, monkeypatch):
+    """The frame's xi and the series read one orientation of a call's cubic shells,
+    and write the bits of an orientation formed afresh for each read."""
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    calls = []
+
+    def counted(shells):
+        calls.append(shells)
+        return orient(shells)
+
+    orient = frame._orient
+    monkeypatch.setattr(frame, "_orient", counted)
+    once = io.StringIO()
+    assert main(argv, out=once) == 0
+    assert len(calls) == 1 and once.getvalue() == out.getvalue()
+    # Each read forms the columns afresh: the same bytes.
+    monkeypatch.setattr(frame, "_cubic_oriented", orient)
+    monkeypatch.setattr(period, "_cubic_oriented", orient)
+    afresh = io.StringIO()
+    assert main(argv, out=afresh) == 0
+    assert afresh.getvalue() == out.getvalue()
+
+
+def test_one_cubic_shell_is_oriented_once_by_its_frame_and_series(monkeypatch):
+    calls = []
+    orient = frame._orient
+    monkeypatch.setattr(frame, "_orient", lambda shells: calls.append(shells) or orient(shells))
+    shell = potential.turning_points(potential.cubic_potential(-1.0), 0.12)
+    xi = frame.balanced_frame(shell).xi
+    assert period.cubic_series_balanced(shell, 16).xi == xi and calls == [shell]
+    other = potential.turning_points(potential.cubic_potential(-1.0), 0.12)
+    assert period.cubic_series_balanced(other, 16).xi == xi and calls == [shell, other]
