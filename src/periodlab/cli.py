@@ -29,8 +29,6 @@ subcommand, that subcommand's parser takes the rest.  The top-level parser
 takes only an argv with no subcommand, an unknown one, or ``-h``/``--help``.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math
@@ -38,7 +36,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -348,25 +346,20 @@ def _parse_frame(text: str) -> tuple[str, float | None]:
 
 
 def _build_potential(args):
-    if args.preset == "duffing":
+    if args.preset in ("duffing", "cubic"):
         if args.lam is None:
-            raise UsageError("duffing preset requires --lambda")
-        return duffing_potential(args.lam, args.mass, args.omega0)
-    if args.preset == "cubic":
-        if args.lam is None:
-            raise UsageError("cubic preset requires --lambda")
-        return cubic_potential(args.lam, args.mass, args.omega0)
+            raise UsageError(f"{args.preset} preset requires --lambda")
+        make = duffing_potential if args.preset == "duffing" else cubic_potential
+        return make(args.lam, args.mass, args.omega0)
     if args.coeffs is None:
         raise UsageError("poly preset requires --coeffs")
     return from_physical(args.coeffs, args.mass, args.omega0)
 
 
 def _resolve_energy(args, U) -> float:
-    given_energy = args.energy is not None
-    given_amplitude = args.amplitude is not None
-    if given_energy == given_amplitude:
+    if (args.energy is None) == (args.amplitude is None):
         raise UsageError("provide exactly one of --energy or --amplitude")
-    if given_energy:
+    if args.energy is not None:
         return float(args.energy)
     if not U.is_symmetric:
         raise UsageError("--amplitude is only valid for parity-symmetric presets")
@@ -471,9 +464,7 @@ def _partial_sums(shells: ShellColumns, strategy: str, omega_ref, N: int) -> tup
 def _methods_for(method: str, shells: ShellColumns) -> list[str]:
     if method != "all":
         return [method]
-    if not _has_elliptic(shells):
-        return ["quadrature", "series", "oracle"]
-    return ["quadrature", "series", "elliptic", "oracle"]
+    return ["quadrature", "series", *(["elliptic"] if _has_elliptic(shells) else []), "oracle"]
 
 
 # ---------------------------------------------------------------------------
@@ -663,13 +654,8 @@ def cmd_verify(args, tol, out) -> int:
     base, records, status = _method_records("verify", "all", args, tol)
 
     periods = [r["T"] for r in records if "T" in r]
-    deviation = 0.0
-    for i in range(len(periods)):
-        for j in range(i + 1, len(periods)):
-            deviation = max(
-                deviation,
-                abs(periods[i] - periods[j]) / max(abs(periods[i]), abs(periods[j])),
-            )
+    deviation = max([0.0, *(abs(a - b) / max(abs(a), abs(b))
+                            for a, b in combinations(periods, 2))])
     records.append({"method": "max-deviation", "max_rel_deviation": deviation})
     emit(_records_table(base, records), RECORD_FIELDS, args.format, out, len(records))
     return max(status, 0 if deviation <= VERIFY_DEVIATION_LIMIT else 3)

@@ -7,20 +7,17 @@ the angle variable ``x(theta) = mid + half*cos(theta)``.  Choosing
 ``omega^2 = R_max + R_min`` balances the deviation extrema symmetrically
 around zero, which maximizes the convergence domain of the period series.
 
-Each frame's formulas live in :func:`frame_columns`, which takes one shell or
-the :class:`~periodlab.potential.ShellColumns` of a grid; the per-shell
-builders call it.
+This module owns x(theta), Delta, its bound sup |Delta| and the canonical
+quartic's frame parameters, one function each, which :mod:`periodlab.period`
+reads.  :func:`frame_columns` gives each frame's ``(omega, xi)`` on one shell
+or the :class:`~periodlab.potential.ShellColumns` of a grid.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
 import numpy as np
 
-# real_roots is not called here any more: bench/spans.py traces the
-# poly.real_roots layer by rebinding this name, so it stays importable.
-from ._poly import polyval, real_roots  # noqa: F401
+from ._poly import polyval, real_roots  # noqa: F401  (real_roots: a name layer tracers bind)
 from .errors import DomainError
 from .potential import EnergyShell, _require_positive
 
@@ -62,31 +59,51 @@ class BalancedFrame(NamedTuple):
 
     @property
     def delta_min(self) -> float:
-        return 2.0 * self.R_min / (self.omega * self.omega) - 1.0
+        return _deviation_extrema(self.R_min, self.R_max, self.omega * self.omega)[0]
 
     @property
     def delta_max(self) -> float:
-        return 2.0 * self.R_max / (self.omega * self.omega) - 1.0
+        return _deviation_extrema(self.R_min, self.R_max, self.omega * self.omega)[1]
 
     @property
     def sup_abs_delta(self) -> float:
-        return max(abs(self.delta_min), abs(self.delta_max))
+        return float(_deviation_extrema(self.R_min, self.R_max, self.omega * self.omega)[2])
+
+
+def _angle_map(x_minus, x_plus) -> tuple:
+    """``(mid, half)`` of ``x(theta) = mid + half cos(theta)`` on ``[x_minus, x_plus]``."""
+    return 0.5 * (x_plus + x_minus), 0.5 * (x_plus - x_minus)
+
+
+def _deviation(r, w2):
+    """``Delta = (2R - omega^2)/omega^2`` where ``R = r`` and ``omega^2 = w2``."""
+    return (2.0 * r - w2) / w2
+
+
+def _deviation_extrema(r_min, r_max, w2) -> tuple:
+    """``(delta_min, delta_max, sup |Delta|)`` of R's extrema ``r_min``, ``r_max`` and
+    ``omega^2 = w2``; the bound is Python's ``max`` of their magnitudes."""
+    d_min, d_max = 2.0 * r_min / w2 - 1.0, 2.0 * r_max / w2 - 1.0
+    a, b = abs(d_min), abs(d_max)
+    return d_min, d_max, np.where(b > a, b, a)
+
+
+def _balanced_quartic(rho) -> tuple:
+    """``(d, xi)`` of the canonical quartic's balanced frame: ``d = 4 + 3 rho = 4
+    omega^2`` at amplitude 1, and ``xi = rho/d``."""
+    d = 4.0 + 3.0 * rho
+    return d, rho / d
+
+
+def _nayfeh_quartic(rho) -> tuple:
+    """``(omega, xi)`` of the canonical quartic's nayfeh frame at ``rho``."""
+    return np.sqrt(1.0 + rho), rho / (2.0 * rho + 2.0)
 
 
 def x_of_theta(shell: EnergyShell, theta):
     """The angle substitution mapping theta = 0 to x_plus and theta = pi to x_minus."""
-    mid = 0.5 * (shell.x_plus + shell.x_minus)
-    half = 0.5 * (shell.x_plus - shell.x_minus)
+    mid, half = _angle_map(shell.x_minus, shell.x_plus)
     return mid + half * np.cos(theta)
-
-
-def _closed_form_xi(shells):
-    if shells.family == "quartic":
-        return shells.rho / (4.0 + 3.0 * shells.rho)
-    if shells.family == "cubic":
-        xi = _cubic_oriented(shells)[3]
-        return float(xi[0]) if isinstance(shells, EnergyShell) else xi
-    return None
 
 
 # The shells that _cubic_oriented read last, and its columns of them.
@@ -137,10 +154,15 @@ def frame_columns(strategy: str, shells, omega: float | None = None):
     if strategy == NAYFEH and shells.family != "quartic":
         raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
     if strategy == NAYFEH:
-        rho = shells.rho
-        return np.sqrt(1.0 + rho), rho / (2.0 * rho + 2.0)
+        return _nayfeh_quartic(shells.rho)
     r_min, r_max = shells.residual_extrema[:2]
-    return np.sqrt(r_min + r_max), _closed_form_xi(shells)
+    omega = np.sqrt(r_min + r_max)
+    if shells.family == "quartic":
+        return omega, _balanced_quartic(shells.rho)[1]
+    if shells.family == "cubic":
+        xi = _cubic_oriented(shells)[3]
+        return omega, float(xi[0]) if isinstance(shells, EnergyShell) else xi
+    return omega, None
 
 
 def balanced_frame(shell: EnergyShell) -> BalancedFrame:
@@ -168,6 +190,5 @@ def fixed_frame(shell: EnergyShell, omega: float) -> BalancedFrame:
 
 def delta_at(frame: BalancedFrame, theta):
     """The deviation ``(2 R(x(theta)) - omega^2)/omega^2``; accepts arrays."""
-    w2 = frame.omega * frame.omega
     r = polyval(frame.shell.residual, x_of_theta(frame.shell, theta))
-    return (2.0 * r - w2) / w2
+    return _deviation(r, frame.omega * frame.omega)

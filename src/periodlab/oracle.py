@@ -17,8 +17,6 @@ exactly half the period.  Each zero is found by Newton's method on the length
 of a partial macro step from the last step's start, where v' = -U'(x).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from typing import NamedTuple

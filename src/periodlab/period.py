@@ -5,17 +5,17 @@ evaluates ``T = (sqrt(2)/omega0) * int_0^pi dtheta / sqrt(R(x(theta)))``.  The e
 route is the nested trapezoid rule in theta, which converges exponentially on this
 even, periodic, analytic integrand and reuses every value when it doubles.  The
 series routes write ``2R = omega^2 (1 + Delta)`` and expand the integrand
-binomially in the deviation.  Every well of degree at most 4 also has its period
-in closed form: Carlson's reduction turns the integral into one
-arithmetic-geometric mean (:func:`elliptic_period`).
+binomially in the deviation.  x(theta), Delta, its bound and the canonical
+quartic's frame parameters are read from :mod:`periodlab.frame`, which owns them.
+Every well of degree at most 4 also has its period in closed form: Carlson's
+reduction turns the integral into one arithmetic-geometric mean
+(:func:`elliptic_period`).
 
 Every route runs on the rows of a stack of shells: :func:`quadrature_columns` and
 :func:`series_columns`, one partial-sum loop for every series, take them as
 arrays, and the CLI maps the elliptic kernel :func:`_elliptic` over them.  A
 route on one shell or frame is its one-row case.
 """
-
-from __future__ import annotations
 
 import cmath
 import functools
@@ -26,12 +26,19 @@ import numpy as np
 
 from ._poly import _horner, polyval
 from .errors import ConvergenceError, DomainError, PeriodLabError, SeparatrixError
-from .frame import BALANCED, NAYFEH, BalancedFrame, _cubic_oriented
+from .frame import (
+    BALANCED,
+    NAYFEH,
+    BalancedFrame,
+    _angle_map,
+    _balanced_quartic,
+    _cubic_oriented,
+    _deviation,
+    _deviation_extrema,
+    _nayfeh_quartic,
+    delta_at,  # noqa: F401  (not called here: a name layer tracers bind)
+)
 from .potential import EnergyShell
-
-# Not called here any more: bench/spans.py counts quadrature nodes by rebinding
-# this name, so it stays importable.
-from .frame import delta_at  # noqa: F401
 
 DEFAULT_QUAD_TOL = 1e-13
 _QUAD_N0 = 16
@@ -320,8 +327,8 @@ def quadrature_columns(residual: np.ndarray, x_minus: np.ndarray, x_plus: np.nda
     # Like Python floats, the columns overflow to inf without a warning.
     r_end = np.array(r_end, dtype=float).reshape(rows, 1)
     known = ~np.isnan(r_end[:, 0])
-    columns = [residual, 0.5 * (x_plus + x_minus)[:, None], 0.5 * (x_plus - x_minus)[:, None],
-               r_end, residual[:, :1] - r_end, known]
+    mid, half = _angle_map(x_minus, x_plus)
+    columns = [residual, mid[:, None], half[:, None], r_end, residual[:, :1] - r_end, known]
     caps = np.where(known, _QUAD_NMAX_KNOWN_ENDS, _QUAD_NMAX)
     cap_min = _QUAD_NMAX if np.count_nonzero(known) < rows else _QUAD_NMAX_KNOWN_ENDS
     slots = np.arange(rows)
@@ -507,13 +514,14 @@ def _summed_series(N: int, blocks, P, q, errors: list) -> tuple:
     return terms, sums, stop, value, trunc, regime, errors
 
 
-def _one_row(rows: tuple, xi: float | None) -> SeriesResult:
-    """The :class:`SeriesResult` of one row of :func:`_summed_series` that
-    reports ``xi``, or its error."""
+def _one_row(rows: tuple, xi=None, frame_xi: float | None = None) -> SeriesResult:
+    """The :class:`SeriesResult` of one row of :func:`_summed_series`, or its
+    error, reporting the row of the column ``xi``, else ``frame_xi``."""
     terms, sums, stop, _, trunc, regime, errors = rows
     if errors[0] is not None:
         raise errors[0]
     k, trunc, regime = int(stop[0]) + 1, float(trunc[0]), _REGIMES[regime[0]]
+    xi = frame_xi if xi is None else xi[0]
     sums, xi = sums[:k, 0].tolist(), None if xi is None else float(xi)
     return SeriesResult(tuple(terms[:k, 0].tolist()), tuple(sums), xi,
                         regime == CONVERGENT and trunc <= _CONVERGED_RTOL * abs(sums[-1]),
@@ -533,8 +541,7 @@ def _generic_rows(shells, strategy: str, omega, N: int) -> tuple:
         shells.x_minus, shells.x_plus, *shells.residual_extrema[:2]))
     omega = np.full(rows, omega)
     w2 = omega * omega
-    d_min, d_max = abs(2.0 * r_min / w2 - 1.0), abs(2.0 * r_max / w2 - 1.0)
-    sup = np.where(d_max > d_min, d_max, d_min)  # Python's max(d_min, d_max)
+    sup = _deviation_extrema(r_min, r_max, w2)[2]
     errors = [None if 0.0 < w < math.inf and d < math.inf else DomainError(
         f"the {strategy} frame omega = {o!r} puts omega^2 or Delta out of the float range")
         for w, d, o in zip(w2.tolist(), sup.tolist(), omega.tolist())]
@@ -543,13 +550,13 @@ def _generic_rows(shells, strategy: str, omega, N: int) -> tuple:
     # The rows of each node count go together, as at rho = 0 on a rho grid.
     groups = [(n, [j for j, m in enumerate(nodes) if m == n]) for n in set(nodes)]
     block = max(1, _QUAD_CHUNK // (rows * max(nodes)))
-    mid, half, pref = 0.5 * (hi + lo), 0.5 * (hi - lo), _SQRT2 / omega
+    (mid, half), pref = _angle_map(lo, hi), _SQRT2 / omega
 
     def blocks(N):
         parts = []
         for n, g in groups:
             x = mid[g, None] + half[g, None] * _level_nodes(n, False)[0]
-            delta = (2.0 * _horner(residual[g], x) - w2[g, None]) / w2[g, None]
+            delta = _deviation(_horner(residual[g], x), w2[g, None])
             parts.append(_terms(pref[g], (_binomials(N),), delta, N, math.pi / n, block))
         for ts in zip(*parts):
             t = np.empty((len(ts[0]), rows))
@@ -562,7 +569,7 @@ def _generic_rows(shells, strategy: str, omega, N: int) -> tuple:
 
 def period_series_generic(frame: BalancedFrame, N: int) -> SeriesResult:
     """The binomial series for any polynomial shell (:func:`_generic_rows`)."""
-    return _one_row(_generic_rows(frame.shell, frame.strategy, frame.omega, N), frame.xi)
+    return _one_row(_generic_rows(frame.shell, frame.strategy, frame.omega, N), frame_xi=frame.xi)
 
 
 def _rho_errors(rhos) -> list:
@@ -586,12 +593,11 @@ def _quartic_rows(rho, strategy: str, N: int) -> tuple:
     rho = np.array(rho, dtype=float, ndmin=1)
     errors = _rho_errors(rho.tolist())
     if strategy == NAYFEH:
-        xi = rho / (2.0 * rho + 2.0)
-        pref = _SQRT2 * math.pi / np.sqrt(1.0 + rho)
+        omega, xi = _nayfeh_quartic(rho)
+        pref = _SQRT2 * math.pi / omega
         return _summed_series(N, lambda n: _terms(pref, (_binomials(n),) * 2, xi, n),
                               pref, np.abs(xi), errors), xi
-    d = 4.0 + 3.0 * rho
-    xi = rho / d
+    d, xi = _balanced_quartic(rho)
     return _closed_form(2.0 * _SQRT2 * math.pi / np.sqrt(d), xi, errors, N), xi
 
 
@@ -624,8 +630,7 @@ def duffing_series_balanced(rho: float, N: int) -> SeriesResult:
 
     Converges for every rho > -1, i.e. for every energy with periodic motion.
     """
-    rows, xi = _quartic_rows(rho, BALANCED, N)
-    return _one_row(rows, xi[0])
+    return _one_row(*_quartic_rows(rho, BALANCED, N))
 
 
 def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
@@ -634,29 +639,24 @@ def duffing_series_nayfeh(rho: float, N: int) -> SeriesResult:
     Terms are returned for every rho > -1 so divergence is observable; the
     regime flag carries the verdict.
     """
-    rows, xi = _quartic_rows(rho, NAYFEH, N)
-    return _one_row(rows, xi[0])
+    return _one_row(*_quartic_rows(rho, NAYFEH, N))
 
 
 def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     """The balanced series for a canonical cubic shell; ``Delta = xi cos theta``.
 
     Converges for every sub-barrier energy; at the barrier ``|xi| = 1`` and the
-    shell is rejected.  The series is summed in the orientation whose residual
-    rises, which x -> -x gives a falling one: its turning points are negated
-    and swapped.  The reported ``xi`` is that of ``shell`` itself, as in its
-    balanced frame.
+    shell is rejected.  The series is summed where the residual rises
+    (:func:`~periodlab.frame._cubic_oriented`), and reports ``shell``'s own xi.
     """
     if shell.family != "cubic":
         raise DomainError("the balanced cubic series requires a canonical cubic shell")
-    rows, xi = _cubic_rows(shell, N)
-    return _one_row(rows, xi[0])
+    return _one_row(*_cubic_rows(shell, N))
 
 
 def best_series(shell: EnergyShell, frame: BalancedFrame, N: int) -> SeriesResult:
     """The closed-form series when the frame admits one, else the generic series."""
-    rows, xi = _series_rows(shell, frame.strategy, frame.omega, N)
-    return _one_row(rows, frame.xi if xi is None else xi[0])
+    return _one_row(*_series_rows(shell, frame.strategy, frame.omega, N), frame.xi)
 
 
 def series_columns(shells, strategy: str, omega, N: int, omega0: float = 1.0):

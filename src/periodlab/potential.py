@@ -33,8 +33,6 @@ whole column.  :func:`shells`, :func:`quartic_shells` and
 columns.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import cached_property
@@ -336,7 +334,9 @@ class ShellColumns(NamedTuple):
             *checks,
             (~(lo < hi), lambda j: DomainError(
                 f"turning points out of order: {float(lo[j])} >= {float(hi[j])}")),
-            (r_min <= 0.0, lambda j: _residual_not_positive(float(r_min[j]))),
+            (r_min <= 0.0, lambda j: DomainError(
+                f"residual R(x) is not positive on the shell (min {float(r_min[j])}); "
+                "the energy does not select a simple oscillatory band")),
         )
 
 
@@ -530,9 +530,7 @@ def _check_energies(energies: np.ndarray, barrier_energy, check, error: list) ->
     ``check(i)`` makes slot ``i``'s scalar checks, which give the error.
     """
     # An energy that is NaN, infinite, too small or at the barrier is suspect.
-    with np.errstate(invalid="ignore"):
-        suspect = (~(energies >= _MIN_ENERGY)
-                   | (energies >= barrier_energy * (1.0 - SEPARATRIX_RTOL)))
+    suspect = ~(energies >= _MIN_ENERGY) | (energies >= barrier_energy * (1.0 - SEPARATRIX_RTOL))
     for i in suspect.nonzero()[0].tolist():
         if error[i] is None:
             try:
@@ -589,12 +587,13 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     except ConvergenceError as exc:
         return ShellColumns.failed([exc] * energies.size)
     error: list = [None] * energies.size
-    _check_energies(energies, barrier.barrier_energy,
-                    lambda i: _check_energy(float(energies[i]), barrier), error)
-    return _solve_shells(U, energies, error)
+    # The solve's one float policy: NaN roots compare quietly, a harmonic reach overflows to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_energies(energies, barrier.barrier_energy,
+                        lambda i: _check_energy(float(energies[i]), barrier), error)
+        return _solve_shells(U, energies, error)
 
 
-@np.errstate(invalid="ignore")  # NaN turning points and root columns compare quietly
 def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> ShellColumns:
     """The shell columns of ``U`` at the ``energies`` whose ``error`` is None.
 
@@ -606,7 +605,6 @@ def _solve_shells(U: PolynomialPotential, energies: np.ndarray, error: list) -> 
     are formed once, and one mask of the rows that pass every check is split
     into the checks, in their order, only when a row fails.
     """
-    error = list(error)
     slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
     if not slots.size:
         return ShellColumns.failed(error)
@@ -681,8 +679,7 @@ def _picked_turning_points(U: PolynomialPotential, q: np.ndarray, energy: np.nda
     if not np.count_nonzero(retried):
         return x_minus, x_plus, None, None
     j = retried.nonzero()[0]
-    with np.errstate(over="ignore"):
-        reach = np.sqrt(2.0 * energy[j] / U.curvature(x0))
+    reach = np.sqrt(2.0 * energy[j] / U.curvature(x0))
     lo, hi = newton_polish(q[j], derivative(q[j]), np.stack([x0 - reach, x0 + reach], axis=1)).T
     found = (lo < x0) & (x0 < hi) & np.isfinite(lo) & np.isfinite(hi)
     x_minus[j], x_plus[j] = np.where(found, lo, math.nan), np.where(found, hi, math.nan)
@@ -754,10 +751,11 @@ def quartic_shells(lams, energies) -> list:
     return _quartic_columns(lams, energies, [None] * energies.size).shells()
 
 
+# The closed form's one float policy: -1/(4 lam), A A and R(+-A) overflow quietly.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> ShellColumns:
-    """The columns of :func:`quartic_shells` at the pairs whose ``error`` is None,
-    formed on whole columns: ``s/2`` by :func:`_half_s`, rho as ``lam (A A)``."""
-    error = list(error)
+    """The columns of :func:`quartic_shells` at the pairs whose ``error``, a list the
+    checks fill, is None: ``s/2`` by :func:`_half_s`, rho as ``lam (A A)``."""
 
     def check(i):
         lam = float(lams[i])
@@ -765,8 +763,7 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
             raise DomainError(f"lam must be finite, got {lam}")
         _check_energy(float(energies[i]), quartic_barrier(lam))
 
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        barrier_energy = np.where(lams < 0.0, -0.25 / lams, math.inf)
+    barrier_energy = _quartic_barrier_columns(lams)[0]
     barrier_energy[~np.isfinite(lams)] = -math.inf
     _check_energies(energies, barrier_energy, check, error)
     slots = np.array([i for i, e in enumerate(error) if e is None], dtype=int)
@@ -783,13 +780,12 @@ def _quartic_columns(lams: np.ndarray, energies: np.ndarray, error: list) -> She
     residual[:, 0] = 0.5 * half_sum
     residual[:, 2] = lam / 4.0
     # Past sqrt(max float), where A A overflows and rho = s - 1 need not, rho is (lam A) A.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.where(amplitude > _SQRT_FLOAT_MAX, lam * amplitude * amplitude,
-                       lam * (amplitude * amplitude))
+    rho = np.where(amplitude > _SQRT_FLOAT_MAX, lam * amplitude * amplitude,
+                   lam * (amplitude * amplitude))
     # The extrema over the candidates -A, A and 0 (A and -A only at lam = 0)
     # in closed form: R(+-A) as _residual_extrema evaluates it, R(0) = R0, the
     # first candidate winning a tie.
-    r0, r_a = residual[:, 0], polyval(residual, amplitude)
+    r0, r_a = residual[:, 0], _horner(residual, amplitude)
     extrema = np.array([np.minimum(r_a, r0), np.maximum(r_a, r0),
                         np.where(r_a > r0, 0.0, -amplitude), np.where(r_a < r0, 0.0, -amplitude)])
     return ShellColumns(
@@ -815,13 +811,19 @@ def rho_columns(rhos) -> tuple[ShellColumns, np.ndarray]:
     coeffs[:, 4] = rhos / 4.0
     _, _, error = _derivative_rows(coeffs)
     columns = _quartic_columns(rhos, 0.5 + rhos / 4.0, error)
-    # The amplitude limit of quartic_barrier, inf where there is no barrier.
-    lam = rhos[columns.slots]
-    softening = lam < 0.0
-    limit = np.full(lam.size, math.inf)
-    limit[softening] = 1.0 / np.sqrt(-lam[softening])
+    with np.errstate(over="ignore"):  # the barrier -1/(4 lam) of a subnormal lam
+        limit = _quartic_barrier_columns(rhos[columns.slots])[1]
     return columns._failing((1.0 >= limit * (1.0 - SEPARATRIX_RTOL),
                              lambda j: _amplitude_error(1.0, float(limit[j])))), coeffs
+
+
+def _quartic_barrier_columns(lams: np.ndarray) -> np.ndarray:
+    """The rows ``-1/(4 lam)`` and ``1/sqrt(-lam)``, the barrier energy and amplitude
+    limit of :func:`quartic_barrier` at each of ``lams``, inf where lam is not negative."""
+    softening, columns = lams < 0.0, np.full((2, lams.size), math.inf)
+    lam = lams[softening]
+    columns[:, softening] = -0.25 / lam, 1.0 / np.sqrt(-lam)
+    return columns
 
 
 def _amplitude_error(a: float, limit: float | None) -> SeparatrixError | None:
@@ -895,10 +897,3 @@ def _residual_extrema(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarra
     extrema = np.array([values[rows, i_min], values[rows, i_max],
                         candidates[rows, i_min], candidates[rows, i_max]]).reshape(4, -1)
     return extrema, failed
-
-
-def _residual_not_positive(r_min: float) -> DomainError:
-    return DomainError(
-        f"residual R(x) is not positive on the shell (min {r_min}); "
-        "the energy does not select a simple oscillatory band"
-    )

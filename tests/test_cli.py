@@ -313,6 +313,16 @@ def test_converge_negative_series_cap_is_a_domain_record():
     assert (record["error_kind"], record["error"]) == ("domain", "series cap N must be >= 0, got -1")
 
 
+def test_converge_where_the_quadrature_fails_is_one_numerical_record(capsys):
+    # 2e-12 below the barrier at E = 1/6, node doubling reaches its cap.
+    code, out = run_cli("converge", "--preset", "cubic", "--lambda", "1",
+                        "--energy", "0.16666666666633334", "--Nmax", "4", "--format", "json")
+    message = "theta quadrature did not converge to 1e-13 within 4096 nodes"
+    assert (code, json.loads(out)) == (3, {
+        "command": "error", "error": message, "error_kind": "numerical"})
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+
+
 def test_converge_harmonic_all_zero_error():
     code, out = run_cli(
         "converge", "--preset", "duffing", "--lambda", "0", "--amplitude", "1",
@@ -864,6 +874,25 @@ def test_importing_the_cli_loads_no_numpy_polynomial_module():
               "before = loaded()\n"
               "import periodlab.cli\n"
               "print(sorted(loaded() - before))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_compiles_no_forward_reference():
+    # typing.NamedTuple compiles each string annotation of its fields into a
+    # ForwardRef; periodlab's annotations are evaluated ones, so none is made.
+    script = ("import typing, numpy\n"
+              "made = []\n"
+              "init = typing.ForwardRef.__init__\n"
+              "def counted(self, arg, *rest, **kwargs):\n"
+              "    made.append(arg)\n"
+              "    init(self, arg, *rest, **kwargs)\n"
+              "typing.ForwardRef.__init__ = counted\n"
+              "import periodlab.cli\n"
+              "print(made)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

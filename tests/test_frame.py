@@ -7,9 +7,12 @@ import pytest
 
 from periodlab import (
     BALANCED,
+    NAYFEH,
+    BalancedFrame,
     DomainError,
     EnergyShell,
     balanced_frame,
+    best_series,
     cubic_potential,
     delta_at,
     duffing_potential,
@@ -134,6 +137,22 @@ def test_nayfeh_softening_xi_beyond_one():
 def test_nayfeh_rejects_cubic_shell():
     with pytest.raises(DomainError):
         nayfeh_frame(turning_points(cubic_potential(1.0), 0.1))
+
+
+def test_best_series_in_a_hand_built_nayfeh_frame_of_a_cubic_shell_is_rejected():
+    shell = turning_points(cubic_potential(1.0), 0.1)
+    frame = BalancedFrame(shell, 1.0, NAYFEH, 0.2)
+    with pytest.raises(DomainError, match="^nayfeh series requires a canonical quartic shell$"):
+        best_series(shell, frame, 8)
+
+
+def test_sup_abs_delta_is_the_larger_deviation_magnitude(rng):
+    frames = [nayfeh_frame(_duffing_shell(rho)) for rho in (-0.8, 0.0, 3.0)]
+    for _, _, shell in random_wells(rng, 10):
+        frames += [balanced_frame(shell), fixed_frame(shell, 0.7), fixed_frame(shell, 1.3)]
+    for fr in frames:
+        assert type(fr.sup_abs_delta) is float
+        assert fr.sup_abs_delta == max(abs(fr.delta_min), abs(fr.delta_max))
 
 
 def test_fixed_frame_validates_omega():

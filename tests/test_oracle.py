@@ -17,6 +17,7 @@ from periodlab import (
     cubic_potential,
     duffing_elliptic,
     duffing_potential,
+    PolynomialPotential,
     from_physical,
     harmonic_potential,
     integrate,
@@ -223,6 +224,13 @@ def test_measure_rejects_separatrix_energy():
 
     with pytest.raises(SeparatrixError):
         measure_period(cubic_potential(1.0), 1.0 / 6.0)
+
+
+def test_measure_rejects_an_energy_not_above_the_minimum():
+    # U(0) = 1e-10 passes construction, which takes |U(minimum_x)| up to 1e-8.
+    U = PolynomialPotential(np.array([1e-10, 0.0, 0.5]))
+    with pytest.raises(DomainError, match=r"^energy 1e-11 is not above U\(minimum_x\) = 1e-10$"):
+        measure_period(U, 1e-11)
 
 
 @pytest.mark.parametrize("U, energy", [(duffing_potential(1.0), 0.75),

@@ -34,7 +34,7 @@ from periodlab import (
 from periodlab import potential
 from periodlab._poly import as_coeffs, polyval, real_roots
 from periodlab.cli import main
-from periodlab.errors import PeriodLabError
+from periodlab.errors import ConvergenceError, PeriodLabError
 from periodlab.potential import quartic_barrier, shell_columns
 from tests.conftest import random_wells
 
@@ -73,6 +73,18 @@ def test_from_physical_shifts_offcenter_minimum():
 def test_from_physical_rejects_inverted_well():
     with pytest.raises(NoMinimumError):
         from_physical([0.0, 0.0, -1.0])
+
+
+def test_a_well_whose_minimum_x_is_not_a_critical_point_is_rejected():
+    # U(1) = 0 passes, but U'(1) = 1.
+    with pytest.raises(DomainError, match=r"^minimum_x=1\.0 is not a critical point$"):
+        PolynomialPotential(np.array([-0.5, 0.0, 0.5]), minimum_x=1.0)
+
+
+def test_a_hand_built_shell_whose_residual_slope_has_no_eigensolve_is_rejected():
+    # R' = 1e308 + 2e300 x + 3e-300 x^2: the companion matrix of R' overflows.
+    with pytest.raises(ConvergenceError, match="^companion-matrix eigensolve failed: "):
+        EnergyShell(0.5, -1.0, 1.0, np.array([1.0, 1e308, 1e300, 1e-300]))
 
 
 def test_from_physical_rejects_pure_cubic():
