@@ -8,7 +8,9 @@ The helpers also take one polynomial per row of a 2-D array, so a family of
 polynomials of one degree (``E - U`` over an energy grid) is solved in one go;
 each row gets exactly the arithmetic it would get on its own.  Every
 polynomial of a well is evaluated here, by :func:`polyval` or, in the
-oracle, by the compiled Horner expression of :func:`_horner_text`.
+oracle, by the compiled Horner expression of :func:`_horner_text`.  The row
+kernels run under their caller's float policy (``np.errstate``) that keeps
+overflow, division by zero and invalid values quiet; polyval and real_roots state one.
 
 Roots are polished in plain double arithmetic, so a root ends as accurate as
 rounding in the polynomial allows: about 1e-15 relative for a well separated
@@ -161,29 +163,28 @@ def newton_polish(coeffs, dcoeffs, x0) -> np.ndarray:
     by a small derivative leaves steps of about ``eps / d`` relative, ``d``
     the distance to the other root, that never shrink; the stall stop ends
     those after a few steps, at that accuracy, which more steps would not
-    improve.
+    improve.  A badly scaled row may overflow, or meet a zero slope, under
+    the caller's float policy; its roots then fail the caller's checks.
     """
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape, dtype=bool)
     last = None  # the previous step sizes: no step stalls before there is one
-    # A badly scaled row may overflow; its roots then fail the caller's checks.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(_POLISH_MAX_ITER):
-            if not np.count_nonzero(live):
-                break
-            f = _horner(coeffs, x)
-            df = _horner(dcoeffs, x)
-            step = f / df
-            x_new = x - step
-            size = np.abs(step)
-            scale = np.maximum(1.0, np.abs(x_new))
-            done = size <= _POLISH_RTOL * scale
-            moved = live & (f != 0.0) & (df != 0.0)
-            if last is not None:
-                moved &= ~((size >= last) & (size <= _POLISH_STALL * scale) & ~done)
-            x = np.where(moved, x_new, x)
-            live = moved & ~done
-            last = size
+    for _ in range(_POLISH_MAX_ITER):
+        if not np.count_nonzero(live):
+            break
+        f = _horner(coeffs, x)
+        df = _horner(dcoeffs, x)
+        step = f / df
+        x_new = x - step
+        size = np.abs(step)
+        scale = np.maximum(1.0, np.abs(x_new))
+        done = size <= _POLISH_RTOL * scale
+        moved = live & (f != 0.0) & (df != 0.0)
+        if last is not None:
+            moved &= ~((size >= last) & (size <= _POLISH_STALL * scale) & ~done)
+        x = np.where(moved, x_new, x)
+        live = moved & ~done
+        last = size
     return x
 
 
@@ -203,15 +204,12 @@ def real_roots_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.empty((k, 0)), np.zeros(k, dtype=int)
     if n == 1:
         # A root out of the float range is dropped below, as a complex one is.
-        with np.errstate(over="ignore"):
-            rts = -coeffs[:, :1] / coeffs[:, 1:]
+        rts = -coeffs[:, :1] / coeffs[:, 1:]
     else:
         mat = np.zeros((k, n, n))
         mat.reshape(k, -1)[:, n::n + 1] = 1.0
-        # An overflowing matrix makes eigvals raise LinAlgError; the overflow
-        # itself needs no warning on top.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+        # An overflowing matrix makes eigvals raise LinAlgError.
+        mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
         rts = np.linalg.eigvals(mat)
     keep = np.isfinite(rts) & (np.abs(rts.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(rts)))
     rows = keep.nonzero()[0]
@@ -232,7 +230,8 @@ def real_roots(coeffs) -> np.ndarray:
     Roots whose companion-matrix imaginary part exceeds ``_IMAG_TOL`` (relative
     to their magnitude) are treated as genuinely complex and dropped.
     """
-    roots, counts = real_roots_rows(as_coeffs(coeffs)[None, :])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        roots, counts = real_roots_rows(as_coeffs(coeffs)[None, :])
     return roots[0, :counts[0]]
 
 

@@ -7,10 +7,10 @@ the angle variable ``x(theta) = mid + half*cos(theta)``.  Choosing
 ``omega^2 = R_max + R_min`` balances the deviation extrema symmetrically
 around zero, which maximizes the convergence domain of the period series.
 
-This module owns x(theta), Delta, its bound sup |Delta| and the canonical
-quartic's frame parameters, one function each, which :mod:`periodlab.period`
-reads.  :func:`frame_columns` gives each frame's ``(omega, xi)`` on one shell
-or the :class:`~periodlab.potential.ShellColumns` of a grid.
+This module owns x(theta), Delta, its bound sup |Delta| and each closed form's
+``(omega^2, xi)``, one function each, which :mod:`periodlab.period` reads.
+:func:`frame_columns` gives each frame's ``(omega, xi)`` on one shell or the
+:class:`~periodlab.potential.ShellColumns` of a grid.
 """
 
 from typing import NamedTuple
@@ -89,15 +89,15 @@ def _deviation_extrema(r_min, r_max, w2) -> tuple:
 
 
 def _balanced_quartic(rho) -> tuple:
-    """``(d, xi)`` of the canonical quartic's balanced frame: ``d = 4 + 3 rho = 4
-    omega^2`` at amplitude 1, and ``xi = rho/d``."""
+    """``(omega^2, xi)`` of the canonical quartic's closed form in the balanced
+    frame: ``((4 + 3 rho)/4, rho/(4 + 3 rho))``, at amplitude 1."""
     d = 4.0 + 3.0 * rho
-    return d, rho / d
+    return d / 4.0, rho / d
 
 
 def _nayfeh_quartic(rho) -> tuple:
-    """``(omega, xi)`` of the canonical quartic's nayfeh frame at ``rho``."""
-    return np.sqrt(1.0 + rho), rho / (2.0 * rho + 2.0)
+    """``(omega^2, xi) = (1 + rho, rho/(2 rho + 2))`` of the canonical quartic's nayfeh frame."""
+    return 1.0 + rho, rho / (2.0 * rho + 2.0)
 
 
 def x_of_theta(shell: EnergyShell, theta):
@@ -111,14 +111,15 @@ _last_oriented: list = [(None, None)]
 
 
 def _cubic_oriented(shells) -> tuple:
-    """Columns ``(xm, xp, cross, xi)`` of canonical cubic shells, one or many,
-    taken where the residual rises: x -> -x flips a falling one, ``xm = -x_plus``
-    and ``xp = -x_minus``.  There ``xi = (xp^2 - xm^2)/cross``, ``cross = xp^2 +
-    4 xp xm + xm^2``; ``xi`` is negated back where flipped, so it is the shell's
-    own and mirrored wells get exactly opposite xi.
+    """Columns ``(omega^2, xi)`` of the closed form of canonical cubic shells,
+    one or many: with ``xm = x_minus``, ``xp = x_plus`` and ``cross = xp^2 + 4
+    xp xm + xm^2``, ``omega^2 = -cross/(2 (xp^2 + xp xm + xm^2))`` and ``xi =
+    (xp^2 - xm^2)/cross``.  Each sum starts from the square of the turning
+    point away from the barrier, which lies where the residual falls, so
+    mirrored wells get exactly opposite xi and equal omega^2.
 
     The columns of the shells object last read are kept and returned again,
-    so that a call's frame and series orient its shells once (:func:`_orient`).
+    so that a call's frame and series form them once (:func:`_orient`).
     """
     last, columns = _last_oriented[0]
     if last is not shells:
@@ -128,13 +129,14 @@ def _cubic_oriented(shells) -> tuple:
 
 
 def _orient(shells) -> tuple:
-    """The columns of :func:`_cubic_oriented`, formed."""
-    flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
-    lo, hi = shells.x_minus, shells.x_plus
-    xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-    cross = xp * xp + 4.0 * xp * xm + xm * xm
-    xi = (xp * xp - xm * xm) / cross
-    return xm, xp, cross, np.where(flip, -xi, xi)
+    """The columns of :func:`_cubic_oriented`, formed.  The shells of one well
+    share the side of their barrier: the sign of the residual's slope, c3."""
+    rises = bool((shells.residual[..., 1] > 0.0).all())
+    lo, hi = np.atleast_1d(shells.x_minus, shells.x_plus)
+    far, near = (hi, lo) if rises else (lo, hi)
+    cross = far * far + 4.0 * far * near + near * near
+    w2 = -cross / (2.0 * (far * far + far * near + near * near))
+    return w2, (far * far - near * near) / (cross if rises else -cross)
 
 
 def frame_columns(strategy: str, shells, omega: float | None = None):
@@ -154,13 +156,14 @@ def frame_columns(strategy: str, shells, omega: float | None = None):
     if strategy == NAYFEH and shells.family != "quartic":
         raise DomainError("nayfeh_frame requires a canonical quartic (Duffing) shell")
     if strategy == NAYFEH:
-        return _nayfeh_quartic(shells.rho)
+        w2, xi = _nayfeh_quartic(shells.rho)
+        return np.sqrt(w2), xi
     r_min, r_max = shells.residual_extrema[:2]
     omega = np.sqrt(r_min + r_max)
     if shells.family == "quartic":
         return omega, _balanced_quartic(shells.rho)[1]
     if shells.family == "cubic":
-        xi = _cubic_oriented(shells)[3]
+        xi = _cubic_oriented(shells)[1]
         return omega, float(xi[0]) if isinstance(shells, EnergyShell) else xi
     return omega, None
 

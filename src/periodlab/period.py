@@ -5,8 +5,8 @@ evaluates ``T = (sqrt(2)/omega0) * int_0^pi dtheta / sqrt(R(x(theta)))``.  The e
 route is the nested trapezoid rule in theta, which converges exponentially on this
 even, periodic, analytic integrand and reuses every value when it doubles.  The
 series routes write ``2R = omega^2 (1 + Delta)`` and expand the integrand
-binomially in the deviation.  x(theta), Delta, its bound and the canonical
-quartic's frame parameters are read from :mod:`periodlab.frame`, which owns them.
+binomially in the deviation.  x(theta), Delta, its bound and each closed form's
+``(omega^2, xi)`` are read from :mod:`periodlab.frame`, which owns them.
 Every well of degree at most 4 also has its period in closed form: Carlson's
 reduction turns the integral into one arithmetic-geometric mean
 (:func:`elliptic_period`).
@@ -579,11 +579,12 @@ def _rho_errors(rhos) -> list:
             for rho in rhos]
 
 
-def _closed_form(pref, xi, errors: list, N: int) -> tuple:
-    """:func:`_summed_series` of ``pref (-1)^j C(-1/2, j) C(-1/2, 2j) xi^2j``."""
-    xi2 = xi * xi
-    return _summed_series(N, lambda n: _terms(pref, (_alternating_pair_coeffs(n),), xi2, n),
-                          pref, xi2, errors)
+def _closed_form(w2, xi, nayfeh: bool, errors: list, N: int) -> tuple:
+    """:func:`_summed_series` of every closed form: ``sqrt(2) pi/omega`` times ``sum
+    C(-1/2, j)^2 xi^j`` (``nayfeh``) or ``sum (-1)^j C(-1/2, j) C(-1/2, 2j) xi^2j``."""
+    pref, step = _SQRT2 * math.pi / np.sqrt(w2), xi if nayfeh else xi * xi
+    return _summed_series(N, lambda n: _terms(pref, (_binomials(n),) * 2 if nayfeh else (
+        _alternating_pair_coeffs(n),), step, n), pref, np.abs(step), errors)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -591,25 +592,17 @@ def _quartic_rows(rho, strategy: str, N: int) -> tuple:
     """The closed-form series of canonical quartic shells at ``rho`` in the
     balanced or nayfeh frame, and the xi of each."""
     rho = np.array(rho, dtype=float, ndmin=1)
-    errors = _rho_errors(rho.tolist())
-    if strategy == NAYFEH:
-        omega, xi = _nayfeh_quartic(rho)
-        pref = _SQRT2 * math.pi / omega
-        return _summed_series(N, lambda n: _terms(pref, (_binomials(n),) * 2, xi, n),
-                              pref, np.abs(xi), errors), xi
-    d, xi = _balanced_quartic(rho)
-    return _closed_form(2.0 * _SQRT2 * math.pi / np.sqrt(d), xi, errors, N), xi
+    w2, xi = (_nayfeh_quartic if strategy == NAYFEH else _balanced_quartic)(rho)
+    return _closed_form(w2, xi, strategy == NAYFEH, _rho_errors(rho.tolist()), N), xi
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _cubic_rows(shells, N: int) -> tuple:
-    """The closed-form series of canonical cubic shells, summed in the
-    orientation whose residual rises, and the xi of each shell itself."""
-    xm, xp, cross, xi = _cubic_oriented(shells)
-    sum_sq = xp * xp + xp * xm + xm * xm
+    """The closed-form series of canonical cubic shells, and the xi of each."""
+    w2, xi = _cubic_oriented(shells)
     errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")
               if v >= 1.0 - _BOUNDARY_TOL else None for v in np.abs(xi).tolist()]
-    return _closed_form(_SQRT2 * math.pi / np.sqrt(-cross / (2.0 * sum_sq)), xi, errors, N), xi
+    return _closed_form(w2, xi, False, errors, N), xi
 
 
 def _series_rows(shells, strategy: str, omega, N: int) -> tuple:
@@ -646,8 +639,8 @@ def cubic_series_balanced(shell: EnergyShell, N: int) -> SeriesResult:
     """The balanced series for a canonical cubic shell; ``Delta = xi cos theta``.
 
     Converges for every sub-barrier energy; at the barrier ``|xi| = 1`` and the
-    shell is rejected.  The series is summed where the residual rises
-    (:func:`~periodlab.frame._cubic_oriented`), and reports ``shell``'s own xi.
+    shell is rejected.  ``(omega^2, xi)`` come from
+    :func:`~periodlab.frame._cubic_oriented`.
     """
     if shell.family != "cubic":
         raise DomainError("the balanced cubic series requires a canonical cubic shell")

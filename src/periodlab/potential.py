@@ -217,7 +217,8 @@ class EnergyShell(_Immutable):
     ``residual`` by the routine :func:`shells` uses.  ``family`` is the well's
     :attr:`PolynomialPotential.family`, which decides the closed-form frame
     and series of the shell; a hand-built shell is ``"generic"`` unless it is
-    given one.
+    given one, and one that does not fit the family it is given raises
+    :class:`DomainError`.
     ``residual_at_turning_points``, when set, is ``R(x_minus) = R(x_plus)``
     of a symmetric shell with an even quadratic residual, known more closely
     than evaluating ``residual`` there gives: next to the barrier of the
@@ -232,8 +233,16 @@ class EnergyShell(_Immutable):
         residual = as_coeffs(residual)
         if not x_minus < x_plus:
             raise DomainError(f"turning points out of order: {x_minus} >= {x_plus}")
+        if family not in ("generic", "quartic", "cubic"):
+            raise DomainError(f"unknown shell family {family!r}")
+        if family == "cubic" and residual.size != 2:
+            raise DomainError("a canonical cubic shell has a residual of degree 1")
+        if family == "quartic" and (rho is None or residual[1::2].any() or x_minus != -x_plus):
+            raise DomainError("a canonical quartic shell has a rho, an even residual "
+                              "and turning points -A and A")
         if residual_extrema is None:
-            extrema, failed = _residual_extrema(residual[None, :], [x_minus], [x_plus])
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                extrema, failed = _residual_extrema(residual[None, :], [x_minus], [x_plus])
             if failed:
                 raise failed[0]
             residual_extrema = tuple(extrema[:, 0].tolist())
@@ -374,8 +383,8 @@ def from_physical(v_coeffs, mass: float = 1.0, omega0: float = 1.0) -> Polynomia
         scale = mass * omega0 ** 2
     except OverflowError:
         scale = math.inf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = v / scale
+    # A Python float quotient out of the float range is inf, quietly.
+    u = np.array([c / scale for c in v.ravel().tolist()] if 0.0 < scale < math.inf else [])
     finite = np.count_nonzero(np.isfinite(v))
     if not 0.0 < scale < math.inf or np.count_nonzero(np.isfinite(u)) < finite:
         raise DomainError(f"mass {mass} and omega0 {omega0} give no finite scaling "
@@ -437,7 +446,8 @@ def _require_positive(name: str, value: float) -> None:
 
 def _derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only coefficients of U' and U'' of the well with coefficients ``c``."""
-    du, d2u, (error,) = _derivative_rows(c[None, :])
+    with np.errstate(over="ignore"):  # the one float policy of a well's derivation
+        du, d2u, (error,) = _derivative_rows(c[None, :])
     if error is not None:
         raise error
     if c.size - 1 < 2:
@@ -451,10 +461,9 @@ def _derivative_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """The coefficients of U' and U'' of the well in each row of ``c``, and,
     per row, the :class:`DomainError` of coefficients that are not finite or
     that overflow U' or U'', or None."""
-    # U'' is finite only if U' is; the overflow itself needs no warning.
-    with np.errstate(over="ignore"):
-        du = derivative(c)
-        d2u = derivative(du)
+    # U'' is finite only if U' is; the caller's float policy keeps the overflow quiet.
+    du = derivative(c)
+    d2u = derivative(du)
     error = [None] * len(c)
     if np.count_nonzero(np.isfinite(c)) < c.size or np.count_nonzero(np.isfinite(d2u)) < d2u.size:
         finite = np.isfinite(c).all(axis=1)
@@ -587,8 +596,8 @@ def shell_columns(U: PolynomialPotential, energies) -> ShellColumns:
     except ConvergenceError as exc:
         return ShellColumns.failed([exc] * energies.size)
     error: list = [None] * energies.size
-    # The solve's one float policy: NaN roots compare quietly, a harmonic reach overflows to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The solve's one float policy: NaN compares quietly, overflow is inf, a zero slope divides.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _check_energies(energies, barrier.barrier_energy,
                         lambda i: _check_energy(float(energies[i]), barrier), error)
         return _solve_shells(U, energies, error)
@@ -809,9 +818,9 @@ def rho_columns(rhos) -> tuple[ShellColumns, np.ndarray]:
     coeffs = np.zeros((rhos.size, 5))
     coeffs[:, 2] = 0.5
     coeffs[:, 4] = rhos / 4.0
-    _, _, error = _derivative_rows(coeffs)
-    columns = _quartic_columns(rhos, 0.5 + rhos / 4.0, error)
-    with np.errstate(over="ignore"):  # the barrier -1/(4 lam) of a subnormal lam
+    with np.errstate(over="ignore"):  # U'' of a huge rho, -1/(4 lam) of a subnormal lam
+        _, _, error = _derivative_rows(coeffs)
+        columns = _quartic_columns(rhos, 0.5 + rhos / 4.0, error)
         limit = _quartic_barrier_columns(rhos[columns.slots])[1]
     return columns._failing((1.0 >= limit * (1.0 - SEPARATRIX_RTOL),
                              lambda j: _amplitude_error(1.0, float(limit[j])))), coeffs
@@ -863,13 +872,12 @@ def _half_s(lam: np.ndarray, energy: np.ndarray) -> np.ndarray:
     return np.sqrt(t + odd.view(np.float64)) * scale
 
 
-# R' may have complex roots, NaN here, and a comparison with NaN is False;
-# R overflows to inf or NaN without a warning, as in polyval.
-@np.errstate(over="ignore", invalid="ignore")
 def _residual_extrema(residuals: np.ndarray, x_minus, x_plus) -> tuple[np.ndarray, dict]:
     """The rows ``(R_min, R_max, argmin, argmax)``, one column per residual,
     and the :class:`ConvergenceError` of each row whose R' has no eigensolve,
     by row; row ``i`` of ``residuals`` lives on ``[x_minus[i], x_plus[i]]``.
+    It runs under the caller's float policy: R' may have complex roots, NaN
+    here, which compare quietly, and R overflows to inf or NaN, as in polyval.
 
     The candidates are the two turning points and the zeros of R' strictly
     between them, in that order, the first index winning a tie.  A constant

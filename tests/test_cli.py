@@ -323,6 +323,33 @@ def test_converge_where_the_quadrature_fails_is_one_numerical_record(capsys):
     assert capsys.readouterr().err == f"numerical error: {message}\n"
 
 
+# The quartic in both frames, the mirrored cubics and a sextic, whose series
+# stops after 10 terms.
+SERIES_POINTS = {
+    "balanced": (["--preset", "duffing", "--lambda", "-0.8", "--amplitude", "1"], 21),
+    "nayfeh": (["--preset", "duffing", "--lambda", "-0.8", "--amplitude", "1",
+                "--frame", "nayfeh"], 21),
+    "cubic": (["--preset", "cubic", "--lambda", "1", "--energy", "0.12"], 21),
+    "mirrored": (["--preset", "cubic", "--lambda", "-1", "--energy", "0.12"], 21),
+    "sextic": (["--preset", "poly", "--coeffs", "0", "0", "0.5", "0.05", "0.1", "-0.02",
+                "-0.1", "--energy", "0.05"], 10),
+}
+
+
+@pytest.mark.parametrize("point", sorted(SERIES_POINTS))
+def test_show_terms_partial_sums_are_the_converge_column(point):
+    flags, terms = SERIES_POINTS[point]
+    code, out = run_cli("period", *flags, "--method", "series", "--show-terms", "--N", "20",
+                        "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    code, out = run_cli("converge", *flags, "--Nmax", "20", "--format", "json")
+    assert code == 0
+    t_n = [row["T_N"].hex() for row in json.loads(out)]
+    sums = [s.hex() for s in record["partial_sums"]]
+    assert len(sums) == terms and sums == t_n and sums[-1] == record["T"].hex()
+
+
 def test_converge_harmonic_all_zero_error():
     code, out = run_cli(
         "converge", "--preset", "duffing", "--lambda", "0", "--amplitude", "1",

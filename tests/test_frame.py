@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import periodlab.frame as frame
+import periodlab.period as period
+import periodlab.potential as potential
 from periodlab import (
     BALANCED,
     NAYFEH,
@@ -23,6 +28,7 @@ from periodlab import (
     turning_points,
     x_of_theta,
 )
+from periodlab.errors import SeparatrixError
 from tests.conftest import random_wells
 
 
@@ -247,3 +253,107 @@ def test_frame_extrema_are_the_shells():
         w2 = fr.omega * fr.omega
         assert fr.delta_min == 2.0 * fr.R_min / w2 - 1.0
         assert fr.delta_max == 2.0 * fr.R_max / w2 - 1.0
+
+
+# ---------------------------------------------------------------------------
+# Closed forms: (omega^2, xi) bit for bit the formulas they replace
+# ---------------------------------------------------------------------------
+
+_SQRT2_PI = math.sqrt(2.0) * math.pi
+
+
+def _flipped_cubic(shells):
+    """``(omega^2, xi)`` of canonical cubic shells formed where the residual
+    rises: x -> -x flips a falling shell, and its xi is negated back."""
+    flip = ~(np.array(shells.residual[..., 1], ndmin=1) > 0.0)
+    lo, hi = shells.x_minus, shells.x_plus
+    xm, xp = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    cross = xp * xp + 4.0 * xp * xm + xm * xm
+    sum_sq = xp * xp + xp * xm + xm * xm
+    xi = (xp * xp - xm * xm) / cross
+    return -cross / (2.0 * sum_sq), np.where(flip, -xi, xi)
+
+
+def _summed(pref, coeffs, step, q, errors, N):
+    """The closed-form series of prefactor ``pref``, as each family summed it."""
+    return period._summed_series(N, lambda n: period._terms(pref, coeffs(n), step, n),
+                                 pref, q, errors)
+
+
+def _same_rows(got, want):
+    (*columns, errors), (*expected, expected_errors) = got, want
+    for a, b in zip(columns, expected):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert [repr(e) for e in errors] == [repr(e) for e in expected_errors]
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _quartic_reference(rho, strategy, N):
+    errors = period._rho_errors(rho.tolist())
+    if strategy == NAYFEH:
+        xi = rho / (2.0 * rho + 2.0)
+        pref = _SQRT2_PI / np.sqrt(1.0 + rho)
+        return _summed(pref, lambda n: (period._binomials(n),) * 2, xi, np.abs(xi), errors, N)
+    d = 4.0 + 3.0 * rho
+    xi = rho / d
+    xi2 = xi * xi
+    pref = 2.0 * math.sqrt(2.0) * math.pi / np.sqrt(d)
+    return _summed(pref, lambda n: (period._alternating_pair_coeffs(n),), xi2, xi2, errors, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-1.0, 1e300, exclude_min=True), min_size=1, max_size=8),
+       st.integers(0, 40))
+def test_quartic_closed_forms_keep_their_bits(rhos, N):
+    rho = np.array(rhos)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = 4.0 + 3.0 * rho
+        w2, xi = frame._balanced_quartic(rho)
+        assert w2.tobytes() == (d / 4.0).tobytes() and xi.tobytes() == (rho / d).tobytes()
+        w2, xi = frame._nayfeh_quartic(rho)
+        assert np.sqrt(w2).tobytes() == np.sqrt(1.0 + rho).tobytes()
+        assert xi.tobytes() == (rho / (2.0 * rho + 2.0)).tobytes()
+    for strategy in (BALANCED, NAYFEH):
+        rows, _ = period._quartic_rows(rho, strategy, N)
+        _same_rows(rows, _quartic_reference(rho, strategy, N))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _cubic_reference(shells, N):
+    w2, xi = _flipped_cubic(shells)
+    errors = [SeparatrixError(f"|xi| = {v} at or above 1: separatrix shell")
+              if v >= 1.0 - period._BOUNDARY_TOL else None for v in np.abs(xi).tolist()]
+    return _summed(_SQRT2_PI / np.sqrt(w2), lambda n: (period._alternating_pair_coeffs(n),),
+                   xi * xi, xi * xi, errors, N)
+
+
+def _check_cubic(shells, N):
+    w2, xi = frame._orient(shells)
+    want_w2, want_xi = _flipped_cubic(shells)
+    assert w2.tobytes() == want_w2.tobytes() and xi.tobytes() == want_xi.tobytes()
+    rows, _ = period._cubic_rows(shells, N)
+    _same_rows(rows, _cubic_reference(shells, N))
+
+
+# Above |c3| = 2^46 every energy below the barrier 1/(54 c3^2) is under the
+# 1e-30 energy floor; below 2^-300 the shells come from the companion solve.
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1.0, -1.0]), st.floats(1.0, 2.0, exclude_max=True),
+       st.integers(-310, 46), st.lists(st.floats(-11.0, -1.0), min_size=1, max_size=6),
+       st.integers(0, 40))
+def test_cubic_closed_form_keeps_its_bits(sign, mantissa, exponent, log_gaps, N):
+    c3 = sign * math.ldexp(mantissa, exponent)
+    barrier = 1.0 / (54.0 * c3 * c3)
+    cols = potential.shell_columns(cubic_potential(3.0 * c3),
+                                   [barrier * (1.0 - 10.0 ** g) for g in log_gaps])
+    if len(cols.slots):
+        _check_cubic(cols, N)
+
+
+@pytest.mark.parametrize("slope", [0.3, -0.3])
+@pytest.mark.parametrize("half", [0.25, 1.0, 3.0])
+def test_symmetric_cubic_shells_keep_the_sign_of_a_zero_xi(slope, half):
+    # xi = 0 exactly: -0.0 where the residual rises, +0.0 where it falls.
+    shell = EnergyShell(0.1, -half, half, np.array([1.0, slope]), family="cubic")
+    _check_cubic(shell, 12)
+    assert np.signbit(frame._orient(shell)[1][0]) == (slope > 0.0)

@@ -443,6 +443,40 @@ def test_a_hand_built_shell_is_generic_unless_given_a_family():
     assert cubic.family == "cubic" and balanced_frame(cubic).xi is not None
 
 
+@pytest.mark.parametrize("make", [
+    # A balanced frame of this quadratic residual: the cubic closed form gave
+    # T = 6.4837 for 4.99568.
+    lambda: EnergyShell(0.1, -0.5, 0.6, np.array([0.75, 0.2, 0.25]), family="cubic"),
+    lambda: EnergyShell(0.1, -0.5, 0.6, np.array([0.75]), family="cubic"),
+    # An odd residual coefficient: the quartic closed form gave 4.76802 for 4.77808.
+    lambda: EnergyShell(0.375, -1.0, 1.0, np.array([0.75, 0.1, 0.25]), rho=1.0,
+                        family="quartic"),
+    # No rho: the closed forms of its frames ended in a TypeError.
+    lambda: EnergyShell(0.375, -1.0, 1.0, np.array([0.75, 0.0, 0.25]), family="quartic"),
+    lambda: EnergyShell(0.375, -1.0, 1.5, np.array([0.75, 0.0, 0.25]), rho=1.0,
+                        family="quartic"),
+    lambda: EnergyShell(0.375, -1.0, 1.0, np.array([0.75, 0.0, 0.25]), family="duffing"),
+])
+def test_a_hand_built_shell_that_does_not_fit_its_family_raises(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_every_shell_the_package_builds_fits_its_family():
+    # Rebuilt by hand with its family, and so its extrema evaluated anew,
+    # every shell constructs: a subnormal lam/4 of the quartic rounds to 0.
+    lams = [5e-324, -5e-324, 0.0, 1e-300, -0.7, 2.0]
+    built = [*potential.quartic_shells(lams, [0.3] * len(lams)),
+             *shells(cubic_potential(1.0), [0.01, 0.1]), *shells(cubic_potential(-1.0), [0.1]),
+             *shells(cubic_potential(1e-100), [0.1]), *shells(duffing_potential(-0.5), [0.3]),
+             turning_points(from_physical([0.0, 0.0, 0.5, 0.1, 0.05]), 0.12)]
+    assert [s.family for s in built] == ["quartic"] * 6 + ["cubic"] * 4 + ["quartic", "generic"]
+    for s in built:
+        rebuilt = EnergyShell(s.energy, s.x_minus, s.x_plus, s.residual, s.amplitude, s.rho,
+                              family=s.family)
+        assert rebuilt.family == s.family
+
+
 # ---------------------------------------------------------------------------
 # One pass against two
 # ---------------------------------------------------------------------------

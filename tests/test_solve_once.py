@@ -11,8 +11,11 @@ nothing.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +331,55 @@ def test_one_cubic_shell_is_oriented_once_by_its_frame_and_series(monkeypatch):
     assert period.cubic_series_balanced(shell, 16).xi == xi and calls == [shell]
     other = potential.turning_points(potential.cubic_potential(-1.0), 0.12)
     assert period.cubic_series_balanced(other, 16).xi == xi and calls == [shell, other]
+
+
+# ---------------------------------------------------------------------------
+# Float policies: one np.errstate per well build, shell solve and route
+# ---------------------------------------------------------------------------
+
+# Per call at most: (canonical well, generic well).  A well build enters at
+# most 2 (its derivation and the solve of U'), a shell solve 1, each route 1.
+_POLICY_LIMITS = {"sweep-energy": (3, 4), "sweep-rho": (4, 4), "verify-oracle": (4, 5)}
+# Kernels that run under their caller's policy.
+_UNDER_CALLER = {"_poly.newton_polish", "_poly.real_roots_rows",
+                 "potential._derivative_rows", "potential._residual_extrema"}
+
+
+def _bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_call_enters_one_float_policy_per_well_build_shell_solve_and_route(monkeypatch):
+    config = pytest.importorskip("numpy._core._ufunc_config")
+    if not hasattr(config, "_make_extobj"):
+        pytest.skip("np.errstate enters through _make_extobj from numpy 2 on")
+    make, owners = config._make_extobj, []
+
+    def counted(*args, **kwargs):
+        # The caller is errstate's __enter__, whose caller holds the policy,
+        # or the wrapper of a function that np.errstate decorates.
+        entry = sys._getframe(1)
+        if entry.f_code.co_name == "inner":
+            func = entry.f_locals["func"]
+            owners.append(f"{func.__module__}.{func.__qualname__}")
+        else:
+            caller = entry.f_back
+            owners.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(config, "_make_extobj", counted)
+    workloads = _bench_workloads(monkeypatch)
+    for name, (canonical, generic) in _POLICY_LIMITS.items():
+        for op in workloads.generate(name, 1, 12):
+            owners.clear()
+            assert main(list(op.argv), out=io.StringIO()) == 0
+            # numpy's own policies, those of eigvals, are not periodlab's.
+            ours = [o.removeprefix("periodlab.") for o in owners if o.startswith("periodlab.")]
+            limit = generic if op.stratum.startswith("poly") else canonical
+            assert ours and len(ours) <= limit and not _UNDER_CALLER & set(ours), (
+                name, op.stratum, ours)
