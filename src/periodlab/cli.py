@@ -24,8 +24,13 @@ one array per shell, frame and period field, and no shell, frame or record
 object per grid point.  ``period``, ``verify`` and ``converge`` take their
 point as a grid of one slot.
 
-argv is parsed once (:func:`_parse_argv`): when its first word names a
-subcommand, that subcommand's parser takes the rest.  The top-level parser
+argv is parsed once (:func:`_parse_argv`).  When its first word names a
+subcommand, one pass over the rest and the subcommand's flag table
+(:func:`_one_pass`) builds the namespace that argparse would: each word an
+exact flag, given once, with its values, each converted and checked.  Any
+other rest (an abbreviation, ``--opt=v``, a repeated flag, ``-h``, ``--``, a
+stray word, a failed conversion or choice) goes to the subcommand's argparse
+parser, which writes every usage error and help text.  The top-level parser
 takes only an argv with no subcommand, an unknown one, or ``-h``/``--help``.
 """
 
@@ -110,12 +115,34 @@ def _error_kind(exc: PeriodLabError) -> tuple[str, int]:
     return next(entry for cls, entry in _ERROR_KINDS.items() if isinstance(exc, cls))
 
 
+# The words that start with "-" and are values, not flags.  argparse only takes
+# "-1" and "-.5" style strings for negative numbers and reads "-1e-1" as an
+# option; accept the exponent form too.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises :class:`UsageError` and takes
+    :data:`_NEGATIVE_NUMBER` words as values.  It keeps the table of its flags
+    that :func:`_one_pass` reads: ``flags`` maps each exact option string of an
+    action with a default (every flag but ``-h``/``--help``) to the action that
+    :meth:`add_argument` returned, and ``preset`` holds the :meth:`set_defaults`
+    values."""
+
     def __init__(self, *args, **kwargs):
+        self.flags, self.preset = {}, {}
         super().__init__(*args, **kwargs)
-        # argparse only takes "-1" and "-.5" style strings for negative numbers
-        # and reads "-1e-1" as an option; accept the exponent form too.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:
+            self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.preset.update(kwargs)
 
     def error(self, message):  # argparse default exits with status 2
         raise UsageError(message)
@@ -146,7 +173,8 @@ class _Formats(dict):
             raise KeyError(fmt)
         import json
 
-        spec = self[fmt] = _Format(".17g", "null", "null", json.dumps,
+        # What json.dumps gives a str, without its dispatch.
+        spec = self[fmt] = _Format(".17g", "null", "null", json.encoder.encode_basestring_ascii,
                                    lambda texts: "[" + ", ".join(texts) + "]")
         return spec
 
@@ -741,16 +769,74 @@ def _env_tol() -> float | None:
     return tol
 
 
+def _one_pass(parser: _Parser, words) -> argparse.Namespace | None:
+    """``parser.parse_args(words)`` in one pass over ``words`` and ``parser``'s flag
+    table, or None where argparse must parse them.
+
+    Each word is an exact option string of the table, each action given once,
+    followed by its values: the words that do not start with ``-`` or that are
+    :data:`_NEGATIVE_NUMBER`, as argparse reads them.  A flag of ``nargs`` None
+    takes one value and one of ``+`` one or more; one of ``nargs`` 0 takes none
+    and stores its ``const``, as ``store_true`` does.  Each value goes through
+    the action's ``type`` and must be one of its ``choices``, every required
+    action is given, and an action not given takes its default, a string
+    default through ``type`` as argparse converts it.  Anything else (an
+    abbreviation, ``--opt=v``, a repeated flag, ``-h``, ``--``, a stray word, a
+    missing value, a failed conversion or choice) is left to argparse, which
+    writes every usage error and help text.
+    """
+    flags, given, i, n = parser.flags, {}, 0, len(words)
+    while i < n:
+        action = flags.get(words[i])
+        if action is None or action in given:
+            return None
+        start = i = i + 1
+        while i < n and (not words[i].startswith("-") or _NEGATIVE_NUMBER.match(words[i])):
+            i += 1
+        given[action] = words[start:i]
+    values = {}
+    try:
+        for action in flags.values():  # an action under two option strings: twice, alike
+            strings, convert = given.get(action), action.type
+            if strings is None:
+                if action.required:
+                    return None
+                value = action.default
+                if convert is not None and isinstance(value, str):
+                    value = convert(value)
+            elif action.nargs == 0:
+                if strings:
+                    return None
+                value = action.const
+            elif action.nargs is None and len(strings) == 1 or action.nargs == "+" and strings:
+                value = strings if convert is None else list(map(convert, strings))
+                if action.choices is not None and not all(map(action.choices.__contains__, value)):
+                    return None
+                if action.nargs is None:
+                    value = value[0]
+            else:
+                return None
+            values[action.dest] = value
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    args = argparse.Namespace()
+    vars(args).update(parser.preset, **values)
+    return args
+
+
 def _parse_argv(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, in one parse: an ``argv`` whose first
-    word names a subcommand goes straight to that subcommand's parser, which
-    the top-level parser would hand the same words, and ``subcommand`` is set
-    by hand.  Any other ``argv`` goes to the top-level parser."""
+    word names a subcommand goes straight to that subcommand, which the
+    top-level parser would hand the same words, and ``subcommand`` is set by
+    hand.  There the one pass (:func:`_one_pass`) takes a well-formed rest, and
+    the subcommand's argparse parser any other.  Any other ``argv`` goes to the
+    top-level parser."""
     parser = build_parser()
     command = parser.subcommands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    words = argv[1:]
+    args = _one_pass(command, words) or command.parse_args(words)
     args.subcommand = argv[0]
     return args
 

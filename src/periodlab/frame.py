@@ -106,7 +106,7 @@ def x_of_theta(shell: EnergyShell, theta):
     return mid + half * np.cos(theta)
 
 
-# The shells that _cubic_oriented read last, and its columns of them.
+# The key of the shells that _cubic_oriented read last, and its columns of them.
 _last_oriented: list = [(None, None)]
 
 
@@ -118,13 +118,18 @@ def _cubic_oriented(shells) -> tuple:
     point away from the barrier, which lies where the residual falls, so
     mirrored wells get exactly opposite xi and equal omega^2.
 
-    The columns of the shells object last read are kept and returned again,
-    so that a call's frame and series form them once (:func:`_orient`).
+    The columns of the shells object last read are kept and returned again
+    while it holds the same turning points and residual, so that a call's
+    frame and series form them once (:func:`_orient`).  The key is the
+    object's id and the bytes of what :func:`_orient` reads, so that no
+    shells are kept alive and a shells object changed in place is read anew.
     """
+    key = (id(shells), *(np.asarray(c).tobytes()
+                         for c in (shells.x_minus, shells.x_plus, shells.residual)))
     last, columns = _last_oriented[0]
-    if last is not shells:
+    if last != key:
         columns = _orient(shells)
-        _last_oriented[0] = shells, columns
+        _last_oriented[0] = key, columns
     return columns
 
 

@@ -21,6 +21,7 @@ from periodlab.cli import (
     CONVERGE_FIELDS,
     RECORD_FIELDS,
     UsageError,
+    _NEGATIVE_NUMBER,
     _parse_argv,
     build_parser,
     emit,
@@ -533,6 +534,80 @@ def test_subcommand_parser_alone_gives_the_same_result(command, kept, units, dat
                                   ["-1e-3", "period"]])
 def test_argv_without_a_known_subcommand_goes_to_the_top_level_parser(argv):
     assert _parsed(_parse_argv, argv) == _parsed(build_parser().parse_args, argv)
+
+
+# Each subcommand's argv in the benchmark's shape: exact flags, one each, and
+# negative numbers in positional and exponent form.
+_BENCHMARK_ARGVS = [
+    ["sweep", "--preset", "cubic", "--lambda", "-0.8", "--param", "energy", "--from", "0.001",
+     "--to", "0.05", "--steps", "5"],
+    ["sweep", "--preset", "poly", "--coeffs", "0", "0", "0.5", "-0.2", "-0.1", "-0.09", "0.09",
+     "--param", "energy", "--from", "0.1", "--to", "0.5", "--steps", "5"],
+    ["sweep", "--preset", "duffing", "--param", "rho", "--from", "0.001", "--to", "1e8",
+     "--steps", "5", "--log"],
+    ["sweep", "--preset", "duffing", "--param", "rho", "--from", "-0.99", "--to", "-1e-2",
+     "--steps", "5"],
+    ["period", "--preset", "duffing", "--lambda", "-0.5", "--energy", "0.1"],
+    ["period", "--preset", "cubic", "--lambda", "1", "--energy", "0.12", "--method", "series",
+     "--show-terms", "--N", "20", "--format", "json"],
+    ["converge", "--preset", "duffing", "--lambda", "0.7", "--amplitude", "1", "--Nmax", "8",
+     "--frame", "nayfeh", "--format", "csv"],
+    ["verify", "--preset", "poly", "--coeffs", "0", "0", "0.5", "-0.2", "-0.1", "-0.09", "0.09",
+     "--energy", "0.6", "--format", "json"],
+]
+
+
+def _argparse_forbidden(*args, **kwargs):
+    raise AssertionError("argparse parsed a well-formed argv")
+
+
+@pytest.mark.parametrize("argv", _BENCHMARK_ARGVS, ids=lambda argv: " ".join(argv[:4]))
+def test_a_well_formed_argv_never_calls_argparse(argv, monkeypatch):
+    expected = _parsed(build_parser().parse_args, argv)
+    parser = build_parser()
+    for p in (parser, *parser.subcommands.values()):
+        monkeypatch.setattr(p, "parse_args", _argparse_forbidden)
+    assert _parsed(_parse_argv, argv) == expected
+    assert main(list(argv), out=io.StringIO()) == 0
+
+
+# Argvs at the edge of the one pass, and whether it leaves them to argparse.
+@pytest.mark.parametrize("argv, handed", [
+    # a repeated flag: argparse keeps the last value
+    (["period", "--preset", "duffing", "--lambda", "1", "--lambda", "2", "--energy", "0.1"], True),
+    # a lone "-" is argparse's value, not a flag
+    (["period", "--preset", "duffing", "--frame", "-", "--energy", "0.1"], True),
+    (["period", "--preset", "duffing", "-", "--energy", "0.1"], True),
+    (["period", "--preset", "poly", "--coeffs", "0", "0", "0.5", "-1e-3", "--energy", "1"], False),
+    (["sweep", "--preset", "duffing", "--param", "rho", "--from", "1", "--to", "2", "--steps",
+      "3", "--log", "5"], True),
+    (["period", "--preset", "duffing", "--lambda", "1", "--energy", ""], True),
+    (["period", "--preset", "duffing", "--lambda", "1", "--energy", "0.1", "--frame", ""], False),
+    (["period", "--preset", "duffing", "--lambda", "1", "--energy", "0.1", "--N", "1_0"], False),
+    (["period", "--preset", "duffing", "--lambda", "-inf", "--energy", "0.1"], True),
+    (["period", "--preset", "duffing", "--lambda=-1", "--energy", "0.1"], True),
+    (["period", "--preset", "duffing", "--energy", "0.1", "--method", "bogus"], True),
+    (["period", "--preset", "duffing", "--energy", "0.1", "--", "--N", "3"], True),
+    (["converge", "--preset", "duffing", "--energy", "0.1"], True),
+    (["sweep", "--preset", "duffing", "--param", "rho", "--from", "1", "--to", "2", "--steps",
+      "3", "-h"], True),
+], ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else str(v))
+def test_the_one_pass_and_argparse_agree_at_its_edges(argv, handed, monkeypatch):
+    expected = _parsed(build_parser().parse_args, argv)
+    command, calls = build_parser().subcommands[argv[0]], []
+    parse = command.parse_args
+    monkeypatch.setattr(command, "parse_args", lambda words: calls.append(words) or parse(words))
+    assert _parsed(_parse_argv, argv) == expected
+    assert calls == ([argv[1:]] if handed else [])
+
+
+def test_no_option_string_is_a_negative_number():
+    # So that a word that is one is always a value, as argparse reads it.
+    parser = build_parser()
+    options = [o for p in (parser, *parser.subcommands.values())
+               for o in [*p.flags, "-h", "--help"]]
+    assert len(options) > 40
+    assert not [o for o in options if _NEGATIVE_NUMBER.match(o)]
 
 
 def test_subcommand_help_names_the_subcommand(capsys):

@@ -1,6 +1,8 @@
 """Frame layer: residual extrema, frequency choices, deviation closed forms."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -357,3 +359,21 @@ def test_symmetric_cubic_shells_keep_the_sign_of_a_zero_xi(slope, half):
     shell = EnergyShell(0.1, -half, half, np.array([1.0, slope]), family="cubic")
     _check_cubic(shell, 12)
     assert np.signbit(frame._orient(shell)[1][0]) == (slope > 0.0)
+
+
+def test_cubic_columns_changed_in_place_get_their_own_xi():
+    # The frame's xi is read anew after the rows of the same columns object
+    # are reversed in place, and the call keeps none of its columns alive.
+    cols = potential.shell_columns(cubic_potential(1.0), [0.05, 0.1])
+    before = frame.frame_columns(BALANCED, cols)[1]
+    for column in (cols.energy, cols.x_minus, cols.x_plus, cols.residual,
+                   cols.residual_at_turning_points):
+        column[:] = column[::-1].copy()
+    cols.residual_extrema[:] = cols.residual_extrema[:, ::-1].copy()
+    after = frame.frame_columns(BALANCED, cols)[1]
+    assert after.tolist() == before[::-1].tolist()
+    assert after.tolist() == pytest.approx([0.3872, 0.2349], abs=1e-4)
+    x_minus = weakref.ref(cols.x_minus)
+    del cols
+    gc.collect()
+    assert x_minus() is None
